@@ -47,10 +47,6 @@ class ClusterModel:
     fine_run: KMeansRun | None = None
     coarse_run: KMeansRun | None = None
 
-    @property
-    def n_tokens(self) -> int:
-        return self.fine_assignments.shape[0]
-
 
 @dataclass
 class MultiStepState:
@@ -234,28 +230,6 @@ def multistep(points: Array, k: int = 4, steps: int = 5, min_cluster_fraction: f
     return model, state
 
 
-def cluster_feature_lookup(model: ClusterModel, token_index: int) -> Array:
-    """Coarse-cluster feature (the coarse centroid) for one token."""
-    if token_index < 0 or token_index >= model.n_tokens:
-        raise ValueError(f"token {token_index} is not assigned (have {model.n_tokens})")
-    return model.coarse_centroids[model.coarse_assignments[token_index]]
-
-
 def cluster_features(model: ClusterModel) -> Array:
     """Coarse-cluster feature rows for every token, shape (N, D)."""
     return model.coarse_centroids[model.coarse_assignments]
-
-
-def pca_2d(points: Array):
-    """Top-2 principal-component coordinates plus explained variance ratio."""
-    pts = require_finite("pca points", points)
-    centered = pts - pts.mean(axis=0, keepdims=True)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    total = float(np.sum(s * s))
-    coords = np.zeros((pts.shape[0], 2))
-    ratio = np.zeros(2)
-    take = min(2, s.shape[0])
-    if total > 0.0:
-        coords[:, :take] = centered @ vt[:take].T
-        ratio[:take] = (s[:take] ** 2) / total
-    return coords, ratio

@@ -54,8 +54,9 @@ class ModelConfig:
     heads: int = 4
     n_experts: int = 8
     expert_hidden_ratio: int = 4
-    dense_hidden: int = 0  # 0 = match the active parameter count of `come`
     attention_residual: bool = False
+    structure_expert: bool = True
+    semantic_expert: bool = True
     frozen_scale: float = 0.3  # keeps the frozen priors out of tanh saturation
 
 
@@ -105,15 +106,6 @@ class TrainingConfig:
 
 
 @dataclass
-class AblationConfig:
-    no_ste: bool = False
-    no_see: bool = False
-    no_dse: bool = False  # implies both shared experts disabled
-    no_clustering: bool = False
-    no_tb: bool = False
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
@@ -123,17 +115,6 @@ class RunConfig:
     losses: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    ablation: AblationConfig = field(default_factory=AblationConfig)
-
-    # resolved ablation switches (no_dse disables both shared experts)
-    def structure_disabled(self) -> bool:
-        return self.ablation.no_ste or self.ablation.no_dse
-
-    def semantic_disabled(self) -> bool:
-        return self.ablation.no_see or self.ablation.no_dse
-
-    def traceability_active(self) -> bool:
-        return not self.ablation.no_tb and self.losses.tb_weight > 0.0
 
     def validate(self):
         if self.model.arch not in ("come", "dense"):
@@ -144,7 +125,9 @@ class RunConfig:
                 f"got {self.clustering.strategy!r}"
             )
         if self.losses.load_mode not in ("literal", "margin"):
-            raise ConfigError(f"losses.load_mode must be literal|margin")
+            raise ConfigError(
+                f"losses.load_mode must be literal|margin, got {self.losses.load_mode!r}"
+            )
         if not 1 <= self.router.top_k <= self.model.n_experts:
             raise ConfigError(
                 f"router.top_k={self.router.top_k} outside [1, {self.model.n_experts}]"
@@ -153,7 +136,7 @@ class RunConfig:
             raise ConfigError("router.capacity_factor must be > 0")
         if self.router.temperature <= 0:
             raise ConfigError("router.temperature must be > 0")
-        if self.model.arch == "come" and self.traceability_active():
+        if self.model.arch == "come" and self.losses.tb_weight > 0.0:
             # every source must own at least one expert for supervision
             if self.model.n_experts < self.data.n_sources:
                 raise ConfigError(
@@ -162,8 +145,23 @@ class RunConfig:
                 )
         if self.training.steps < 0 or self.training.batch_size < 1:
             raise ConfigError("training.steps must be >= 0, batch_size >= 1")
-        if not (m := self.clustering.fine_clusters) > self.clustering.coarse_clusters >= 1:
-            raise ConfigError(f"clustering needs fine > coarse >= 1, got {m}")
+        for key, value in (
+            ("model.heads", self.model.heads),
+            ("training.log_every", self.training.log_every),
+            ("training.eval_batches", self.training.eval_batches),
+            ("clustering.max_iters", self.clustering.max_iters),
+        ):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        if self.data.width % self.model.heads:
+            raise ConfigError(
+                f"model.heads={self.model.heads} does not divide data.width={self.data.width}"
+            )
+        fine, coarse = self.clustering.fine_clusters, self.clustering.coarse_clusters
+        if not fine > coarse >= 1:
+            raise ConfigError(
+                f"clustering needs fine_clusters > coarse_clusters >= 1, got {fine} and {coarse}"
+            )
         try:
             self.data.generator().validate()
         except ValueError as exc:
@@ -179,7 +177,6 @@ _SECTIONS = {
     "losses": LossConfig,
     "optimizer": OptimizerConfig,
     "training": TrainingConfig,
-    "ablation": AblationConfig,
 }
 
 

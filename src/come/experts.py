@@ -59,11 +59,6 @@ def frozen_forward(expert: FrozenExpert, tokens: Array) -> Array:
     return np.tanh(x @ expert.weight + expert.bias)
 
 
-def frozen_input_backward(expert: FrozenExpert, output: Array, grad_out: Array) -> Array:
-    """Gradient w.r.t. the input tokens (the parameters expose no gradient)."""
-    return (grad_out * (1.0 - output * output)) @ expert.weight.T
-
-
 def frozen_digest(expert: FrozenExpert) -> str:
     h = hashlib.sha256()
     h.update(expert.kind.encode())

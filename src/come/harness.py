@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import RunConfig, apply_overrides, config_to_dict
 from .container import load_dataset
 from .datagen import DatasetBundle, generate
 from .model import ComeModel, ForwardState
@@ -28,16 +28,17 @@ EVAL_STREAM_OFFSET = 2**33  # keeps eval clustering seeds clear of training step
 
 METRICS_HEADER = [
     "step", "train_acc", "test_acc", "purity", "util_cv", "overflow_rate",
-    "agg_residual", "task_ce", "l_tb", "l_ip", "l_load", "total",
+    "task_ce", "l_tb", "l_ip", "l_load", "total",
 ]
 
+# Each ablation is a list of --set overrides on the run config.
 ABLATION_VARIANTS = {
-    "full": {},
-    "no_ste": {"no_ste": True},
-    "no_see": {"no_see": True},
-    "no_dse": {"no_dse": True},
-    "no_clustering": {"no_clustering": True},
-    "no_tb": {"no_tb": True},
+    "full": [],
+    "no_ste": ["model.structure_expert=false"],
+    "no_see": ["model.semantic_expert=false"],
+    "no_dse": ["model.structure_expert=false", "model.semantic_expert=false"],
+    "no_clustering": ["clustering.strategy=none"],
+    "no_tb": ["losses.tb_weight=0"],
 }
 
 SWEEP_AXES = {
@@ -64,7 +65,6 @@ class MetricsRecord:
     purity: float
     util_cv: float
     overflow_rate: float
-    agg_residual: float
     task_ce: float
     l_tb: float
     l_ip: float
@@ -134,13 +134,6 @@ def _check_dataset(cfg: RunConfig, dataset: DatasetBundle):
         raise ValueError("dataset labels exceed configured class count")
     if dataset.sources.max(initial=0) >= cfg.data.n_sources:
         raise ValueError("dataset sources exceed configured source count")
-
-
-def clone_config(cfg: RunConfig, **ablation_flags) -> RunConfig:
-    data = config_to_dict(cfg)
-    for key, value in ablation_flags.items():
-        data["ablation"][key] = value
-    return config_from_dict(data)
 
 
 def _group_mask(groups: dict, n_sources: int, n_experts: int) -> np.ndarray:
@@ -353,7 +346,6 @@ def _log_point(model, dataset, state: ForwardState, step, bs, eval_train, eval_t
         purity=te.purity,
         util_cv=te.util_cv,
         overflow_rate=te.overflow_rate,
-        agg_residual=state.aggregate_residual,
         task_ce=rep.task_ce,
         l_tb=rep.l_tb,
         l_ip=rep.l_ip,
@@ -407,11 +399,9 @@ def run_ablations(cfg: RunConfig, dataset: DatasetBundle | None = None,
     seeds = list(seeds) if seeds else [cfg.seed]
 
     jobs = []
-    for variant, flags in ABLATION_VARIANTS.items():
+    for variant, overrides in ABLATION_VARIANTS.items():
         for seed in seeds:
-            run_cfg = clone_config(cfg, **flags)
-            run_cfg.seed = seed
-            jobs.append((variant, seed, run_cfg))
+            jobs.append((variant, seed, apply_overrides(cfg, [*overrides, f"seed={seed}"])))
 
     def _one(job):
         variant, seed, run_cfg = job
@@ -442,13 +432,12 @@ def sweep(cfg: RunConfig, axis: str, dataset: DatasetBundle | None = None,
 
     jobs = []
     for value in values:
-        run_cfg = clone_config(cfg)
         if axis == "experts":
-            run_cfg.model.n_experts = int(value)
-            run_cfg.router.top_k = min(run_cfg.router.top_k, int(value))
+            overrides = [f"model.n_experts={int(value)}",
+                         f"router.top_k={min(cfg.router.top_k, int(value))}"]
         else:
-            run_cfg.router.top_k = int(value)
-        jobs.append((value, run_cfg))
+            overrides = [f"router.top_k={int(value)}"]
+        jobs.append((value, apply_overrides(cfg, overrides)))
 
     def _one(job):
         value, run_cfg = job

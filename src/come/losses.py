@@ -10,7 +10,7 @@ together with an explicit gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,9 +158,3 @@ def cross_entropy(logits: Array, labels: Array):
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
     return value, d_logits
-
-
-def combine(report: LossReport) -> float:
-    """Weighted total; the gradient is assembled by the caller as the same
-    weighted sum of the component gradients."""
-    return report.total

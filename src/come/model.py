@@ -1,37 +1,53 @@
-"""The full network: frozen priors + attention + clustered routing + experts.
+"""The full network: attention, then an expert block, then one classifier head.
 
-Forward graph per batch (B samples of T tokens, width D):
+Both architectures share one spine; only the body between attention and
+pooling forks on ``model.arch``. Per batch (B samples of T tokens, width D):
 
-    tokens --frozen structure expert--> f_structure      (B, T, D)
-    tokens --frozen semantic expert---> f_semantic       (B, T, D)
-    tokens -> attention -> [clustering -> feature lookup] -> dim reduction
-           -> gates -> top-K capacity dispatch -> expert mixture = f_routed
-    features = f_structure + f_semantic + f_routed
+    tokens -> attention -> body -> features                (B, T, D)
     mean over tokens -> linear classifier -> task cross-entropy
+
+The routed body (``come``):
+
+    tokens --frozen structure expert--> f_structure
+    tokens --frozen semantic expert---> f_semantic
+    attended -> [clustering -> cluster feature] -> dim reduction
+             -> gates -> top-K capacity dispatch -> expert mixture = f_routed
+    features = f_structure + f_semantic + f_routed
     gates also feed the traceability / importance / load losses.
 
-Every trainable piece ships an explicit backward; clustering, Top-K
-selection and capacity admission are constants of the backward pass. For
-finite-difference checking, a ``RoutingContext`` captured from a reference
-forward pins the cluster features and the dispatch plan so the perturbed
-evaluations differentiate the same masked function the backward assumes.
+A frozen prior switched off (``model.structure_expert`` or
+``model.semantic_expert`` false) contributes zeros. The ``dense`` body is
+one tanh FFN whose hidden width matches the active parameter count of the
+routed model.
 
-A ``dense`` architecture swaps the whole expert block for one FFN whose
-hidden width matches the active parameter count of the routed model.
+Backward mirrors the spine: head, body, attention. Every trainable piece
+ships an explicit backward; clustering, Top-K selection and capacity
+admission are constants of the backward pass. For finite-difference
+checking, a ``RoutingContext`` captured from a reference forward pins the
+cluster features and the dispatch plan so the perturbed evaluations
+differentiate the same masked function the backward assumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionParams, attention_backward, attention_forward, init_attention
-from .clustering import ClusterModel, cluster_features, fine2coarse, multistep
+from .attention import (
+    AttentionCache,
+    AttentionParams,
+    attention_backward,
+    attention_forward,
+    init_attention,
+)
+from .clustering import cluster_features, fine2coarse, multistep
 from .config import RunConfig
 from .container import checkpoint_digest, load_checkpoint, save_checkpoint
 from .datagen import TokenBatch
 from .experts import (
+    DimReductionCache,
+    MixtureCache,
     aggregate_features,
     dr_backward,
     dr_forward,
@@ -45,8 +61,16 @@ from .experts import (
     make_frozen_expert,
 )
 from .losses import LossReport, cross_entropy, importance_loss, load_loss, traceability_loss
-from .numerics import RandomStreams, array_digest
-from .router import RouterParams, build_dispatch, gate_backward, gate_forward, topk_select
+from .numerics import RandomStreams
+from .router import (
+    DispatchPlan,
+    GateCache,
+    RouterParams,
+    build_dispatch,
+    gate_backward,
+    gate_forward,
+    topk_select,
+)
 
 Array = np.ndarray
 
@@ -65,7 +89,19 @@ class RoutingContext:
     """Cluster features and dispatch structure pinned for gradient checks."""
 
     cluster_feats: Array
-    plan: object
+    plan: DispatchPlan
+
+
+@dataclass
+class RoutedCache:
+    """What the routed body's backward reads from its forward."""
+
+    dr: DimReductionCache
+    gate: GateCache
+    mix: MixtureCache  # mix.gates holds the combination weights
+    renorm_sums: Array | None  # per-token selected gate mass when renormalizing
+    d_gates_aux: list  # weighted routing-loss gradients w.r.t. the gates
+    d_logits_aux: Array | None  # weighted margin-mode load gradient w.r.t. the logits
 
 
 @dataclass
@@ -73,35 +109,11 @@ class ForwardState:
     batch: TokenBatch
     report: LossReport
     predictions: Array
-    class_logits: Array
+    plan: DispatchPlan | None
     pooled: Array
-    f_structure: Array
-    f_semantic: Array
-    f_routed: Array
-    features: Array
-    gates: Array | None = None
-    plan: object = None
-    cluster_model: ClusterModel | None = None
-    multistep_trace: object = None
-    attended: Array | None = None
-    att_cache: object = None
-    dr_cache: object = None
-    gate_cache: object = None
-    mix_cache: object = None
-    dense_cache: object = None
-    d_task_logits: Array | None = None
-    d_gates_tb: Array | None = None
-    d_gates_ip: Array | None = None
-    d_gates_load: Array | None = None
-    d_logits_load: Array | None = None
-    combine: Array | None = None
-    renorm_sums: Array | None = None
-
-    @property
-    def aggregate_residual(self) -> float:
-        return float(
-            np.max(np.abs(self.features - self.f_structure - self.f_semantic - self.f_routed))
-        )
+    d_task_logits: Array
+    att_cache: AttentionCache
+    body: object  # RoutedCache, or (flat inputs, hidden) for the dense FFN
 
 
 def matched_dense_hidden(cfg: RunConfig) -> int:
@@ -161,7 +173,7 @@ class ComeModel:
             params["router.w"] = np.zeros((cfg.model.n_experts, d))
             params["router.b"] = np.zeros(cfg.model.n_experts)
         else:
-            hidden = cfg.model.dense_hidden or matched_dense_hidden(cfg)
+            hidden = matched_dense_hidden(cfg)
             r = streams.stream("init", 3)
             lim1, lim2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(hidden)
             params["dense.w1"] = r.uniform(-lim1, lim1, size=(d, hidden))
@@ -230,54 +242,76 @@ class ComeModel:
             capacity_factor=self.cfg.router.capacity_factor,
         )
 
-    def _cluster(self, flat: Array, rng):
+    def _cluster(self, flat: Array, rng) -> Array:
         cfg = self.cfg.clustering
-        if self.cfg.ablation.no_clustering or cfg.strategy == "none":
-            return np.zeros_like(flat), None, None
+        if cfg.strategy == "none":
+            return np.zeros_like(flat)
         if cfg.strategy == "fine2coarse":
             model = fine2coarse(
                 flat, m=cfg.fine_clusters, k=cfg.coarse_clusters, rng=rng,
                 max_iters=cfg.max_iters,
             )
-            return cluster_features(model), model, None
-        model, trace = multistep(
-            flat, k=cfg.clusters, steps=cfg.steps,
-            min_cluster_fraction=cfg.min_cluster_fraction, rng=rng,
-            max_iters=cfg.max_iters,
-        )
-        return cluster_features(model), model, trace
+        else:
+            model, _ = multistep(
+                flat, k=cfg.clusters, steps=cfg.steps,
+                min_cluster_fraction=cfg.min_cluster_fraction, rng=rng,
+                max_iters=cfg.max_iters,
+            )
+        return cluster_features(model)
 
     def forward(self, batch: TokenBatch, cluster_rng=None,
                 frozen_ctx: RoutingContext | None = None) -> ForwardState:
-        if self.cfg.model.arch == "dense":
-            return self._forward_dense(batch)
-        cfg = self.cfg
         b, t, d = batch.tokens.shape
-        n = b * t
+        att_out, att_cache = attention_forward(batch.tokens, self._attention_params())
+        attended = batch.tokens + att_out if self.cfg.model.attention_residual else att_out
+        flat = attended.reshape(b * t, d)
+        if self.cfg.model.arch == "dense":
+            hidden = np.tanh(flat @ self.params["dense.w1"] + self.params["dense.b1"])
+            out = hidden @ self.params["dense.w2"] + self.params["dense.b2"]
+            features, plan, body = out.reshape(b, t, d), None, (flat, hidden)
+            aux = dict(l_tb=0.0, l_ip=0.0, l_load=0.0, importance=np.zeros(0),
+                       load=np.zeros(0), tb_weight=0.0, balance_weight=0.0)
+        else:
+            features, plan, body, aux = self._routed_forward(batch, flat, cluster_rng, frozen_ctx)
+        pooled = features.mean(axis=1)
+        class_logits = pooled @ self.params["head.w"] + self.params["head.b"]
+        task, d_task = cross_entropy(class_logits, batch.labels)
+        return ForwardState(
+            batch=batch,
+            report=LossReport(task_ce=task, **aux),
+            predictions=np.argmax(class_logits, axis=1),
+            plan=plan,
+            pooled=pooled,
+            d_task_logits=d_task,
+            att_cache=att_cache,
+            body=body,
+        )
 
-        zeros = np.zeros((b, t, d))
+    def _routed_forward(self, batch: TokenBatch, flat: Array, cluster_rng,
+                        frozen_ctx: RoutingContext | None):
+        """Frozen priors plus the routed expert mixture over the attended
+        tokens ``flat``, and the routing losses on its gates.
+
+        Returns (features (B, T, D), dispatch plan, RoutedCache, the
+        routing-loss fields of the LossReport).
+        """
+        cfg = self.cfg
+        zeros = np.zeros(batch.tokens.shape)
         f_structure = (
-            zeros if cfg.structure_disabled()
-            else frozen_forward(self.frozen_structure, batch.tokens)
+            frozen_forward(self.frozen_structure, batch.tokens)
+            if cfg.model.structure_expert else zeros
         )
         f_semantic = (
-            zeros if cfg.semantic_disabled()
-            else frozen_forward(self.frozen_semantic, batch.tokens)
+            frozen_forward(self.frozen_semantic, batch.tokens)
+            if cfg.model.semantic_expert else zeros
         )
 
-        att_out, att_cache = attention_forward(batch.tokens, self._attention_params())
-        attended = batch.tokens + att_out if cfg.model.attention_residual else att_out
-        flat = attended.reshape(n, d)
-
-        cluster_model = None
-        trace = None
         if frozen_ctx is not None:
             feats = frozen_ctx.cluster_feats
         else:
             if cluster_rng is None:
                 cluster_rng = np.random.default_rng(0)
-            feats, cluster_model, trace = self._cluster(flat, cluster_rng)
-
+            feats = self._cluster(flat, cluster_rng)
         routed_in, dr_cache = dr_forward(flat, feats, self.params)
         router = self._router_params()
         gates, gate_cache = gate_forward(routed_in, router)
@@ -289,111 +323,42 @@ class ComeModel:
             plan = build_dispatch(sel, weights, router.n_experts, router.capacity_factor)
 
         renorm_sums = None
+        combine = gates
         if cfg.router.renormalize_topk:
             picked = np.take_along_axis(gates, plan.selection, axis=1)
             renorm_sums = picked.sum(axis=1, keepdims=True)
             combine = np.zeros_like(gates)
             np.put_along_axis(combine, plan.selection, picked / renorm_sums, axis=1)
-        else:
-            combine = gates
-
         mix_out, mix_cache = expert_mixture_forward(
             self.params, router.n_experts, plan, routed_in, combine
         )
-        f_routed = mix_out.reshape(b, t, d)
+        features = aggregate_features(f_structure, f_semantic, mix_out.reshape(zeros.shape))
 
-        features = aggregate_features(f_structure, f_semantic, f_routed)
-        pooled = features.mean(axis=1)
-        class_logits = pooled @ self.params["head.w"] + self.params["head.b"]
-        task, d_task = cross_entropy(class_logits, batch.labels)
-
-        tb_weight = cfg.losses.tb_weight if cfg.traceability_active() else 0.0
+        losses = cfg.losses
+        tb_weight = losses.tb_weight if losses.tb_weight > 0.0 else 0.0
         l_tb, d_tb, clamped = traceability_loss(
-            gates, batch.token_sources, self.groups, average=cfg.losses.tb_average
+            gates, batch.token_sources, self.groups, average=losses.tb_average
         )
         l_ip, d_ip, importance = importance_loss(gates)
-        if cfg.losses.load_mode == "literal":
+        d_gates_aux = [tb_weight * d_tb, losses.balance_weight * d_ip]
+        d_logits_aux = None
+        if losses.load_mode == "literal":
             l_load, d_load, load = load_loss(gates)
-            d_logits_load = None
+            d_gates_aux.append(losses.balance_weight * d_load)
         else:
             l_load, d_logits_load, load = load_loss(
                 gates, mode="margin", logits=gate_cache.logits,
-                top_k=router.top_k, noise_scale=cfg.losses.load_noise_scale,
+                top_k=router.top_k, noise_scale=losses.load_noise_scale,
             )
-            d_load = None
+            d_logits_aux = losses.balance_weight * d_logits_load
 
-        report = LossReport(
-            task_ce=task,
-            l_tb=l_tb,
-            l_ip=l_ip,
-            l_load=l_load,
-            importance=importance,
-            load=load,
-            tb_weight=tb_weight,
-            balance_weight=cfg.losses.balance_weight,
-            tb_clamped=clamped,
-        )
-        return ForwardState(
-            batch=batch,
-            report=report,
-            predictions=np.argmax(class_logits, axis=1),
-            class_logits=class_logits,
-            pooled=pooled,
-            f_structure=f_structure,
-            f_semantic=f_semantic,
-            f_routed=f_routed,
-            features=features,
-            gates=gates,
-            plan=plan,
-            cluster_model=cluster_model,
-            multistep_trace=trace,
-            attended=attended,
-            att_cache=att_cache,
-            dr_cache=dr_cache,
-            gate_cache=gate_cache,
-            mix_cache=mix_cache,
-            d_task_logits=d_task,
-            d_gates_tb=d_tb,
-            d_gates_ip=d_ip,
-            d_gates_load=d_load,
-            d_logits_load=d_logits_load,
-            combine=combine,
-            renorm_sums=renorm_sums,
-        )
-
-    def _forward_dense(self, batch: TokenBatch) -> ForwardState:
-        b, t, d = batch.tokens.shape
-        att_out, att_cache = attention_forward(batch.tokens, self._attention_params())
-        attended = batch.tokens + att_out if self.cfg.model.attention_residual else att_out
-        flat = attended.reshape(b * t, d)
-        hidden = np.tanh(flat @ self.params["dense.w1"] + self.params["dense.b1"])
-        out = hidden @ self.params["dense.w2"] + self.params["dense.b2"]
-        f_routed = out.reshape(b, t, d)
-        zeros = np.zeros_like(f_routed)
-        features = f_routed
-        pooled = features.mean(axis=1)
-        class_logits = pooled @ self.params["head.w"] + self.params["head.b"]
-        task, d_task = cross_entropy(class_logits, batch.labels)
-        report = LossReport(
-            task_ce=task, l_tb=0.0, l_ip=0.0, l_load=0.0,
-            importance=np.zeros(0), load=np.zeros(0),
-            tb_weight=0.0, balance_weight=0.0,
-        )
-        return ForwardState(
-            batch=batch,
-            report=report,
-            predictions=np.argmax(class_logits, axis=1),
-            class_logits=class_logits,
-            pooled=pooled,
-            f_structure=zeros,
-            f_semantic=zeros,
-            f_routed=f_routed,
-            features=features,
-            attended=attended,
-            att_cache=att_cache,
-            dense_cache=(flat, hidden),
-            d_task_logits=d_task,
-        )
+        cache = RoutedCache(dr=dr_cache, gate=gate_cache, mix=mix_cache,
+                            renorm_sums=renorm_sums, d_gates_aux=d_gates_aux,
+                            d_logits_aux=d_logits_aux)
+        aux = dict(l_tb=l_tb, l_ip=l_ip, l_load=l_load, importance=importance, load=load,
+                   tb_weight=tb_weight, balance_weight=losses.balance_weight,
+                   tb_clamped=clamped)
+        return features, plan, cache, aux
 
     # ------------------------------------------------------------------
     # backward
@@ -401,60 +366,6 @@ class ComeModel:
 
     def backward(self, state: ForwardState) -> dict:
         """Gradient of the total loss w.r.t. every trainable parameter."""
-        if self.cfg.model.arch == "dense":
-            return self._backward_dense(state)
-        cfg = self.cfg
-        b, t, d = state.batch.tokens.shape
-
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        d_logits = state.d_task_logits
-        grads["head.w"] = state.pooled.T @ d_logits
-        grads["head.b"] = d_logits.sum(axis=0)
-        d_pooled = d_logits @ self.params["head.w"].T
-        d_features = np.repeat(d_pooled[:, None, :], t, axis=1) / t
-        d_routed_flat = d_features.reshape(b * t, d)
-
-        d_in_mix, d_combine, expert_grads = expert_mixture_backward(
-            d_routed_flat, state.mix_cache, self.params
-        )
-        grads.update(expert_grads)
-
-        if cfg.router.renormalize_topk:
-            # combine = gates[sel] / sum(gates[sel]); push back to raw gates
-            d_gates_mix = np.zeros_like(state.gates)
-            picked_d = np.take_along_axis(d_combine, state.plan.selection, axis=1)
-            picked_w = np.take_along_axis(state.combine, state.plan.selection, axis=1)
-            inner = np.sum(picked_d * picked_w, axis=1, keepdims=True)
-            np.put_along_axis(
-                d_gates_mix, state.plan.selection,
-                (picked_d - inner) / state.renorm_sums, axis=1,
-            )
-        else:
-            d_gates_mix = d_combine
-
-        d_gates = d_gates_mix + state.report.tb_weight * state.d_gates_tb
-        d_gates = d_gates + state.report.balance_weight * state.d_gates_ip
-        extra_logits = None
-        if state.d_gates_load is not None:
-            d_gates = d_gates + state.report.balance_weight * state.d_gates_load
-        else:
-            extra_logits = state.report.balance_weight * state.d_logits_load
-
-        d_in_router, router_grads = gate_backward(
-            d_gates, state.gate_cache, self._router_params(), extra_logits
-        )
-        grads.update(router_grads)
-
-        d_routed_in = d_in_mix + d_in_router
-        d_attended_flat, dr_grads = dr_backward(d_routed_in, state.dr_cache, self.params)
-        grads.update(dr_grads)
-
-        d_att_out = d_attended_flat.reshape(b, t, d)
-        _, attn_grads = attention_backward(d_att_out, state.att_cache, self._attention_params())
-        grads.update(attn_grads)
-        return grads
-
-    def _backward_dense(self, state: ForwardState) -> dict:
         b, t, d = state.batch.tokens.shape
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         d_logits = state.d_task_logits
@@ -462,17 +373,45 @@ class ComeModel:
         grads["head.b"] = d_logits.sum(axis=0)
         d_pooled = d_logits @ self.params["head.w"].T
         d_out = (np.repeat(d_pooled[:, None, :], t, axis=1) / t).reshape(b * t, d)
-        flat, hidden = state.dense_cache
-        grads["dense.w2"] = hidden.T @ d_out
-        grads["dense.b2"] = d_out.sum(axis=0)
-        d_hidden = d_out @ self.params["dense.w2"].T
-        d_pre = d_hidden * (1.0 - hidden * hidden)
-        grads["dense.w1"] = flat.T @ d_pre
-        grads["dense.b1"] = d_pre.sum(axis=0)
-        d_att = (d_pre @ self.params["dense.w1"].T).reshape(b, t, d)
-        _, attn_grads = attention_backward(d_att, state.att_cache, self._attention_params())
+        if self.cfg.model.arch == "dense":
+            flat, hidden = state.body
+            grads["dense.w2"] = hidden.T @ d_out
+            grads["dense.b2"] = d_out.sum(axis=0)
+            d_pre = (d_out @ self.params["dense.w2"].T) * (1.0 - hidden * hidden)
+            grads["dense.w1"] = flat.T @ d_pre
+            grads["dense.b1"] = d_pre.sum(axis=0)
+            d_flat = d_pre @ self.params["dense.w1"].T
+        else:
+            d_flat = self._routed_backward(d_out, state, grads)
+        _, attn_grads = attention_backward(
+            d_flat.reshape(b, t, d), state.att_cache, self._attention_params()
+        )
         grads.update(attn_grads)
         return grads
+
+    def _routed_backward(self, d_out: Array, state: ForwardState, grads: dict) -> Array:
+        """Backward of ``_routed_forward``; fills ``grads`` and returns the
+        gradient w.r.t. the attended tokens."""
+        cache = state.body
+        d_in_mix, d_gates, expert_grads = expert_mixture_backward(d_out, cache.mix, self.params)
+        grads.update(expert_grads)
+        if cache.renorm_sums is not None:
+            # combine = gates[sel] / sum(gates[sel]); push back to raw gates
+            sel = state.plan.selection
+            picked_d = np.take_along_axis(d_gates, sel, axis=1)
+            picked_w = np.take_along_axis(cache.mix.gates, sel, axis=1)
+            inner = np.sum(picked_d * picked_w, axis=1, keepdims=True)
+            d_gates = np.zeros_like(d_gates)
+            np.put_along_axis(d_gates, sel, (picked_d - inner) / cache.renorm_sums, axis=1)
+        for term in cache.d_gates_aux:
+            d_gates = d_gates + term
+        d_in_router, router_grads = gate_backward(
+            d_gates, cache.gate, self._router_params(), cache.d_logits_aux
+        )
+        grads.update(router_grads)
+        d_flat, dr_grads = dr_backward(d_in_mix + d_in_router, cache.dr, self.params)
+        grads.update(dr_grads)
+        return d_flat
 
     def loss_and_grads(self, batch: TokenBatch, cluster_rng=None,
                        frozen_ctx: RoutingContext | None = None):
@@ -486,7 +425,7 @@ class ComeModel:
     def routing_context(self, state: ForwardState) -> RoutingContext:
         if self.cfg.model.arch == "dense":
             raise ValueError("dense architecture has no routing context")
-        feats = state.dr_cache.concat[:, self.width :].copy()
+        feats = state.body.dr.concat[:, self.width :].copy()
         return RoutingContext(cluster_feats=feats, plan=state.plan)
 
     def component_names(self) -> list:

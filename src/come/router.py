@@ -40,21 +40,6 @@ class RouterParams:
     def n_experts(self) -> int:
         return self.weight.shape[0]
 
-    def as_dict(self) -> dict:
-        return {"router.w": self.weight, "router.b": self.bias}
-
-
-def init_router(n_experts: int, width: int, top_k: int = 1, temperature: float = 1.0,
-                capacity_factor: float = 1.25) -> RouterParams:
-    # zero init: every token starts with uniform gates
-    return RouterParams(
-        weight=np.zeros((n_experts, width)),
-        bias=np.zeros(n_experts),
-        temperature=temperature,
-        top_k=top_k,
-        capacity_factor=capacity_factor,
-    )
-
 
 @dataclass
 class GateCache:
@@ -168,19 +153,3 @@ def build_dispatch(selection: Array, weights: Array, n_experts: int,
         expert_tokens=expert_tokens,
         overflow=overflow,
     )
-
-
-def plan_rows(plan: DispatchPlan):
-    """Flatten a plan into (token, expert, weight, status) rows for CSV export."""
-    rows = []
-    for t in range(plan.n_tokens):
-        for s in range(plan.top_k):
-            rows.append(
-                (
-                    t,
-                    int(plan.selection[t, s]),
-                    float(plan.weights[t, s]),
-                    "admitted" if plan.admitted[t, s] else "overflow",
-                )
-            )
-    return rows

@@ -3,14 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from come.clustering import (
-    cluster_feature_lookup,
-    cluster_features,
-    fine2coarse,
-    kmeans,
-    multistep,
-    pca_2d,
-)
+from come.clustering import cluster_features, fine2coarse, kmeans, multistep
 
 
 def _rng(seed=0):
@@ -217,7 +210,7 @@ def test_multistep_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# feature lookup / pca
+# cluster features
 # ---------------------------------------------------------------------------
 
 
@@ -228,16 +221,14 @@ def test_feature_lookup_single_coarse_cluster_is_constant():
     assert np.all(feats == feats[0])
 
 
-def test_feature_lookup_definition_and_bounds():
+def test_cluster_features_follow_fine_lineage():
     tokens = _rng(28).normal(size=(40, 4))
     model = fine2coarse(tokens, m=8, k=3, rng=_rng(29))
+    feats = cluster_features(model)
+    assert feats.shape == (40, 4)
     for i in (0, 17, 39):
         expected = model.coarse_centroids[model.lineage[model.fine_assignments[i]]]
-        np.testing.assert_array_equal(cluster_feature_lookup(model, i), expected)
-    with pytest.raises(ValueError, match="not assigned"):
-        cluster_feature_lookup(model, 40)
-    with pytest.raises(ValueError):
-        cluster_feature_lookup(model, -1)
+        np.testing.assert_array_equal(feats[i], expected)
 
 
 def test_feature_lookup_matches_member_mean_when_converged():
@@ -252,15 +243,3 @@ def test_feature_lookup_matches_member_mean_when_converged():
             np.testing.assert_allclose(
                 model.coarse_centroids[c], members.mean(axis=0), atol=1e-12
             )
-
-
-def test_pca_projection_properties():
-    pts = _rng(32).normal(size=(50, 6)) @ np.diag([5, 3, 1, 0.5, 0.2, 0.1])
-    coords, ratio = pca_2d(pts)
-    assert coords.shape == (50, 2)
-    assert 0.0 <= ratio[0] <= 1.0 and 0.0 <= ratio[1] <= 1.0
-    assert ratio.sum() <= 1.0 + 1e-12
-    assert ratio[0] >= ratio[1]
-    # degenerate input: all identical
-    coords0, ratio0 = pca_2d(np.ones((5, 3)))
-    assert np.all(coords0 == 0) and np.all(ratio0 == 0)

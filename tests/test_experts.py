@@ -11,7 +11,6 @@ from come.experts import (
     expert_mixture_forward,
     frozen_digest,
     frozen_forward,
-    frozen_input_backward,
     init_dim_reduction,
     init_expert_bank,
     make_frozen_expert,
@@ -65,22 +64,6 @@ def test_frozen_rejects_bad_kind_and_width():
     e = make_frozen_expert("structure", 4, seed=0)
     with pytest.raises(ValueError, match="width"):
         frozen_forward(e, np.zeros((2, 5)))
-
-
-def test_frozen_input_gradient_passes_grad_check():
-    e = make_frozen_expert("structure", 5, seed=7)
-    rng = np.random.default_rng(8)
-    x0 = rng.normal(size=(3, 5))
-    proj = rng.normal(size=(3, 5))
-
-    def fn(flat):
-        x = flat.reshape(3, 5)
-        out = frozen_forward(e, x)
-        val = float(np.sum(out * proj))
-        grad = frozen_input_backward(e, out, proj)
-        return val, grad.ravel()
-
-    assert grad_check(fn, x0.ravel(), h=1e-5).max_rel_error < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from come.config import RunConfig, config_from_dict
+import come.model
+from come.config import apply_overrides, config_from_dict
 from come.datagen import TokenBatch
+from come.harness import ABLATION_VARIANTS
 from come.model import ComeModel, component_grad_check, matched_dense_hidden
 from come.numerics import AdamWState, adamw_step
 
@@ -48,23 +48,34 @@ def _forward(model, batch, seed=1):
     return model.forward(batch, cluster_rng=np.random.default_rng(seed))
 
 
+def _preset(name):
+    return apply_overrides(_cfg(), ABLATION_VARIANTS[name])
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``come.model.<name>`` so each call records its first argument."""
+    calls = []
+    original = getattr(come.model, name)
+
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(come.model, name, wrapper)
+    return calls
+
+
 def test_forward_shapes_and_finiteness():
     cfg = _cfg()
     model = ComeModel.build(cfg)
     batch = _batch(cfg, b=3)
     state = _forward(model, batch)
-    assert state.features.shape == (3, 3, 6)
-    assert state.gates.shape == (9, 4)
+    gates = state.body.gate.gates
+    assert state.pooled.shape == (3, 6)
+    assert gates.shape == (9, 4)
     assert state.predictions.shape == (3,)
     assert np.isfinite(state.report.total)
-    np.testing.assert_allclose(state.gates.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_aggregate_decomposition_residual():
-    cfg = _cfg()
-    model = ComeModel.build(cfg)
-    state = _forward(model, _batch(cfg, b=4))
-    assert state.aggregate_residual < 1e-12
+    np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_forward_deterministic_given_rng():
@@ -73,34 +84,44 @@ def test_forward_deterministic_given_rng():
     batch = _batch(cfg)
     s1 = _forward(model, batch, seed=3)
     s2 = _forward(model, batch, seed=3)
-    np.testing.assert_array_equal(s1.gates, s2.gates)
+    np.testing.assert_array_equal(s1.body.gate.gates, s2.body.gate.gates)
+    np.testing.assert_array_equal(s1.plan.admitted, s2.plan.admitted)
     assert s1.report.total == s2.report.total
 
 
-def test_no_dse_disables_both_shared_streams():
-    cfg = _cfg(**{"ablation.no_dse": True})
-    model = ComeModel.build(cfg)
-    state = _forward(model, _batch(cfg))
-    assert np.all(state.f_structure == 0) and np.all(state.f_semantic == 0)
-    np.testing.assert_array_equal(state.features, state.f_routed)
+def test_no_dse_disables_both_shared_streams(monkeypatch):
+    calls = _counting(monkeypatch, "frozen_forward")
+    full = ComeModel.build(_cfg())
+    _forward(full, _batch(full.cfg))
+    assert [e.kind for e in calls] == ["structure", "semantic"]
+    calls.clear()
+    for name, kinds in (("no_ste", ["semantic"]), ("no_see", ["structure"]), ("no_dse", [])):
+        model = ComeModel.build(_preset(name))
+        state = _forward(model, _batch(model.cfg))
+        assert [e.kind for e in calls] == kinds, name
+        assert np.isfinite(state.report.total)
+        calls.clear()
 
 
-def test_no_clustering_equals_fine2coarse_at_initialization():
+def test_no_clustering_equals_fine2coarse_at_initialization(monkeypatch):
     # the dimension reduction starts as [I | 0], so the cluster branch is
     # inert at step 0 and the two configs produce identical forwards
+    calls = _counting(monkeypatch, "fine2coarse")
     base = ComeModel.build(_cfg())
-    ablated = ComeModel.build(_cfg(**{"ablation.no_clustering": True}))
+    ablated = ComeModel.build(_preset("no_clustering"))
     batch = _batch(base.cfg, b=3)
     s_base = _forward(base, batch, seed=5)
+    assert len(calls) == 1
     s_abl = _forward(ablated, batch, seed=5)
-    np.testing.assert_array_equal(s_base.gates, s_abl.gates)
-    np.testing.assert_array_equal(s_base.f_routed, s_abl.f_routed)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(s_base.body.gate.gates, s_abl.body.gate.gates)
+    np.testing.assert_array_equal(s_base.pooled, s_abl.pooled)
     assert s_base.report.total == s_abl.report.total
-    assert s_abl.cluster_model is None and s_base.cluster_model is not None
+    assert np.all(s_abl.body.dr.concat[:, base.width :] == 0)
 
 
 def test_no_tb_zeroes_the_traceability_weight_but_reports_value():
-    cfg = _cfg(**{"ablation.no_tb": True})
+    cfg = _preset("no_tb")
     model = ComeModel.build(cfg)
     state = _forward(model, _batch(cfg))
     assert state.report.tb_weight == 0.0
@@ -210,9 +231,3 @@ def test_matched_dense_hidden_accounting():
         + 2 * (d * d + d)  # frozen shared maps
     )
     assert abs(dense_params - active) <= 2 * d + 1  # off by at most one hidden unit
-
-
-def test_dense_hidden_override():
-    cfg = _cfg(**{"model.arch": "dense", "model.dense_hidden": 5})
-    model = ComeModel.build(cfg)
-    assert model.params["dense.w1"].shape == (6, 5)
