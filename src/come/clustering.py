@@ -11,6 +11,23 @@ supplied generator, so identical seeds give identical models. The recorded
 per-iteration inertia is sum_i min_j ||x_i - c_j||^2 evaluated at the end of
 each Lloyd iteration, which is non-increasing even across empty-cluster
 repairs.
+
+The arithmetic is fixed down to the bit, so results do not depend on how
+the loops are written:
+
+- Seeding distances are ``sum((x - c)**2)`` per point, summed by NumPy
+  along each row. Lloyd distances are ``(||x||^2 + ||c||^2) - (2x) @ c.T``,
+  clipped at 0, with both point terms computed once per call.
+- A centroid is the sum of its members over their count. The sum starts
+  from +0.0 and adds member rows in row order: one ``np.bincount`` scatter
+  over (cluster, column) bins for all clusters at once, which is how
+  ``pts[members].mean(axis=0)`` adds them. With D = 1 NumPy sums the single
+  column pairwise instead, so that case sums each cluster separately.
+- ``k`` above the number of distinct points raises TooFewDistinctPoints.
+  The distinct count (an ``np.unique`` over rows) is only computed when it
+  can matter: for an ``init`` warm start, for k < 1 or k > N, and when a
+  farthest-first pick lands at distance 0. A pick at positive distance
+  differs from every earlier pick, so k such picks prove k distinct points.
 """
 
 from __future__ import annotations
@@ -58,25 +75,55 @@ class MultiStepState:
     suppressed: list = field(default_factory=list)  # (step, cluster index, size)
 
 
-def _squared_distances(points: Array, centroids: Array) -> Array:
-    # (N, k) pairwise squared Euclidean distances
-    pp = np.sum(points * points, axis=1)[:, None]
-    cc = np.sum(centroids * centroids, axis=1)[None, :]
-    d2 = pp + cc - 2.0 * points @ centroids.T
+class TooFewDistinctPoints(ValueError):
+    """k-means was asked for more clusters than there are distinct points."""
+
+    def __init__(self, k: int, n_distinct: int):
+        super().__init__(f"kmeans: k={k} exceeds {n_distinct} distinct points")
+        self.n_distinct = n_distinct
+
+
+def _require_distinct(points: Array, k: int) -> None:
+    n_distinct = np.unique(points, axis=0).shape[0]
+    if k < 1 or k > n_distinct:
+        raise TooFewDistinctPoints(k, n_distinct)
+
+
+def _point_terms(points: Array) -> tuple:
+    # the centroid-independent parts of _squared_distances
+    return np.sum(points * points, axis=1)[:, None], 2.0 * points
+
+
+def _squared_distances(pp: Array, twice_points: Array, centroids: Array) -> Array:
+    # (N, k) pairwise squared Euclidean distances from _point_terms(points)
+    d2 = pp + np.add.reduce(centroids * centroids, axis=1)
+    d2 -= twice_points @ centroids.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
 def _farthest_first_seed(points: Array, k: int, rng: np.random.Generator) -> Array:
+    """k farthest-first picks; raises TooFewDistinctPoints if k exceeds the
+    distinct point count. A pick at positive distance differs from every
+    earlier pick, so the distinct count is computed only when a pick lands
+    at distance 0."""
     n = points.shape[0]
-    first = int(rng.integers(n))
-    chosen = [first]
-    d2 = np.sum((points - points[first]) ** 2, axis=1)
-    for _ in range(1, k):
-        nxt = int(np.argmax(d2))  # ties resolve to the lowest index
+    chosen = [int(rng.integers(n))]
+    diff = np.empty_like(points)
+    dist = np.empty(n)
+    d2 = np.full(n, np.inf)
+    checked = False
+    while len(chosen) < k:
+        np.subtract(points, points[chosen[-1]], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.minimum(d2, np.add.reduce(diff, axis=1, out=dist), out=d2)
+        nxt = int(d2.argmax())  # ties resolve to the lowest index
+        if d2[nxt] == 0.0 and not checked:
+            # every point repeats a pick, unless a squared difference underflowed
+            _require_distinct(points, k)
+            checked = True
         chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
-    return points[chosen].copy()
+    return points[chosen]
 
 
 def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
@@ -84,46 +131,57 @@ def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
     """Lloyd iterations until the assignment fixpoint or ``max_iters``.
 
     ``init`` warm-starts from given centroids; otherwise seeding is
-    farthest-first using ``rng``. Rejects k above the number of distinct
-    points. Empty clusters are re-seeded from the point farthest from its
-    centroid, keeping k fixed.
+    farthest-first using ``rng``. Raises TooFewDistinctPoints (a ValueError)
+    for k above the number of distinct points. Empty clusters are re-seeded
+    from the point farthest from its centroid, keeping k fixed.
     """
     pts = require_finite("kmeans points", points)
     if pts.ndim != 2:
         raise ValueError("kmeans: points must be (N, D)")
     if max_iters < 1:
         raise ValueError("kmeans: max_iters must be >= 1")
-    n_distinct = np.unique(pts, axis=0).shape[0]
     if init is not None:
         centroids = np.asarray(init, dtype=np.float64).copy()
         k = centroids.shape[0]
-    if k < 1 or k > n_distinct:
-        raise ValueError(f"kmeans: k={k} exceeds {n_distinct} distinct points")
-    if init is None:
+        _require_distinct(pts, k)
+    elif k < 1 or k > pts.shape[0]:
+        _require_distinct(pts, k)  # raises, naming the distinct count
+    else:
         centroids = _farthest_first_seed(pts, k, rng if rng is not None else np.random.default_rng(0))
 
-    assignments = np.full(pts.shape[0], -1, dtype=np.int64)
+    n, d = pts.shape
+    terms = _point_terms(pts)
+    rows = np.arange(n)
+    cols = np.arange(d)
+    assignments = np.full(n, -1, dtype=np.int64)
     history: list = []
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        d2 = _squared_distances(pts, centroids)
-        new_assign = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(pts.shape[0]), new_assign].sum()))
-        if np.array_equal(new_assign, assignments):
+        d2 = _squared_distances(*terms, centroids)
+        new_assign = d2.argmin(axis=1)
+        history.append(float(d2[rows, new_assign].sum()))
+        if (new_assign == assignments).all():
             converged = True
             break
         assignments = new_assign
-        # mean update
-        for j in range(k):
-            members = assignments == j
-            if members.any():
-                centroids[j] = pts[members].mean(axis=0)
-        # re-seed empty clusters from the farthest points
+        # mean update: member sums over member counts. bincount adds each
+        # cluster's rows in row order starting from +0.0, exactly as
+        # pts[members].mean(axis=0) does when D > 1
         sizes = np.bincount(assignments, minlength=k)
-        if np.any(sizes == 0):
+        if d == 1:  # NumPy sums a single column pairwise, not row by row
+            sums = np.array([pts[assignments == j].sum(axis=0) for j in range(k)])
+        else:
+            sums = np.bincount((assignments[:, None] * d + cols).ravel(),
+                               weights=pts.ravel(), minlength=k * d).reshape(k, d)
+        if sizes.all():
+            centroids = sums / sizes[:, None]
+        else:
+            filled = sizes > 0
+            centroids[filled] = sums[filled] / sizes[filled, None]
+            # re-seed empty clusters from the farthest points
             point_d2 = np.sum((pts - centroids[assignments]) ** 2, axis=1)
-            for j in np.flatnonzero(sizes == 0):
+            for j in np.flatnonzero(~filled):
                 far = int(np.argmax(point_d2))
                 centroids[j] = pts[far]
                 point_d2[far] = -1.0
@@ -141,23 +199,33 @@ def fine2coarse(points: Array, m: int = 16, k: int = 8,
                 rng: np.random.Generator | None = None, max_iters: int = 100) -> ClusterModel:
     """Two-phase hierarchical clustering: tokens -> m fine -> k coarse.
 
-    Falls back to m' = token count (and k' = min(k, m')) with a warning
-    record when the batch is smaller than m.
+    Falls back, with a warning record, to m' = token count when the batch
+    is smaller than m, to m' = distinct token count when it holds fewer
+    distinct tokens than m, and to k' = m' - 1 (at least 1) when k >= m'.
     """
     pts = require_finite("fine2coarse points", points)
     if not (m > k >= 1):
         raise ValueError(f"fine2coarse: need m > k >= 1, got m={m} k={k}")
-    warnings = []
     n = pts.shape[0]
-    m_eff, k_eff = m, k
-    if n < m:
-        m_eff = n
+    warnings = []
+
+    def clustered(points, count, what, name):
+        try:
+            return kmeans(points, count, rng=rng, max_iters=max_iters)
+        except TooFewDistinctPoints as err:
+            warnings.append(f"{err.n_distinct} distinct {what} < {count}; "
+                            f"using {name}'={err.n_distinct}")
+            return kmeans(points, err.n_distinct, rng=rng, max_iters=max_iters)
+
+    m_eff = min(m, n)
+    if m_eff < m:
         warnings.append(f"token count {n} < m={m}; using m'={m_eff}")
-        if k >= m_eff:
-            k_eff = max(1, m_eff - 1) if m_eff > 1 else 1
-            warnings.append(f"coarse k clamped to {k_eff} to keep m > k")
-    fine = kmeans(pts, m_eff, rng=rng, max_iters=max_iters)
-    coarse = kmeans(fine.centroids, k_eff, rng=rng, max_iters=max_iters)
+    fine = clustered(pts, m_eff, "tokens", "m")
+    m_eff, k_eff = fine.centroids.shape[0], k
+    if k >= m_eff:
+        k_eff = max(1, m_eff - 1)
+        warnings.append(f"coarse k clamped to {k_eff} to keep m > k")
+    coarse = clustered(fine.centroids, k_eff, "fine centres", "k")
     lineage = coarse.assignments
     return ClusterModel(
         fine_centroids=fine.centroids,
@@ -212,7 +280,7 @@ def multistep(points: Array, k: int = 4, steps: int = 5, min_cluster_fraction: f
                 state.suppressed.append((step, int(j), int(sizes[j])))
             keep = np.flatnonzero(sizes >= threshold)
             centroids = centroids[keep]
-            d2 = _squared_distances(pts, centroids)
+            d2 = _squared_distances(*_point_terms(pts), centroids)
             assignments = np.argmin(d2, axis=1)
             inertia = float(d2[np.arange(n), assignments].sum())
         state.centroids.append(centroids.copy())

@@ -107,32 +107,48 @@ def save_checkpoint(path, params: dict, structure_seed: int, semantic_seed: int)
 
 
 def load_checkpoint(path):
-    """Returns (params as float64 dict, structure seed, semantic seed)."""
+    """Returns (params as float64 dict, structure seed, semantic seed).
+
+    Raises ValueError naming the path and the blob being read when the file
+    is truncated or has bytes after its last blob.
+    """
     p = Path(path)
-    raw = p.read_bytes()
+    raw = memoryview(p.read_bytes())
     if raw[:4] != MAGIC:
         raise ValueError(f"{p}: not a checkpoint container (bad magic)")
-    version, st_seed, se_seed, n_blobs = struct.unpack_from("<IQQI", raw, 4)
+    offset = 4
+
+    def read(size, what):
+        nonlocal offset
+        if len(raw) - offset < size:
+            raise ValueError(
+                f"{p}: truncated in {what}: needs {size} bytes at offset {offset}, "
+                f"file has {len(raw)}"
+            )
+        offset += size
+        return raw[offset - size : offset]
+
+    header = "<IQQI"
+    version, st_seed, se_seed, n_blobs = struct.unpack(
+        header, read(struct.calcsize(header), "the header")
+    )
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{p}: unsupported checkpoint version {version}")
-    offset = 4 + struct.calcsize("<IQQI")
     params = {}
-    for _ in range(n_blobs):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, offset)
-        offset += 4 * ndim
+    what = "the header"
+    for i in range(n_blobs):
+        what = f"blob {i + 1} of {n_blobs}"
+        (name_len,) = struct.unpack("<H", read(2, what))
+        name = bytes(read(name_len, what)).decode("utf-8")
+        what = f"blob {name!r}"
+        (ndim,) = struct.unpack("<B", read(1, what))
+        shape = struct.unpack(f"<{ndim}I", read(4 * ndim, what))
         count = int(np.prod(shape)) if ndim else 1
         params[name] = (
-            np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
+            np.frombuffer(read(4 * count, what), dtype="<f4").astype(np.float64).reshape(shape)
         )
-        offset += 4 * count
+    if offset != len(raw):
+        raise ValueError(f"{p}: {len(raw) - offset} trailing bytes after {what}")
     return params, int(st_seed), int(se_seed)
 
 

@@ -110,6 +110,8 @@ class DatasetBundle:
 
     def take(self, indices) -> TokenBatch:
         idx = np.asarray(indices)
+        if idx.size == 0:
+            idx = idx.astype(np.int64)  # an empty list converts to float64
         return TokenBatch(
             tokens=self.tokens[idx], sources=self.sources[idx], labels=self.labels[idx]
         )

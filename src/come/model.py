@@ -262,6 +262,8 @@ class ComeModel:
     def forward(self, batch: TokenBatch, cluster_rng=None,
                 frozen_ctx: RoutingContext | None = None) -> ForwardState:
         b, t, d = batch.tokens.shape
+        if b == 0 or t == 0:
+            raise ValueError(f"forward: empty batch of shape {batch.tokens.shape} (B, T, D)")
         att_out, att_cache = attention_forward(batch.tokens, self._attention_params())
         attended = batch.tokens + att_out if self.cfg.model.attention_residual else att_out
         flat = attended.reshape(b * t, d)

@@ -76,6 +76,134 @@ def test_kmeans_rejects_k_above_distinct_points():
         kmeans(pts, 3, rng=_rng())
 
 
+# The Python-loop k-means that the vectorised one replaced: every KMeansRun
+# field of the library version must match it byte for byte.
+
+
+def _loop_squared_distances(points, centroids):
+    pp = np.sum(points * points, axis=1)[:, None]
+    cc = np.sum(centroids * centroids, axis=1)[None, :]
+    d2 = pp + cc - 2.0 * points @ centroids.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _loop_farthest_first_seed(points, k, rng):
+    n = points.shape[0]
+    first = int(rng.integers(n))
+    chosen = [first]
+    d2 = np.sum((points - points[first]) ** 2, axis=1)
+    for _ in range(1, k):
+        nxt = int(np.argmax(d2))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+def _loop_kmeans(points, k, rng=None, init=None, max_iters=100):
+    pts = np.asarray(points, dtype=np.float64)
+    n_distinct = np.unique(pts, axis=0).shape[0]
+    if init is not None:
+        centroids = np.asarray(init, dtype=np.float64).copy()
+        k = centroids.shape[0]
+    if k < 1 or k > n_distinct:
+        raise ValueError(f"kmeans: k={k} exceeds {n_distinct} distinct points")
+    if init is None:
+        centroids = _loop_farthest_first_seed(
+            pts, k, rng if rng is not None else np.random.default_rng(0)
+        )
+    assignments = np.full(pts.shape[0], -1, dtype=np.int64)
+    history = []
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        d2 = _loop_squared_distances(pts, centroids)
+        new_assign = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(pts.shape[0]), new_assign].sum()))
+        if np.array_equal(new_assign, assignments):
+            converged = True
+            break
+        assignments = new_assign
+        for j in range(k):
+            members = assignments == j
+            if members.any():
+                centroids[j] = pts[members].mean(axis=0)
+        sizes = np.bincount(assignments, minlength=k)
+        if np.any(sizes == 0):
+            point_d2 = np.sum((pts - centroids[assignments]) ** 2, axis=1)
+            for j in np.flatnonzero(sizes == 0):
+                far = int(np.argmax(point_d2))
+                centroids[j] = pts[far]
+                point_d2[far] = -1.0
+    return centroids, assignments, history, it, converged
+
+
+def _assert_matches_loop(pts, k, seed=None, init=None, max_iters=100):
+    def call(fn):
+        rng = None if seed is None else _rng(seed)
+        return fn(pts, k, rng=rng, init=init, max_iters=max_iters)
+
+    try:
+        want = call(_loop_kmeans)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            call(kmeans)
+        assert str(got.value) == str(err)
+        return None
+    run = call(kmeans)
+    centroids, assignments, history, n_iters, converged = want
+    assert run.centroids.dtype == centroids.dtype and run.centroids.shape == centroids.shape
+    assert run.centroids.tobytes() == centroids.tobytes()
+    assert run.assignments.dtype == assignments.dtype
+    assert run.assignments.tobytes() == assignments.tobytes()
+    assert np.array(run.inertia_history).tobytes() == np.array(history).tobytes()
+    assert np.float64(run.inertia).tobytes() == np.float64(history[-1]).tobytes()
+    assert (run.n_iters, run.converged) == (n_iters, converged)
+    return run
+
+
+def test_kmeans_matches_loop_reference():
+    rng = _rng(40)
+    # random instances, D = 1 (pairwise column sums) included
+    for i in range(150):
+        n = int(rng.integers(2, 300))
+        d = int(rng.integers(1, 9))
+        k = int(rng.integers(1, min(20, n) + 1))
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        _assert_matches_loop(pts, k, seed=500 + i, max_iters=int(rng.integers(1, 12)))
+    # the default shape (128 tokens x 32 -> 16 -> 8) and a wide one (1024 x 64)
+    for n, d in ((128, 32), (1024, 64)):
+        for seed in range(3):
+            pts = np.tanh(_rng(seed).normal(size=(n, d)))
+            fine = _assert_matches_loop(pts, 16, seed=seed)
+            _assert_matches_loop(fine.centroids, 8, seed=seed)
+    # duplicate rows, with and without enough distinct points
+    base = rng.normal(size=(12, 4))
+    dup = base[rng.integers(0, 12, size=128)]
+    for k in (1, 5, len(np.unique(dup, axis=0)), 16):
+        _assert_matches_loop(dup, k, seed=k)
+    _assert_matches_loop(np.repeat(base[:3, :1], 9, axis=0), 3, seed=1)
+    # the init= warm start whose empty clusters get repaired
+    pts = np.concatenate([_rng(5).normal(size=(30, 2)), [[50.0, 50.0]]])
+    init = np.array([[100.0, 100.0], [100.0, 100.0], [0.0, 0.0]])
+    assert _assert_matches_loop(pts, 3, init=init).n_iters > 1
+    _assert_matches_loop(pts, 3, init=init[:2], max_iters=1)
+    # a cluster whose members all have -0.0 in one coordinate
+    neg = np.concatenate([rng.normal(size=(20, 3)) + 10.0, rng.normal(size=(20, 3))])
+    neg[:20, 1] = -0.0
+    neg[20:, 1] += 10.0
+    for cols in (slice(0, 3), slice(1, 2)):
+        run = _assert_matches_loop(neg[:, cols], 2, seed=3)
+        assert np.array_equal(np.bincount(run.assignments), [20, 20])
+    _assert_matches_loop(np.array([[-0.0, 1.0], [-0.0, 1.0], [5.0, -0.0]]), 2, seed=0)
+    # k above the distinct count, through seeding, init=, k < 1 and k > N
+    for k, init in ((3, None), (0, None), (4, None), (3, np.zeros((3, 2)))):
+        assert _assert_matches_loop(
+            np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]), k, seed=0, init=init
+        ) is None
+    assert _assert_matches_loop(np.zeros((0, 2)), 2, seed=0) is None
+
+
 def test_kmeans_repairs_empty_clusters_keeping_k():
     # adversarial warm start: two centroids on top of each other far away
     pts = np.concatenate([_rng(5).normal(size=(30, 2)), [[50.0, 50.0]]])
@@ -149,6 +277,26 @@ def test_fine2coarse_falls_back_when_batch_smaller_than_m():
     model = fine2coarse(tokens, m=16, k=8, rng=_rng(15))
     assert model.fine_centroids.shape[0] == 10
     assert any("m'" in w for w in model.warnings)
+
+
+def test_fine2coarse_falls_back_when_batch_has_fewer_distinct_tokens_than_m():
+    rows = _rng(32).normal(size=(12, 4))
+    tokens = rows[np.arange(128) % 12]
+    model = fine2coarse(tokens, m=16, k=8, rng=_rng(33))
+    assert model.warnings == ["12 distinct tokens < 16; using m'=12"]
+    assert model.fine_centroids.shape == (12, 4)
+    assert model.coarse_centroids.shape == (8, 4)
+    np.testing.assert_allclose(
+        sorted(map(tuple, model.fine_centroids)), sorted(map(tuple, rows)), atol=1e-12
+    )
+    np.testing.assert_array_equal(
+        model.coarse_assignments, model.lineage[model.fine_assignments]
+    )
+    # fewer distinct tokens than k as well: k is clamped below m'
+    model = fine2coarse(rows[np.arange(128) % 3, :1], m=16, k=8, rng=_rng(34))
+    assert model.warnings == ["3 distinct tokens < 16; using m'=3",
+                              "coarse k clamped to 2 to keep m > k"]
+    assert model.coarse_centroids.shape == (2, 1)
 
 
 def test_fine2coarse_rejects_bad_m_k():

@@ -91,3 +91,34 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     p.write_bytes(b"COMX" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(p)
+
+
+def _three_blob_checkpoint(tmp_path):
+    rng = np.random.default_rng(3)
+    params = {"attn.wq": rng.normal(size=(4, 4)), "head.w": rng.normal(size=(4, 3)),
+              "router.b": rng.normal(size=3)}
+    return save_checkpoint(tmp_path / "model.come", params, 1, 2).read_bytes()
+
+
+def test_checkpoint_truncation_names_path_and_blob(tmp_path):
+    raw = _three_blob_checkpoint(tmp_path)
+    cut = tmp_path / "cut.come"
+    # header, then blob 'attn.wq': u16 + 7 name bytes + u8 + 2 dims + 16 floats
+    first_blob_end = 28 + 2 + 7 + 1 + 8 + 64
+    expected = {10: "the header", 31: "blob 1 of 3", 50: "blob 'attn.wq'",
+                first_blob_end + 1: "blob 2 of 3", len(raw) - 1: "blob 'router.b'"}
+    for size in range(4, len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="truncated in") as err:
+            load_checkpoint(cut)
+        assert str(cut) in str(err.value)
+        if size in expected:
+            assert f"truncated in {expected[size]}:" in str(err.value)
+
+
+def test_checkpoint_trailing_bytes_are_rejected(tmp_path):
+    padded = tmp_path / "padded.come"
+    padded.write_bytes(_three_blob_checkpoint(tmp_path) + b"\x00\x01")
+    with pytest.raises(ValueError, match="2 trailing bytes after blob 'router.b'") as err:
+        load_checkpoint(padded)
+    assert str(padded) in str(err.value)

@@ -3,7 +3,7 @@ import pytest
 
 import come.model
 from come.config import apply_overrides, config_from_dict
-from come.datagen import TokenBatch
+from come.datagen import TokenBatch, generate
 from come.harness import ABLATION_VARIANTS
 from come.model import ComeModel, component_grad_check, matched_dense_hidden
 from come.numerics import AdamWState, adamw_step
@@ -87,6 +87,19 @@ def test_forward_deterministic_given_rng():
     np.testing.assert_array_equal(s1.body.gate.gates, s2.body.gate.gates)
     np.testing.assert_array_equal(s1.plan.admitted, s2.plan.admitted)
     assert s1.report.total == s2.report.total
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_forward_rejects_empty_batches(arch, monkeypatch):
+    cfg = _cfg(**{"model.arch": arch})
+    model = ComeModel.build(cfg)
+    attention_calls = _counting(monkeypatch, "attention_forward")
+    dataset = generate(cfg.data.generator(), cfg.data.seed)
+    with pytest.raises(ValueError, match=r"empty batch of shape \(0, 3, 6\)"):
+        _forward(model, dataset.take([]))
+    with pytest.raises(ValueError, match=r"empty batch of shape \(2, 0, 6\)"):
+        _forward(model, TokenBatch(np.zeros((2, 0, 6)), np.zeros(2, np.int64), np.zeros(2, np.int64)))
+    assert attention_calls == []
 
 
 def test_no_dse_disables_both_shared_streams(monkeypatch):
