@@ -18,27 +18,6 @@ Array = np.ndarray
 
 
 @dataclass
-class AttentionParams:
-    heads: int
-    wq: Array  # (D, D)
-    wk: Array  # (D, D)
-    wv: Array  # (D, D)
-    wo: Array  # (D, D)
-
-    @property
-    def width(self) -> int:
-        return self.wq.shape[0]
-
-    def as_dict(self, prefix: str = "attn") -> dict:
-        return {
-            f"{prefix}.wq": self.wq,
-            f"{prefix}.wk": self.wk,
-            f"{prefix}.wv": self.wv,
-            f"{prefix}.wo": self.wo,
-        }
-
-
-@dataclass
 class AttentionCache:
     tokens: Array  # (B, T, D)
     q: Array  # (B, h, T, dh)
@@ -48,17 +27,13 @@ class AttentionCache:
     merged: Array  # (B, T, D) concatenated head outputs
 
 
-def init_attention(width: int, heads: int, rng: np.random.Generator) -> AttentionParams:
+def init_attention(width: int, heads: int, rng: np.random.Generator) -> dict:
+    """The ``attn.{wq,wk,wv,wo}`` (D, D) projections, drawn in that order."""
     if width % heads != 0:
         raise ValueError(f"width {width} not divisible by heads {heads}")
     scale = 1.0 / np.sqrt(width)
-    return AttentionParams(
-        heads=heads,
-        wq=rng.normal(scale=scale, size=(width, width)),
-        wk=rng.normal(scale=scale, size=(width, width)),
-        wv=rng.normal(scale=scale, size=(width, width)),
-        wo=rng.normal(scale=scale, size=(width, width)),
-    )
+    return {f"attn.{name}": rng.normal(scale=scale, size=(width, width))
+            for name in ("wq", "wk", "wv", "wo")}
 
 
 def _split_heads(x: Array, heads: int) -> Array:
@@ -71,44 +46,43 @@ def _merge_heads(x: Array) -> Array:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def attention_forward(tokens: Array, params: AttentionParams):
-    """Self-attention over each sample's token set.
+def attention_forward(tokens: Array, params: dict, heads: int):
+    """Self-attention over each sample's token set with the ``attn.*``
+    weights of ``params``.
 
     Returns (output (B, T, D), cache). Rejects width mismatches.
     """
     x = require_finite("attention tokens", tokens)
-    if x.ndim != 3 or x.shape[2] != params.width:
-        raise ValueError(f"attention: expected (B, T, {params.width}) tokens, got {x.shape}")
-    h = params.heads
-    dh = params.width // h
-    q = _split_heads(x @ params.wq, h)
-    k = _split_heads(x @ params.wk, h)
-    v = _split_heads(x @ params.wv, h)
+    width = params["attn.wq"].shape[0]
+    if x.ndim != 3 or x.shape[2] != width:
+        raise ValueError(f"attention: expected (B, T, {width}) tokens, got {x.shape}")
+    dh = width // heads
+    q = _split_heads(x @ params["attn.wq"], heads)
+    k = _split_heads(x @ params["attn.wk"], heads)
+    v = _split_heads(x @ params["attn.wv"], heads)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
     probs = softmax(scores, axis=-1)
     merged = _merge_heads(probs @ v)
-    out = merged @ params.wo
+    out = merged @ params["attn.wo"]
     cache = AttentionCache(tokens=x, q=q, k=k, v=v, probs=probs, merged=merged)
     return out, cache
 
 
-def attention_backward(grad_out: Array, cache: AttentionCache, params: AttentionParams):
+def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, heads: int):
     """Gradients of the attention output w.r.t. tokens and parameters.
 
-    Requires the forward cache; returns (d_tokens, grads dict keyed like
-    ``AttentionParams.as_dict``).
+    Requires the forward cache; returns (d_tokens, ``attn.*`` grads dict).
     """
     if cache is None:
         raise ValueError("attention_backward: missing forward cache")
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != cache.merged.shape:
         raise ValueError("attention_backward: upstream gradient shape mismatch")
-    h = params.heads
-    dh = params.width // h
+    dh = cache.tokens.shape[2] // heads
 
     d_wo = np.einsum("btd,bte->de", cache.merged, g)
-    d_merged = g @ params.wo.T
-    d_headed = _split_heads(d_merged, h)
+    d_merged = g @ params["attn.wo"].T
+    d_headed = _split_heads(d_merged, heads)
 
     d_probs = d_headed @ cache.v.transpose(0, 1, 3, 2)
     d_v = cache.probs.transpose(0, 1, 3, 2) @ d_headed
@@ -126,5 +100,6 @@ def attention_backward(grad_out: Array, cache: AttentionCache, params: Attention
         "attn.wv": np.einsum("btd,bte->de", x, d_vf),
         "attn.wo": d_wo,
     }
-    d_tokens = d_qf @ params.wq.T + d_kf @ params.wk.T + d_vf @ params.wv.T
+    d_tokens = (d_qf @ params["attn.wq"].T + d_kf @ params["attn.wk"].T
+                + d_vf @ params["attn.wv"].T)
     return d_tokens, grads

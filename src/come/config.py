@@ -132,10 +132,23 @@ class RunConfig:
             raise ConfigError(
                 f"router.top_k={self.router.top_k} outside [1, {self.model.n_experts}]"
             )
-        if self.router.capacity_factor <= 0:
-            raise ConfigError("router.capacity_factor must be > 0")
-        if self.router.temperature <= 0:
-            raise ConfigError("router.temperature must be > 0")
+        for key, value in (
+            ("router.capacity_factor", self.router.capacity_factor),
+            ("router.temperature", self.router.temperature),
+            ("losses.load_noise_scale", self.losses.load_noise_scale),
+        ):
+            if not value > 0:
+                raise ConfigError(f"{key} must be > 0, got {value}")
+        for key, value in (
+            ("losses.tb_weight", self.losses.tb_weight),
+            ("losses.balance_weight", self.losses.balance_weight),
+            ("training.steps", self.training.steps),
+        ):
+            if not value >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
+        fraction = self.clustering.min_cluster_fraction
+        if not 0 <= fraction < 1:
+            raise ConfigError(f"clustering.min_cluster_fraction must be in [0, 1), got {fraction}")
         if self.model.arch == "come" and self.losses.tb_weight > 0.0:
             # every source must own at least one expert for supervision
             if self.model.n_experts < self.data.n_sources:
@@ -143,10 +156,12 @@ class RunConfig:
                     f"traceability needs n_experts >= n_sources "
                     f"({self.model.n_experts} < {self.data.n_sources})"
                 )
-        if self.training.steps < 0 or self.training.batch_size < 1:
-            raise ConfigError("training.steps must be >= 0, batch_size >= 1")
         for key, value in (
             ("model.heads", self.model.heads),
+            ("model.expert_hidden_ratio", self.model.expert_hidden_ratio),
+            ("clustering.clusters", self.clustering.clusters),
+            ("clustering.steps", self.clustering.steps),
+            ("training.batch_size", self.training.batch_size),
             ("training.log_every", self.training.log_every),
             ("training.eval_batches", self.training.eval_batches),
             ("clustering.max_iters", self.clustering.max_iters),

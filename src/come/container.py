@@ -39,6 +39,41 @@ def _sidecar_path(path) -> Path:
     return p.with_suffix(p.suffix + ".json")
 
 
+class _Reader:
+    """Bounds-checked reads through a container file after its magic bytes.
+
+    Every error is a ValueError naming the path and what was being read.
+    """
+
+    def __init__(self, path, kind: str):
+        self.path = Path(path)
+        self.raw = memoryview(self.path.read_bytes())
+        if self.raw[:4] != MAGIC:
+            raise ValueError(f"{self.path}: not a {kind} container (bad magic)")
+        self.offset = 4
+
+    def read(self, size: int, what: str):
+        if len(self.raw) - self.offset < size:
+            raise ValueError(
+                f"{self.path}: truncated in {what}: needs {size} bytes at offset "
+                f"{self.offset}, file has {len(self.raw)}"
+            )
+        self.offset += size
+        return self.raw[self.offset - size : self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def floats(self, shape: tuple, what: str) -> np.ndarray:
+        data = self.read(4 * int(np.prod(shape)), what)
+        return np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+
+    def finish(self, what: str):
+        if self.offset != len(self.raw):
+            extra = len(self.raw) - self.offset
+            raise ValueError(f"{self.path}: {extra} trailing bytes after {what}")
+
+
 def save_dataset(path, bundle: DatasetBundle) -> Path:
     """Write the feature container plus its JSON sidecar; returns the path."""
     p = Path(path)
@@ -54,27 +89,27 @@ def save_dataset(path, bundle: DatasetBundle) -> Path:
 
 
 def load_dataset(path) -> DatasetBundle:
-    p = Path(path)
-    raw = p.read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{p}: not a feature container (bad magic)")
-    version, n, t, d = struct.unpack_from("<IIII", raw, 4)
+    """Raises ValueError naming the path and the sample being read when the
+    file is truncated or has bytes after its last sample, and naming the
+    sidecar when that is missing or unreadable."""
+    reader = _Reader(path, "feature")
+    version, n, t, d = reader.unpack("<IIII", "the header")
     if version != DATASET_VERSION:
-        raise ValueError(f"{p}: unsupported dataset version {version}")
-    offset = 20
+        raise ValueError(f"{reader.path}: unsupported dataset version {version}")
     tokens = np.empty((n, t, d))
     sources = np.empty(n, dtype=np.int64)
     labels = np.empty(n, dtype=np.int64)
+    what = "the header"
     for i in range(n):
-        sources[i], labels[i] = struct.unpack_from("<II", raw, offset)
-        offset += 8
-        tokens[i] = (
-            np.frombuffer(raw, dtype="<f4", count=t * d, offset=offset)
-            .astype(np.float64)
-            .reshape(t, d)
-        )
-        offset += 4 * t * d
-    side = json.loads(_sidecar_path(p).read_text())
+        what = f"sample {i + 1} of {n}"
+        sources[i], labels[i] = reader.unpack("<II", what)
+        tokens[i] = reader.floats((t, d), what)
+    reader.finish(what)
+    side_path = _sidecar_path(reader.path)
+    try:
+        side = json.loads(side_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{side_path}: cannot read the dataset sidecar ({exc})") from exc
     cfg = GeneratorConfig(**side["generator"])
     return DatasetBundle(
         tokens=tokens,
@@ -112,43 +147,20 @@ def load_checkpoint(path):
     Raises ValueError naming the path and the blob being read when the file
     is truncated or has bytes after its last blob.
     """
-    p = Path(path)
-    raw = memoryview(p.read_bytes())
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{p}: not a checkpoint container (bad magic)")
-    offset = 4
-
-    def read(size, what):
-        nonlocal offset
-        if len(raw) - offset < size:
-            raise ValueError(
-                f"{p}: truncated in {what}: needs {size} bytes at offset {offset}, "
-                f"file has {len(raw)}"
-            )
-        offset += size
-        return raw[offset - size : offset]
-
-    header = "<IQQI"
-    version, st_seed, se_seed, n_blobs = struct.unpack(
-        header, read(struct.calcsize(header), "the header")
-    )
+    reader = _Reader(path, "checkpoint")
+    version, st_seed, se_seed, n_blobs = reader.unpack("<IQQI", "the header")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{p}: unsupported checkpoint version {version}")
+        raise ValueError(f"{reader.path}: unsupported checkpoint version {version}")
     params = {}
     what = "the header"
     for i in range(n_blobs):
         what = f"blob {i + 1} of {n_blobs}"
-        (name_len,) = struct.unpack("<H", read(2, what))
-        name = bytes(read(name_len, what)).decode("utf-8")
+        (name_len,) = reader.unpack("<H", what)
+        name = bytes(reader.read(name_len, what)).decode("utf-8")
         what = f"blob {name!r}"
-        (ndim,) = struct.unpack("<B", read(1, what))
-        shape = struct.unpack(f"<{ndim}I", read(4 * ndim, what))
-        count = int(np.prod(shape)) if ndim else 1
-        params[name] = (
-            np.frombuffer(read(4 * count, what), dtype="<f4").astype(np.float64).reshape(shape)
-        )
-    if offset != len(raw):
-        raise ValueError(f"{p}: {len(raw) - offset} trailing bytes after {what}")
+        (ndim,) = reader.unpack("<B", what)
+        params[name] = reader.floats(reader.unpack(f"<{ndim}I", what), what)
+    reader.finish(what)
     return params, int(st_seed), int(se_seed)
 
 

@@ -72,17 +72,6 @@ def frozen_digest(expert: FrozenExpert) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExpertBank:
-    """n_experts two-layer tanh FFNs plus the source ownership map."""
-
-    n_experts: int
-    width: int
-    hidden: int
-    params: dict  # expert.{i}.{w1,b1,w2,b2}
-    groups: dict  # source id -> tuple of owned expert ids
-
-
 def expert_group_map(n_experts: int, n_sources: int) -> dict:
     """Disjoint ownership: source m owns floor(n_experts / n_sources) experts.
 
@@ -97,8 +86,9 @@ def expert_group_map(n_experts: int, n_sources: int) -> dict:
     }
 
 
-def init_expert_bank(n_experts: int, width: int, hidden: int, n_sources: int,
-                     rng: np.random.Generator) -> ExpertBank:
+def init_expert_bank(n_experts: int, width: int, hidden: int,
+                     rng: np.random.Generator) -> dict:
+    """n_experts two-layer tanh FFNs as ``expert.{i}.{w1,b1,w2,b2}``."""
     params = {}
     for i in range(n_experts):
         # scaled-uniform fan-in init, tanh nonlinearity between the layers
@@ -108,13 +98,7 @@ def init_expert_bank(n_experts: int, width: int, hidden: int, n_sources: int,
         params[f"expert.{i}.b1"] = np.zeros(hidden)
         params[f"expert.{i}.w2"] = rng.uniform(-lim2, lim2, size=(hidden, width))
         params[f"expert.{i}.b2"] = np.zeros(width)
-    return ExpertBank(
-        n_experts=n_experts,
-        width=width,
-        hidden=hidden,
-        params=params,
-        groups=expert_group_map(n_experts, n_sources),
-    )
+    return params
 
 
 def expert_apply(params: dict, index: int, x: Array):

@@ -2,17 +2,13 @@
 
 One training run is single-threaded and bit-deterministic given its seed:
 batch order, clustering seeds and evaluation subsets are all derived from
-named sub-streams of the run seed. The ablation and sweep drivers may run
-independent configurations on a small thread pool capped by the
-COME_THREADS environment variable (default 1); runs share nothing but the
-read-only dataset.
+named sub-streams of the run seed. The ablation and sweep drivers train
+their configurations one after another on the same read-only dataset.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +18,7 @@ from .config import RunConfig, apply_overrides, config_to_dict
 from .container import load_dataset
 from .datagen import DatasetBundle, generate
 from .model import ComeModel, ForwardState
-from .numerics import AdamWState, RandomStreams, adamw_step
+from .numerics import AdamWState, NonFiniteError, RandomStreams, adamw_step
 
 EVAL_STREAM_OFFSET = 2**33  # keeps eval clustering seeds clear of training steps
 
@@ -81,28 +77,22 @@ class TrainResult:
     metrics: list
     expert_stats: list
     manifest: dict
-    halted: bool = False
     halt_reason: str | None = None
 
+    @property
+    def halted(self) -> bool:
+        return self.halt_reason is not None
+
     def final(self) -> MetricsRecord:
+        if not self.metrics:
+            # the last step always logs, so only a halt or zero steps leave none
+            raise ValueError(f"run logged no metrics: {self.halt_reason or 'training.steps=0'}")
         return self.metrics[-1]
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def worker_count() -> int:
-    return max(1, int(os.environ.get("COME_THREADS", "1")))
-
-
-def _run_jobs(fn, jobs: list) -> list:
-    workers = worker_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _fmt(value) -> str:
@@ -209,8 +199,8 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
             purity_num += num
             purity_den += den
             util += state.plan.utilization()
-            overflow_total += len(state.plan.overflow)
-            pair_total += state.plan.n_tokens * state.plan.top_k
+            overflow_total += state.plan.n_overflow
+            pair_total += state.plan.admitted.size
     n_seen = min(indices.size, n_batches * batch_size)
     mean_util = util.mean() if util.size else 0.0
     util_cv = float(util.std() / mean_util) if mean_util > 0 else 0.0
@@ -252,9 +242,11 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
           out_dir=None) -> TrainResult:
     """Train a model and log metrics at the configured cadence.
 
-    Deterministic given the seed; halts with the last logged checkpoint if
-    the loss turns non-finite. Writes metrics.csv, expert_stats.csv,
-    checkpoint.come and manifest.json when ``out_dir`` is given.
+    Deterministic given the seed. If a step meets a non-finite value
+    (``NonFiniteError``), training halts and keeps the parameters of the
+    last log point, or the initial ones if none was reached. Writes
+    metrics.csv, expert_stats.csv, checkpoint.come and manifest.json when
+    ``out_dir`` is given.
     """
     cfg.validate()
     if dataset is None:
@@ -284,7 +276,6 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     metrics: list = []
     expert_rows: list = []
     snapshot = {k: v.copy() for k, v in model.params.items()}
-    halted = False
     halt_reason = None
     order = None
     epoch = -1
@@ -297,21 +288,21 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
         i = (step - 1) % steps_per_epoch
         batch = dataset.take(train_idx[order[i * bs : (i + 1) * bs]])
 
-        state = model.forward(batch, cluster_rng=streams.stream("noise", step))
-        if not np.isfinite(state.report.total):
-            halted = True
-            halt_reason = f"non-finite loss at step {step}"
+        log = step % cfg.training.log_every == 0 or step == cfg.training.steps
+        try:
+            state = model.forward(batch, cluster_rng=streams.stream("noise", step))
+            if state.plan is not None and np.any(state.plan.utilization() > state.plan.capacity):
+                raise RuntimeError(f"capacity bound violated at step {step}")
+            adamw_step(model.params, model.backward(state), opt)
+            if log:
+                record = _log_point(model, dataset, state, step, bs, eval_train, eval_test)
+        except NonFiniteError as exc:
+            halt_reason = f"non-finite value at step {step}: {exc}"
             model.params = snapshot
             break
-        if state.plan is not None and np.any(state.plan.utilization() > state.plan.capacity):
-            raise RuntimeError(f"capacity bound violated at step {step}")
-
-        grads = model.backward(state)
-        adamw_step(model.params, grads, opt)
-
-        if step % cfg.training.log_every == 0 or step == cfg.training.steps:
-            metrics.append(_log_point(model, dataset, state, step, bs, eval_train, eval_test))
-            expert_rows.append(_expert_row(cfg, state, metrics[-1]))
+        if log:
+            metrics.append(record)
+            expert_rows.append(_expert_row(cfg, state, record))
             snapshot = {k: v.copy() for k, v in model.params.items()}
 
     if model.frozen_digests() != frozen_before:
@@ -324,11 +315,11 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
         "frozen_semantic": frozen_before["semantic"],
     }
     manifest = run_manifest(cfg, "train", digests, [])
-    if halted:
+    if halt_reason is not None:
         manifest["halted"] = halt_reason
     result = TrainResult(
         model=model, metrics=metrics, expert_stats=expert_rows,
-        manifest=manifest, halted=halted, halt_reason=halt_reason,
+        manifest=manifest, halt_reason=halt_reason,
     )
     if out_dir is not None:
         _write_train_outputs(result, cfg, out_dir)
@@ -398,18 +389,12 @@ def run_ablations(cfg: RunConfig, dataset: DatasetBundle | None = None,
         dataset = build_dataset(cfg)
     seeds = list(seeds) if seeds else [cfg.seed]
 
-    jobs = []
+    rows = []
     for variant, overrides in ABLATION_VARIANTS.items():
         for seed in seeds:
-            jobs.append((variant, seed, apply_overrides(cfg, [*overrides, f"seed={seed}"])))
-
-    def _one(job):
-        variant, seed, run_cfg = job
-        result = train(run_cfg, dataset=dataset)
-        final = result.final()
-        return [variant, seed, final.test_acc, final.purity, final.util_cv]
-
-    rows = _run_jobs(_one, jobs)
+            run_cfg = apply_overrides(cfg, [*overrides, f"seed={seed}"])
+            final = train(run_cfg, dataset=dataset).final()
+            rows.append([variant, seed, final.test_acc, final.purity, final.util_cv])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -430,23 +415,16 @@ def sweep(cfg: RunConfig, axis: str, dataset: DatasetBundle | None = None,
     if dataset is None:
         dataset = build_dataset(cfg)
 
-    jobs = []
+    rows = []
     for value in values:
         if axis == "experts":
             overrides = [f"model.n_experts={int(value)}",
                          f"router.top_k={min(cfg.router.top_k, int(value))}"]
         else:
             overrides = [f"router.top_k={int(value)}"]
-        jobs.append((value, apply_overrides(cfg, overrides)))
-
-    def _one(job):
-        value, run_cfg = job
-        result = train(run_cfg, dataset=dataset)
-        final = result.final()
-        return [axis, value, run_cfg.seed, final.test_acc, final.purity,
-                final.util_cv, final.overflow_rate]
-
-    rows = _run_jobs(_one, jobs)
+        final = train(apply_overrides(cfg, overrides), dataset=dataset).final()
+        rows.append([axis, value, cfg.seed, final.test_acc, final.purity,
+                     final.util_cv, final.overflow_rate])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

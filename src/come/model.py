@@ -34,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    AttentionCache,
-    AttentionParams,
-    attention_backward,
-    attention_forward,
-    init_attention,
-)
+from .attention import AttentionCache, attention_backward, attention_forward, init_attention
 from .clustering import cluster_features, fine2coarse, multistep
 from .config import RunConfig
 from .container import checkpoint_digest, load_checkpoint, save_checkpoint
@@ -65,7 +59,6 @@ from .numerics import RandomStreams
 from .router import (
     DispatchPlan,
     GateCache,
-    RouterParams,
     build_dispatch,
     gate_backward,
     gate_forward,
@@ -159,16 +152,12 @@ class ComeModel:
         d = cfg.data.width
         c = cfg.data.n_classes
         params = {}
-        params.update(init_attention(d, cfg.model.heads, streams.stream("init", 0)).as_dict())
+        params.update(init_attention(d, cfg.model.heads, streams.stream("init", 0)))
         if cfg.model.arch == "come":
-            bank = init_expert_bank(
-                cfg.model.n_experts,
-                d,
-                cfg.model.expert_hidden_ratio * d,
-                cfg.data.n_sources,
+            params.update(init_expert_bank(
+                cfg.model.n_experts, d, cfg.model.expert_hidden_ratio * d,
                 streams.stream("init", 1),
-            )
-            params.update(bank.params)
+            ))
             params.update(init_dim_reduction(d))
             params["router.w"] = np.zeros((cfg.model.n_experts, d))
             params["router.b"] = np.zeros(cfg.model.n_experts)
@@ -224,24 +213,6 @@ class ComeModel:
     # forward
     # ------------------------------------------------------------------
 
-    def _attention_params(self) -> AttentionParams:
-        return AttentionParams(
-            heads=self.cfg.model.heads,
-            wq=self.params["attn.wq"],
-            wk=self.params["attn.wk"],
-            wv=self.params["attn.wv"],
-            wo=self.params["attn.wo"],
-        )
-
-    def _router_params(self) -> RouterParams:
-        return RouterParams(
-            weight=self.params["router.w"],
-            bias=self.params["router.b"],
-            temperature=self.cfg.router.temperature,
-            top_k=self.cfg.router.top_k,
-            capacity_factor=self.cfg.router.capacity_factor,
-        )
-
     def _cluster(self, flat: Array, rng) -> Array:
         cfg = self.cfg.clustering
         if cfg.strategy == "none":
@@ -264,7 +235,7 @@ class ComeModel:
         b, t, d = batch.tokens.shape
         if b == 0 or t == 0:
             raise ValueError(f"forward: empty batch of shape {batch.tokens.shape} (B, T, D)")
-        att_out, att_cache = attention_forward(batch.tokens, self._attention_params())
+        att_out, att_cache = attention_forward(batch.tokens, self.params, self.cfg.model.heads)
         attended = batch.tokens + att_out if self.cfg.model.attention_residual else att_out
         flat = attended.reshape(b * t, d)
         if self.cfg.model.arch == "dense":
@@ -315,14 +286,13 @@ class ComeModel:
                 cluster_rng = np.random.default_rng(0)
             feats = self._cluster(flat, cluster_rng)
         routed_in, dr_cache = dr_forward(flat, feats, self.params)
-        router = self._router_params()
-        gates, gate_cache = gate_forward(routed_in, router)
+        gates, gate_cache = gate_forward(routed_in, self.params, cfg.router.temperature)
 
         if frozen_ctx is not None:
             plan = frozen_ctx.plan
         else:
-            sel, weights = topk_select(gates, router.top_k, cfg.router.renormalize_topk)
-            plan = build_dispatch(sel, weights, router.n_experts, router.capacity_factor)
+            plan = build_dispatch(topk_select(gates, cfg.router.top_k), cfg.model.n_experts,
+                                  cfg.router.capacity_factor)
 
         renorm_sums = None
         combine = gates
@@ -332,17 +302,16 @@ class ComeModel:
             combine = np.zeros_like(gates)
             np.put_along_axis(combine, plan.selection, picked / renorm_sums, axis=1)
         mix_out, mix_cache = expert_mixture_forward(
-            self.params, router.n_experts, plan, routed_in, combine
+            self.params, cfg.model.n_experts, plan, routed_in, combine
         )
         features = aggregate_features(f_structure, f_semantic, mix_out.reshape(zeros.shape))
 
         losses = cfg.losses
-        tb_weight = losses.tb_weight if losses.tb_weight > 0.0 else 0.0
         l_tb, d_tb, clamped = traceability_loss(
             gates, batch.token_sources, self.groups, average=losses.tb_average
         )
         l_ip, d_ip, importance = importance_loss(gates)
-        d_gates_aux = [tb_weight * d_tb, losses.balance_weight * d_ip]
+        d_gates_aux = [losses.tb_weight * d_tb, losses.balance_weight * d_ip]
         d_logits_aux = None
         if losses.load_mode == "literal":
             l_load, d_load, load = load_loss(gates)
@@ -350,7 +319,7 @@ class ComeModel:
         else:
             l_load, d_logits_load, load = load_loss(
                 gates, mode="margin", logits=gate_cache.logits,
-                top_k=router.top_k, noise_scale=losses.load_noise_scale,
+                top_k=cfg.router.top_k, noise_scale=losses.load_noise_scale,
             )
             d_logits_aux = losses.balance_weight * d_logits_load
 
@@ -358,7 +327,7 @@ class ComeModel:
                             renorm_sums=renorm_sums, d_gates_aux=d_gates_aux,
                             d_logits_aux=d_logits_aux)
         aux = dict(l_tb=l_tb, l_ip=l_ip, l_load=l_load, importance=importance, load=load,
-                   tb_weight=tb_weight, balance_weight=losses.balance_weight,
+                   tb_weight=losses.tb_weight, balance_weight=losses.balance_weight,
                    tb_clamped=clamped)
         return features, plan, cache, aux
 
@@ -386,7 +355,7 @@ class ComeModel:
         else:
             d_flat = self._routed_backward(d_out, state, grads)
         _, attn_grads = attention_backward(
-            d_flat.reshape(b, t, d), state.att_cache, self._attention_params()
+            d_flat.reshape(b, t, d), state.att_cache, self.params, self.cfg.model.heads
         )
         grads.update(attn_grads)
         return grads
@@ -408,7 +377,7 @@ class ComeModel:
         for term in cache.d_gates_aux:
             d_gates = d_gates + term
         d_in_router, router_grads = gate_backward(
-            d_gates, cache.gate, self._router_params(), cache.d_logits_aux
+            d_gates, cache.gate, self.params, self.cfg.router.temperature, cache.d_logits_aux
         )
         grads.update(router_grads)
         d_flat, dr_grads = dr_backward(d_in_mix + d_in_router, cache.dr, self.params)

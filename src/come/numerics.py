@@ -8,7 +8,6 @@ and reject non-finite inputs.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -20,12 +19,16 @@ Array = np.ndarray
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+class NonFiniteError(ValueError):
+    """An array that must be finite holds NaN or Inf entries."""
+
+
 def require_finite(name: str, arr: Array) -> Array:
-    """Return ``arr`` as float64, raising ValueError if any entry is NaN/Inf."""
+    """Return ``arr`` as float64, raising NonFiniteError if any entry is NaN/Inf."""
     out = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(out)):
         bad = int(np.count_nonzero(~np.isfinite(out)))
-        raise ValueError(f"{name}: {bad} non-finite entries (shape {out.shape})")
+        raise NonFiniteError(f"{name}: {bad} non-finite entries (shape {out.shape})")
     return out
 
 
@@ -221,17 +224,3 @@ def grad_check(fn, point: Array, h: float = 1e-5) -> GradCheckResult:
     rel = np.abs(analytic - numeric) / denom
     return GradCheckResult(rel_errors=rel, analytic=analytic, numeric=numeric, bad_coords=bad)
 
-
-def array_digest(arrays) -> str:
-    """SHA-256 over a name-sorted dict (or sequence) of float arrays."""
-    h = hashlib.sha256()
-    if isinstance(arrays, dict):
-        items = sorted(arrays.items())
-    else:
-        items = [(str(i), a) for i, a in enumerate(arrays)]
-    for name, arr in items:
-        h.update(name.encode())
-        a = np.ascontiguousarray(arr, dtype=np.float64)
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()

@@ -18,6 +18,26 @@ from come.config import ConfigError, RunConfig, apply_overrides, config_from_dic
             ["clustering.fine_clusters=4", "clustering.coarse_clusters=8"],
             "fine_clusters > coarse_clusters >= 1, got 4 and 8",
         ),
+        (["clustering.clusters=0"], "clustering.clusters must be >= 1, got 0"),
+        (["clustering.steps=0"], "clustering.steps must be >= 1, got 0"),
+        (["model.expert_hidden_ratio=0"], "model.expert_hidden_ratio must be >= 1, got 0"),
+        (["training.batch_size=0"], "training.batch_size must be >= 1, got 0"),
+        (["training.steps=-1"], "training.steps must be >= 0, got -1"),
+        (["losses.load_noise_scale=0"], "losses.load_noise_scale must be > 0, got 0"),
+        (["losses.balance_weight=-1"], "losses.balance_weight must be >= 0, got -1"),
+        (["losses.tb_weight=-1"], "losses.tb_weight must be >= 0, got -1"),
+        (["losses.tb_weight=NaN"], "losses.tb_weight must be >= 0, got nan"),
+        (
+            ["clustering.min_cluster_fraction=1"],
+            "clustering.min_cluster_fraction must be in [0, 1), got 1",
+        ),
+        (
+            ["clustering.min_cluster_fraction=-0.5"],
+            "clustering.min_cluster_fraction must be in [0, 1), got -0.5",
+        ),
+        (["router.temperature=0"], "router.temperature must be > 0, got 0"),
+        (["router.capacity_factor=0"], "router.capacity_factor must be > 0, got 0"),
+        (["router.top_k=9"], "router.top_k=9 outside [1, 8]"),
     ],
 )
 def test_validate_names_the_bad_key_and_value(overrides, message):

@@ -51,6 +51,39 @@ def test_dataset_rejects_bad_magic(tmp_path):
         load_dataset(p)
 
 
+def test_dataset_truncation_names_path_and_sample(tmp_path):
+    raw = save_dataset(tmp_path / "data.come", _dataset()).read_bytes()
+    cut = tmp_path / "cut.come"
+    # 20-byte header, then 20 samples of u32 source + u32 label + 3*6 f32
+    assert len(raw) == 20 + 20 * 80
+    expected = {10: "the header", 20: "sample 1 of 20", 99: "sample 1 of 20",
+                100: "sample 2 of 20", 110: "sample 2 of 20", len(raw) - 1: "sample 20 of 20"}
+    for size in range(4, len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="truncated in") as err:
+            load_dataset(cut)
+        assert str(cut) in str(err.value)
+        if size in expected:
+            assert f"truncated in {expected[size]}:" in str(err.value)
+
+
+def test_dataset_trailing_bytes_are_rejected(tmp_path):
+    path = save_dataset(tmp_path / "data.come", _dataset())
+    path.write_bytes(path.read_bytes() + b"\x00\x00\x00")
+    with pytest.raises(ValueError, match="3 trailing bytes after sample 20 of 20") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+
+
+def test_dataset_missing_sidecar_names_the_sidecar(tmp_path):
+    path = save_dataset(tmp_path / "data.come", _dataset())
+    sidecar = tmp_path / "data.come.json"
+    sidecar.unlink()
+    with pytest.raises(ValueError, match="cannot read the dataset sidecar") as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{sidecar}: ")
+
+
 def test_dataset_save_is_deterministic(tmp_path):
     ds = _dataset(seed=3)
     p1 = save_dataset(tmp_path / "a.come", ds)

@@ -19,15 +19,14 @@ from come.numerics import grad_check
 from come.router import build_dispatch
 
 
-def _bank(n_experts=3, width=6, hidden=8, n_sources=3, seed=0):
-    return init_expert_bank(n_experts, width, hidden, n_sources, np.random.default_rng(seed))
+def _bank(n_experts=3, width=6, hidden=8, seed=0):
+    return init_expert_bank(n_experts, width, hidden, np.random.default_rng(seed))
 
 
 def _full_plan(n_tokens, n_experts):
     # every token admitted to every expert (K = n_experts, huge capacity)
     sel = np.tile(np.arange(n_experts), (n_tokens, 1))
-    w = np.ones((n_tokens, n_experts))
-    return build_dispatch(sel, w, n_experts, capacity_factor=float(n_experts) * 10)
+    return build_dispatch(sel, n_experts, capacity_factor=float(n_experts) * 10)
 
 
 # ---------------------------------------------------------------------------
@@ -165,42 +164,41 @@ def test_mixture_single_expert_unit_gate_is_plain_ffn():
     bank = _bank(n_experts=2)
     x = np.random.default_rng(13).normal(size=(5, 6))
     sel = np.zeros((5, 1), dtype=np.int64)
-    plan = build_dispatch(sel, np.ones((5, 1)), 2, capacity_factor=10.0)
+    plan = build_dispatch(sel, 2, capacity_factor=10.0)
     gates = np.zeros((5, 2))
     gates[:, 0] = 1.0
-    out, _ = expert_mixture_forward(bank.params, 2, plan, x, gates)
-    expected, _ = expert_apply(bank.params, 0, x)
+    out, _ = expert_mixture_forward(bank, 2, plan, x, gates)
+    expected, _ = expert_apply(bank, 0, x)
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
 def test_mixture_zero_weights_give_zero_output():
     bank = _bank()
-    for key in bank.params:
-        bank.params[key] = np.zeros_like(bank.params[key])
+    bank = {key: np.zeros_like(value) for key, value in bank.items()}
     x = np.random.default_rng(14).normal(size=(4, 6))
     plan = _full_plan(4, 3)
     gates = np.full((4, 3), 1 / 3)
-    out, _ = expert_mixture_forward(bank.params, 3, plan, x, gates)
+    out, _ = expert_mixture_forward(bank, 3, plan, x, gates)
     assert np.all(out == 0.0)
 
 
 def test_mixture_matches_naive_loop_oracle():
-    bank = _bank(n_experts=4, width=5, hidden=7, n_sources=2, seed=15)
+    bank = _bank(n_experts=4, width=5, hidden=7, seed=15)
     rng = np.random.default_rng(16)
     x = rng.normal(size=(9, 5))
     gates = rng.dirichlet(np.ones(4), size=9)
     from come.router import topk_select
 
-    sel, w = topk_select(gates, 2)
-    plan = build_dispatch(sel, w, 4, capacity_factor=1.25)
-    out, _ = expert_mixture_forward(bank.params, 4, plan, x, gates)
+    sel = topk_select(gates, 2)
+    plan = build_dispatch(sel, 4, capacity_factor=1.25)
+    out, _ = expert_mixture_forward(bank, 4, plan, x, gates)
 
     expected = np.zeros_like(x)
     for t in range(9):
         for s in range(2):
             if plan.admitted[t, s]:
                 j = sel[t, s]
-                y, _ = expert_apply(bank.params, j, x[t : t + 1])
+                y, _ = expert_apply(bank, j, x[t : t + 1])
                 expected[t] += gates[t, j] * y[0]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -210,58 +208,57 @@ def test_mixture_rejects_mismatched_plan():
     plan = _full_plan(4, 2)
     gates = np.full((4, 3), 1 / 3)
     with pytest.raises(ValueError, match="plan"):
-        expert_mixture_forward(bank.params, 3, plan, np.zeros((4, 6)), gates)
+        expert_mixture_forward(bank, 3, plan, np.zeros((4, 6)), gates)
     plan = _full_plan(5, 3)
     with pytest.raises(ValueError, match="tokens"):
-        expert_mixture_forward(bank.params, 3, plan, np.zeros((4, 6)), np.full((4, 3), 1 / 3))
+        expert_mixture_forward(bank, 3, plan, np.zeros((4, 6)), np.full((4, 3), 1 / 3))
 
 
 def test_mixture_backward_passes_grad_check():
     n_experts, width, hidden, n_tok = 3, 4, 5, 6
-    bank = _bank(n_experts, width, hidden, n_sources=3, seed=17)
+    bank = _bank(n_experts, width, hidden, seed=17)
     rng = np.random.default_rng(18)
     x = rng.normal(size=(n_tok, width))
     gates = rng.dirichlet(np.ones(n_experts), size=n_tok)
     from come.router import topk_select
 
-    sel, w = topk_select(gates, 2)
-    plan = build_dispatch(sel, w, n_experts, capacity_factor=1.0)  # forces some overflow
+    plan = build_dispatch(topk_select(gates, 2), n_experts, capacity_factor=1.0)  # some overflow
     proj = rng.normal(size=(n_tok, width))
-    names = sorted(bank.params)
+    names = sorted(bank)
 
     def fn(theta):
         params = {}
         off = 0
         for n in names:
-            size = bank.params[n].size
-            params[n] = theta[off : off + size].reshape(bank.params[n].shape)
+            size = bank[n].size
+            params[n] = theta[off : off + size].reshape(bank[n].shape)
             off += size
         out, cache = expert_mixture_forward(params, n_experts, plan, x, gates)
         val = float(np.sum(out * proj))
         _, _, grads = expert_mixture_backward(proj, cache, params)
         flat = np.concatenate(
-            [grads.get(n, np.zeros_like(bank.params[n])).ravel() for n in names]
+            [grads.get(n, np.zeros_like(bank[n])).ravel() for n in names]
         )
         return val, flat
 
-    theta0 = np.concatenate([bank.params[n].ravel() for n in names])
+    theta0 = np.concatenate([bank[n].ravel() for n in names])
     assert grad_check(fn, theta0, h=1e-5).max_rel_error < 1e-4
 
 
 def test_mixture_gate_gradient_nonzero_only_on_admitted_pairs():
-    bank = _bank(n_experts=2, width=4, hidden=6, n_sources=2, seed=19)
+    bank = _bank(n_experts=2, width=4, hidden=6, seed=19)
     rng = np.random.default_rng(20)
     x = rng.normal(size=(6, 4))
     # all tokens pick expert 0; capacity forces overflow on the later ones
     sel = np.zeros((6, 1), dtype=np.int64)
-    plan = build_dispatch(sel, np.ones((6, 1)), 2, capacity_factor=0.5)
-    assert len(plan.overflow) > 0
+    plan = build_dispatch(sel, 2, capacity_factor=0.5)
+    assert plan.n_overflow > 0
     gates = np.zeros((6, 2))
     gates[:, 0] = 1.0
-    out, cache = expert_mixture_forward(bank.params, 2, plan, x, gates)
-    _, d_gates, _ = expert_mixture_backward(np.ones_like(out), cache, bank.params)
-    for t, j in plan.overflow:
-        assert d_gates[t, j] == 0.0
+    out, cache = expert_mixture_forward(bank, 2, plan, x, gates)
+    _, d_gates, _ = expert_mixture_backward(np.ones_like(out), cache, bank)
+    for t in np.nonzero(~plan.admitted[:, 0])[0]:
+        assert d_gates[t, 0] == 0.0
         assert np.all(out[t] == 0.0)
     admitted_rows = plan.expert_tokens[0]
     assert np.all(d_gates[admitted_rows, 0] != 0.0)

@@ -1,0 +1,111 @@
+import json
+
+import pytest
+
+from come import harness
+from come.config import RunConfig, apply_overrides, config_to_dict
+
+SMALL = [
+    "data.n_samples=80",
+    "training.steps=4",
+    "training.log_every=2",
+    "training.eval_batches=1",
+]
+
+
+@pytest.fixture(scope="module")
+def small():
+    cfg = apply_overrides(RunConfig(), SMALL)
+    return cfg, harness.build_dataset(cfg)
+
+
+def _final_row(cfg, dataset, overrides):
+    final = harness.train(apply_overrides(cfg, overrides), dataset=dataset).final()
+    return [final.test_acc, final.purity, final.util_cv, final.overflow_rate]
+
+
+# ---------------------------------------------------------------------------
+# halting
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_step_halts_and_restores_initial_params():
+    cfg = apply_overrides(RunConfig(), ["optimizer.lr=1e6", "training.steps=50"])
+    result = harness.train(cfg)
+    assert result.halted
+    assert result.halt_reason.startswith("non-finite value at step 20: softmax logits:")
+    assert result.manifest["halted"] == result.halt_reason
+    assert result.metrics == []
+    with pytest.raises(ValueError, match="logged no metrics"):
+        result.final()
+    digests = result.manifest["digests"]
+    assert digests["params_final"] == digests["params_init"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_halt_keeps_the_parameters_of_the_last_log_point():
+    over = ["optimizer.lr=1e6", "training.steps=50", "training.log_every=1"]
+    result = harness.train(apply_overrides(RunConfig(), over))
+    assert result.halt_reason.startswith("non-finite value at step 19:")
+    assert [m.step for m in result.metrics] == list(range(1, 19))
+    last_logged = harness.train(apply_overrides(RunConfig(), over + ["training.steps=18"]))
+    assert not last_logged.halted
+    assert (result.manifest["digests"]["params_final"]
+            == last_logged.manifest["digests"]["params_final"])
+
+
+# ---------------------------------------------------------------------------
+# ablations and sweeps
+# ---------------------------------------------------------------------------
+
+
+def test_run_ablations_rows_csv_and_manifest(small, tmp_path):
+    cfg, dataset = small
+    rows = harness.run_ablations(cfg, dataset=dataset, seeds=[3, 4], out_dir=tmp_path)
+    assert [row[:2] for row in rows] == [
+        [variant, seed] for variant in harness.ABLATION_VARIANTS for seed in (3, 4)
+    ]
+    assert all(len(row) == len(harness.ABLATION_HEADER) for row in rows)
+    no_tb = rows[2 * list(harness.ABLATION_VARIANTS).index("no_tb") + 1]
+    expected = _final_row(cfg, dataset, ["losses.tb_weight=0", "seed=4"])
+    assert no_tb[2:] == expected[:3]
+
+    lines = (tmp_path / "ablations.csv").read_text().splitlines()
+    assert lines[0] == ",".join(harness.ABLATION_HEADER)
+    assert lines[1:] == [",".join(harness._fmt(v) for v in row) for row in rows]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "ablate"
+    assert manifest["seeds"] == [3, 4]
+    assert manifest["outputs"] == ["ablations.csv"]
+    assert manifest["config"] == config_to_dict(cfg)
+
+
+@pytest.mark.parametrize(
+    "axis, values, overrides",
+    [
+        ("topk", [2, 1], [["router.top_k=2"], ["router.top_k=1"]]),
+        ("experts", [4, 8], [["model.n_experts=4", "router.top_k=1"],
+                             ["model.n_experts=8", "router.top_k=1"]]),
+    ],
+)
+def test_sweep_rows_csv_and_manifest(small, tmp_path, axis, values, overrides):
+    cfg, dataset = small
+    rows = harness.sweep(cfg, axis, dataset=dataset, values=values, out_dir=tmp_path)
+    assert [row[:3] for row in rows] == [[axis, v, cfg.seed] for v in values]
+    assert rows[0][3:] == _final_row(cfg, dataset, overrides[0])
+    assert rows[1][3:] == _final_row(cfg, dataset, overrides[1])
+
+    lines = (tmp_path / f"sweep_{axis}.csv").read_text().splitlines()
+    assert lines[0] == ",".join(harness.SWEEP_HEADER)
+    assert lines[1:] == [",".join(harness._fmt(v) for v in row) for row in rows]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "sweep"
+    assert (manifest["axis"], manifest["values"]) == (axis, values)
+    assert manifest["outputs"] == [f"sweep_{axis}.csv"]
+
+
+def test_sweep_rejects_unknown_axis(small):
+    cfg, dataset = small
+    with pytest.raises(ValueError, match="sweep axis must be one of"):
+        harness.sweep(cfg, "heads", dataset=dataset)

@@ -8,8 +8,8 @@ from come.numerics import (
     AdamWState,
     GradCheckResult,
     RandomStreams,
+    NonFiniteError,
     adamw_step,
-    array_digest,
     cv_squared,
     cv_squared_grad,
     grad_check,
@@ -298,11 +298,8 @@ def test_streams_unknown_purpose_rejected():
         RandomStreams(0).stream("weights")
 
 
-def test_require_finite_and_digest():
-    with pytest.raises(ValueError):
-        require_finite("x", np.array([1.0, np.inf]))
-    d1 = array_digest({"a": np.arange(4.0), "b": np.ones((2, 2))})
-    d2 = array_digest({"b": np.ones((2, 2)), "a": np.arange(4.0)})
-    assert d1 == d2
-    d3 = array_digest({"a": np.arange(4.0) + 1e-12, "b": np.ones((2, 2))})
-    assert d1 != d3
+def test_require_finite_raises_nonfinite_error():
+    with pytest.raises(NonFiniteError, match=r"x: 2 non-finite entries \(shape \(3,\)\)"):
+        require_finite("x", np.array([1.0, np.inf, np.nan]))
+    assert issubclass(NonFiniteError, ValueError)
+    np.testing.assert_array_equal(require_finite("x", [1, 2]), [1.0, 2.0])

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from come.experts import expert_apply, init_expert_bank
+from come.experts import init_expert_bank
 from come.numerics import grad_check, softmax
 from come.router import (
     GateCache,
-    RouterParams,
     build_dispatch,
     dispatch_capacity,
     gate_backward,
@@ -16,13 +15,25 @@ from come.router import (
 )
 
 
-def _router(n_experts=4, width=5, seed=None, **kw):
-    r = RouterParams(weight=np.zeros((n_experts, width)), bias=np.zeros(n_experts), **kw)
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        r.weight = rng.normal(size=(n_experts, width))
-        r.bias = rng.normal(size=n_experts)
-    return r
+def _router(n_experts=4, width=5, seed=None):
+    if seed is None:
+        return {"router.w": np.zeros((n_experts, width)), "router.b": np.zeros(n_experts)}
+    rng = np.random.default_rng(seed)
+    return {"router.w": rng.normal(size=(n_experts, width)),
+            "router.b": rng.normal(size=n_experts)}
+
+
+def _theta_router(theta, n_experts, width):
+    return {"router.w": theta[: n_experts * width].reshape(n_experts, width),
+            "router.b": theta[n_experts * width :]}
+
+
+def _theta0(router):
+    return np.concatenate([router["router.w"].ravel(), router["router.b"]])
+
+
+def _grad_vector(grads):
+    return np.concatenate([grads["router.w"].ravel(), grads["router.b"]])
 
 
 # ---------------------------------------------------------------------------
@@ -33,47 +44,39 @@ def _router(n_experts=4, width=5, seed=None, **kw):
 def test_zero_router_gives_uniform_gates():
     router = _router(n_experts=8, width=3)
     x = np.random.default_rng(0).normal(size=(5, 3))
-    gates, _ = gate_forward(x, router)
+    gates, _ = gate_forward(x, router, 1.0)
     np.testing.assert_allclose(gates, 1.0 / 8, atol=1e-15)
 
 
 def test_gate_rows_sum_to_one():
     router = _router(seed=1)
     x = np.random.default_rng(2).normal(size=(20, 5)) * 50
-    gates, _ = gate_forward(x, router)
+    gates, _ = gate_forward(x, router, 1.0)
     np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_high_temperature_flattens_gates():
     router = _router(seed=3)
-    router.temperature = 1e6
     x = np.random.default_rng(4).normal(size=(10, 5))
-    gates, _ = gate_forward(x, router)
+    gates, _ = gate_forward(x, router, 1e6)
     assert np.all(gates.max(axis=1) - gates.min(axis=1) < 1e-3)
 
 
 def test_temperature_halving_equals_logit_doubling():
     x = np.random.default_rng(5).normal(size=(8, 5))
     half = _router(seed=6)
-    half.temperature = 0.5
-    doubled = _router(seed=6)
-    doubled.weight = doubled.weight * 2.0
-    doubled.bias = doubled.bias * 2.0
-    g1, _ = gate_forward(x, half)
-    g2, _ = gate_forward(x, doubled)
+    doubled = {name: 2.0 * value for name, value in half.items()}
+    g1, _ = gate_forward(x, half, 0.5)
+    g2, _ = gate_forward(x, doubled, 1.0)
     np.testing.assert_allclose(g1, g2, atol=1e-12, rtol=0)
 
 
 def test_gate_rejects_bad_inputs():
     router = _router()
     with pytest.raises(ValueError, match="width"):
-        gate_forward(np.zeros((2, 3)), router)
+        gate_forward(np.zeros((2, 3)), router, 1.0)
     with pytest.raises(ValueError, match="non-finite"):
-        gate_forward(np.array([[np.nan] * 5]), router)
-    with pytest.raises(ValueError, match="temperature"):
-        RouterParams(weight=np.zeros((2, 2)), bias=np.zeros(2), temperature=0.0)
-    with pytest.raises(ValueError, match="top_k"):
-        RouterParams(weight=np.zeros((2, 2)), bias=np.zeros(2), top_k=3)
+        gate_forward(np.array([[np.nan] * 5]), router, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,31 +86,22 @@ def test_gate_rejects_bad_inputs():
 
 def test_topk_direct_example():
     g = np.array([[0.5, 0.3, 0.15, 0.05]])
-    idx, w = topk_select(g, 2)
-    np.testing.assert_array_equal(idx[0], [0, 1])
-    np.testing.assert_allclose(w[0], [0.5, 0.3])
+    idx = topk_select(g, 2)
+    np.testing.assert_array_equal(idx, [[0, 1]])
 
 
 def test_topk_all_experts_weights_sum_to_one():
     g = softmax(np.random.default_rng(7).normal(size=(6, 4)), axis=1)
-    idx, w = topk_select(g, 4)
+    idx = topk_select(g, 4)
     assert np.all(np.sort(idx, axis=1) == np.arange(4))
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.take_along_axis(g, idx, axis=1).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_topk_tie_breaks_to_lowest_index():
     g = np.full((1, 4), 0.25)
-    idx, w = topk_select(g, 1)
-    assert idx[0, 0] == 0
-    idx2, _ = topk_select(g, 3)
+    assert topk_select(g, 1)[0, 0] == 0
+    idx2 = topk_select(g, 3)
     np.testing.assert_array_equal(idx2[0], [0, 1, 2])
-
-
-def test_topk_renormalize_flag():
-    g = np.array([[0.5, 0.3, 0.15, 0.05]])
-    _, w = topk_select(g, 2, renormalize=True)
-    np.testing.assert_allclose(w[0], [0.625, 0.375])
-    np.testing.assert_allclose(w.sum(axis=1), 1.0)
 
 
 def test_topk_invariant_to_per_row_constant_logit_shift():
@@ -115,8 +109,8 @@ def test_topk_invariant_to_per_row_constant_logit_shift():
     logits = rng.normal(size=(10, 6))
     g1 = softmax(logits, axis=1)
     g2 = softmax(logits + rng.normal(size=(10, 1)), axis=1)
-    idx1, _ = topk_select(g1, 3)
-    idx2, _ = topk_select(g2, 3)
+    idx1 = topk_select(g1, 3)
+    idx2 = topk_select(g2, 3)
     np.testing.assert_array_equal(idx1, idx2)
 
 
@@ -139,20 +133,19 @@ def test_capacity_arithmetic_examples():
 
 def test_all_tokens_one_expert_overflow_accounting():
     sel = np.zeros((20, 1), dtype=np.int64)
-    plan = build_dispatch(sel, np.ones((20, 1)), 8, capacity_factor=1.25)
+    plan = build_dispatch(sel, 8, capacity_factor=1.25)
     assert plan.capacity == 4
     assert plan.expert_tokens[0].size == 4
     np.testing.assert_array_equal(plan.expert_tokens[0], [0, 1, 2, 3])  # ascending order
-    assert len(plan.overflow) == 16
-    assert plan.overflow_rate == 16 / 20
-    assert all(j == 0 for _, j in plan.overflow)
+    assert plan.n_overflow == 16
+    np.testing.assert_array_equal(np.nonzero(~plan.admitted)[0], np.arange(4, 20))
 
 
 def test_uniform_routing_has_no_overflow():
     n_experts, per = 4, 6
     sel = np.repeat(np.arange(n_experts), per)[:, None]
-    plan = build_dispatch(sel, np.ones_like(sel, dtype=float), n_experts, 1.0)
-    assert len(plan.overflow) == 0
+    plan = build_dispatch(sel, n_experts, 1.0)
+    assert plan.n_overflow == 0
     np.testing.assert_array_equal(plan.utilization(), per)
 
 
@@ -164,23 +157,28 @@ def test_capacity_never_violated_randomized():
         k = int(rng.integers(1, n_experts + 1))
         f = float(rng.choice([0.5, 1.0, 1.25, 2.0, rng.uniform(0.1, 3.0)]))
         gates = rng.dirichlet(np.ones(n_experts), size=n_tokens)
-        sel, w = topk_select(gates, k)
-        plan = build_dispatch(sel, w, n_experts, f)
+        sel = topk_select(gates, k)
+        plan = build_dispatch(sel, n_experts, f)
         cap = math.ceil(f * n_tokens * k / n_experts)
         assert plan.capacity == cap
         assert np.all(plan.utilization() <= cap)
-        # every pair is exactly one of admitted / overflow
-        assert plan.admitted.sum() + len(plan.overflow) == n_tokens * k
+        # reference: walk the pairs in token order, admitting while the expert has room
+        seen = np.zeros(n_experts, dtype=int)
+        expected = np.zeros_like(sel, dtype=bool)
+        for t, s in np.ndindex(*sel.shape):
+            expected[t, s] = seen[sel[t, s]] < cap
+            seen[sel[t, s]] += 1
+        np.testing.assert_array_equal(plan.admitted, expected)
+        assert plan.n_overflow == np.count_nonzero(~expected)
 
 
 def test_dispatch_deterministic():
     rng = np.random.default_rng(10)
     gates = rng.dirichlet(np.ones(5), size=30)
-    sel, w = topk_select(gates, 2)
-    p1 = build_dispatch(sel, w, 5, 1.25)
-    p2 = build_dispatch(sel, w, 5, 1.25)
+    sel = topk_select(gates, 2)
+    p1 = build_dispatch(sel, 5, 1.25)
+    p2 = build_dispatch(sel, 5, 1.25)
     np.testing.assert_array_equal(p1.admitted, p2.admitted)
-    assert p1.overflow == p2.overflow
     assert [tuple(t) for t in p1.expert_tokens] == [tuple(t) for t in p2.expert_tokens]
 
 
@@ -196,84 +194,65 @@ def test_gate_backward_passes_grad_check():
     proj = rng.normal(size=(6, 4))
 
     def fn(theta):
-        r = RouterParams(
-            weight=theta[:20].reshape(4, 5),
-            bias=theta[20:],
-            temperature=0.7,
-            top_k=2,
-        )
-        gates, cache = gate_forward(x, r)
+        r = _theta_router(theta, 4, 5)
+        gates, cache = gate_forward(x, r, 0.7)
         val = float(np.sum(gates * proj))
-        _, grads = gate_backward(proj, cache, r)
-        return val, np.concatenate([grads["router.w"].ravel(), grads["router.b"]])
+        _, grads = gate_backward(proj, cache, r, 0.7)
+        return val, _grad_vector(grads)
 
-    theta0 = np.concatenate([router.weight.ravel(), router.bias])
-    assert grad_check(fn, theta0, h=1e-5).max_rel_error < 1e-5
+    assert grad_check(fn, _theta0(router), h=1e-5).max_rel_error < 1e-5
 
 
 def test_unmasked_mixture_gradient_matches_full_softmax_mixture():
     # K = n_experts and huge capacity: nothing is masked, so the analytic
     # gradient must match finite differences of the plain mixture
     n_experts, width, n_tok = 3, 4, 5
-    bank = init_expert_bank(n_experts, width, 6, n_experts, np.random.default_rng(14))
+    bank = init_expert_bank(n_experts, width, 6, np.random.default_rng(14))
     rng = np.random.default_rng(15)
     x = rng.normal(size=(n_tok, width))
     proj = rng.normal(size=(n_tok, width))
-    router0 = _router(n_experts, width, seed=16, top_k=n_experts, capacity_factor=100.0)
+    router0 = _router(n_experts, width, seed=16)
 
     from come.experts import expert_mixture_backward, expert_mixture_forward
 
     def fn(theta):
-        r = RouterParams(
-            weight=theta[: n_experts * width].reshape(n_experts, width),
-            bias=theta[n_experts * width :],
-            top_k=n_experts,
-            capacity_factor=100.0,
-        )
-        gates, cache = gate_forward(x, r)
-        sel, w = topk_select(gates, n_experts)
-        plan = build_dispatch(sel, w, n_experts, 100.0)
-        out, mix_cache = expert_mixture_forward(bank.params, n_experts, plan, x, gates)
+        r = _theta_router(theta, n_experts, width)
+        gates, cache = gate_forward(x, r, 1.0)
+        plan = build_dispatch(topk_select(gates, n_experts), n_experts, 100.0)
+        out, mix_cache = expert_mixture_forward(bank, n_experts, plan, x, gates)
         val = float(np.sum(out * proj))
-        _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank.params)
-        _, grads = gate_backward(d_gates, cache, r)
-        return val, np.concatenate([grads["router.w"].ravel(), grads["router.b"]])
+        _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank)
+        _, grads = gate_backward(d_gates, cache, r, 1.0)
+        return val, _grad_vector(grads)
 
-    theta0 = np.concatenate([router0.weight.ravel(), router0.bias])
-    assert grad_check(fn, theta0, h=1e-5).max_rel_error < 1e-4
+    assert grad_check(fn, _theta0(router0), h=1e-5).max_rel_error < 1e-4
 
 
 def test_masked_mixture_gradient_with_fixed_mask():
     # random masked case: hold selection and admission fixed, check the
     # router gradient against finite differences of the masked function
     n_experts, width, n_tok, k = 4, 3, 8, 2
-    bank = init_expert_bank(n_experts, width, 5, 2, np.random.default_rng(17))
+    bank = init_expert_bank(n_experts, width, 5, np.random.default_rng(17))
     rng = np.random.default_rng(18)
     x = rng.normal(size=(n_tok, width))
     proj = rng.normal(size=(n_tok, width))
-    router0 = _router(n_experts, width, seed=19, top_k=k, capacity_factor=1.0)
-    gates0, _ = gate_forward(x, router0)
-    sel, w0 = topk_select(gates0, k)
-    plan = build_dispatch(sel, w0, n_experts, 1.0)
-    assert len(plan.overflow) > 0
+    router0 = _router(n_experts, width, seed=19)
+    gates0, _ = gate_forward(x, router0, 1.0)
+    plan = build_dispatch(topk_select(gates0, k), n_experts, 1.0)
+    assert plan.n_overflow > 0
 
     from come.experts import expert_mixture_backward, expert_mixture_forward
 
     def fn(theta):
-        r = RouterParams(
-            weight=theta[: n_experts * width].reshape(n_experts, width),
-            bias=theta[n_experts * width :],
-            top_k=k,
-        )
-        gates, cache = gate_forward(x, r)
-        out, mix_cache = expert_mixture_forward(bank.params, n_experts, plan, x, gates)
+        r = _theta_router(theta, n_experts, width)
+        gates, cache = gate_forward(x, r, 1.0)
+        out, mix_cache = expert_mixture_forward(bank, n_experts, plan, x, gates)
         val = float(np.sum(out * proj))
-        _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank.params)
-        _, grads = gate_backward(d_gates, cache, r)
-        return val, np.concatenate([grads["router.w"].ravel(), grads["router.b"]])
+        _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank)
+        _, grads = gate_backward(d_gates, cache, r, 1.0)
+        return val, _grad_vector(grads)
 
-    theta0 = np.concatenate([router0.weight.ravel(), router0.bias])
-    assert grad_check(fn, theta0, h=1e-5).max_rel_error < 1e-4
+    assert grad_check(fn, _theta0(router0), h=1e-5).max_rel_error < 1e-4
 
 
 def test_gate_backward_rejects_cache_mismatch():
@@ -282,4 +261,4 @@ def test_gate_backward_rejects_cache_mismatch():
         inputs=np.zeros((2, 4)), logits=np.zeros((2, 3)), gates=np.full((2, 3), 1 / 3)
     )
     with pytest.raises(Exception):
-        gate_backward(np.zeros((3, 3)), cache, router)
+        gate_backward(np.zeros((3, 3)), cache, router, 1.0)
