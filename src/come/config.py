@@ -1,15 +1,19 @@
 """Run configuration: strict JSON loading, dotted overrides, manifests.
 
-Unknown keys are rejected everywhere. A run manifest embeds the fully
-resolved config under a ``config`` key, and the loader accepts either a
-bare config object or such a manifest, so a manifest can be re-fed as
-``--config`` to reproduce a run.
+Unknown keys are rejected everywhere, and every value must have the type
+of its field's default (``ConfigError`` names key, value and type). The
+``data`` section is the generator's own ``GeneratorConfig`` plus the
+dataset seed and an optional container path. A run manifest embeds the
+fully resolved config under a ``config`` key, and the loader accepts
+either a bare config object or such a manifest, so a manifest can be
+re-fed as ``--config`` to reproduce a run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,30 +25,13 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class DataConfig:
+class DataConfig(GeneratorConfig):
     seed: int = 0
     path: str | None = None  # optional pre-generated feature container
-    n_sources: int = 4
-    width: int = 32
-    tokens_per_sample: int = 16
-    n_classes: int = 3
-    shared_rank: int = 4
-    source_rank: int = 2
-    n_samples: int = 4000
-    source_weights: list = field(default_factory=lambda: [4.0, 2.0, 1.0, 1.0])
-    mean_scale: float = 2.0
-    shared_scale: float = 1.0
-    source_scale: float = 1.0
-    noise_scale: float = 0.5
-    label_shared_scale: float = 1.5
-    label_source_scale: float = 1.0
-    source_basis_mode: str = "shared"
-    train_fraction: float = 0.8
 
     def generator(self) -> GeneratorConfig:
-        fields = {f.name for f in dataclasses.fields(GeneratorConfig)}
         return GeneratorConfig(
-            **{k: v for k, v in dataclasses.asdict(self).items() if k in fields}
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(GeneratorConfig)}
         )
 
 
@@ -117,57 +104,40 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def validate(self):
-        if self.model.arch not in ("come", "dense"):
-            raise ConfigError(f"model.arch must be come|dense, got {self.model.arch!r}")
-        if self.clustering.strategy not in ("fine2coarse", "multistep", "none"):
-            raise ConfigError(
-                f"clustering.strategy must be fine2coarse|multistep|none, "
-                f"got {self.clustering.strategy!r}"
-            )
-        if self.losses.load_mode not in ("literal", "margin"):
-            raise ConfigError(
-                f"losses.load_mode must be literal|margin, got {self.losses.load_mode!r}"
-            )
+        leaves = dict(_leaves(self))
+        for key, choices in (
+            ("model.arch", ("come", "dense")),
+            ("clustering.strategy", ("fine2coarse", "multistep", "none")),
+            ("losses.load_mode", ("literal", "margin")),
+        ):
+            if leaves[key] not in choices:
+                raise ConfigError(f"{key} must be {'|'.join(choices)}, got {leaves[key]!r}")
         if not 1 <= self.router.top_k <= self.model.n_experts:
             raise ConfigError(
                 f"router.top_k={self.router.top_k} outside [1, {self.model.n_experts}]"
             )
-        for key, value in (
-            ("router.capacity_factor", self.router.capacity_factor),
-            ("router.temperature", self.router.temperature),
-            ("losses.load_noise_scale", self.losses.load_noise_scale),
+        for bound, holds, keys in (
+            ("> 0", lambda v: v > 0,
+             ("router.capacity_factor", "router.temperature", "losses.load_noise_scale")),
+            (">= 0", lambda v: v >= 0,
+             ("seed", "data.seed", "losses.tb_weight", "losses.balance_weight", "training.steps")),
+            (">= 1", lambda v: v >= 1,
+             ("model.heads", "model.expert_hidden_ratio", "clustering.clusters",
+              "clustering.steps", "training.batch_size", "training.log_every",
+              "training.eval_batches", "clustering.max_iters")),
         ):
-            if not value > 0:
-                raise ConfigError(f"{key} must be > 0, got {value}")
-        for key, value in (
-            ("losses.tb_weight", self.losses.tb_weight),
-            ("losses.balance_weight", self.losses.balance_weight),
-            ("training.steps", self.training.steps),
-        ):
-            if not value >= 0:
-                raise ConfigError(f"{key} must be >= 0, got {value}")
+            for key in keys:
+                if not holds(leaves[key]):
+                    raise ConfigError(f"{key} must be {bound}, got {leaves[key]}")
         fraction = self.clustering.min_cluster_fraction
         if not 0 <= fraction < 1:
             raise ConfigError(f"clustering.min_cluster_fraction must be in [0, 1), got {fraction}")
-        if self.model.arch == "come" and self.losses.tb_weight > 0.0:
-            # every source must own at least one expert for supervision
-            if self.model.n_experts < self.data.n_sources:
-                raise ConfigError(
-                    f"traceability needs n_experts >= n_sources "
-                    f"({self.model.n_experts} < {self.data.n_sources})"
-                )
-        for key, value in (
-            ("model.heads", self.model.heads),
-            ("model.expert_hidden_ratio", self.model.expert_hidden_ratio),
-            ("clustering.clusters", self.clustering.clusters),
-            ("clustering.steps", self.clustering.steps),
-            ("training.batch_size", self.training.batch_size),
-            ("training.log_every", self.training.log_every),
-            ("training.eval_batches", self.training.eval_batches),
-            ("clustering.max_iters", self.clustering.max_iters),
-        ):
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
+        if self.model.arch == "come" and self.model.n_experts < self.data.n_sources:
+            # traceability (computed even at weight 0) needs every source to own an expert
+            raise ConfigError(
+                f"traceability needs n_experts >= n_sources "
+                f"({self.model.n_experts} < {self.data.n_sources})"
+            )
         if self.data.width % self.model.heads:
             raise ConfigError(
                 f"model.heads={self.model.heads} does not divide data.width={self.data.width}"
@@ -177,30 +147,45 @@ class RunConfig:
             raise ConfigError(
                 f"clustering needs fine_clusters > coarse_clusters >= 1, got {fine} and {coarse}"
             )
+        for key, value in leaves.items():
+            if isinstance(_DEFAULTS[key], (float, list)):
+                numbers = value if isinstance(value, list) else [value]
+                # finite, also as a float: an int can be too large for one
+                if not all(abs(v) <= sys.float_info.max for v in numbers):
+                    raise ConfigError(f"{key} must be finite, got {value!r}")
         try:
-            self.data.generator().validate()
+            self.data.validate()
         except ValueError as exc:
             raise ConfigError(f"data: {exc}") from exc
         return self
 
 
-_SECTIONS = {
-    "data": DataConfig,
-    "model": ModelConfig,
-    "clustering": ClusteringConfig,
-    "router": RouterConfig,
-    "losses": LossConfig,
-    "optimizer": OptimizerConfig,
-    "training": TrainingConfig,
+def _leaves(cfg: RunConfig, prefix: str = ""):
+    """(dotted key, value) for every leaf of a config, in field order."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a value's accepted types, keyed by the type of its field's default
+_TYPES = {
+    bool: ("a bool", lambda v: isinstance(v, bool)),
+    int: ("an int", lambda v: _number(v) and isinstance(v, int)),
+    float: ("a number", _number),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
 }
 
-
-def _build_section(cls, data: dict, path: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path}")
-    return cls(**data)
+_DEFAULTS = dict(_leaves(RunConfig()))
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig) if f.name != "seed"}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -210,13 +195,21 @@ def config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
-    kwargs = {"seed": int(data.get("seed", 0))}
+    kwargs = {"seed": data.get("seed", 0)}
     for name, cls in _SECTIONS.items():
         section = data.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be an object")
-        kwargs[name] = _build_section(cls, section, name)
-    return RunConfig(**kwargs)
+        unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name}")
+        kwargs[name] = cls(**section)
+    cfg = RunConfig(**kwargs)
+    for key, value in _leaves(cfg):
+        expected, accepts = _TYPES[type(_DEFAULTS[key])]
+        if not accepts(value):
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return cfg
 
 
 def load_config(path=None) -> RunConfig:
@@ -252,16 +245,9 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         if "=" not in raw:
             raise ConfigError(f"override {raw!r} must be key=value")
         dotted, value = raw.split("=", 1)
-        parts = dotted.strip().split(".")
-        cursor = data
-        for part in parts[:-1]:
-            if part not in cursor or not isinstance(cursor[part], dict):
-                raise ConfigError(f"unknown config section {dotted!r}")
-            cursor = cursor[part]
-        leaf = parts[-1]
-        if leaf not in cursor:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(cursor[leaf], dict):
-            raise ConfigError(f"{dotted!r} is a section, not a value")
-        cursor[leaf] = _parse_value(value.strip())
+        key = dotted.strip()
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        section, _, leaf = key.rpartition(".")
+        (data[section] if section else data)[leaf] = _parse_value(value.strip())
     return config_from_dict(data)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -43,6 +44,7 @@ class _Reader:
     """Bounds-checked reads through a container file after its magic bytes.
 
     Every error is a ValueError naming the path and what was being read.
+    Sizes are exact Python integers, so no header value can wrap them.
     """
 
     def __init__(self, path, kind: str):
@@ -65,8 +67,11 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def floats(self, shape: tuple, what: str) -> np.ndarray:
-        data = self.read(4 * int(np.prod(shape)), what)
-        return np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+        data = self.read(4 * math.prod(shape), what)
+        try:
+            return np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+        except ValueError as exc:  # more dimensions than NumPy supports
+            raise ValueError(f"{self.path}: cannot shape {what} as {shape} ({exc})") from exc
 
     def finish(self, what: str):
         if self.offset != len(self.raw):
@@ -96,6 +101,13 @@ def load_dataset(path) -> DatasetBundle:
     version, n, t, d = reader.unpack("<IIII", "the header")
     if version != DATASET_VERSION:
         raise ValueError(f"{reader.path}: unsupported dataset version {version}")
+    sample_size = 8 + 4 * t * d
+    fits = (len(reader.raw) - reader.offset) // sample_size
+    if fits < n:  # checked before allocating what the header claims
+        raise ValueError(
+            f"{reader.path}: truncated in sample {fits + 1} of {n}: the header implies "
+            f"{reader.offset + n * sample_size} bytes, file has {len(reader.raw)}"
+        )
     tokens = np.empty((n, t, d))
     sources = np.empty(n, dtype=np.int64)
     labels = np.empty(n, dtype=np.int64)
@@ -156,7 +168,10 @@ def load_checkpoint(path):
     for i in range(n_blobs):
         what = f"blob {i + 1} of {n_blobs}"
         (name_len,) = reader.unpack("<H", what)
-        name = bytes(reader.read(name_len, what)).decode("utf-8")
+        try:
+            name = bytes(reader.read(name_len, what)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{reader.path}: {what} has a name that is not UTF-8 ({exc})") from exc
         what = f"blob {name!r}"
         (ndim,) = reader.unpack("<B", what)
         params[name] = reader.floats(reader.unpack(f"<{ndim}I", what), what)

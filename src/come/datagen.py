@@ -1,11 +1,14 @@
 """Deterministic synthetic multi-source token generator.
 
-Each source owns a mean vector, an orthonormal latent subspace, and a noise
-scale; every sample draws a shared latent z and a source latent u, emits
-T noisy copies of mean + W_shared z + B_source u, and takes its class label
-from argmax(V z + V_source u) so that both the shared and the
-source-specific latent carry label signal. Source frequencies are
-deliberately imbalanced.
+Each source owns a mean vector and an orthonormal latent subspace; every
+sample draws a shared latent z and a source latent u, emits T noisy copies
+of mean + W_shared z + B_source u, and takes its class label from
+argmax(V z + V_source u) so that both the shared and the source-specific
+latent carry label signal. Source frequencies (``source_weights``) are
+deliberately imbalanced, and all sources share one noise scale.
+
+``GeneratorConfig`` is the one schema of the generator's parameters: the
+run config's ``data`` section extends it with the dataset seed and path.
 
 With ``source_basis_mode="shared"`` (the default) every source embeds u in
 the same subspace while keeping its own label map V_source: the token-to-
@@ -17,7 +20,7 @@ of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,15 +68,6 @@ class GeneratorConfig:
 
 
 @dataclass
-class SourceSpec:
-    source_id: int
-    weight: float
-    mean: Array  # (D,)
-    basis: Array  # (D, r) orthonormal columns
-    noise_scale: float
-
-
-@dataclass
 class TokenBatch:
     """The unit flowing through attention, clustering, routing and experts."""
 
@@ -97,8 +91,6 @@ class DatasetBundle:
     test_idx: Array
     config: GeneratorConfig
     seed: int
-    specs: list = field(default_factory=list)
-    shared_basis: Array | None = None
     label_shared_map: Array | None = None  # (C, shared_rank)
     label_source_maps: Array | None = None  # (M, C, source_rank)
     latents_shared: Array | None = None  # (N, shared_rank)
@@ -124,23 +116,18 @@ def _orthonormal(rng: np.random.Generator, width: int, rank: int) -> Array:
     return q[:, :rank]
 
 
-def build_source_specs(cfg: GeneratorConfig, rng: np.random.Generator) -> list:
+def _source_frames(cfg: GeneratorConfig, rng: np.random.Generator):
+    """Per-source latent bases (D, r) and means (D,), drawing each source's
+    basis (once for all sources in "shared" mode) before its mean."""
     common = None
     if cfg.source_basis_mode == "shared":
         common = _orthonormal(rng, cfg.width, cfg.source_rank)
-    specs = []
-    for m in range(cfg.n_sources):
+    bases, means = [], []
+    for _ in range(cfg.n_sources):
         basis = common if common is not None else _orthonormal(rng, cfg.width, cfg.source_rank)
-        specs.append(
-            SourceSpec(
-                source_id=m,
-                weight=float(cfg.source_weights[m]),
-                mean=cfg.mean_scale * rng.standard_normal(cfg.width),
-                basis=cfg.source_scale * basis.copy(),
-                noise_scale=float(cfg.noise_scale),
-            )
-        )
-    return specs
+        bases.append(cfg.source_scale * basis)
+        means.append(cfg.mean_scale * rng.standard_normal(cfg.width))
+    return bases, means
 
 
 def generate(cfg: GeneratorConfig, seed: int) -> DatasetBundle:
@@ -149,14 +136,14 @@ def generate(cfg: GeneratorConfig, seed: int) -> DatasetBundle:
     streams = RandomStreams(seed)
     rng = streams.stream("data")
 
-    specs = build_source_specs(cfg, rng)
+    bases, means = _source_frames(cfg, rng)
     shared_basis = cfg.shared_scale * _orthonormal(rng, cfg.width, cfg.shared_rank)
     label_shared = cfg.label_shared_scale * rng.standard_normal((cfg.n_classes, cfg.shared_rank))
     label_source = cfg.label_source_scale * rng.standard_normal(
         (cfg.n_sources, cfg.n_classes, cfg.source_rank)
     )
 
-    weights = np.array([s.weight for s in specs])
+    weights = np.array(cfg.source_weights, dtype=np.float64)
     weights = weights / weights.sum()
 
     n, t, d = cfg.n_samples, cfg.tokens_per_sample, cfg.width
@@ -167,11 +154,10 @@ def generate(cfg: GeneratorConfig, seed: int) -> DatasetBundle:
     us = np.empty((n, max(cfg.source_rank, 1)))
     for i in range(n):
         m = int(rng.choice(cfg.n_sources, p=weights))
-        spec = specs[m]
         z = rng.standard_normal(cfg.shared_rank)
         u = rng.standard_normal(cfg.source_rank)
-        base = spec.mean + shared_basis @ z + spec.basis @ u
-        tokens[i] = base + spec.noise_scale * rng.standard_normal((t, d))
+        base = means[m] + shared_basis @ z + bases[m] @ u
+        tokens[i] = base + cfg.noise_scale * rng.standard_normal((t, d))
         scores = label_shared @ z + label_source[m] @ u
         sources[i] = m
         labels[i] = int(np.argmax(scores))
@@ -191,8 +177,6 @@ def generate(cfg: GeneratorConfig, seed: int) -> DatasetBundle:
         test_idx=test_idx,
         config=cfg,
         seed=int(seed),
-        specs=specs,
-        shared_basis=shared_basis,
         label_shared_map=label_shared,
         label_source_maps=label_source,
         latents_shared=zs,
@@ -218,28 +202,15 @@ def leave_source_out(bundle: DatasetBundle, holdout: int):
     train_mask = np.zeros(bundle.n_samples, dtype=bool)
     train_mask[bundle.train_idx] = True
 
-    kept = DatasetBundle(
-        tokens=bundle.tokens[keep_pos],
-        sources=bundle.sources[keep_pos],
-        labels=bundle.labels[keep_pos],
-        train_idx=remap[np.flatnonzero(keep_mask & train_mask)],
-        test_idx=remap[np.flatnonzero(keep_mask & ~train_mask)],
-        config=bundle.config,
-        seed=bundle.seed,
-        specs=bundle.specs,
-        shared_basis=bundle.shared_basis,
-    )
-    held = DatasetBundle(
-        tokens=bundle.tokens[held_pos],
-        sources=bundle.sources[held_pos],
-        labels=bundle.labels[held_pos],
-        train_idx=np.array([], dtype=np.int64),
-        test_idx=np.arange(held_pos.size),
-        config=bundle.config,
-        seed=bundle.seed,
-        specs=bundle.specs,
-        shared_basis=bundle.shared_basis,
-    )
+    def part(pos, train_idx, test_idx):
+        return DatasetBundle(
+            tokens=bundle.tokens[pos], sources=bundle.sources[pos], labels=bundle.labels[pos],
+            train_idx=train_idx, test_idx=test_idx, config=bundle.config, seed=bundle.seed,
+        )
+
+    kept = part(keep_pos, remap[np.flatnonzero(keep_mask & train_mask)],
+                remap[np.flatnonzero(keep_mask & ~train_mask)])
+    held = part(held_pos, np.array([], dtype=np.int64), np.arange(held_pos.size))
     return kept, held
 
 

@@ -2,9 +2,13 @@
 
 Two frozen shared experts (structure / semantic priors as seeded fixed
 affine+tanh maps, never updated), a bank of trainable FFN experts with a
-disjoint source->expert-group ownership map, the 2D->D dimension-reduction
+disjoint source->expert ownership mask, the 2D->D dimension-reduction
 projection that fuses attended tokens with their cluster feature, and the
 exact elementwise aggregation of the three feature streams.
+
+``init_ffn``/``ffn_forward``/``ffn_backward`` define the one two-layer tanh
+FFN: every bank expert is one, under the parameter prefix ``expert.{i}``,
+and so is the dense baseline's body, under ``dense``.
 """
 
 from __future__ import annotations
@@ -72,39 +76,60 @@ def frozen_digest(expert: FrozenExpert) -> str:
 # ---------------------------------------------------------------------------
 
 
-def expert_group_map(n_experts: int, n_sources: int) -> dict:
-    """Disjoint ownership: source m owns floor(n_experts / n_sources) experts.
+def expert_group_map(n_experts: int, n_sources: int) -> Array:
+    """Disjoint ownership as an (n_sources, n_experts) bool mask: source m
+    owns experts [m * per, (m + 1) * per) with per = n_experts // n_sources.
 
     Remainder experts stay unowned and receive no traceability supervision.
     """
     if n_sources < 1:
         raise ValueError("need at least one source")
     per = n_experts // n_sources
+    mask = np.zeros((n_sources, n_experts), dtype=bool)
+    for m in range(n_sources):
+        mask[m, m * per : (m + 1) * per] = True
+    return mask
+
+
+def init_ffn(prefix: str, width: int, hidden: int, rng: np.random.Generator) -> dict:
+    """A two-layer tanh FFN as ``{prefix}.{w1,b1,w2,b2}``, with scaled-uniform
+    fan-in init (w1 drawn before w2)."""
+    lim1 = 1.0 / np.sqrt(width)
+    lim2 = 1.0 / np.sqrt(hidden)
     return {
-        s: tuple(range(s * per, (s + 1) * per))
-        for s in range(n_sources)
+        f"{prefix}.w1": rng.uniform(-lim1, lim1, size=(width, hidden)),
+        f"{prefix}.b1": np.zeros(hidden),
+        f"{prefix}.w2": rng.uniform(-lim2, lim2, size=(hidden, width)),
+        f"{prefix}.b2": np.zeros(width),
     }
+
+
+def ffn_forward(params: dict, prefix: str, x: Array):
+    """tanh(x W1 + b1) W2 + b2 on a row block; returns (output, hidden)."""
+    h = np.tanh(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
+    return h @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"], h
+
+
+def ffn_backward(params: dict, prefix: str, x: Array, h: Array, d_y: Array):
+    """Backward of ``ffn_forward`` given its input, hidden activations and
+    the output gradient; returns (d_x, parameter grads)."""
+    d_pre = (d_y @ params[f"{prefix}.w2"].T) * (1.0 - h * h)
+    grads = {
+        f"{prefix}.w2": h.T @ d_y,
+        f"{prefix}.b2": d_y.sum(axis=0),
+        f"{prefix}.w1": x.T @ d_pre,
+        f"{prefix}.b1": d_pre.sum(axis=0),
+    }
+    return d_pre @ params[f"{prefix}.w1"].T, grads
 
 
 def init_expert_bank(n_experts: int, width: int, hidden: int,
                      rng: np.random.Generator) -> dict:
-    """n_experts two-layer tanh FFNs as ``expert.{i}.{w1,b1,w2,b2}``."""
+    """n_experts FFNs as ``expert.{i}.{w1,b1,w2,b2}``."""
     params = {}
     for i in range(n_experts):
-        # scaled-uniform fan-in init, tanh nonlinearity between the layers
-        lim1 = 1.0 / np.sqrt(width)
-        lim2 = 1.0 / np.sqrt(hidden)
-        params[f"expert.{i}.w1"] = rng.uniform(-lim1, lim1, size=(width, hidden))
-        params[f"expert.{i}.b1"] = np.zeros(hidden)
-        params[f"expert.{i}.w2"] = rng.uniform(-lim2, lim2, size=(hidden, width))
-        params[f"expert.{i}.b2"] = np.zeros(width)
+        params.update(init_ffn(f"expert.{i}", width, hidden, rng))
     return params
-
-
-def expert_apply(params: dict, index: int, x: Array):
-    """One FFN expert on a row block; returns (output, hidden activations)."""
-    h = np.tanh(x @ params[f"expert.{index}.w1"] + params[f"expert.{index}.b1"])
-    return h @ params[f"expert.{index}.w2"] + params[f"expert.{index}.b2"], h
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +188,6 @@ class MixtureCache:
     inputs: Array  # (N, D) expert inputs
     gates: Array  # (N, n_experts) full gate matrix
     per_expert: list  # (expert id, token indices, hidden, outputs)
-    n_experts: int
 
 
 def expert_mixture_forward(bank_params: dict, n_experts: int, plan, inputs: Array, gates: Array):
@@ -186,11 +210,10 @@ def expert_mixture_forward(bank_params: dict, n_experts: int, plan, inputs: Arra
         tok = plan.expert_tokens[j]
         if tok.size == 0:
             continue
-        y, h = expert_apply(bank_params, j, x[tok])
+        y, h = ffn_forward(bank_params, f"expert.{j}", x[tok])
         out[tok] += gates[tok, j][:, None] * y
         per_expert.append((j, tok, h, y))
-    cache = MixtureCache(inputs=x, gates=gates, per_expert=per_expert, n_experts=n_experts)
-    return out, cache
+    return out, MixtureCache(inputs=x, gates=gates, per_expert=per_expert)
 
 
 def expert_mixture_backward(grad_out: Array, cache: MixtureCache, bank_params: dict):
@@ -208,14 +231,9 @@ def expert_mixture_backward(grad_out: Array, cache: MixtureCache, bank_params: d
         up = g[tok]
         w = cache.gates[tok, j][:, None]
         d_gates[tok, j] = np.sum(up * y, axis=1)
-        d_y = w * up
-        grads[f"expert.{j}.w2"] = h.T @ d_y
-        grads[f"expert.{j}.b2"] = d_y.sum(axis=0)
-        d_h = d_y @ bank_params[f"expert.{j}.w2"].T
-        d_pre = d_h * (1.0 - h * h)
-        grads[f"expert.{j}.w1"] = cache.inputs[tok].T @ d_pre
-        grads[f"expert.{j}.b1"] = d_pre.sum(axis=0)
-        d_inputs[tok] += d_pre @ bank_params[f"expert.{j}.w1"].T
+        d_x, expert_grads = ffn_backward(bank_params, f"expert.{j}", cache.inputs[tok], h, w * up)
+        grads.update(expert_grads)
+        d_inputs[tok] += d_x
     return d_inputs, d_gates, grads
 
 

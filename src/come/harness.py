@@ -9,7 +9,7 @@ their configurations one after another on the same read-only dataset.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,6 @@ from .model import ComeModel, ForwardState
 from .numerics import AdamWState, NonFiniteError, RandomStreams, adamw_step
 
 EVAL_STREAM_OFFSET = 2**33  # keeps eval clustering seeds clear of training steps
-
-METRICS_HEADER = [
-    "step", "train_acc", "test_acc", "purity", "util_cv", "overflow_rate",
-    "task_ce", "l_tb", "l_ip", "l_load", "total",
-]
 
 # Each ablation is a list of --set overrides on the run config.
 ABLATION_VARIANTS = {
@@ -69,6 +64,9 @@ class MetricsRecord:
 
     def row(self) -> list:
         return [getattr(self, name) for name in METRICS_HEADER]
+
+
+METRICS_HEADER = [f.name for f in fields(MetricsRecord)]
 
 
 @dataclass
@@ -126,15 +124,7 @@ def _check_dataset(cfg: RunConfig, dataset: DatasetBundle):
         raise ValueError("dataset sources exceed configured source count")
 
 
-def _group_mask(groups: dict, n_sources: int, n_experts: int) -> np.ndarray:
-    mask = np.zeros((n_sources, n_experts), dtype=bool)
-    for src, experts in groups.items():
-        for e in experts:
-            mask[src, e] = True
-    return mask
-
-
-def routing_purity(plan, token_sources, group_mask) -> tuple:
+def routing_purity(plan, token_sources, owners) -> tuple:
     """(in-group count, counted tokens) for the highest-gate admitted expert.
 
     Tokens whose every selection overflowed have no admitted expert and are
@@ -142,13 +132,10 @@ def routing_purity(plan, token_sources, group_mask) -> tuple:
     admitted slot is the top-1 admitted expert.
     """
     has_any = plan.admitted.any(axis=1)
-    if not has_any.any():
-        return 0, 0
     first_slot = np.argmax(plan.admitted, axis=1)
     experts = plan.selection[np.arange(plan.n_tokens), first_slot]
-    sel = has_any
-    hits = group_mask[token_sources[sel], experts[sel]]
-    return int(hits.sum()), int(sel.sum())
+    hits = owners[token_sources[has_any], experts[has_any]]
+    return int(hits.sum()), int(has_any.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +169,6 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     pair_total = 0
     overflow_total = 0
     util = np.zeros(cfg.model.n_experts, dtype=np.int64)
-    gmask = _group_mask(model.groups, cfg.data.n_sources, cfg.model.n_experts)
 
     n_batches = 0
     for b_i, start in enumerate(range(0, indices.size, batch_size)):
@@ -195,7 +181,7 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         correct += int(np.sum(state.predictions == batch.labels))
         n_batches += 1
         if state.plan is not None:
-            num, den = routing_purity(state.plan, batch.token_sources, gmask)
+            num, den = routing_purity(state.plan, batch.token_sources, model.groups)
             purity_num += num
             purity_den += den
             util += state.plan.utilization()
@@ -255,13 +241,7 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     model = ComeModel.build(cfg)
     init_digest = model.parameter_digest()
     frozen_before = model.frozen_digests()
-    opt = AdamWState(
-        lr=cfg.optimizer.lr,
-        beta1=cfg.optimizer.beta1,
-        beta2=cfg.optimizer.beta2,
-        eps=cfg.optimizer.eps,
-        weight_decay=cfg.optimizer.weight_decay,
-    )
+    opt = AdamWState(**asdict(cfg.optimizer))
     streams = RandomStreams(cfg.seed)
 
     train_idx = dataset.train_idx
@@ -271,7 +251,7 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     steps_per_epoch = max(1, train_idx.size // bs)
     eval_n = cfg.training.eval_batches * bs
     eval_train = train_idx[:eval_n]
-    eval_test = dataset.test_idx[:eval_n] if dataset.test_idx.size else dataset.test_idx
+    eval_test = dataset.test_idx[:eval_n]
 
     metrics: list = []
     expert_rows: list = []
@@ -374,35 +354,59 @@ def _write_train_outputs(result: TrainResult, cfg: RunConfig, out_dir):
 # ablations and sweeps
 # ---------------------------------------------------------------------------
 
-ABLATION_HEADER = ["variant", "seed", "test_acc", "purity", "util_cv"]
-SWEEP_HEADER = ["axis", "value", "seed", "test_acc", "purity", "util_cv", "overflow_rate"]
+ABLATION_HEADER = ["variant", "seed", "test_acc", "purity", "util_cv", "halted"]
+SWEEP_HEADER = ["axis", "value", "seed", "test_acc", "purity", "util_cv", "overflow_rate",
+                "halted"]
+
+
+def _run_grid(cfg: RunConfig, dataset: DatasetBundle, runs: list, header: list,
+              out_dir, command: str, csv_name: str, **manifest_extra) -> list:
+    """Train one run per (row prefix, overrides) pair and return its rows.
+
+    A row is the prefix, then the final log point's value of each metric
+    ``header`` names after the prefix, then whether the run halted. A run
+    that logged nothing gets nan metric cells. With ``out_dir``, writes the
+    rows to ``csv_name`` and a manifest that lists each halted run's reason.
+    """
+    rows, halts = [], []
+    for prefix, overrides in runs:
+        result = train(apply_overrides(cfg, overrides), dataset=dataset)
+        names = header[len(prefix):-1]
+        if result.metrics:
+            cells = [getattr(result.metrics[-1], name) for name in names]
+        else:
+            cells = [float("nan")] * len(names)
+        rows.append([*prefix, *cells, result.halted])
+        if result.halted:
+            halts.append({"row": prefix, "halt_reason": result.halt_reason})
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / csv_name, header, rows)
+        manifest = run_manifest(cfg, command, {}, [csv_name])
+        manifest.update(manifest_extra, halted=halts)
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return rows
 
 
 def run_ablations(cfg: RunConfig, dataset: DatasetBundle | None = None,
                   seeds: list | None = None, out_dir=None) -> list:
     """Full model plus the five single-removal variants on identical seeds.
 
-    Returns rows (variant, seed, test accuracy, purity, utilization CV).
+    Returns rows (variant, seed, test accuracy, purity, utilization CV,
+    halted).
     """
     cfg.validate()
     if dataset is None:
         dataset = build_dataset(cfg)
     seeds = list(seeds) if seeds else [cfg.seed]
-
-    rows = []
-    for variant, overrides in ABLATION_VARIANTS.items():
-        for seed in seeds:
-            run_cfg = apply_overrides(cfg, [*overrides, f"seed={seed}"])
-            final = train(run_cfg, dataset=dataset).final()
-            rows.append([variant, seed, final.test_acc, final.purity, final.util_cv])
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "ablations.csv", ABLATION_HEADER, rows)
-        manifest = run_manifest(cfg, "ablate", {}, ["ablations.csv"])
-        manifest["seeds"] = seeds
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return rows
+    runs = [
+        ([variant, seed], [*overrides, f"seed={seed}"])
+        for variant, overrides in ABLATION_VARIANTS.items()
+        for seed in seeds
+    ]
+    return _run_grid(cfg, dataset, runs, ABLATION_HEADER, out_dir, "ablate", "ablations.csv",
+                     seeds=seeds)
 
 
 def sweep(cfg: RunConfig, axis: str, dataset: DatasetBundle | None = None,
@@ -414,23 +418,13 @@ def sweep(cfg: RunConfig, axis: str, dataset: DatasetBundle | None = None,
     values = list(values) if values is not None else SWEEP_AXES[axis]
     if dataset is None:
         dataset = build_dataset(cfg)
-
-    rows = []
+    runs = []
     for value in values:
         if axis == "experts":
             overrides = [f"model.n_experts={int(value)}",
                          f"router.top_k={min(cfg.router.top_k, int(value))}"]
         else:
             overrides = [f"router.top_k={int(value)}"]
-        final = train(apply_overrides(cfg, overrides), dataset=dataset).final()
-        rows.append([axis, value, cfg.seed, final.test_acc, final.purity,
-                     final.util_cv, final.overflow_rate])
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / f"sweep_{axis}.csv", SWEEP_HEADER, rows)
-        manifest = run_manifest(cfg, "sweep", {}, [f"sweep_{axis}.csv"])
-        manifest["axis"] = axis
-        manifest["values"] = values
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return rows
+        runs.append(([axis, value, cfg.seed], overrides))
+    return _run_grid(cfg, dataset, runs, SWEEP_HEADER, out_dir, "sweep", f"sweep_{axis}.csv",
+                     axis=axis, values=values)

@@ -10,7 +10,7 @@ together with an explicit gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,13 +33,13 @@ class LossReport:
     """One training step's loss decomposition plus per-expert statistics."""
 
     task_ce: float
-    l_tb: float
-    l_ip: float
-    l_load: float
-    importance: Array  # (n_experts,)
-    load: Array  # (n_experts,)
-    tb_weight: float = 1.0
-    balance_weight: float = 0.1
+    l_tb: float = 0.0  # the routing fields stay zero for the dense body
+    l_ip: float = 0.0
+    l_load: float = 0.0
+    importance: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
+    load: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
+    tb_weight: float = 0.0
+    balance_weight: float = 0.0
     tb_clamped: int = 0
 
     @property
@@ -51,12 +51,14 @@ class LossReport:
         return self.task_ce + self.tb_weight * self.l_tb + self.balance_weight * self.l_balance
 
 
-def traceability_loss(gates: Array, token_sources: Array, groups: dict, average: bool = True):
+def traceability_loss(gates: Array, token_sources: Array, owners: Array, average: bool = True):
     """-log of the gate mass on each token's own expert group.
 
-    Averaged over tokens by default (a summed variant is kept for the
-    batch-size-dependent reading). Group mass below GROUP_MASS_EPS is
-    clamped; the clamp count is returned for the warning counter.
+    ``owners`` is the (n_sources, n_experts) bool ownership mask of
+    ``experts.expert_group_map``. Averaged over tokens by default (a summed
+    variant is kept for the batch-size-dependent reading). Group mass below
+    GROUP_MASS_EPS is clamped; the clamp count is returned for the warning
+    counter.
 
     Returns (value, d_gates, clamp_count).
     """
@@ -67,18 +69,17 @@ def traceability_loss(gates: Array, token_sources: Array, groups: dict, average:
     clamped = 0
     scale = 1.0 / n if average else 1.0
     for src in np.unique(token_sources):
-        group = groups.get(int(src), ())
+        group = np.flatnonzero(owners[src]) if src < len(owners) else []
         if len(group) == 0:
             raise ValueError(f"source {src} owns no experts")
         rows = np.flatnonzero(token_sources == src)
-        mass = g[np.ix_(rows, list(group))].sum(axis=1)
+        mass = g[np.ix_(rows, group)].sum(axis=1)
         low = mass < GROUP_MASS_EPS
         clamped += int(np.count_nonzero(low))
         safe = np.maximum(mass, GROUP_MASS_EPS)
         total += float(-np.log(safe).sum())
         inv = np.where(low, 0.0, -1.0 / safe)  # clamped tokens sit on a constant
-        for j in group:
-            d_gates[rows, j] = inv * scale
+        d_gates[np.ix_(rows, group)] = (inv * scale)[:, None]
     return total * scale, d_gates, clamped
 
 

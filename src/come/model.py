@@ -48,10 +48,13 @@ from .experts import (
     expert_group_map,
     expert_mixture_backward,
     expert_mixture_forward,
+    ffn_backward,
+    ffn_forward,
     frozen_digest,
     frozen_forward,
     init_dim_reduction,
     init_expert_bank,
+    init_ffn,
     make_frozen_expert,
 )
 from .losses import LossReport, cross_entropy, importance_loss, load_loss, traceability_loss
@@ -139,7 +142,7 @@ class ComeModel:
         self.frozen_semantic = make_frozen_expert(
             "semantic", self.width, semantic_seed, scale=cfg.model.frozen_scale
         )
-        self.groups = expert_group_map(cfg.model.n_experts, cfg.data.n_sources)
+        self.groups = expert_group_map(cfg.model.n_experts, cfg.data.n_sources)  # (M, E) mask
 
     # ------------------------------------------------------------------
     # construction / persistence
@@ -162,13 +165,7 @@ class ComeModel:
             params["router.w"] = np.zeros((cfg.model.n_experts, d))
             params["router.b"] = np.zeros(cfg.model.n_experts)
         else:
-            hidden = matched_dense_hidden(cfg)
-            r = streams.stream("init", 3)
-            lim1, lim2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(hidden)
-            params["dense.w1"] = r.uniform(-lim1, lim1, size=(d, hidden))
-            params["dense.b1"] = np.zeros(hidden)
-            params["dense.w2"] = r.uniform(-lim2, lim2, size=(hidden, d))
-            params["dense.b2"] = np.zeros(d)
+            params.update(init_ffn("dense", d, matched_dense_hidden(cfg), streams.stream("init", 3)))
         head_rng = streams.stream("init", 2)
         params["head.w"] = head_rng.normal(scale=1.0 / np.sqrt(d), size=(d, c))
         params["head.b"] = np.zeros(c)
@@ -239,11 +236,8 @@ class ComeModel:
         attended = batch.tokens + att_out if self.cfg.model.attention_residual else att_out
         flat = attended.reshape(b * t, d)
         if self.cfg.model.arch == "dense":
-            hidden = np.tanh(flat @ self.params["dense.w1"] + self.params["dense.b1"])
-            out = hidden @ self.params["dense.w2"] + self.params["dense.b2"]
-            features, plan, body = out.reshape(b, t, d), None, (flat, hidden)
-            aux = dict(l_tb=0.0, l_ip=0.0, l_load=0.0, importance=np.zeros(0),
-                       load=np.zeros(0), tb_weight=0.0, balance_weight=0.0)
+            out, hidden = ffn_forward(self.params, "dense", flat)
+            features, plan, body, aux = out.reshape(b, t, d), None, (flat, hidden), {}
         else:
             features, plan, body, aux = self._routed_forward(batch, flat, cluster_rng, frozen_ctx)
         pooled = features.mean(axis=1)
@@ -345,13 +339,8 @@ class ComeModel:
         d_pooled = d_logits @ self.params["head.w"].T
         d_out = (np.repeat(d_pooled[:, None, :], t, axis=1) / t).reshape(b * t, d)
         if self.cfg.model.arch == "dense":
-            flat, hidden = state.body
-            grads["dense.w2"] = hidden.T @ d_out
-            grads["dense.b2"] = d_out.sum(axis=0)
-            d_pre = (d_out @ self.params["dense.w2"].T) * (1.0 - hidden * hidden)
-            grads["dense.w1"] = flat.T @ d_pre
-            grads["dense.b1"] = d_pre.sum(axis=0)
-            d_flat = d_pre @ self.params["dense.w1"].T
+            d_flat, dense_grads = ffn_backward(self.params, "dense", *state.body, d_out)
+            grads.update(dense_grads)
         else:
             d_flat = self._routed_backward(d_out, state, grads)
         _, attn_grads = attention_backward(
@@ -398,15 +387,6 @@ class ComeModel:
             raise ValueError("dense architecture has no routing context")
         feats = state.body.dr.concat[:, self.width :].copy()
         return RoutingContext(cluster_feats=feats, plan=state.plan)
-
-    def component_names(self) -> list:
-        found = set()
-        for name in self.params:
-            for comp, prefix in COMPONENT_PREFIXES.items():
-                if name.startswith(prefix):
-                    found.add(comp)
-        order = ["attention", "dim_reduction", "router", "experts", "dense", "classifier"]
-        return [c for c in order if c in found]
 
 
 def component_grad_check(model: ComeModel, batch: TokenBatch, component: str,

@@ -1,8 +1,17 @@
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from come.config import ConfigError, RunConfig, apply_overrides, config_from_dict
+from come.config import (
+    ConfigError,
+    RunConfig,
+    apply_overrides,
+    config_from_dict,
+    config_to_dict,
+)
 
 
 @pytest.mark.parametrize(
@@ -38,6 +47,15 @@ from come.config import ConfigError, RunConfig, apply_overrides, config_from_dic
         (["router.temperature=0"], "router.temperature must be > 0, got 0"),
         (["router.capacity_factor=0"], "router.capacity_factor must be > 0, got 0"),
         (["router.top_k=9"], "router.top_k=9 outside [1, 8]"),
+        (
+            ["losses.tb_weight=0", "model.n_experts=2"],
+            "traceability needs n_experts >= n_sources (2 < 4)",
+        ),
+        (["seed=-1"], "seed must be >= 0, got -1"),
+        (["router.capacity_factor=Infinity"], "router.capacity_factor must be finite, got inf"),
+        (["optimizer.lr=NaN"], "optimizer.lr must be finite, got nan"),
+        (["data.source_weights=[1, 1, 1, 1e400]"], "data.source_weights must be finite"),
+        (["data.noise_scale=" + "9" * 400], "data.noise_scale must be finite"),
     ],
 )
 def test_validate_names_the_bad_key_and_value(overrides, message):
@@ -55,3 +73,61 @@ def test_removed_keys_are_rejected(override):
 def test_manifest_with_ablation_section_is_rejected():
     with pytest.raises(ConfigError, match=re.escape("unknown top-level key(s) ['ablation']")):
         config_from_dict({"config": {"seed": 0, "ablation": {"no_tb": True}}})
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("data.width=abc", "data.width must be an int, got 'abc'"),
+        ('router.top_k="2"', "router.top_k must be an int, got '2'"),
+        ("data.source_weights=3", "data.source_weights must be a list of numbers, got 3"),
+        ('data.source_weights=[1, "2", 1, 1]', "a list of numbers, got [1, '2', 1, 1]"),
+        ("data.path=5", "data.path must be a string or null, got 5"),
+        ("training.steps=1.5", "training.steps must be an int, got 1.5"),
+        ("training.batch_size=2.5", "training.batch_size must be an int, got 2.5"),
+        ("seed=abc", "seed must be an int, got 'abc'"),
+        ("model.heads=true", "model.heads must be an int, got True"),
+        ("model.attention_residual=1", "model.attention_residual must be a bool, got 1"),
+        ("optimizer.lr=[1]", "optimizer.lr must be a number, got [1]"),
+        ("model.arch=3", "model.arch must be a string, got 3"),
+    ],
+)
+def test_mistyped_values_name_key_value_and_type(override, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        apply_overrides(RunConfig(), [override])
+
+
+def test_ints_are_accepted_for_float_keys_and_null_for_the_path():
+    cfg = apply_overrides(RunConfig(), ["optimizer.lr=1", "data.path=null"]).validate()
+    assert (cfg.optimizer.lr, cfg.data.path) == (1, None)
+
+
+def _leaf_keys(tree, prefix=""):
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+LEAF_KEYS = sorted(_leaf_keys(config_to_dict(RunConfig())))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def test_there_are_52_config_keys():
+    assert len(LEAF_KEYS) == 52
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(LEAF_KEYS), value=JSON_VALUES)
+def test_any_json_override_validates_or_raises_config_error(key, value):
+    # validation only: sizes have no upper bound, so these configs are never trained
+    try:
+        apply_overrides(RunConfig(), [f"{key}={json.dumps(value)}"]).validate()
+    except ConfigError:
+        pass

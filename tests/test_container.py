@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from come.container import (
     MAGIC,
@@ -155,3 +159,49 @@ def test_checkpoint_trailing_bytes_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="2 trailing bytes after blob 'router.b'") as err:
         load_checkpoint(padded)
     assert str(padded) in str(err.value)
+
+
+def test_dataset_header_larger_than_the_file_fails_before_allocating(tmp_path):
+    path = save_dataset(tmp_path / "data.come", _dataset())
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = (0xFFFFFFFF).to_bytes(4, "little")  # n_samples
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="truncated in sample 21 of 4294967295") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_dims_are_sized_without_wrapping(tmp_path):
+    path = tmp_path / "model.come"
+    blob = struct.pack("<H", 1) + b"w" + struct.pack("<B3I", 3, 2**31, 2**31, 4)
+    path.write_bytes(MAGIC + struct.pack("<IQQI", 1, 1, 2, 1) + blob)
+    with pytest.raises(ValueError, match=r"truncated in blob 'w': needs 73786976294838206464"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_containers(tmp_path_factory):
+    root = tmp_path_factory.mktemp("containers")
+    dataset = save_dataset(root / "data.come", _dataset())
+    return {
+        load_dataset: (dataset, dataset.read_bytes()),
+        load_checkpoint: (root / "model.come", _three_blob_checkpoint(root)),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("load", [load_dataset, load_checkpoint], ids=["dataset", "checkpoint"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_container_loads_or_names_its_path(saved_containers, load, data):
+    path, original = saved_containers[load]
+    raw = bytearray(original)
+    flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+    for pos, mask in data.draw(st.lists(flips, max_size=4), label="flips"):
+        raw[pos] ^= mask
+    cut = data.draw(st.integers(0, len(raw)), label="length")
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        load(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)

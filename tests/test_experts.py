@@ -5,10 +5,10 @@ from come.experts import (
     aggregate_features,
     dr_backward,
     dr_forward,
-    expert_apply,
     expert_group_map,
     expert_mixture_backward,
     expert_mixture_forward,
+    ffn_forward,
     frozen_digest,
     frozen_forward,
     init_dim_reduction,
@@ -70,21 +70,26 @@ def test_frozen_rejects_bad_kind_and_width():
 # ---------------------------------------------------------------------------
 
 
+def _owned(mask):
+    """The ownership mask as {source: owned expert ids}."""
+    return {m: tuple(np.flatnonzero(row).tolist()) for m, row in enumerate(mask)}
+
+
 def test_group_map_disjoint_and_sized():
-    groups = expert_group_map(8, 4)
+    groups = _owned(expert_group_map(8, 4))
     assert groups == {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (6, 7)}
     all_owned = [e for g in groups.values() for e in g]
     assert len(all_owned) == len(set(all_owned)) == 4 * (8 // 4)
 
 
 def test_group_map_remainder_experts_unowned():
-    groups = expert_group_map(10, 4)
+    groups = _owned(expert_group_map(10, 4))
     owned = {e for g in groups.values() for e in g}
     assert owned == set(range(8))  # experts 8, 9 unowned
 
 
 def test_group_map_singletons_when_counts_match():
-    groups = expert_group_map(8, 8)
+    groups = _owned(expert_group_map(8, 8))
     assert all(len(g) == 1 for g in groups.values())
 
 
@@ -168,7 +173,7 @@ def test_mixture_single_expert_unit_gate_is_plain_ffn():
     gates = np.zeros((5, 2))
     gates[:, 0] = 1.0
     out, _ = expert_mixture_forward(bank, 2, plan, x, gates)
-    expected, _ = expert_apply(bank, 0, x)
+    expected, _ = ffn_forward(bank, "expert.0", x)
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
@@ -198,7 +203,7 @@ def test_mixture_matches_naive_loop_oracle():
         for s in range(2):
             if plan.admitted[t, s]:
                 j = sel[t, s]
-                y, _ = expert_apply(bank, j, x[t : t + 1])
+                y, _ = ffn_forward(bank, f"expert.{j}", x[t : t + 1])
                 expected[t] += gates[t, j] * y[0]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_run_ablations_rows_csv_and_manifest(small, tmp_path):
     assert all(len(row) == len(harness.ABLATION_HEADER) for row in rows)
     no_tb = rows[2 * list(harness.ABLATION_VARIANTS).index("no_tb") + 1]
     expected = _final_row(cfg, dataset, ["losses.tb_weight=0", "seed=4"])
-    assert no_tb[2:] == expected[:3]
+    assert no_tb[2:] == expected[:3] + [False]
 
     lines = (tmp_path / "ablations.csv").read_text().splitlines()
     assert lines[0] == ",".join(harness.ABLATION_HEADER)
@@ -93,8 +94,8 @@ def test_sweep_rows_csv_and_manifest(small, tmp_path, axis, values, overrides):
     cfg, dataset = small
     rows = harness.sweep(cfg, axis, dataset=dataset, values=values, out_dir=tmp_path)
     assert [row[:3] for row in rows] == [[axis, v, cfg.seed] for v in values]
-    assert rows[0][3:] == _final_row(cfg, dataset, overrides[0])
-    assert rows[1][3:] == _final_row(cfg, dataset, overrides[1])
+    assert rows[0][3:] == _final_row(cfg, dataset, overrides[0]) + [False]
+    assert rows[1][3:] == _final_row(cfg, dataset, overrides[1]) + [False]
 
     lines = (tmp_path / f"sweep_{axis}.csv").read_text().splitlines()
     assert lines[0] == ",".join(harness.SWEEP_HEADER)
@@ -109,3 +110,50 @@ def test_sweep_rejects_unknown_axis(small):
     cfg, dataset = small
     with pytest.raises(ValueError, match="sweep axis must be one of"):
         harness.sweep(cfg, "heads", dataset=dataset)
+
+
+@pytest.fixture(scope="module")
+def diverging():
+    over = ["optimizer.lr=1e6", "training.steps=50", "training.log_every=10"]
+    cfg = apply_overrides(RunConfig(), over)
+    return cfg, harness.build_dataset(cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
+    cfg, dataset = diverging
+    rows = harness.sweep(cfg, "topk", dataset=dataset, values=[1], out_dir=tmp_path)
+    result = harness.train(cfg, dataset=dataset)
+    assert result.halt_reason.startswith("non-finite value at step 20:")
+    final = result.final()
+    assert final.step == 10
+    assert rows == [["topk", 1, cfg.seed, final.test_acc, final.purity, final.util_cv,
+                     final.overflow_rate, True]]
+    assert (tmp_path / "sweep_topk.csv").read_text().splitlines()[1].endswith(",True")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["halted"] == [{"row": ["topk", 1, cfg.seed],
+                                   "halt_reason": result.halt_reason}]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_with_no_log_point_gets_nan_cells_instead_of_aborting_the_grid(diverging, tmp_path):
+    cfg, dataset = diverging
+    cfg = apply_overrides(cfg, ["training.log_every=100"])
+    rows = harness.run_ablations(cfg, dataset=dataset, out_dir=tmp_path)
+    assert [row[0] for row in rows] == list(harness.ABLATION_VARIANTS)
+    for row in rows:
+        assert row[-1] is True
+        assert all(math.isnan(v) for v in row[2:-1])
+    lines = (tmp_path / "ablations.csv").read_text().splitlines()
+    assert lines[0].endswith(",halted")
+    assert lines[1] == "full,0,nan,nan,nan,True"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [h["row"] for h in manifest["halted"]] == [[v, 0] for v in harness.ABLATION_VARIANTS]
+    assert all(h["halt_reason"].startswith("non-finite value at step ") for h in manifest["halted"])
+
+
+def test_grid_of_finished_runs_lists_no_halts(small, tmp_path):
+    cfg, dataset = small
+    rows = harness.sweep(cfg, "topk", dataset=dataset, values=[1], out_dir=tmp_path)
+    assert rows[0][-1] is False
+    assert json.loads((tmp_path / "manifest.json").read_text())["halted"] == []

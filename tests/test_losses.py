@@ -18,6 +18,14 @@ def _uniform_gates(n, m):
     return np.full((n, m), 1.0 / m)
 
 
+def _mask(groups, n_experts):
+    """{source: expert ids} as the (n_sources, n_experts) ownership mask."""
+    mask = np.zeros((max(groups) + 1, n_experts), dtype=bool)
+    for src, experts in groups.items():
+        mask[src, list(experts)] = True
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # traceability
 # ---------------------------------------------------------------------------
@@ -27,7 +35,7 @@ def test_traceability_zero_when_group_holds_all_mass():
     gates = np.zeros((4, 4))
     gates[:, 0] = 1.0
     groups = {0: (0,)}
-    val, grad, clamped = traceability_loss(gates, np.zeros(4, dtype=int), groups)
+    val, grad, clamped = traceability_loss(gates, np.zeros(4, dtype=int), _mask(groups, 4))
     assert val == 0.0
     assert clamped == 0
 
@@ -35,7 +43,7 @@ def test_traceability_zero_when_group_holds_all_mass():
 def test_traceability_half_mass_is_ln2():
     gates = np.array([[0.25, 0.25, 0.3, 0.2]])
     groups = {1: (0, 1)}  # group mass 0.5
-    val, _, _ = traceability_loss(gates, np.array([1]), groups)
+    val, _, _ = traceability_loss(gates, np.array([1]), _mask(groups, 4))
     assert abs(val - math.log(2.0)) < 1e-12
 
 
@@ -44,7 +52,7 @@ def test_traceability_singleton_groups_match_loop_oracle():
     gates = rng.dirichlet(np.ones(5), size=12)
     sources = rng.integers(0, 3, size=12)
     groups = {0: (2,), 1: (0,), 2: (4,)}
-    val, grad, _ = traceability_loss(gates, sources, groups)
+    val, grad, _ = traceability_loss(gates, sources, _mask(groups, 5))
     expected = -sum(math.log(gates[i, groups[int(sources[i])][0]]) for i in range(12)) / 12
     assert abs(val - expected) < 1e-12
     # gradient vs finite differences (softmax reparam keeps gates valid)
@@ -53,7 +61,7 @@ def test_traceability_singleton_groups_match_loop_oracle():
 
     def fn(flat):
         g = softmax(flat.reshape(6, 5), axis=1)
-        v, dg, _ = traceability_loss(g, src, groups)
+        v, dg, _ = traceability_loss(g, src, _mask(groups, 5))
         from come.numerics import softmax_backward
 
         return v, softmax_backward(g, dg, axis=1).ravel()
@@ -65,15 +73,15 @@ def test_traceability_sum_variant_scales_with_tokens():
     gates = np.tile([[0.5, 0.5]], (4, 1))
     groups = {0: (0,)}
     src = np.zeros(4, dtype=int)
-    avg, _, _ = traceability_loss(gates, src, groups, average=True)
-    tot, _, _ = traceability_loss(gates, src, groups, average=False)
+    avg, _, _ = traceability_loss(gates, src, _mask(groups, 2), average=True)
+    tot, _, _ = traceability_loss(gates, src, _mask(groups, 2), average=False)
     assert abs(tot - 4 * avg) < 1e-12
 
 
 def test_traceability_clamps_zero_mass_and_counts():
     gates = np.array([[1.0, 0.0], [0.0, 1.0]])
     groups = {0: (1,)}  # first token has zero group mass
-    val, grad, clamped = traceability_loss(gates, np.zeros(2, dtype=int), groups)
+    val, grad, clamped = traceability_loss(gates, np.zeros(2, dtype=int), _mask(groups, 2))
     assert clamped == 1
     assert np.isfinite(val)
     assert val >= -0.5 * math.log(GROUP_MASS_EPS) - 1e-9
@@ -82,7 +90,7 @@ def test_traceability_clamps_zero_mass_and_counts():
 
 def test_traceability_rejects_empty_group():
     with pytest.raises(ValueError, match="owns no experts"):
-        traceability_loss(_uniform_gates(2, 4), np.zeros(2, dtype=int), {0: ()})
+        traceability_loss(_uniform_gates(2, 4), np.zeros(2, dtype=int), _mask({0: ()}, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +318,7 @@ def test_losses_are_nonnegative_on_random_gates():
     for _ in range(25):
         gates = rng.dirichlet(np.ones(4), size=9)
         sources = rng.integers(0, 2, size=9)
-        v_tb, _, _ = traceability_loss(gates, sources, groups)
+        v_tb, _, _ = traceability_loss(gates, sources, _mask(groups, 4))
         v_ip, _, _ = importance_loss(gates)
         v_ld, _, _ = load_loss(gates)
         assert v_tb >= 0.0 and v_ip >= 0.0 and v_ld >= 0.0
