@@ -1,10 +1,8 @@
-"""Lloyd's K-means and the two routing-side clustering strategies.
+"""Lloyd's K-means and the routing-side fine-to-coarse clustering.
 
 ``fine2coarse`` clusters tokens into many fine centers and re-clusters those
 centers into few coarse ones; tokens inherit the coarse id of their fine
-center. ``multistep`` repeats K-means, warm-starting each step from the
-previous step's centroids and suppressing clusters smaller than a fraction
-of the token count.
+center.
 
 Distances are squared Euclidean. Seeding is farthest-first from a caller
 supplied generator, so identical seeds give identical models. The recorded
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import require_finite
+from .numerics import NonFiniteError, require_finite
 
 Array = np.ndarray
 
@@ -63,16 +61,6 @@ class ClusterModel:
     warnings: list = field(default_factory=list)
     fine_run: KMeansRun | None = None
     coarse_run: KMeansRun | None = None
-
-
-@dataclass
-class MultiStepState:
-    """Per-step trace: centroids and assignments after suppression."""
-
-    centroids: list = field(default_factory=list)
-    assignments: list = field(default_factory=list)
-    inertias: list = field(default_factory=list)
-    suppressed: list = field(default_factory=list)  # (step, cluster index, size)
 
 
 class TooFewDistinctPoints(ValueError):
@@ -132,9 +120,18 @@ def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
 
     ``init`` warm-starts from given centroids; otherwise seeding is
     farthest-first using ``rng``. Raises TooFewDistinctPoints (a ValueError)
-    for k above the number of distinct points. Empty clusters are re-seeded
-    from the point farthest from its centroid, keeping k fixed.
+    for k above the number of distinct points, and NonFiniteError when a
+    distance or a mean overflows. Empty clusters are re-seeded from the
+    point farthest from its centroid, keeping k fixed.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _lloyd(points, k, rng, init, max_iters)
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"kmeans: {exc}") from exc
+
+
+def _lloyd(points: Array, k: int, rng, init, max_iters: int) -> KMeansRun:
     pts = require_finite("kmeans points", points)
     if pts.ndim != 2:
         raise ValueError("kmeans: points must be (N, D)")
@@ -239,63 +236,6 @@ def fine2coarse(points: Array, m: int = 16, k: int = 8,
         fine_run=fine,
         coarse_run=coarse,
     )
-
-
-def multistep(points: Array, k: int = 4, steps: int = 5, min_cluster_fraction: float = 0.01,
-              rng: np.random.Generator | None = None, max_iters: int = 100):
-    """Repeated K-means with prior carryover and small-cluster suppression.
-
-    Step 1 seeds from the data; step t > 1 warm-starts from the surviving
-    centroids of step t-1. After each step, clusters with fewer than
-    ``min_cluster_fraction * N`` members are dropped and their members
-    reassigned to the nearest survivor. Returns (single-level ClusterModel,
-    MultiStepState trace). Raises if every cluster would be suppressed.
-    """
-    pts = require_finite("multistep points", points)
-    if steps < 1:
-        raise ValueError("multistep: steps must be >= 1")
-    n = pts.shape[0]
-    threshold = min_cluster_fraction * n
-    state = MultiStepState()
-    centroids = None
-    assignments = None
-    inertia = 0.0
-    for step in range(1, steps + 1):
-        if centroids is None:
-            run = kmeans(pts, k, rng=rng, max_iters=max_iters)
-        else:
-            run = kmeans(pts, k, init=centroids, max_iters=max_iters)
-        centroids = run.centroids
-        assignments = run.assignments
-        inertia = run.inertia
-        sizes = np.bincount(assignments, minlength=centroids.shape[0])
-        small = np.flatnonzero(sizes < threshold)
-        if small.size == centroids.shape[0]:
-            raise ValueError(
-                f"multistep: all {centroids.shape[0]} clusters below "
-                f"min_cluster_fraction={min_cluster_fraction}; threshold too large"
-            )
-        if small.size:
-            for j in small:
-                state.suppressed.append((step, int(j), int(sizes[j])))
-            keep = np.flatnonzero(sizes >= threshold)
-            centroids = centroids[keep]
-            d2 = _squared_distances(*_point_terms(pts), centroids)
-            assignments = np.argmin(d2, axis=1)
-            inertia = float(d2[np.arange(n), assignments].sum())
-        state.centroids.append(centroids.copy())
-        state.assignments.append(assignments.copy())
-        state.inertias.append(inertia)
-    model = ClusterModel(
-        fine_centroids=centroids,
-        coarse_centroids=centroids,
-        lineage=np.arange(centroids.shape[0], dtype=np.int64),
-        fine_assignments=assignments,
-        coarse_assignments=assignments,
-        fine_inertia=inertia,
-        coarse_inertia=inertia,
-    )
-    return model, state
 
 
 def cluster_features(model: ClusterModel) -> Array:

@@ -49,12 +49,9 @@ class ModelConfig:
 
 @dataclass
 class ClusteringConfig:
-    strategy: str = "fine2coarse"  # fine2coarse | multistep | none
+    strategy: str = "fine2coarse"  # fine2coarse | none
     fine_clusters: int = 16
     coarse_clusters: int = 8
-    steps: int = 5
-    clusters: int = 4  # k for the multistep strategy
-    min_cluster_fraction: float = 0.01
     max_iters: int = 50
 
 
@@ -70,9 +67,6 @@ class RouterConfig:
 class LossConfig:
     tb_weight: float = 1.0
     balance_weight: float = 0.1
-    tb_average: bool = True
-    load_mode: str = "literal"  # literal | margin
-    load_noise_scale: float = 1.0
 
 
 @dataclass
@@ -107,8 +101,7 @@ class RunConfig:
         leaves = dict(_leaves(self))
         for key, choices in (
             ("model.arch", ("come", "dense")),
-            ("clustering.strategy", ("fine2coarse", "multistep", "none")),
-            ("losses.load_mode", ("literal", "margin")),
+            ("clustering.strategy", ("fine2coarse", "none")),
         ):
             if leaves[key] not in choices:
                 raise ConfigError(f"{key} must be {'|'.join(choices)}, got {leaves[key]!r}")
@@ -117,21 +110,16 @@ class RunConfig:
                 f"router.top_k={self.router.top_k} outside [1, {self.model.n_experts}]"
             )
         for bound, holds, keys in (
-            ("> 0", lambda v: v > 0,
-             ("router.capacity_factor", "router.temperature", "losses.load_noise_scale")),
+            ("> 0", lambda v: v > 0, ("router.capacity_factor", "router.temperature")),
             (">= 0", lambda v: v >= 0,
              ("seed", "data.seed", "losses.tb_weight", "losses.balance_weight", "training.steps")),
             (">= 1", lambda v: v >= 1,
-             ("model.heads", "model.expert_hidden_ratio", "clustering.clusters",
-              "clustering.steps", "training.batch_size", "training.log_every",
-              "training.eval_batches", "clustering.max_iters")),
+             ("model.heads", "model.expert_hidden_ratio", "training.batch_size",
+              "training.log_every", "training.eval_batches", "clustering.max_iters")),
         ):
             for key in keys:
                 if not holds(leaves[key]):
                     raise ConfigError(f"{key} must be {bound}, got {leaves[key]}")
-        fraction = self.clustering.min_cluster_fraction
-        if not 0 <= fraction < 1:
-            raise ConfigError(f"clustering.min_cluster_fraction must be in [0, 1), got {fraction}")
         if self.model.arch == "come" and self.model.n_experts < self.data.n_sources:
             # traceability (computed even at weight 0) needs every source to own an expert
             raise ConfigError(

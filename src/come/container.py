@@ -20,6 +20,7 @@ Checkpoint container (version 1)::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -117,21 +118,52 @@ def load_dataset(path) -> DatasetBundle:
         sources[i], labels[i] = reader.unpack("<II", what)
         tokens[i] = reader.floats((t, d), what)
     reader.finish(what)
-    side_path = _sidecar_path(reader.path)
-    try:
-        side = json.loads(side_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{side_path}: cannot read the dataset sidecar ({exc})") from exc
-    cfg = GeneratorConfig(**side["generator"])
+    side = _read_sidecar(_sidecar_path(reader.path), n)
     return DatasetBundle(
         tokens=tokens,
         sources=sources,
         labels=labels,
         train_idx=np.asarray(side["train_indices"], dtype=np.int64),
         test_idx=np.asarray(side["test_indices"], dtype=np.int64),
-        config=cfg,
-        seed=int(side["seed"]),
+        config=GeneratorConfig(**side["generator"]),
+        seed=side["seed"],
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_sidecar(path: Path, n_samples: int) -> dict:
+    """The parsed sidecar of a dataset with ``n_samples`` samples. Raises a
+    ValueError naming the sidecar unless it holds every generator field and
+    no other, an int seed, and split indices that are ints in [0, n)."""
+    try:
+        side = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read the dataset sidecar ({exc})") from exc
+    if not isinstance(side, dict):
+        raise ValueError(f"{path}: the dataset sidecar must be a JSON object")
+    missing = {"generator", "seed", "train_indices", "test_indices"} - set(side)
+    if missing:
+        raise ValueError(f"{path}: the dataset sidecar lacks {sorted(missing)}")
+    generator = side["generator"]
+    if not isinstance(generator, dict):
+        raise ValueError(f"{path}: generator must be an object, got {generator!r}")
+    fields = {f.name for f in dataclasses.fields(GeneratorConfig)}
+    if set(generator) != fields:
+        raise ValueError(
+            f"{path}: generator fields do not match: unknown {sorted(set(generator) - fields)}, "
+            f"missing {sorted(fields - set(generator))}"
+        )
+    if not _is_int(side["seed"]):
+        raise ValueError(f"{path}: seed must be an int, got {side['seed']!r}")
+    for key in ("train_indices", "test_indices"):
+        indices = side[key]
+        if not (isinstance(indices, list)
+                and all(_is_int(i) and 0 <= i < n_samples for i in indices)):
+            raise ValueError(f"{path}: {key} must be a list of ints in [0, {n_samples})")
+    return side
 
 
 def _checkpoint_bytes(params: dict, structure_seed: int, semantic_seed: int) -> bytes:

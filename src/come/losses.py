@@ -51,23 +51,21 @@ class LossReport:
         return self.task_ce + self.tb_weight * self.l_tb + self.balance_weight * self.l_balance
 
 
-def traceability_loss(gates: Array, token_sources: Array, owners: Array, average: bool = True):
-    """-log of the gate mass on each token's own expert group.
+def traceability_loss(gates: Array, token_sources: Array, owners: Array):
+    """Mean over tokens of -log of the gate mass on each token's own expert
+    group.
 
     ``owners`` is the (n_sources, n_experts) bool ownership mask of
-    ``experts.expert_group_map``. Averaged over tokens by default (a summed
-    variant is kept for the batch-size-dependent reading). Group mass below
-    GROUP_MASS_EPS is clamped; the clamp count is returned for the warning
-    counter.
+    ``experts.expert_group_map``. Group mass below GROUP_MASS_EPS is
+    clamped; the clamp count is returned for the warning counter.
 
     Returns (value, d_gates, clamp_count).
     """
     g = require_finite("traceability gates", gates)
-    n = g.shape[0]
+    scale = 1.0 / g.shape[0]
     d_gates = np.zeros_like(g)
     total = 0.0
     clamped = 0
-    scale = 1.0 / n if average else 1.0
     for src in np.unique(token_sources):
         group = np.flatnonzero(owners[src]) if src < len(owners) else []
         if len(group) == 0:
@@ -96,48 +94,19 @@ def importance_loss(gates: Array):
     return value, d_gates, importance
 
 
-def load_loss(gates: Array, mode: str = "literal", logits: Array | None = None,
-              top_k: int = 1, noise_scale: float = 1.0):
-    """CV^2 of the per-expert load.
+def load_loss(gates: Array):
+    """CV^2 of the per-expert load: the standard-normal CDF applied directly
+    to the gate probabilities, exactly as the balance objective is written.
 
-    ``literal`` applies the standard-normal CDF directly to the gate
-    probabilities, exactly as the balance objective is written. ``margin``
-    is the classical alternative: the CDF of the standardized margin
-    between each raw logit and the token's K-th largest competing logit;
-    the margin threshold is a constant of the backward pass, mirroring how
-    Top-K selection is treated. Returns (value, d_gates, load vector);
-    in margin mode the gradient is w.r.t. the logits instead.
+    Returns (value, d_gates, load vector).
     """
     g = require_finite("load gates", gates)
-    if mode == "literal":
-        cdf = normal_cdf(g)
-        load = cdf.sum(axis=0)
-        value = cv_squared(load)
-        d_load = cv_squared_grad(load)
-        d_gates = d_load[None, :] * normal_pdf(g)
-        return value, d_gates, load
-    if mode == "margin":
-        if logits is None:
-            raise ValueError("margin mode needs the raw router logits")
-        z = require_finite("load logits", logits)
-        order = np.argsort(-z, axis=1, kind="stable")
-        kth = np.take_along_axis(z, order[:, top_k - 1 : top_k], axis=1)
-        kth1 = np.take_along_axis(z, order[:, top_k : top_k + 1], axis=1) \
-            if top_k < z.shape[1] else np.full((z.shape[0], 1), -np.inf)
-        in_top = np.zeros_like(z, dtype=bool)
-        np.put_along_axis(in_top, order[:, :top_k], True, axis=1)
-        # threshold excluding the expert itself: the (K+1)-th value for
-        # selected experts, the K-th for the rest
-        threshold = np.where(in_top, kth1, kth)
-        margin = np.where(np.isfinite(threshold), (z - threshold) / noise_scale, np.inf)
-        cdf = np.where(np.isfinite(margin), normal_cdf(np.nan_to_num(margin, posinf=38.0)), 1.0)
-        load = cdf.sum(axis=0)
-        value = cv_squared(load)
-        d_load = cv_squared_grad(load)
-        pdf = np.where(np.isfinite(margin), normal_pdf(np.nan_to_num(margin, posinf=38.0)), 0.0)
-        d_logits = d_load[None, :] * pdf / noise_scale
-        return value, d_logits, load
-    raise ValueError(f"unknown load loss mode {mode!r}")
+    cdf = normal_cdf(g)
+    load = cdf.sum(axis=0)
+    value = cv_squared(load)
+    d_load = cv_squared_grad(load)
+    d_gates = d_load[None, :] * normal_pdf(g)
+    return value, d_gates, load
 
 
 def cross_entropy(logits: Array, labels: Array):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionCache, attention_backward, attention_forward, init_attention
-from .clustering import cluster_features, fine2coarse, multistep
+from .clustering import cluster_features, fine2coarse
 from .config import RunConfig
 from .container import checkpoint_digest, load_checkpoint, save_checkpoint
 from .datagen import TokenBatch
@@ -97,7 +97,6 @@ class RoutedCache:
     mix: MixtureCache  # mix.gates holds the combination weights
     renorm_sums: Array | None  # per-token selected gate mass when renormalizing
     d_gates_aux: list  # weighted routing-loss gradients w.r.t. the gates
-    d_logits_aux: Array | None  # weighted margin-mode load gradient w.r.t. the logits
 
 
 @dataclass
@@ -214,17 +213,10 @@ class ComeModel:
         cfg = self.cfg.clustering
         if cfg.strategy == "none":
             return np.zeros_like(flat)
-        if cfg.strategy == "fine2coarse":
-            model = fine2coarse(
-                flat, m=cfg.fine_clusters, k=cfg.coarse_clusters, rng=rng,
-                max_iters=cfg.max_iters,
-            )
-        else:
-            model, _ = multistep(
-                flat, k=cfg.clusters, steps=cfg.steps,
-                min_cluster_fraction=cfg.min_cluster_fraction, rng=rng,
-                max_iters=cfg.max_iters,
-            )
+        model = fine2coarse(
+            flat, m=cfg.fine_clusters, k=cfg.coarse_clusters, rng=rng,
+            max_iters=cfg.max_iters,
+        )
         return cluster_features(model)
 
     def forward(self, batch: TokenBatch, cluster_rng=None,
@@ -301,25 +293,14 @@ class ComeModel:
         features = aggregate_features(f_structure, f_semantic, mix_out.reshape(zeros.shape))
 
         losses = cfg.losses
-        l_tb, d_tb, clamped = traceability_loss(
-            gates, batch.token_sources, self.groups, average=losses.tb_average
-        )
+        l_tb, d_tb, clamped = traceability_loss(gates, batch.token_sources, self.groups)
         l_ip, d_ip, importance = importance_loss(gates)
-        d_gates_aux = [losses.tb_weight * d_tb, losses.balance_weight * d_ip]
-        d_logits_aux = None
-        if losses.load_mode == "literal":
-            l_load, d_load, load = load_loss(gates)
-            d_gates_aux.append(losses.balance_weight * d_load)
-        else:
-            l_load, d_logits_load, load = load_loss(
-                gates, mode="margin", logits=gate_cache.logits,
-                top_k=cfg.router.top_k, noise_scale=losses.load_noise_scale,
-            )
-            d_logits_aux = losses.balance_weight * d_logits_load
+        l_load, d_load, load = load_loss(gates)
+        d_gates_aux = [losses.tb_weight * d_tb, losses.balance_weight * d_ip,
+                       losses.balance_weight * d_load]
 
         cache = RoutedCache(dr=dr_cache, gate=gate_cache, mix=mix_cache,
-                            renorm_sums=renorm_sums, d_gates_aux=d_gates_aux,
-                            d_logits_aux=d_logits_aux)
+                            renorm_sums=renorm_sums, d_gates_aux=d_gates_aux)
         aux = dict(l_tb=l_tb, l_ip=l_ip, l_load=l_load, importance=importance, load=load,
                    tb_weight=losses.tb_weight, balance_weight=losses.balance_weight,
                    tb_clamped=clamped)
@@ -366,7 +347,7 @@ class ComeModel:
         for term in cache.d_gates_aux:
             d_gates = d_gates + term
         d_in_router, router_grads = gate_backward(
-            d_gates, cache.gate, self.params, self.cfg.router.temperature, cache.d_logits_aux
+            d_gates, cache.gate, self.params, self.cfg.router.temperature
         )
         grads.update(router_grads)
         d_flat, dr_grads = dr_backward(d_in_mix + d_in_router, cache.dr, self.params)

@@ -24,7 +24,6 @@ Array = np.ndarray
 @dataclass
 class GateCache:
     inputs: Array  # (N, D)
-    logits: Array  # (N, n_experts) raw, before temperature scaling
     gates: Array  # (N, n_experts)
 
 
@@ -37,21 +36,16 @@ def gate_forward(inputs: Array, params: dict, temperature: float):
         raise ValueError(f"router expects width {weight.shape[1]}, got {x.shape[1]}")
     logits = x @ weight.T + params["router.b"]
     gates = softmax(logits / temperature, axis=1)
-    return gates, GateCache(inputs=x, logits=logits, gates=gates)
+    return gates, GateCache(inputs=x, gates=gates)
 
 
-def gate_backward(d_gates: Array, cache: GateCache, params: dict, temperature: float,
-                  extra_logit_grad: Array | None = None):
+def gate_backward(d_gates: Array, cache: GateCache, params: dict, temperature: float):
     """Push gate gradients through the softmax and linear map.
 
-    ``extra_logit_grad`` adds a gradient that targets the raw logits
-    directly (the margin-mode load loss). Returns (d_inputs,
-    {router.w, router.b} grads).
+    Returns (d_inputs, {router.w, router.b} grads).
     """
     d_scaled = softmax_backward(cache.gates, np.asarray(d_gates, dtype=np.float64), axis=1)
     d_logits = d_scaled / temperature
-    if extra_logit_grad is not None:
-        d_logits = d_logits + extra_logit_grad
     grads = {
         "router.w": d_logits.T @ cache.inputs,
         "router.b": d_logits.sum(axis=0),

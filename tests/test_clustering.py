@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from come.clustering import cluster_features, fine2coarse, kmeans, multistep
+from come.clustering import cluster_features, fine2coarse, kmeans
+from come.numerics import NonFiniteError
 
 
 def _rng(seed=0):
@@ -213,6 +214,15 @@ def test_kmeans_repairs_empty_clusters_keeping_k():
     assert len(np.unique(run.assignments)) == 3
 
 
+def test_kmeans_overflow_raises_non_finite_error_naming_kmeans():
+    # finite points whose squared norms overflow float64
+    pts = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
+    with pytest.raises(NonFiniteError, match="^kmeans: overflow encountered in multiply$"):
+        kmeans(pts, 2, rng=_rng())
+    with pytest.raises(NonFiniteError, match="^kmeans: "):
+        fine2coarse(np.concatenate([pts, _rng(1).normal(size=(20, 2))]), m=4, k=2, rng=_rng())
+
+
 def test_kmeans_deterministic_given_seed():
     pts = _rng(6).normal(size=(80, 5))
     a = kmeans(pts, 4, rng=_rng(7))
@@ -302,59 +312,6 @@ def test_fine2coarse_falls_back_when_batch_has_fewer_distinct_tokens_than_m():
 def test_fine2coarse_rejects_bad_m_k():
     with pytest.raises(ValueError, match="m > k"):
         fine2coarse(np.zeros((20, 3)), m=4, k=4, rng=_rng())
-
-
-# ---------------------------------------------------------------------------
-# multistep
-# ---------------------------------------------------------------------------
-
-
-def test_multistep_single_step_no_suppression_equals_kmeans():
-    pts = _rng(16).normal(size=(50, 4))
-    model, state = multistep(pts, k=4, steps=1, min_cluster_fraction=0.0, rng=_rng(17))
-    plain = kmeans(pts, 4, rng=_rng(17))
-    np.testing.assert_allclose(model.coarse_centroids, plain.centroids, atol=1e-12, rtol=0)
-    np.testing.assert_array_equal(model.coarse_assignments, plain.assignments)
-    assert not state.suppressed
-
-
-def test_multistep_inertia_non_increasing_across_steps():
-    rng = _rng(18)
-    pts = np.concatenate([rng.normal(loc=c, size=(25, 3)) for c in (-4, 0, 4, 8)])
-    model, state = multistep(pts, k=4, steps=5, min_cluster_fraction=0.01, rng=_rng(19))
-    assert not state.suppressed
-    inertias = np.array(state.inertias)
-    assert np.all(np.diff(inertias) <= 1e-9)
-    assert model.coarse_centroids.shape[0] <= 4
-
-
-def test_multistep_suppresses_planted_outlier():
-    rng = _rng(20)
-    pts = np.concatenate(
-        [rng.normal(loc=c, scale=0.3, size=(33, 2)) for c in (-10, 0, 10)]
-        + [[[200.0, 200.0]]]
-    )
-    assert pts.shape[0] == 100
-    model, state = multistep(pts, k=4, steps=3, min_cluster_fraction=0.05, rng=_rng(21))
-    assert any(size == 1 for _, _, size in state.suppressed)
-    # the outlier is reassigned to a surviving centroid
-    assert model.coarse_assignments[-1] < model.coarse_centroids.shape[0]
-    sizes = np.bincount(model.coarse_assignments)
-    assert np.all(sizes >= 0.05 * 100)
-
-
-def test_multistep_rejects_when_everything_suppressed():
-    pts = _rng(22).normal(size=(20, 2))
-    with pytest.raises(ValueError, match="min_cluster_fraction"):
-        multistep(pts, k=4, steps=2, min_cluster_fraction=0.9, rng=_rng(23))
-
-
-def test_multistep_deterministic():
-    pts = _rng(24).normal(size=(60, 5))
-    m1, _ = multistep(pts, k=4, steps=3, rng=_rng(25))
-    m2, _ = multistep(pts, k=4, steps=3, rng=_rng(25))
-    np.testing.assert_array_equal(m1.coarse_centroids, m2.coarse_centroids)
-    np.testing.assert_array_equal(m1.coarse_assignments, m2.coarse_assignments)
 
 
 # ---------------------------------------------------------------------------

@@ -22,28 +22,28 @@ from come.config import (
         (["training.log_every=0"], "training.log_every must be >= 1, got 0"),
         (["training.eval_batches=0"], "training.eval_batches must be >= 1, got 0"),
         (["clustering.max_iters=0"], "clustering.max_iters must be >= 1, got 0"),
-        (["losses.load_mode=soft"], "losses.load_mode must be literal|margin, got 'soft'"),
+        (
+            ["clustering.strategy=kmeans"],
+            "clustering.strategy must be fine2coarse|none, got 'kmeans'",
+        ),
         (
             ["clustering.fine_clusters=4", "clustering.coarse_clusters=8"],
             "fine_clusters > coarse_clusters >= 1, got 4 and 8",
         ),
-        (["clustering.clusters=0"], "clustering.clusters must be >= 1, got 0"),
-        (["clustering.steps=0"], "clustering.steps must be >= 1, got 0"),
+        (["model.arch=moe"], "model.arch must be come|dense, got 'moe'"),
+        (["data.seed=-1"], "data.seed must be >= 0, got -1"),
         (["model.expert_hidden_ratio=0"], "model.expert_hidden_ratio must be >= 1, got 0"),
         (["training.batch_size=0"], "training.batch_size must be >= 1, got 0"),
         (["training.steps=-1"], "training.steps must be >= 0, got -1"),
-        (["losses.load_noise_scale=0"], "losses.load_noise_scale must be > 0, got 0"),
+        (["router.top_k=0"], "router.top_k=0 outside [1, 8]"),
         (["losses.balance_weight=-1"], "losses.balance_weight must be >= 0, got -1"),
         (["losses.tb_weight=-1"], "losses.tb_weight must be >= 0, got -1"),
         (["losses.tb_weight=NaN"], "losses.tb_weight must be >= 0, got nan"),
         (
-            ["clustering.min_cluster_fraction=1"],
-            "clustering.min_cluster_fraction must be in [0, 1), got 1",
+            ["clustering.coarse_clusters=0"],
+            "fine_clusters > coarse_clusters >= 1, got 16 and 0",
         ),
-        (
-            ["clustering.min_cluster_fraction=-0.5"],
-            "clustering.min_cluster_fraction must be in [0, 1), got -0.5",
-        ),
+        (["data.train_fraction=1"], "data: train_fraction must be in (0, 1)"),
         (["router.temperature=0"], "router.temperature must be > 0, got 0"),
         (["router.capacity_factor=0"], "router.capacity_factor must be > 0, got 0"),
         (["router.top_k=9"], "router.top_k=9 outside [1, 8]"),
@@ -64,7 +64,19 @@ def test_validate_names_the_bad_key_and_value(overrides, message):
         cfg.validate()
 
 
-@pytest.mark.parametrize("override", ["model.dense_hidden=5", "ablation.no_tb=true"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        "model.dense_hidden=5",
+        "ablation.no_tb=true",
+        "clustering.clusters=4",
+        "clustering.steps=5",
+        "clustering.min_cluster_fraction=0.01",
+        "losses.tb_average=true",
+        "losses.load_mode=literal",
+        "losses.load_noise_scale=1",
+    ],
+)
 def test_removed_keys_are_rejected(override):
     with pytest.raises(ConfigError, match="unknown config"):
         apply_overrides(RunConfig(), [override])
@@ -119,8 +131,8 @@ JSON_VALUES = st.recursive(
 )
 
 
-def test_there_are_52_config_keys():
-    assert len(LEAF_KEYS) == 52
+def test_there_are_46_config_keys():
+    assert len(LEAF_KEYS) == 46
 
 
 @settings(max_examples=400, deadline=None)

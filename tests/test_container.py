@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -86,6 +88,50 @@ def test_dataset_missing_sidecar_names_the_sidecar(tmp_path):
     with pytest.raises(ValueError, match="cannot read the dataset sidecar") as err:
         load_dataset(path)
     assert str(err.value).startswith(f"{sidecar}: ")
+
+
+SIDECAR_EDITS = {
+    "unknown_generator_field": (lambda s: s["generator"].update(bogus=1),
+                                "generator fields do not match: unknown ['bogus'], missing []"),
+    "missing_generator_field": (lambda s: s["generator"].pop("width"),
+                                "generator fields do not match: unknown [], missing ['width']"),
+    "generator_not_an_object": (lambda s: s.update(generator=[1]),
+                                "generator must be an object, got [1]"),
+    "missing_generator": (lambda s: s.pop("generator"), "sidecar lacks ['generator']"),
+    "missing_seed": (lambda s: s.pop("seed"), "sidecar lacks ['seed']"),
+    "string_seed": (lambda s: s.update(seed="3"), "seed must be an int, got '3'"),
+    "missing_train_indices": (lambda s: s.pop("train_indices"),
+                              "sidecar lacks ['train_indices']"),
+    "missing_test_indices": (lambda s: s.pop("test_indices"), "sidecar lacks ['test_indices']"),
+    "index_past_the_end": (lambda s: s["train_indices"].append(20),
+                           "train_indices must be a list of ints in [0, 20)"),
+    "negative_index": (lambda s: s["test_indices"].append(-1),
+                       "test_indices must be a list of ints in [0, 20)"),
+    "float_index": (lambda s: s["test_indices"].append(1.0),
+                    "test_indices must be a list of ints in [0, 20)"),
+    "indices_not_a_list": (lambda s: s.update(train_indices=3),
+                           "train_indices must be a list of ints in [0, 20)"),
+}
+
+
+@pytest.mark.parametrize("edit, message", SIDECAR_EDITS.values(), ids=SIDECAR_EDITS)
+def test_dataset_malformed_sidecar_names_the_sidecar(tmp_path, edit, message):
+    path = save_dataset(tmp_path / "data.come", _dataset())
+    sidecar = tmp_path / "data.come.json"
+    side = json.loads(sidecar.read_text())
+    edit(side)
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{sidecar}: ")
+
+
+def test_dataset_sidecar_that_is_not_an_object_names_the_sidecar(tmp_path):
+    path = save_dataset(tmp_path / "data.come", _dataset())
+    sidecar = tmp_path / "data.come.json"
+    sidecar.write_text("[]")
+    with pytest.raises(ValueError, match=re.escape(f"{sidecar}: the dataset sidecar must be")):
+        load_dataset(path)
 
 
 def test_dataset_save_is_deterministic(tmp_path):

@@ -11,7 +11,7 @@ from come.losses import (
     load_loss,
     traceability_loss,
 )
-from come.numerics import grad_check, normal_cdf, normal_pdf, softmax
+from come.numerics import grad_check, normal_cdf, softmax
 
 
 def _uniform_gates(n, m):
@@ -67,15 +67,6 @@ def test_traceability_singleton_groups_match_loop_oracle():
         return v, softmax_backward(g, dg, axis=1).ravel()
 
     assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-6
-
-
-def test_traceability_sum_variant_scales_with_tokens():
-    gates = np.tile([[0.5, 0.5]], (4, 1))
-    groups = {0: (0,)}
-    src = np.zeros(4, dtype=int)
-    avg, _, _ = traceability_loss(gates, src, _mask(groups, 2), average=True)
-    tot, _, _ = traceability_loss(gates, src, _mask(groups, 2), average=False)
-    assert abs(tot - 4 * avg) < 1e-12
 
 
 def test_traceability_clamps_zero_mass_and_counts():
@@ -186,43 +177,6 @@ def test_load_gradient_literal():
             return v, softmax_backward(g, dg, axis=1).ravel()
 
         assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-5
-
-
-def test_load_margin_mode_value_and_frozen_threshold_gradient():
-    rng = np.random.default_rng(4)
-    logits = rng.normal(size=(6, 4))
-    gates = softmax(logits, axis=1)
-    k, sigma = 2, 1.0
-    val, d_logits, load = load_loss(gates, mode="margin", logits=logits, top_k=k,
-                                    noise_scale=sigma)
-    assert np.isfinite(val) and val >= 0.0
-    assert np.all(load > 0.0) and np.all(load < 6.0 + 1e-9)
-
-    # oracle: finite differences of the margin CDF with the threshold matrix
-    # frozen at the base point (selection is a constant of the backward)
-    order = np.argsort(-logits, axis=1, kind="stable")
-    kth = np.take_along_axis(logits, order[:, k - 1 : k], axis=1)
-    kth1 = np.take_along_axis(logits, order[:, k : k + 1], axis=1)
-    in_top = np.zeros_like(logits, dtype=bool)
-    np.put_along_axis(in_top, order[:, :k], True, axis=1)
-    threshold = np.where(in_top, kth1, kth)
-
-    def frozen(flat):
-        z = flat.reshape(6, 4)
-        cdf = normal_cdf((z - threshold) / sigma)
-        ld = cdf.sum(axis=0)
-        mean = ld.mean()
-        var = ((ld - mean) ** 2).mean()
-        return float(var / mean**2), d_logits.ravel()
-
-    assert grad_check(frozen, logits.ravel(), h=1e-5).max_rel_error < 1e-4
-
-
-def test_load_margin_requires_logits():
-    with pytest.raises(ValueError, match="logits"):
-        load_loss(_uniform_gates(2, 3), mode="margin")
-    with pytest.raises(ValueError, match="unknown"):
-        load_loss(_uniform_gates(2, 3), mode="other")
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,7 @@ BASE = [
 EXTRA = {
     "dense": ["model.arch=dense"],
     "wide": ["training.batch_size=16", "router.top_k=2"],
-    "multistep": [
-        "clustering.strategy=multistep",
-        "losses.load_mode=margin",
-        "router.renormalize_topk=true",
-    ],
+    "renormalize": ["router.renormalize_topk=true"],
     "attention_residual": ["model.attention_residual=true"],
 }
 
@@ -85,9 +81,9 @@ PIN = {
         [0.1875, 0.296875, 0.28125],
         0.2875,
     ),
-    "multistep": (
-        "2fd3c122929d5dbaaffb40dc80daafedb14e3a28178329848213b6c300f08934",
-        [2.5472624203346825, 2.3343543006897516, 2.431740298997054],
+    "renormalize": (
+        "6fd8452bcfb4799d29f43851bc7a491c77b8b38c53ef8a01f1e5138aa2b8f8ac",
+        [2.547088625311015, 2.333883238308449, 2.4221949292348364],
         [0.1875, 0.1875, 0.15625],
         0.15,
     ),

@@ -257,8 +257,6 @@ def test_masked_mixture_gradient_with_fixed_mask():
 
 def test_gate_backward_rejects_cache_mismatch():
     router = _router(n_experts=3, width=4)
-    cache = GateCache(
-        inputs=np.zeros((2, 4)), logits=np.zeros((2, 3)), gates=np.full((2, 3), 1 / 3)
-    )
+    cache = GateCache(inputs=np.zeros((2, 4)), gates=np.full((2, 3), 1 / 3))
     with pytest.raises(Exception):
         gate_backward(np.zeros((3, 3)), cache, router, 1.0)
