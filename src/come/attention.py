@@ -78,9 +78,10 @@ def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, hea
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != cache.merged.shape:
         raise ValueError("attention_backward: upstream gradient shape mismatch")
-    dh = cache.tokens.shape[2] // heads
+    width = cache.tokens.shape[2]
+    dh = width // heads
 
-    d_wo = np.einsum("btd,bte->de", cache.merged, g)
+    d_wo = cache.merged.reshape(-1, width).T @ g.reshape(-1, width)
     d_merged = g @ params["attn.wo"].T
     d_headed = _split_heads(d_merged, heads)
 
@@ -93,11 +94,11 @@ def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, hea
     d_qf = _merge_heads(d_q)
     d_kf = _merge_heads(d_k)
     d_vf = _merge_heads(d_v)
-    x = cache.tokens
+    x_t = cache.tokens.reshape(-1, width).T
     grads = {
-        "attn.wq": np.einsum("btd,bte->de", x, d_qf),
-        "attn.wk": np.einsum("btd,bte->de", x, d_kf),
-        "attn.wv": np.einsum("btd,bte->de", x, d_vf),
+        "attn.wq": x_t @ d_qf.reshape(-1, width),
+        "attn.wk": x_t @ d_kf.reshape(-1, width),
+        "attn.wv": x_t @ d_vf.reshape(-1, width),
         "attn.wo": d_wo,
     }
     d_tokens = (d_qf @ params["attn.wq"].T + d_kf @ params["attn.wk"].T

@@ -313,7 +313,7 @@ class ComeModel:
     def backward(self, state: ForwardState) -> dict:
         """Gradient of the total loss w.r.t. every trainable parameter."""
         b, t, d = state.batch.tokens.shape
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        grads = {}
         d_logits = state.d_task_logits
         grads["head.w"] = state.pooled.T @ d_logits
         grads["head.b"] = d_logits.sum(axis=0)
@@ -328,6 +328,9 @@ class ComeModel:
             d_flat.reshape(b, t, d), state.att_cache, self.params, self.cfg.model.heads
         )
         grads.update(attn_grads)
+        for name, p in self.params.items():
+            if name not in grads:  # an expert no token reached
+                grads[name] = np.zeros_like(p)
         return grads
 
     def _routed_backward(self, d_out: Array, state: ForwardState, grads: dict) -> Array:

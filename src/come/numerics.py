@@ -135,9 +135,22 @@ class RandomStreams:
 # ---------------------------------------------------------------------------
 
 
+# Consecutive parameters are updated together in runs of at least this many
+# entries, so a step makes a few NumPy calls per run instead of per parameter
+# while its scratch stays run-sized.
+ADAMW_RUN_SIZE = 16384
+
+
 @dataclass
 class AdamWState:
-    """Optimizer state: per-parameter moments plus a strictly increasing step."""
+    """Optimizer state: moments, a strictly increasing step, and the packing.
+
+    The first :func:`adamw_step` packs the parameters, in ``params`` order,
+    into the one float64 buffer ``flat`` and rebinds each ``params`` entry to
+    its view of it (``views``); the moments ``m`` and ``v`` use the same
+    layout. An entry the caller later replaces is copied into the buffer and
+    rebound to its view on the next step.
+    """
 
     lr: float = 1.4e-4
     beta1: float = 0.9
@@ -145,35 +158,96 @@ class AdamWState:
     eps: float = 1e-8
     weight_decay: float = 0.01
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    flat: Array | None = field(default=None, repr=False)
+    m: Array | None = field(default=None, repr=False)
+    v: Array | None = field(default=None, repr=False)
+    views: dict = field(default_factory=dict, repr=False)
+    runs: list = field(default_factory=list, repr=False)  # (lo, hi, names)
+    scratch: Array | None = field(default=None, repr=False)  # (2, longest run)
+
+
+def _pack(params: dict, state: AdamWState) -> None:
+    total = sum(p.size for p in params.values())
+    state.flat = np.empty(total)
+    state.m = np.zeros(total)
+    state.v = np.zeros(total)
+    lo = start = 0
+    names = []
+    for name, p in params.items():
+        view = state.flat[lo : lo + p.size].reshape(p.shape)
+        view[...] = p
+        params[name] = state.views[name] = view
+        lo += view.size
+        names.append(name)
+        if lo - start >= ADAMW_RUN_SIZE:
+            state.runs.append((start, lo, names))
+            start, names = lo, []
+    if names:
+        state.runs.append((start, lo, names))
+    longest = max((hi - lo for lo, hi, _ in state.runs), default=0)
+    state.scratch = np.empty((2, longest))
 
 
 def adamw_step(params: dict, grads: dict, state: AdamWState) -> None:
     """One decoupled-weight-decay Adam update, applied to ``params`` in place.
 
     With zero gradients and zero weight decay the parameters are unchanged.
-    Raises on any parameter/gradient shape mismatch.
+    Raises on any parameter/gradient shape mismatch, and when the parameter
+    names differ from those of the first step. Every entry matches, bit for
+    bit, the same update applied to each parameter on its own.
     """
+    if state.flat is None:
+        _pack(params, state)
+    elif params.keys() != state.views.keys():
+        raise ValueError(
+            f"adamw_step: parameter names changed: added {sorted(params.keys() - state.views)}, "
+            f"removed {sorted(state.views.keys() - params.keys())}"
+        )
+    run_grads = []
+    for _, _, names in state.runs:
+        gs = []
+        for name in names:
+            p, g, view = params[name], grads[name], state.views[name]
+            if p is not view:
+                if p.shape != view.shape:
+                    raise ValueError(f"adamw_step: shape mismatch for {name!r}: "
+                                     f"{view.shape} packed vs {p.shape} replacement")
+                view[...] = p
+                params[name] = view
+            if g.shape != view.shape:
+                raise ValueError(f"adamw_step: shape mismatch for {name!r}: "
+                                 f"{view.shape} vs {g.shape}")
+            gs.append(g)
+        run_grads.append(gs)
+
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"adamw_step: shape mismatch for {name!r}: {p.shape} vs {g.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
+    # Per run: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p), one operation at a
+    # time in the order written, so each entry rounds as it would parameter by
+    # parameter (x * y and y * x round alike, as do x + y and y + x).
+    for (lo, hi, _), gs in zip(state.runs, run_grads):
+        p, m, v = state.flat[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        g, tmp = state.scratch[0, : hi - lo], state.scratch[1, : hi - lo]
+        np.concatenate(gs, axis=None, out=g)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        m += tmp
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p -= state.lr * (update + state.weight_decay * p)
+        np.multiply(g, 1.0 - state.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, bc1, out=g)
+        g /= tmp
+        np.multiply(p, state.weight_decay, out=tmp)
+        tmp += g
+        tmp *= state.lr
+        p -= tmp
 
 
 # ---------------------------------------------------------------------------

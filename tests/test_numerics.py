@@ -226,6 +226,88 @@ def test_adamw_rejects_shape_mismatch():
         adamw_step(params, {"w": np.zeros(3)}, AdamWState())
 
 
+def _adamw_per_parameter(params, grads, state, moments):
+    """The update applied to one parameter at a time: the packed step's oracle."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m, v = moments.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p -= state.lr * (update + state.weight_decay * p)
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["training.batch_size=64", "data.width=64", "router.top_k=2"],
+    ["model.arch=dense"],
+], ids=["routed-small", "routed-wide", "dense"])
+def test_adamw_packed_runs_match_per_parameter_loop_bit_for_bit(overrides):
+    from come.config import RunConfig, apply_overrides
+    from come.model import ComeModel
+
+    params = ComeModel.build(apply_overrides(RunConfig(), overrides)).params
+    oracle = {name: p.copy() for name, p in params.items()}
+    zero_name = list(params)[len(params) // 2]
+    hp = dict(lr=1e-2, weight_decay=0.05)
+    state, oracle_state, moments = AdamWState(**hp), AdamWState(**hp), {}
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        grads[zero_name] = np.zeros(params[zero_name].shape)
+        adamw_step(params, grads, state)
+        _adamw_per_parameter(oracle, grads, oracle_state, moments)
+    assert len(state.runs) > 1
+    for name, p in oracle.items():
+        assert np.array_equal(params[name], p), name
+        assert np.array_equal(state.views[name], p), name
+
+
+def test_adamw_packs_parameters_into_views_of_one_buffer():
+    params = {"a": np.ones((3, 2)), "b": np.full(4, 2.0)}
+    state = AdamWState(lr=0.1)
+    adamw_step(params, {"a": np.ones((3, 2)), "b": np.ones(4)}, state)
+    assert params["a"].base is state.flat and params["b"].base is state.flat
+    np.testing.assert_array_equal(state.flat, np.concatenate([params["a"].ravel(), params["b"]]))
+    assert state.m.shape == state.v.shape == state.flat.shape
+
+
+def test_adamw_adopts_a_replaced_parameter_array():
+    params = {"a": np.ones((3, 2)), "b": np.full(4, 2.0)}
+    grads = {"a": np.full((3, 2), 0.5), "b": np.full(4, -0.25)}
+    state = AdamWState(lr=0.1, weight_decay=0.01)
+    oracle = {name: p.copy() for name, p in params.items()}
+    oracle_state, moments = AdamWState(lr=0.1, weight_decay=0.01), {}
+    adamw_step(params, grads, state)
+    _adamw_per_parameter(oracle, grads, oracle_state, moments)
+    view = params["a"]
+    params["a"] = np.arange(6.0).reshape(3, 2)
+    oracle["a"] = np.arange(6.0).reshape(3, 2)
+    adamw_step(params, grads, state)
+    _adamw_per_parameter(oracle, grads, oracle_state, moments)
+    assert params["a"] is view
+    assert np.array_equal(params["a"], oracle["a"])
+    assert np.array_equal(params["b"], oracle["b"])
+
+
+def test_adamw_rejects_a_changed_set_of_parameter_names():
+    params = {"a": np.ones(2), "b": np.ones(3)}
+    state = AdamWState()
+    adamw_step(params, {"a": np.ones(2), "b": np.ones(3)}, state)
+    with pytest.raises(ValueError, match="names changed"):
+        adamw_step({"a": params["a"]}, {"a": np.ones(2)}, state)
+    with pytest.raises(ValueError, match="names changed"):
+        adamw_step({**params, "c": np.ones(1)}, {"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)},
+                   state)
+    assert state.step == 1
+
+
 # ---------------------------------------------------------------------------
 # grad check harness
 # ---------------------------------------------------------------------------
