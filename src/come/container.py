@@ -1,21 +1,24 @@
 """Binary containers for datasets and model checkpoints.
 
 Both files open with the magic bytes ``COME`` and a u32 format version;
-all integers and floats are little-endian, tensor payloads are f32 and are
-widened to f64 on load.
+all integers and floats are little-endian, and every tensor payload is f64,
+so an array loads back bit-exact.
 
-Dataset container (version 1)::
+Dataset container (version 2)::
 
     "COME" | u32 version | u32 n_samples | u32 tokens | u32 width
-    then per sample: u32 source id | u32 label | tokens*width f32
+    then per sample: u32 source id | u32 label | tokens*width f64
 
 A JSON sidecar (same path with a .json suffix) records the generator
 parameters and the train/test indices.
 
-Checkpoint container (version 1)::
+Checkpoint container (version 2)::
 
-    "COME" | u32 version | u64 structure seed | u64 semantic seed | u32 n_blobs
-    then per blob: u16 name length | name utf-8 | u8 ndim | u32 dims... | f32 data
+    "COME" | u32 version | u32 n_blobs
+    then per blob, in name order: u16 name length | name utf-8 | u8 ndim | u32 dims... | f64 data
+
+A model checkpoint holds its trainable parameters and, for the routed
+model, the frozen shared experts as ``frozen.{kind}.{w,b}`` blobs.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 from .datagen import DatasetBundle, GeneratorConfig, generator_sidecar
 
 MAGIC = b"COME"
-DATASET_VERSION = 1
-CHECKPOINT_VERSION = 1
+DATASET_VERSION = 2
+CHECKPOINT_VERSION = 2
 
 
 def _sidecar_path(path) -> Path:
@@ -68,9 +71,10 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def floats(self, shape: tuple, what: str) -> np.ndarray:
-        data = self.read(4 * math.prod(shape), what)
+        """A read-only view of the next f64 array of ``shape``."""
+        data = self.read(8 * math.prod(shape), what)
         try:
-            return np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+            return np.frombuffer(data, dtype="<f8").reshape(shape)
         except ValueError as exc:  # more dimensions than NumPy supports
             raise ValueError(f"{self.path}: cannot shape {what} as {shape} ({exc})") from exc
 
@@ -89,7 +93,7 @@ def save_dataset(path, bundle: DatasetBundle) -> Path:
         fh.write(struct.pack("<IIII", DATASET_VERSION, n, t, d))
         for i in range(n):
             fh.write(struct.pack("<II", int(bundle.sources[i]), int(bundle.labels[i])))
-            fh.write(bundle.tokens[i].astype("<f4").tobytes())
+            fh.write(np.ascontiguousarray(bundle.tokens[i], dtype="<f8").tobytes())
     _sidecar_path(p).write_text(json.dumps(generator_sidecar(bundle), indent=2))
     return p
 
@@ -102,7 +106,7 @@ def load_dataset(path) -> DatasetBundle:
     version, n, t, d = reader.unpack("<IIII", "the header")
     if version != DATASET_VERSION:
         raise ValueError(f"{reader.path}: unsupported dataset version {version}")
-    sample_size = 8 + 4 * t * d
+    sample_size = 8 + 8 * t * d
     fits = (len(reader.raw) - reader.offset) // sample_size
     if fits < n:  # checked before allocating what the header claims
         raise ValueError(
@@ -166,10 +170,10 @@ def _read_sidecar(path: Path, n_samples: int) -> dict:
     return side
 
 
-def _checkpoint_bytes(params: dict, structure_seed: int, semantic_seed: int) -> bytes:
-    out = [MAGIC, struct.pack("<IQQI", CHECKPOINT_VERSION, structure_seed, semantic_seed, len(params))]
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
+def _checkpoint_bytes(arrays: dict) -> bytes:
+    out = [MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(arrays))]
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         encoded = name.encode("utf-8")
         out.append(struct.pack("<H", len(encoded)))
         out.append(encoded)
@@ -179,23 +183,23 @@ def _checkpoint_bytes(params: dict, structure_seed: int, semantic_seed: int) -> 
     return b"".join(out)
 
 
-def save_checkpoint(path, params: dict, structure_seed: int, semantic_seed: int) -> Path:
+def save_checkpoint(path, arrays: dict) -> Path:
     p = Path(path)
-    p.write_bytes(_checkpoint_bytes(params, structure_seed, semantic_seed))
+    p.write_bytes(_checkpoint_bytes(arrays))
     return p
 
 
-def load_checkpoint(path):
-    """Returns (params as float64 dict, structure seed, semantic seed).
+def load_checkpoint(path) -> dict:
+    """Returns the saved arrays by name, as writable float64 copies.
 
     Raises ValueError naming the path and the blob being read when the file
     is truncated or has bytes after its last blob.
     """
     reader = _Reader(path, "checkpoint")
-    version, st_seed, se_seed, n_blobs = reader.unpack("<IQQI", "the header")
+    version, n_blobs = reader.unpack("<II", "the header")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{reader.path}: unsupported checkpoint version {version}")
-    params = {}
+    arrays = {}
     what = "the header"
     for i in range(n_blobs):
         what = f"blob {i + 1} of {n_blobs}"
@@ -206,11 +210,11 @@ def load_checkpoint(path):
             raise ValueError(f"{reader.path}: {what} has a name that is not UTF-8 ({exc})") from exc
         what = f"blob {name!r}"
         (ndim,) = reader.unpack("<B", what)
-        params[name] = reader.floats(reader.unpack(f"<{ndim}I", what), what)
+        arrays[name] = reader.floats(reader.unpack(f"<{ndim}I", what), what).copy()
     reader.finish(what)
-    return params, int(st_seed), int(se_seed)
+    return arrays
 
 
-def checkpoint_digest(params: dict, structure_seed: int, semantic_seed: int) -> str:
+def checkpoint_digest(arrays: dict) -> str:
     """SHA-256 of the canonical serialized form (stable across save/load)."""
-    return hashlib.sha256(_checkpoint_bytes(params, structure_seed, semantic_seed)).hexdigest()
+    return hashlib.sha256(_checkpoint_bytes(arrays)).hexdigest()

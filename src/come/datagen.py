@@ -61,8 +61,10 @@ class GeneratorConfig:
             raise ValueError("source weights must be positive")
         if min(self.width, self.tokens_per_sample, self.n_samples) < 1:
             raise ValueError("degenerate dimensions")
-        if not (self.shared_rank >= 1 and 0 <= self.source_rank <= self.width):
-            raise ValueError("degenerate latent ranks")
+        if not 1 <= self.shared_rank <= self.width:
+            raise ValueError(f"shared_rank={self.shared_rank} outside [1, width={self.width}]")
+        if not 0 <= self.source_rank <= self.width:
+            raise ValueError(f"source_rank={self.source_rank} outside [0, width={self.width}]")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
 

@@ -1,6 +1,6 @@
 """The three expert families and their aggregation.
 
-Two frozen shared experts (structure / semantic priors as seeded fixed
+Two frozen shared experts (structure / semantic priors as fixed random
 affine+tanh maps, never updated), a bank of trainable FFN experts with a
 disjoint source->expert ownership mask, the 2D->D dimension-reduction
 projection that fuses attended tokens with their cluster feature, and the
@@ -9,11 +9,14 @@ exact elementwise aggregation of the three feature streams.
 ``init_ffn``/``ffn_forward``/``ffn_backward`` define the one two-layer tanh
 FFN: every bank expert is one, under the parameter prefix ``expert.{i}``,
 and so is the dense baseline's body, under ``dense``.
+
+The frozen experts live outside the trainable ``params``: ``init_frozen``
+returns read-only ``frozen.{kind}.{w,b}`` arrays, which the model keeps in
+its ``frozen`` dict and saves in the checkpoint next to its parameters.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,53 +25,32 @@ from .numerics import require_finite
 
 Array = np.ndarray
 
-FROZEN_KINDS = ("structure", "semantic")
-
 
 # ---------------------------------------------------------------------------
 # frozen shared experts
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrozenExpert:
-    """Seeded fixed affine + tanh map; parameters never receive gradients."""
-
-    kind: str
-    seed: int
-    weight: Array  # (D, D)
-    bias: Array  # (D,)
-
-
-def make_frozen_expert(kind: str, width: int, seed: int, scale: float = 1.0) -> FrozenExpert:
-    """``scale`` tunes the affine map so typical pre-activations stay in the
-    informative (non-saturated) range of tanh for the expected input size."""
-    if kind not in FROZEN_KINDS:
-        raise ValueError(f"frozen expert kind must be one of {FROZEN_KINDS}, got {kind!r}")
-    rng = np.random.default_rng(seed)
-    weight = rng.normal(scale=scale / np.sqrt(width), size=(width, width))
-    bias = rng.normal(scale=0.1, size=width)
-    weight.setflags(write=False)
-    bias.setflags(write=False)
-    return FrozenExpert(kind=kind, seed=int(seed), weight=weight, bias=bias)
+def init_frozen(kind: str, width: int, rng: np.random.Generator, scale: float = 1.0) -> dict:
+    """A fixed affine + tanh map as read-only ``frozen.{kind}.{w,b}`` (w drawn
+    before b). ``scale`` tunes the weights so typical pre-activations stay in
+    the informative (non-saturated) range of tanh for the expected input size."""
+    frozen = {
+        f"frozen.{kind}.w": rng.normal(scale=scale / np.sqrt(width), size=(width, width)),
+        f"frozen.{kind}.b": rng.normal(scale=0.1, size=width),
+    }
+    for arr in frozen.values():
+        arr.setflags(write=False)
+    return frozen
 
 
-def frozen_forward(expert: FrozenExpert, tokens: Array) -> Array:
-    """tanh(X W + b) applied row-wise; deterministic for a given expert."""
+def frozen_forward(frozen: dict, kind: str, tokens: Array) -> Array:
+    """tanh(X W + b) applied row-wise with the ``kind`` map of ``frozen``."""
     x = require_finite("frozen expert input", tokens)
-    if x.shape[-1] != expert.weight.shape[0]:
-        raise ValueError(
-            f"frozen expert: width {expert.weight.shape[0]} expected, got {x.shape[-1]}"
-        )
-    return np.tanh(x @ expert.weight + expert.bias)
-
-
-def frozen_digest(expert: FrozenExpert) -> str:
-    h = hashlib.sha256()
-    h.update(expert.kind.encode())
-    h.update(np.ascontiguousarray(expert.weight).tobytes())
-    h.update(np.ascontiguousarray(expert.bias).tobytes())
-    return h.hexdigest()
+    w = frozen[f"frozen.{kind}.w"]
+    if x.shape[-1] != w.shape[0]:
+        raise ValueError(f"frozen expert: width {w.shape[0]} expected, got {x.shape[-1]}")
+    return np.tanh(x @ w + frozen[f"frozen.{kind}.b"])
 
 
 # ---------------------------------------------------------------------------

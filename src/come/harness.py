@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_overrides, config_to_dict
-from .container import load_dataset
+from .container import checkpoint_digest, load_dataset
 from .datagen import DatasetBundle, generate
 from .model import ComeModel, ForwardState
 from .numerics import AdamWState, NonFiniteError, RandomStreams, adamw_step
@@ -240,7 +240,7 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     _check_dataset(cfg, dataset)
     model = ComeModel.build(cfg)
     init_digest = model.parameter_digest()
-    frozen_before = model.frozen_digests()
+    frozen_before = checkpoint_digest(model.frozen)
     opt = AdamWState(**asdict(cfg.optimizer))
     streams = RandomStreams(cfg.seed)
 
@@ -285,14 +285,13 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
             expert_rows.append(_expert_row(cfg, state, record))
             snapshot = {k: v.copy() for k, v in model.params.items()}
 
-    if model.frozen_digests() != frozen_before:
+    if checkpoint_digest(model.frozen) != frozen_before:
         raise RuntimeError("frozen expert parameters changed during training")
 
     digests = {
         "params_init": init_digest,
         "params_final": model.parameter_digest(),
-        "frozen_structure": frozen_before["structure"],
-        "frozen_semantic": frozen_before["semantic"],
+        "frozen": frozen_before,
     }
     manifest = run_manifest(cfg, "train", digests, [])
     if halt_reason is not None:

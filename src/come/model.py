@@ -50,12 +50,11 @@ from .experts import (
     expert_mixture_forward,
     ffn_backward,
     ffn_forward,
-    frozen_digest,
     frozen_forward,
     init_dim_reduction,
     init_expert_bank,
     init_ffn,
-    make_frozen_expert,
+    init_frozen,
 )
 from .losses import LossReport, cross_entropy, importance_loss, load_loss, traceability_loss
 from .numerics import RandomStreams
@@ -128,19 +127,15 @@ def matched_dense_hidden(cfg: RunConfig) -> int:
 
 
 class ComeModel:
-    def __init__(self, cfg: RunConfig, params: dict, structure_seed: int, semantic_seed: int):
+    """Trainable ``params`` plus the ``frozen`` shared experts, which only
+    the routed architecture has."""
+
+    def __init__(self, cfg: RunConfig, params: dict, frozen: dict):
         cfg.validate()
         self.cfg = cfg
         self.params = params
+        self.frozen = frozen
         self.width = cfg.data.width
-        self.structure_seed = structure_seed
-        self.semantic_seed = semantic_seed
-        self.frozen_structure = make_frozen_expert(
-            "structure", self.width, structure_seed, scale=cfg.model.frozen_scale
-        )
-        self.frozen_semantic = make_frozen_expert(
-            "semantic", self.width, semantic_seed, scale=cfg.model.frozen_scale
-        )
         self.groups = expert_group_map(cfg.model.n_experts, cfg.data.n_sources)  # (M, E) mask
 
     # ------------------------------------------------------------------
@@ -154,8 +149,13 @@ class ComeModel:
         d = cfg.data.width
         c = cfg.data.n_classes
         params = {}
+        frozen = {}
         params.update(init_attention(d, cfg.model.heads, streams.stream("init", 0)))
         if cfg.model.arch == "come":
+            for kind, index in (("structure", 10), ("semantic", 11)):
+                seed = int(streams.stream("init", index).integers(2**62))
+                frozen.update(init_frozen(kind, d, np.random.default_rng(seed),
+                                          scale=cfg.model.frozen_scale))
             params.update(init_expert_bank(
                 cfg.model.n_experts, d, cfg.model.expert_hidden_ratio * d,
                 streams.stream("init", 1),
@@ -168,42 +168,35 @@ class ComeModel:
         head_rng = streams.stream("init", 2)
         params["head.w"] = head_rng.normal(scale=1.0 / np.sqrt(d), size=(d, c))
         params["head.b"] = np.zeros(c)
-        structure_seed = int(streams.stream("init", 10).integers(2**62))
-        semantic_seed = int(streams.stream("init", 11).integers(2**62))
-        return cls(cfg, params, structure_seed, semantic_seed)
+        return cls(cfg, params, frozen)
 
     def save(self, path):
-        return save_checkpoint(path, self.params, self.structure_seed, self.semantic_seed)
+        return save_checkpoint(path, {**self.params, **self.frozen})
 
     @classmethod
     def from_checkpoint(cls, cfg: RunConfig, path) -> "ComeModel":
-        params, st_seed, se_seed = load_checkpoint(path)
+        arrays = load_checkpoint(path)
         reference = cls.build(cfg)
-        if set(params) != set(reference.params):
+        expected = {**reference.params, **reference.frozen}
+        if set(arrays) != set(expected):
             raise ValueError(
-                f"checkpoint parameters {sorted(set(params) ^ set(reference.params))} "
+                f"checkpoint blobs {sorted(set(arrays) ^ set(expected))} "
                 f"do not match the configured architecture"
             )
-        for name, arr in params.items():
-            if arr.shape != reference.params[name].shape:
+        for name, arr in arrays.items():
+            if arr.shape != expected[name].shape:
                 raise ValueError(
                     f"checkpoint blob {name!r} has shape {arr.shape}, "
-                    f"expected {reference.params[name].shape}"
+                    f"expected {expected[name].shape}"
                 )
-        return cls(cfg, params, st_seed, se_seed)
-
-    # ------------------------------------------------------------------
-    # digests
-    # ------------------------------------------------------------------
+        frozen = {name: arrays.pop(name) for name in reference.frozen}
+        for arr in frozen.values():
+            arr.setflags(write=False)
+        return cls(cfg, arrays, frozen)
 
     def parameter_digest(self) -> str:
-        return checkpoint_digest(self.params, self.structure_seed, self.semantic_seed)
-
-    def frozen_digests(self) -> dict:
-        return {
-            "structure": frozen_digest(self.frozen_structure),
-            "semantic": frozen_digest(self.frozen_semantic),
-        }
+        """Digest of the checkpoint: trainable and frozen arrays."""
+        return checkpoint_digest({**self.params, **self.frozen})
 
     # ------------------------------------------------------------------
     # forward
@@ -257,11 +250,11 @@ class ComeModel:
         cfg = self.cfg
         zeros = np.zeros(batch.tokens.shape)
         f_structure = (
-            frozen_forward(self.frozen_structure, batch.tokens)
+            frozen_forward(self.frozen, "structure", batch.tokens)
             if cfg.model.structure_expert else zeros
         )
         f_semantic = (
-            frozen_forward(self.frozen_semantic, batch.tokens)
+            frozen_forward(self.frozen, "semantic", batch.tokens)
             if cfg.model.semantic_expert else zeros
         )
 

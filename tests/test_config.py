@@ -56,6 +56,7 @@ from come.config import (
         (["optimizer.lr=NaN"], "optimizer.lr must be finite, got nan"),
         (["data.source_weights=[1, 1, 1, 1e400]"], "data.source_weights must be finite"),
         (["data.noise_scale=" + "9" * 400], "data.noise_scale must be finite"),
+        (["data.shared_rank=40"], "data: shared_rank=40 outside [1, width=32]"),
     ],
 )
 def test_validate_names_the_bad_key_and_value(overrides, message):

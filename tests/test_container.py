@@ -40,8 +40,7 @@ def test_dataset_roundtrip(tmp_path):
     loaded = load_dataset(path)
     assert loaded.tokens.shape == ds.tokens.shape
     assert loaded.tokens.dtype == np.float64
-    # payload is f32 on disk, so equality holds at f32 resolution
-    np.testing.assert_allclose(loaded.tokens, ds.tokens, atol=1e-6)
+    np.testing.assert_array_equal(loaded.tokens, ds.tokens)
     np.testing.assert_array_equal(loaded.sources, ds.sources)
     np.testing.assert_array_equal(loaded.labels, ds.labels)
     np.testing.assert_array_equal(loaded.train_idx, ds.train_idx)
@@ -60,10 +59,10 @@ def test_dataset_rejects_bad_magic(tmp_path):
 def test_dataset_truncation_names_path_and_sample(tmp_path):
     raw = save_dataset(tmp_path / "data.come", _dataset()).read_bytes()
     cut = tmp_path / "cut.come"
-    # 20-byte header, then 20 samples of u32 source + u32 label + 3*6 f32
-    assert len(raw) == 20 + 20 * 80
-    expected = {10: "the header", 20: "sample 1 of 20", 99: "sample 1 of 20",
-                100: "sample 2 of 20", 110: "sample 2 of 20", len(raw) - 1: "sample 20 of 20"}
+    # 20-byte header, then 20 samples of u32 source + u32 label + 3*6 f64
+    assert len(raw) == 20 + 20 * 152
+    expected = {10: "the header", 20: "sample 1 of 20", 171: "sample 1 of 20",
+                172: "sample 2 of 20", 182: "sample 2 of 20", len(raw) - 1: "sample 20 of 20"}
     for size in range(4, len(raw)):
         cut.write_bytes(raw[:size])
         with pytest.raises(ValueError, match="truncated in") as err:
@@ -148,25 +147,24 @@ def test_checkpoint_roundtrip(tmp_path):
         "router.b": rng.normal(size=3),
         "head.w": rng.normal(size=(4, 3)),
     }
-    path = save_checkpoint(tmp_path / "model.come", params, 111, 222)
-    loaded, st, se = load_checkpoint(path)
-    assert (st, se) == (111, 222)
+    path = save_checkpoint(tmp_path / "model.come", params)
+    loaded = load_checkpoint(path)
     assert set(loaded) == set(params)
     for k in params:
         assert loaded[k].dtype == np.float64
-        np.testing.assert_allclose(loaded[k], params[k], atol=1e-6)
+        np.testing.assert_array_equal(loaded[k], params[k])
 
 
 def test_checkpoint_digest_stable_across_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     params = {"w": rng.normal(size=(5, 5)), "b": rng.normal(size=5)}
-    d0 = checkpoint_digest(params, 7, 8)
-    path = save_checkpoint(tmp_path / "m.come", params, 7, 8)
-    loaded, st, se = load_checkpoint(path)
-    assert checkpoint_digest(loaded, st, se) == d0
-    # any parameter change shifts the digest
-    loaded["b"] = loaded["b"] + 1e-3
-    assert checkpoint_digest(loaded, st, se) != d0
+    d0 = checkpoint_digest(params)
+    path = save_checkpoint(tmp_path / "m.come", params)
+    loaded = load_checkpoint(path)
+    assert checkpoint_digest(loaded) == d0
+    # any parameter change shifts the digest, down to the last bit
+    loaded["b"][0] = np.nextafter(loaded["b"][0], np.inf)
+    assert checkpoint_digest(loaded) != d0
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -180,15 +178,15 @@ def _three_blob_checkpoint(tmp_path):
     rng = np.random.default_rng(3)
     params = {"attn.wq": rng.normal(size=(4, 4)), "head.w": rng.normal(size=(4, 3)),
               "router.b": rng.normal(size=3)}
-    return save_checkpoint(tmp_path / "model.come", params, 1, 2).read_bytes()
+    return save_checkpoint(tmp_path / "model.come", params).read_bytes()
 
 
 def test_checkpoint_truncation_names_path_and_blob(tmp_path):
     raw = _three_blob_checkpoint(tmp_path)
     cut = tmp_path / "cut.come"
-    # header, then blob 'attn.wq': u16 + 7 name bytes + u8 + 2 dims + 16 floats
-    first_blob_end = 28 + 2 + 7 + 1 + 8 + 64
-    expected = {10: "the header", 31: "blob 1 of 3", 50: "blob 'attn.wq'",
+    # 12-byte header, then blob 'attn.wq': u16 + 7 name bytes + u8 + 2 dims + 16 f64
+    first_blob_end = 12 + 2 + 7 + 1 + 8 + 128
+    expected = {10: "the header", 15: "blob 1 of 3", 50: "blob 'attn.wq'",
                 first_blob_end + 1: "blob 2 of 3", len(raw) - 1: "blob 'router.b'"}
     for size in range(4, len(raw)):
         cut.write_bytes(raw[:size])
@@ -220,9 +218,28 @@ def test_dataset_header_larger_than_the_file_fails_before_allocating(tmp_path):
 def test_checkpoint_dims_are_sized_without_wrapping(tmp_path):
     path = tmp_path / "model.come"
     blob = struct.pack("<H", 1) + b"w" + struct.pack("<B3I", 3, 2**31, 2**31, 4)
-    path.write_bytes(MAGIC + struct.pack("<IQQI", 1, 1, 2, 1) + blob)
-    with pytest.raises(ValueError, match=r"truncated in blob 'w': needs 73786976294838206464"):
+    path.write_bytes(MAGIC + struct.pack("<II", 2, 1) + blob)
+    with pytest.raises(ValueError, match=r"truncated in blob 'w': needs 147573952589676412928"):
         load_checkpoint(path)
+
+
+def test_dataset_rejects_a_version_1_header(tmp_path):
+    path = save_dataset(tmp_path / "data.come", _dataset())
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported dataset version 1") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_a_version_1_header(tmp_path):
+    # a version-1 checkpoint stored two u64 seeds before its blob count
+    path = tmp_path / "model.come"
+    path.write_bytes(MAGIC + struct.pack("<IQQI", 1, 7, 8, 0))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +252,6 @@ def saved_containers(tmp_path_factory):
     }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("load", [load_dataset, load_checkpoint], ids=["dataset", "checkpoint"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())

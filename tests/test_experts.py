@@ -9,11 +9,10 @@ from come.experts import (
     expert_mixture_backward,
     expert_mixture_forward,
     ffn_forward,
-    frozen_digest,
     frozen_forward,
     init_dim_reduction,
     init_expert_bank,
-    make_frozen_expert,
+    init_frozen,
 )
 from come.numerics import grad_check
 from come.router import build_dispatch
@@ -34,35 +33,38 @@ def _full_plan(n_tokens, n_experts):
 # ---------------------------------------------------------------------------
 
 
+def _frozen(kind="structure", width=6, seed=3):
+    return init_frozen(kind, width, np.random.default_rng(seed))
+
+
 def test_frozen_zero_input_gives_bias_image():
-    e = make_frozen_expert("structure", 6, seed=3)
-    out = frozen_forward(e, np.zeros((4, 6)))
-    np.testing.assert_allclose(out, np.tile(np.tanh(e.bias), (4, 1)), atol=1e-15)
+    frozen = _frozen()
+    out = frozen_forward(frozen, "structure", np.zeros((4, 6)))
+    np.testing.assert_allclose(out, np.tile(np.tanh(frozen["frozen.structure.b"]), (4, 1)),
+                               atol=1e-15)
 
 
 def test_frozen_is_deterministic_and_kind_seeded():
     x = np.random.default_rng(0).normal(size=(5, 6))
-    a = make_frozen_expert("structure", 6, seed=3)
-    b = make_frozen_expert("structure", 6, seed=3)
-    np.testing.assert_array_equal(frozen_forward(a, x), frozen_forward(b, x))
-    assert frozen_digest(a) == frozen_digest(b)
-    sem = make_frozen_expert("semantic", 6, seed=4)
-    assert frozen_digest(sem) != frozen_digest(a)
-    assert not np.allclose(sem.weight, a.weight)
+    a = _frozen(seed=3)
+    b = _frozen(seed=3)
+    np.testing.assert_array_equal(frozen_forward(a, "structure", x),
+                                  frozen_forward(b, "structure", x))
+    sem = _frozen("semantic", seed=4)
+    assert sorted(sem) == ["frozen.semantic.b", "frozen.semantic.w"]
+    assert not np.allclose(sem["frozen.semantic.w"], a["frozen.structure.w"])
 
 
 def test_frozen_params_are_read_only():
-    e = make_frozen_expert("semantic", 4, seed=1)
-    with pytest.raises(ValueError):
-        e.weight[0, 0] = 1.0
+    frozen = _frozen("semantic", width=4, seed=1)
+    for arr in frozen.values():
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
-def test_frozen_rejects_bad_kind_and_width():
-    with pytest.raises(ValueError, match="kind"):
-        make_frozen_expert("texture", 4, seed=0)
-    e = make_frozen_expert("structure", 4, seed=0)
+def test_frozen_rejects_bad_width():
     with pytest.raises(ValueError, match="width"):
-        frozen_forward(e, np.zeros((2, 5)))
+        frozen_forward(_frozen(width=4, seed=0), "structure", np.zeros((2, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from come import harness
 from come.config import RunConfig, apply_overrides, config_to_dict
+from come.container import save_dataset
 
 SMALL = [
     "data.n_samples=80",
@@ -45,7 +46,6 @@ def test_non_finite_step_halts_and_restores_initial_params():
     assert digests["params_final"] == digests["params_init"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_halt_keeps_the_parameters_of_the_last_log_point():
     over = ["optimizer.lr=1e6", "training.steps=50", "training.log_every=1"]
     result = harness.train(apply_overrides(RunConfig(), over))
@@ -55,6 +55,23 @@ def test_halt_keeps_the_parameters_of_the_last_log_point():
     assert not last_logged.halted
     assert (result.manifest["digests"]["params_final"]
             == last_logged.manifest["digests"]["params_final"])
+
+
+# ---------------------------------------------------------------------------
+# datasets
+# ---------------------------------------------------------------------------
+
+
+def test_training_from_a_saved_dataset_equals_training_from_the_generator(tmp_path):
+    cfg = apply_overrides(RunConfig(), ["data.n_samples=400", "training.steps=60",
+                                        "training.log_every=20", "training.eval_batches=4"])
+    generated = harness.build_dataset(cfg)
+    path = save_dataset(tmp_path / "data.come", generated)
+    from_file = apply_overrides(cfg, [f"data.path={json.dumps(str(path))}"])
+    a = harness.train(cfg, dataset=generated)
+    b = harness.train(from_file)
+    assert b.manifest["digests"]["params_final"] == a.manifest["digests"]["params_final"]
+    assert [m.total for m in b.metrics] == [m.total for m in a.metrics]
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +137,6 @@ def diverging():
     return cfg, harness.build_dataset(cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
     cfg, dataset = diverging
     rows = harness.sweep(cfg, "topk", dataset=dataset, values=[1], out_dir=tmp_path)
@@ -136,6 +152,7 @@ def test_sweep_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
                                    "halt_reason": result.halt_reason}]
 
 
+# a diverging ablation run overflows in AdamW's second-moment update (tmp *= g)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_with_no_log_point_gets_nan_cells_instead_of_aborting_the_grid(diverging, tmp_path):
     cfg, dataset = diverging

@@ -3,6 +3,7 @@ import pytest
 
 import come.model
 from come.config import apply_overrides, config_from_dict
+from come.container import checkpoint_digest
 from come.datagen import TokenBatch, generate
 from come.harness import ABLATION_VARIANTS
 from come.model import ComeModel, component_grad_check, matched_dense_hidden
@@ -52,14 +53,14 @@ def _preset(name):
     return apply_overrides(_cfg(), ABLATION_VARIANTS[name])
 
 
-def _counting(monkeypatch, name):
-    """Wrap ``come.model.<name>`` so each call records its first argument."""
+def _counting(monkeypatch, name, arg=0):
+    """Wrap ``come.model.<name>`` so each call records its ``arg``-th argument."""
     calls = []
     original = getattr(come.model, name)
 
-    def wrapper(first, *args, **kwargs):
-        calls.append(first)
-        return original(first, *args, **kwargs)
+    def wrapper(*args, **kwargs):
+        calls.append(args[arg])
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(come.model, name, wrapper)
     return calls
@@ -103,15 +104,15 @@ def test_forward_rejects_empty_batches(arch, monkeypatch):
 
 
 def test_no_dse_disables_both_shared_streams(monkeypatch):
-    calls = _counting(monkeypatch, "frozen_forward")
+    calls = _counting(monkeypatch, "frozen_forward", arg=1)
     full = ComeModel.build(_cfg())
     _forward(full, _batch(full.cfg))
-    assert [e.kind for e in calls] == ["structure", "semantic"]
+    assert calls == ["structure", "semantic"]
     calls.clear()
     for name, kinds in (("no_ste", ["semantic"]), ("no_see", ["structure"]), ("no_dse", [])):
         model = ComeModel.build(_preset(name))
         state = _forward(model, _batch(model.cfg))
-        assert [e.kind for e in calls] == kinds, name
+        assert calls == kinds, name
         assert np.isfinite(state.report.total)
         calls.clear()
 
@@ -180,13 +181,13 @@ def test_gradients_with_attention_residual():
 def test_frozen_digests_survive_training_steps():
     cfg = _cfg()
     model = ComeModel.build(cfg)
-    before = model.frozen_digests()
+    before = checkpoint_digest(model.frozen)
     opt = AdamWState(lr=1e-2)
     for step in range(5):
         batch = _batch(cfg, seed=20 + step)
         _, grads = model.loss_and_grads(batch, cluster_rng=np.random.default_rng(step))
         adamw_step(model.params, grads, opt)
-    assert model.frozen_digests() == before
+    assert checkpoint_digest(model.frozen) == before
 
 
 def test_training_steps_reduce_loss():
@@ -208,10 +209,33 @@ def test_checkpoint_roundtrip_and_validation(tmp_path):
     path = model.save(tmp_path / "m.come")
     loaded = ComeModel.from_checkpoint(cfg, path)
     assert loaded.parameter_digest() == model.parameter_digest()
-    assert loaded.frozen_digests() == model.frozen_digests()
+    assert checkpoint_digest(loaded.frozen) == checkpoint_digest(model.frozen)
     bad_cfg = _cfg(**{"model.n_experts": 3, "router.top_k": 2})
     with pytest.raises(ValueError, match="do not match"):
         ComeModel.from_checkpoint(bad_cfg, path)
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_loaded_checkpoint_is_the_trained_model_bit_for_bit(tmp_path, arch):
+    cfg = _cfg(**{"model.arch": arch})
+    model = ComeModel.build(cfg)
+    opt = AdamWState(lr=1e-2)
+    for step in range(3):
+        _, grads = model.loss_and_grads(_batch(cfg, seed=50 + step),
+                                        cluster_rng=np.random.default_rng(step))
+        adamw_step(model.params, grads, opt)
+    loaded = ComeModel.from_checkpoint(cfg, model.save(tmp_path / "m.come"))
+    assert set(loaded.params) == set(model.params)
+    assert set(loaded.frozen) == set(model.frozen) == (
+        {f"frozen.{k}.{p}" for k in ("structure", "semantic") for p in "wb"}
+        if arch == "come" else set())
+    for name in model.params:
+        assert np.array_equal(loaded.params[name], model.params[name]), name
+    for name, arr in model.frozen.items():
+        assert np.array_equal(loaded.frozen[name], arr), name
+        assert not loaded.frozen[name].flags.writeable
+    batch = _batch(cfg, seed=60, b=4)
+    assert _forward(loaded, batch).report.total == _forward(model, batch).report.total
 
 
 def test_dense_architecture_forward_backward():
