@@ -2,7 +2,9 @@
 
 ``fine2coarse`` clusters tokens into many fine centers and re-clusters those
 centers into few coarse ones; tokens inherit the coarse id of their fine
-center.
+center. Its result is the two k-means runs plus the fallback warnings: the
+fine run's assignments map tokens to fine centers, and the coarse run's
+assignments map fine centers to coarse ones.
 
 Distances are squared Euclidean. Seeding is farthest-first from a caller
 supplied generator, so identical seeds give identical models. The recorded
@@ -30,7 +32,7 @@ the loops are written:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,24 +45,23 @@ Array = np.ndarray
 class KMeansRun:
     centroids: Array  # (k, D)
     assignments: Array  # (N,) int
-    inertia: float
-    inertia_history: list
-    n_iters: int
+    inertia_history: list  # one entry per Lloyd iteration
     converged: bool
+
+    @property
+    def inertia(self) -> float:
+        return self.inertia_history[-1]
+
+    @property
+    def n_iters(self) -> int:
+        return len(self.inertia_history)
 
 
 @dataclass
 class ClusterModel:
-    fine_centroids: Array  # (m, D)
-    coarse_centroids: Array  # (k, D)
-    lineage: Array  # (m,) fine index -> coarse index
-    fine_assignments: Array  # (N,)
-    coarse_assignments: Array  # (N,)
-    fine_inertia: float
-    coarse_inertia: float
-    warnings: list = field(default_factory=list)
-    fine_run: KMeansRun | None = None
-    coarse_run: KMeansRun | None = None
+    fine: KMeansRun  # tokens -> m fine centers
+    coarse: KMeansRun  # fine centers -> k coarse centers
+    warnings: list
 
 
 class TooFewDistinctPoints(ValueError):
@@ -153,8 +154,7 @@ def _lloyd(points: Array, k: int, rng, init, max_iters: int) -> KMeansRun:
     assignments = np.full(n, -1, dtype=np.int64)
     history: list = []
     converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
+    for _ in range(max_iters):
         d2 = _squared_distances(*terms, centroids)
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[rows, new_assign].sum()))
@@ -182,14 +182,8 @@ def _lloyd(points: Array, k: int, rng, init, max_iters: int) -> KMeansRun:
                 far = int(np.argmax(point_d2))
                 centroids[j] = pts[far]
                 point_d2[far] = -1.0
-    return KMeansRun(
-        centroids=centroids,
-        assignments=assignments,
-        inertia=history[-1],
-        inertia_history=history,
-        n_iters=it,
-        converged=converged,
-    )
+    return KMeansRun(centroids=centroids, assignments=assignments,
+                     inertia_history=history, converged=converged)
 
 
 def fine2coarse(points: Array, m: int = 16, k: int = 8,
@@ -223,21 +217,11 @@ def fine2coarse(points: Array, m: int = 16, k: int = 8,
         k_eff = max(1, m_eff - 1)
         warnings.append(f"coarse k clamped to {k_eff} to keep m > k")
     coarse = clustered(fine.centroids, k_eff, "fine centres", "k")
-    lineage = coarse.assignments
-    return ClusterModel(
-        fine_centroids=fine.centroids,
-        coarse_centroids=coarse.centroids,
-        lineage=lineage,
-        fine_assignments=fine.assignments,
-        coarse_assignments=lineage[fine.assignments],
-        fine_inertia=fine.inertia,
-        coarse_inertia=coarse.inertia,
-        warnings=warnings,
-        fine_run=fine,
-        coarse_run=coarse,
-    )
+    return ClusterModel(fine=fine, coarse=coarse, warnings=warnings)
 
 
 def cluster_features(model: ClusterModel) -> Array:
-    """Coarse-cluster feature rows for every token, shape (N, D)."""
-    return model.coarse_centroids[model.coarse_assignments]
+    """Coarse-cluster feature rows for every token, shape (N, D): the coarse
+    centroid of the token's fine center."""
+    coarse = model.coarse
+    return coarse.centroids[coarse.assignments[model.fine.assignments]]

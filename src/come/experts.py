@@ -1,10 +1,9 @@
-"""The three expert families and their aggregation.
+"""The three expert families.
 
 Two frozen shared experts (structure / semantic priors as fixed random
 affine+tanh maps, never updated), a bank of trainable FFN experts with a
-disjoint source->expert ownership mask, the 2D->D dimension-reduction
-projection that fuses attended tokens with their cluster feature, and the
-exact elementwise aggregation of the three feature streams.
+disjoint source->expert ownership mask, and the 2D->D dimension-reduction
+projection that fuses attended tokens with their cluster feature.
 
 ``init_ffn``/``ffn_forward``/``ffn_backward`` define the one two-layer tanh
 FFN: every bank expert is one, under the parameter prefix ``expert.{i}``,
@@ -217,13 +216,3 @@ def expert_mixture_backward(grad_out: Array, cache: MixtureCache, bank_params: d
         grads.update(expert_grads)
         d_inputs[tok] += d_x
     return d_inputs, d_gates, grads
-
-
-def aggregate_features(f_structure: Array, f_semantic: Array, f_routed: Array) -> Array:
-    """Exact elementwise sum of the three feature streams."""
-    if not (f_structure.shape == f_semantic.shape == f_routed.shape):
-        raise ValueError(
-            f"aggregate_features: shapes differ "
-            f"{f_structure.shape}/{f_semantic.shape}/{f_routed.shape}"
-        )
-    return f_structure + f_semantic + f_routed

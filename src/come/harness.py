@@ -9,6 +9,7 @@ their configurations one after another on the same read-only dataset.
 from __future__ import annotations
 
 import json
+import traceback
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -42,7 +43,6 @@ SWEEP_AXES = {
 class EvalResult:
     accuracy: float
     purity: float
-    utilization: np.ndarray
     util_cv: float
     overflow_rate: float
     n_samples: int
@@ -53,6 +53,7 @@ class MetricsRecord:
     step: int
     train_acc: float
     test_acc: float
+    test_samples: int  # the sample count test_acc covers
     purity: float
     util_cv: float
     overflow_rate: float
@@ -148,7 +149,8 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     """Deterministic evaluation of a checkpointed model on a dataset split.
 
     ``split`` is "train", "test", or an explicit index array. Model
-    parameters are never mutated; an empty split is rejected.
+    parameters are never mutated; an empty split, ``batch_size`` < 1 and
+    ``max_batches`` < 1 are rejected.
     """
     cfg = model.cfg
     _check_dataset(cfg, dataset)
@@ -160,7 +162,11 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         indices = np.asarray(split)
     if indices.size == 0:
         raise ValueError("evaluate: empty split")
-    batch_size = batch_size or cfg.training.batch_size
+    if batch_size is None:
+        batch_size = cfg.training.batch_size
+    for name, value in (("batch_size", batch_size), ("max_batches", max_batches)):
+        if value is not None and value < 1:
+            raise ValueError(f"evaluate: {name} must be >= 1, got {value}")
     streams = RandomStreams(cfg.seed)
 
     correct = 0
@@ -193,7 +199,6 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     return EvalResult(
         accuracy=correct / n_seen,
         purity=purity_num / purity_den if purity_den else 0.0,
-        utilization=util,
         util_cv=util_cv,
         overflow_rate=overflow_total / pair_total if pair_total else 0.0,
         n_samples=n_seen,
@@ -228,11 +233,12 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
           out_dir=None) -> TrainResult:
     """Train a model and log metrics at the configured cadence.
 
-    Deterministic given the seed. If a step meets a non-finite value
-    (``NonFiniteError``), training halts and keeps the parameters of the
-    last log point, or the initial ones if none was reached. Writes
-    metrics.csv, expert_stats.csv, checkpoint.come and manifest.json when
-    ``out_dir`` is given.
+    Deterministic given the seed. A step runs with NumPy overflow and
+    invalid operations raising; if it meets a non-finite value
+    (``NonFiniteError`` or ``FloatingPointError``), training halts and keeps
+    the parameters of the last log point, or the initial ones if none was
+    reached. Writes metrics.csv, expert_stats.csv, checkpoint.come and
+    manifest.json when ``out_dir`` is given.
     """
     cfg.validate()
     if dataset is None:
@@ -270,14 +276,20 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
 
         log = step % cfg.training.log_every == 0 or step == cfg.training.steps
         try:
-            state = model.forward(batch, cluster_rng=streams.stream("noise", step))
-            if state.plan is not None and np.any(state.plan.utilization() > state.plan.capacity):
-                raise RuntimeError(f"capacity bound violated at step {step}")
-            adamw_step(model.params, model.backward(state), opt)
-            if log:
-                record = _log_point(model, dataset, state, step, bs, eval_train, eval_test)
+            with np.errstate(over="raise", invalid="raise"):
+                state = model.forward(batch, cluster_rng=streams.stream("noise", step))
+                plan = state.plan
+                if plan is not None and np.any(plan.utilization() > plan.capacity):
+                    raise RuntimeError(f"capacity bound violated at step {step}")
+                adamw_step(model.params, model.backward(state), opt)
+                if log:
+                    record = _log_point(model, dataset, state, step, bs, eval_train, eval_test)
         except NonFiniteError as exc:
             halt_reason = f"non-finite value at step {step}: {exc}"
+        except FloatingPointError as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1].name
+            halt_reason = f"non-finite value at step {step}: {where}: {exc}"
+        if halt_reason is not None:
             model.params = snapshot
             break
         if log:
@@ -313,6 +325,7 @@ def _log_point(model, dataset, state: ForwardState, step, bs, eval_train, eval_t
         step=step,
         train_acc=tr.accuracy,
         test_acc=te.accuracy,
+        test_samples=te.n_samples,
         purity=te.purity,
         util_cv=te.util_cv,
         overflow_rate=te.overflow_rate,

@@ -12,20 +12,20 @@ The routed body (``come``):
     tokens --frozen semantic expert---> f_semantic
     attended -> [clustering -> cluster feature] -> dim reduction
              -> gates -> top-K capacity dispatch -> expert mixture = f_routed
-    features = f_structure + f_semantic + f_routed
+    features = (f_structure + f_semantic) + f_routed
     gates also feed the traceability / importance / load losses.
 
 A frozen prior switched off (``model.structure_expert`` or
-``model.semantic_expert`` false) contributes zeros. The ``dense`` body is
-one tanh FFN whose hidden width matches the active parameter count of the
-routed model.
+``model.semantic_expert`` false) is left out of the sum. The ``dense`` body
+is one tanh FFN whose hidden width matches the active parameter count of
+the routed model.
 
 Backward mirrors the spine: head, body, attention. Every trainable piece
 ships an explicit backward; clustering, Top-K selection and capacity
 admission are constants of the backward pass. For finite-difference
-checking, a ``RoutingContext`` captured from a reference forward pins the
-cluster features and the dispatch plan so the perturbed evaluations
-differentiate the same masked function the backward assumes.
+checking, ``forward`` takes a ``pinned`` reference forward of the same
+batch and reuses its cluster features and dispatch plan, so the perturbed
+evaluations differentiate the same masked function the backward assumes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .datagen import TokenBatch
 from .experts import (
     DimReductionCache,
     MixtureCache,
-    aggregate_features,
     dr_backward,
     dr_forward,
     expert_group_map,
@@ -77,14 +76,6 @@ COMPONENT_PREFIXES = {
     "classifier": "head.",
     "dense": "dense.",
 }
-
-
-@dataclass
-class RoutingContext:
-    """Cluster features and dispatch structure pinned for gradient checks."""
-
-    cluster_feats: Array
-    plan: DispatchPlan
 
 
 @dataclass
@@ -135,7 +126,6 @@ class ComeModel:
         self.cfg = cfg
         self.params = params
         self.frozen = frozen
-        self.width = cfg.data.width
         self.groups = expert_group_map(cfg.model.n_experts, cfg.data.n_sources)  # (M, E) mask
 
     # ------------------------------------------------------------------
@@ -213,7 +203,7 @@ class ComeModel:
         return cluster_features(model)
 
     def forward(self, batch: TokenBatch, cluster_rng=None,
-                frozen_ctx: RoutingContext | None = None) -> ForwardState:
+                pinned: ForwardState | None = None) -> ForwardState:
         b, t, d = batch.tokens.shape
         if b == 0 or t == 0:
             raise ValueError(f"forward: empty batch of shape {batch.tokens.shape} (B, T, D)")
@@ -224,7 +214,7 @@ class ComeModel:
             out, hidden = ffn_forward(self.params, "dense", flat)
             features, plan, body, aux = out.reshape(b, t, d), None, (flat, hidden), {}
         else:
-            features, plan, body, aux = self._routed_forward(batch, flat, cluster_rng, frozen_ctx)
+            features, plan, body, aux = self._routed_forward(batch, flat, cluster_rng, pinned)
         pooled = features.mean(axis=1)
         class_logits = pooled @ self.params["head.w"] + self.params["head.b"]
         task, d_task = cross_entropy(class_logits, batch.labels)
@@ -240,26 +230,21 @@ class ComeModel:
         )
 
     def _routed_forward(self, batch: TokenBatch, flat: Array, cluster_rng,
-                        frozen_ctx: RoutingContext | None):
-        """Frozen priors plus the routed expert mixture over the attended
-        tokens ``flat``, and the routing losses on its gates.
+                        pinned: ForwardState | None):
+        """Enabled frozen priors plus the routed expert mixture over the
+        attended tokens ``flat``, and the routing losses on its gates. With
+        ``pinned``, its cluster features and dispatch plan are reused.
 
         Returns (features (B, T, D), dispatch plan, RoutedCache, the
         routing-loss fields of the LossReport).
         """
         cfg = self.cfg
-        zeros = np.zeros(batch.tokens.shape)
-        f_structure = (
-            frozen_forward(self.frozen, "structure", batch.tokens)
-            if cfg.model.structure_expert else zeros
-        )
-        f_semantic = (
-            frozen_forward(self.frozen, "semantic", batch.tokens)
-            if cfg.model.semantic_expert else zeros
-        )
+        priors = [frozen_forward(self.frozen, kind, batch.tokens)
+                  for kind, on in (("structure", cfg.model.structure_expert),
+                                   ("semantic", cfg.model.semantic_expert)) if on]
 
-        if frozen_ctx is not None:
-            feats = frozen_ctx.cluster_feats
+        if pinned is not None:
+            feats = pinned.body.dr.concat[:, flat.shape[1]:]
         else:
             if cluster_rng is None:
                 cluster_rng = np.random.default_rng(0)
@@ -267,8 +252,8 @@ class ComeModel:
         routed_in, dr_cache = dr_forward(flat, feats, self.params)
         gates, gate_cache = gate_forward(routed_in, self.params, cfg.router.temperature)
 
-        if frozen_ctx is not None:
-            plan = frozen_ctx.plan
+        if pinned is not None:
+            plan = pinned.plan
         else:
             plan = build_dispatch(topk_select(gates, cfg.router.top_k), cfg.model.n_experts,
                                   cfg.router.capacity_factor)
@@ -283,7 +268,9 @@ class ComeModel:
         mix_out, mix_cache = expert_mixture_forward(
             self.params, cfg.model.n_experts, plan, routed_in, combine
         )
-        features = aggregate_features(f_structure, f_semantic, mix_out.reshape(zeros.shape))
+        features = mix_out.reshape(batch.tokens.shape)
+        if priors:  # (structure + semantic) + routed
+            features = sum(priors[1:], priors[0]) + features
 
         losses = cfg.losses
         l_tb, d_tb, clamped = traceability_loss(gates, batch.token_sources, self.groups)
@@ -351,35 +338,23 @@ class ComeModel:
         return d_flat
 
     def loss_and_grads(self, batch: TokenBatch, cluster_rng=None,
-                       frozen_ctx: RoutingContext | None = None):
-        state = self.forward(batch, cluster_rng=cluster_rng, frozen_ctx=frozen_ctx)
+                       pinned: ForwardState | None = None):
+        state = self.forward(batch, cluster_rng=cluster_rng, pinned=pinned)
         return state, self.backward(state)
-
-    # ------------------------------------------------------------------
-    # gradient checking support
-    # ------------------------------------------------------------------
-
-    def routing_context(self, state: ForwardState) -> RoutingContext:
-        if self.cfg.model.arch == "dense":
-            raise ValueError("dense architecture has no routing context")
-        feats = state.body.dr.concat[:, self.width :].copy()
-        return RoutingContext(cluster_feats=feats, plan=state.plan)
 
 
 def component_grad_check(model: ComeModel, batch: TokenBatch, component: str,
                          h: float = 1e-5, cluster_rng=None):
     """Central-difference check of one component's parameters against the
-    total loss, with the routing structure pinned from a reference forward."""
+    total loss, with the routing structure pinned from a reference forward
+    (the dense body has none, and ignores it)."""
     from .numerics import grad_check
 
     prefix = COMPONENT_PREFIXES[component]
     names = sorted(n for n in model.params if n.startswith(prefix))
     if not names:
         raise ValueError(f"model has no {component!r} parameters")
-    ctx = None
-    if model.cfg.model.arch == "come":
-        ref = model.forward(batch, cluster_rng=cluster_rng)
-        ctx = model.routing_context(ref)
+    pinned = model.forward(batch, cluster_rng=cluster_rng)
     shapes = [model.params[n].shape for n in names]
     sizes = [model.params[n].size for n in names]
     original = {n: model.params[n] for n in names}
@@ -389,7 +364,7 @@ def component_grad_check(model: ComeModel, batch: TokenBatch, component: str,
         for n, shape, size in zip(names, shapes, sizes):
             model.params[n] = theta[offset : offset + size].reshape(shape)
             offset += size
-        state, grads = model.loss_and_grads(batch, frozen_ctx=ctx)
+        state, grads = model.loss_and_grads(batch, pinned=pinned)
         flat = np.concatenate([grads[n].ravel() for n in names])
         return state.report.total, flat
 

@@ -243,14 +243,14 @@ def test_fine2coarse_on_sixteen_distinct_positions():
     model = fine2coarse(tokens, m=16, k=8, rng=_rng(9))
     # the mean of identical copies reproduces the position only to an ulp,
     # so "inertia 0" holds up to accumulated rounding
-    assert model.fine_inertia < 1e-9
+    assert model.fine.inertia < 1e-9
     np.testing.assert_allclose(
-        sorted(map(tuple, model.fine_centroids)), sorted(map(tuple, positions)), atol=1e-12
+        sorted(map(tuple, model.fine.centroids)), sorted(map(tuple, positions)), atol=1e-12
     )
     # phase 2 is k-means over those positions: its inertia is the cost of
     # the coarse centroids on the fine-centroid set
-    d2 = ((model.fine_centroids[:, None, :] - model.coarse_centroids[None, :, :]) ** 2).sum(-1)
-    assert abs(d2.min(axis=1).sum() - model.coarse_inertia) < 1e-9
+    d2 = ((model.fine.centroids[:, None, :] - model.coarse.centroids[None, :, :]) ** 2).sum(-1)
+    assert abs(d2.min(axis=1).sum() - model.coarse.inertia) < 1e-9
 
 
 def test_fine2coarse_separated_sources_have_pure_coarse_clusters():
@@ -265,27 +265,26 @@ def test_fine2coarse_separated_sources_have_pure_coarse_clusters():
     sources = np.concatenate(sources)
     model = fine2coarse(tokens, m=16, k=8, rng=_rng(11))
     # purity by exhaustive count: each coarse cluster must hold one source
-    for c in np.unique(model.coarse_assignments):
-        members = sources[model.coarse_assignments == c]
+    token_coarse = model.coarse.assignments[model.fine.assignments]
+    for c in np.unique(token_coarse):
+        members = sources[token_coarse == c]
         assert len(np.unique(members)) == 1
 
 
 def test_fine2coarse_lineage_is_partition():
     tokens = _rng(12).normal(size=(60, 6))
     model = fine2coarse(tokens, m=16, k=8, rng=_rng(13))
-    assert model.lineage.shape == (16,)
-    assert np.all((model.lineage >= 0) & (model.lineage < 8))
-    counts = np.bincount(model.lineage, minlength=8)
+    lineage = model.coarse.assignments
+    assert lineage.shape == (16,)
+    assert np.all((lineage >= 0) & (lineage < 8))
+    counts = np.bincount(lineage, minlength=8)
     assert counts.sum() == 16
-    np.testing.assert_array_equal(
-        model.coarse_assignments, model.lineage[model.fine_assignments]
-    )
 
 
 def test_fine2coarse_falls_back_when_batch_smaller_than_m():
     tokens = _rng(14).normal(size=(10, 4))
     model = fine2coarse(tokens, m=16, k=8, rng=_rng(15))
-    assert model.fine_centroids.shape[0] == 10
+    assert model.fine.centroids.shape[0] == 10
     assert any("m'" in w for w in model.warnings)
 
 
@@ -294,19 +293,16 @@ def test_fine2coarse_falls_back_when_batch_has_fewer_distinct_tokens_than_m():
     tokens = rows[np.arange(128) % 12]
     model = fine2coarse(tokens, m=16, k=8, rng=_rng(33))
     assert model.warnings == ["12 distinct tokens < 16; using m'=12"]
-    assert model.fine_centroids.shape == (12, 4)
-    assert model.coarse_centroids.shape == (8, 4)
+    assert model.fine.centroids.shape == (12, 4)
+    assert model.coarse.centroids.shape == (8, 4)
     np.testing.assert_allclose(
-        sorted(map(tuple, model.fine_centroids)), sorted(map(tuple, rows)), atol=1e-12
-    )
-    np.testing.assert_array_equal(
-        model.coarse_assignments, model.lineage[model.fine_assignments]
+        sorted(map(tuple, model.fine.centroids)), sorted(map(tuple, rows)), atol=1e-12
     )
     # fewer distinct tokens than k as well: k is clamped below m'
     model = fine2coarse(rows[np.arange(128) % 3, :1], m=16, k=8, rng=_rng(34))
     assert model.warnings == ["3 distinct tokens < 16; using m'=3",
                               "coarse k clamped to 2 to keep m > k"]
-    assert model.coarse_centroids.shape == (2, 1)
+    assert model.coarse.centroids.shape == (2, 1)
 
 
 def test_fine2coarse_rejects_bad_m_k():
@@ -332,19 +328,19 @@ def test_cluster_features_follow_fine_lineage():
     feats = cluster_features(model)
     assert feats.shape == (40, 4)
     for i in (0, 17, 39):
-        expected = model.coarse_centroids[model.lineage[model.fine_assignments[i]]]
+        expected = model.coarse.centroids[model.coarse.assignments[model.fine.assignments[i]]]
         np.testing.assert_array_equal(feats[i], expected)
 
 
 def test_feature_lookup_matches_member_mean_when_converged():
     tokens = _rng(30).normal(size=(64, 4))
     model = fine2coarse(tokens, m=12, k=4, rng=_rng(31))
-    assert model.coarse_run.converged
+    assert model.coarse.converged
     # converged phase 2: each coarse centroid is the mean of its member
     # fine centroids, so the lookup equals that recomputed mean
-    for c in range(model.coarse_centroids.shape[0]):
-        members = model.fine_centroids[model.lineage == c]
+    for c in range(model.coarse.centroids.shape[0]):
+        members = model.fine.centroids[model.coarse.assignments == c]
         if len(members):
             np.testing.assert_allclose(
-                model.coarse_centroids[c], members.mean(axis=0), atol=1e-12
+                model.coarse.centroids[c], members.mean(axis=0), atol=1e-12
             )

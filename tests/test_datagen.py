@@ -98,8 +98,9 @@ def test_zero_noise_separated_sources_cluster_purely():
     from come.clustering import fine2coarse
 
     model = fine2coarse(flat, m=16, k=8, rng=np.random.default_rng(8))
-    for c in np.unique(model.coarse_assignments):
-        members = per_token_sources[model.coarse_assignments == c]
+    token_coarse = model.coarse.assignments[model.fine.assignments]
+    for c in np.unique(token_coarse):
+        members = per_token_sources[token_coarse == c]
         assert len(np.unique(members)) == 1  # purity 1.0
 
 

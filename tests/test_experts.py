@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from come.experts import (
-    aggregate_features,
     dr_backward,
     dr_forward,
     expert_group_map,
@@ -269,35 +268,3 @@ def test_mixture_gate_gradient_nonzero_only_on_admitted_pairs():
         assert np.all(out[t] == 0.0)
     admitted_rows = plan.expert_tokens[0]
     assert np.all(d_gates[admitted_rows, 0] != 0.0)
-
-
-# ---------------------------------------------------------------------------
-# aggregation
-# ---------------------------------------------------------------------------
-
-
-def test_aggregate_reduces_to_shared_sum_without_routing():
-    rng = np.random.default_rng(21)
-    st, se = rng.normal(size=(2, 4, 6))
-    np.testing.assert_array_equal(aggregate_features(st, se, np.zeros((4, 6))), st + se)
-
-
-def test_aggregate_passes_routed_through_alone():
-    routed = np.random.default_rng(22).normal(size=(3, 5))
-    z = np.zeros((3, 5))
-    np.testing.assert_array_equal(aggregate_features(z, z, routed), routed)
-
-
-def test_aggregate_matches_per_element_sum_and_residual():
-    rng = np.random.default_rng(23)
-    a, b, c = rng.normal(size=(3, 7, 4))
-    out = aggregate_features(a, b, c)
-    for i in range(7):
-        for j in range(4):
-            assert out[i, j] == a[i, j] + b[i, j] + c[i, j]
-    assert np.max(np.abs(out - a - b - c)) < 1e-15
-
-
-def test_aggregate_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="shapes"):
-        aggregate_features(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)))

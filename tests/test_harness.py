@@ -6,6 +6,7 @@ import pytest
 from come import harness
 from come.config import RunConfig, apply_overrides, config_to_dict
 from come.container import save_dataset
+from come.model import ComeModel
 
 SMALL = [
     "data.n_samples=80",
@@ -55,6 +56,30 @@ def test_halt_keeps_the_parameters_of_the_last_log_point():
     assert not last_logged.halted
     assert (result.manifest["digests"]["params_final"]
             == last_logged.manifest["digests"]["params_final"])
+
+
+# ---------------------------------------------------------------------------
+# evaluation and logging
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argument, value", [("batch_size", -1), ("batch_size", 0),
+                                             ("max_batches", 0), ("max_batches", -2)])
+def test_evaluate_rejects_a_batch_argument_below_one(small, argument, value):
+    cfg, dataset = small
+    model = ComeModel.build(cfg)
+    with pytest.raises(ValueError, match=f"evaluate: {argument} must be >= 1, got {value}"):
+        harness.evaluate(model, dataset, "test", **{argument: value})
+
+
+def test_logged_test_accuracy_states_its_sample_count(small, tmp_path):
+    cfg, dataset = small
+    result = harness.train(cfg, dataset=dataset, out_dir=tmp_path)
+    # eval_batches=1 at batch size 8 covers 8 of the 16 test samples
+    assert [m.test_samples for m in result.metrics] == [8, 8]
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert lines[0].split(",")[:4] == ["step", "train_acc", "test_acc", "test_samples"]
+    assert [line.split(",")[3] for line in lines[1:]] == ["8", "8"]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +177,6 @@ def test_sweep_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
                                    "halt_reason": result.halt_reason}]
 
 
-# a diverging ablation run overflows in AdamW's second-moment update (tmp *= g)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_with_no_log_point_gets_nan_cells_instead_of_aborting_the_grid(diverging, tmp_path):
     cfg, dataset = diverging
     cfg = apply_overrides(cfg, ["training.log_every=100"])
@@ -168,6 +191,9 @@ def test_run_with_no_log_point_gets_nan_cells_instead_of_aborting_the_grid(diver
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert [h["row"] for h in manifest["halted"]] == [[v, 0] for v in harness.ABLATION_VARIANTS]
     assert all(h["halt_reason"].startswith("non-finite value at step ") for h in manifest["halted"])
+    # without the semantic prior the second moment overflows in AdamW first
+    no_see = manifest["halted"][list(harness.ABLATION_VARIANTS).index("no_see")]
+    assert no_see["halt_reason"].startswith("non-finite value at step 9: adamw_step:")
 
 
 def test_grid_of_finished_runs_lists_no_halts(small, tmp_path):

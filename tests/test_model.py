@@ -117,6 +117,31 @@ def test_no_dse_disables_both_shared_streams(monkeypatch):
         calls.clear()
 
 
+@pytest.mark.parametrize("name", ["full", "no_ste", "no_see", "no_dse"])
+def test_routed_body_adds_the_enabled_priors_then_the_routed_output(monkeypatch, name):
+    mixed = []
+    original = come.model.expert_mixture_forward
+
+    def capture(*args):
+        out, cache = original(*args)
+        mixed.append(out)
+        return out, cache
+
+    monkeypatch.setattr(come.model, "expert_mixture_forward", capture)
+    model = ComeModel.build(_preset(name))
+    batch = _batch(model.cfg, b=3)
+    state = _forward(model, batch)
+    # a switched-off prior counts as zeros, bit for bit
+    m = model.cfg.model
+    zeros = np.zeros(batch.tokens.shape)
+    structure, semantic = (
+        come.model.frozen_forward(model.frozen, kind, batch.tokens) if on else zeros
+        for kind, on in (("structure", m.structure_expert), ("semantic", m.semantic_expert))
+    )
+    features = (structure + semantic) + mixed[0].reshape(batch.tokens.shape)
+    assert state.pooled.tobytes() == features.mean(axis=1).tobytes()
+
+
 def test_no_clustering_equals_fine2coarse_at_initialization(monkeypatch):
     # the dimension reduction starts as [I | 0], so the cluster branch is
     # inert at step 0 and the two configs produce identical forwards
@@ -131,7 +156,7 @@ def test_no_clustering_equals_fine2coarse_at_initialization(monkeypatch):
     np.testing.assert_array_equal(s_base.body.gate.gates, s_abl.body.gate.gates)
     np.testing.assert_array_equal(s_base.pooled, s_abl.pooled)
     assert s_base.report.total == s_abl.report.total
-    assert np.all(s_abl.body.dr.concat[:, base.width :] == 0)
+    assert np.all(s_abl.body.dr.concat[:, base.cfg.data.width :] == 0)
 
 
 def test_no_tb_zeroes_the_traceability_weight_but_reports_value():
