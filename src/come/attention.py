@@ -50,7 +50,8 @@ def attention_forward(tokens: Array, params: dict, heads: int):
     """Self-attention over each sample's token set with the ``attn.*``
     weights of ``params``.
 
-    Returns (output (B, T, D), cache). Rejects width mismatches.
+    Returns (output (B, T, D), cache). As the first operation on a batch,
+    it rejects non-finite tokens and width mismatches.
     """
     x = require_finite("attention tokens", tokens)
     width = params["attn.wq"].shape[0]
@@ -69,20 +70,14 @@ def attention_forward(tokens: Array, params: dict, heads: int):
 
 
 def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, heads: int):
-    """Gradients of the attention output w.r.t. tokens and parameters.
-
-    Requires the forward cache; returns (d_tokens, ``attn.*`` grads dict).
+    """Gradients of the attention output w.r.t. tokens and parameters, from
+    the forward cache; returns (d_tokens, ``attn.*`` grads dict).
     """
-    if cache is None:
-        raise ValueError("attention_backward: missing forward cache")
-    g = np.asarray(grad_out, dtype=np.float64)
-    if g.shape != cache.merged.shape:
-        raise ValueError("attention_backward: upstream gradient shape mismatch")
     width = cache.tokens.shape[2]
     dh = width // heads
 
-    d_wo = cache.merged.reshape(-1, width).T @ g.reshape(-1, width)
-    d_merged = g @ params["attn.wo"].T
+    d_wo = cache.merged.reshape(-1, width).T @ grad_out.reshape(-1, width)
+    d_merged = grad_out @ params["attn.wo"].T
     d_headed = _split_heads(d_merged, heads)
 
     d_probs = d_headed @ cache.v.transpose(0, 1, 3, 2)

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NonFiniteError, require_finite
-
 Array = np.ndarray
 
 
@@ -121,19 +119,12 @@ def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
 
     ``init`` warm-starts from given centroids; otherwise seeding is
     farthest-first using ``rng``. Raises TooFewDistinctPoints (a ValueError)
-    for k above the number of distinct points, and NonFiniteError when a
-    distance or a mean overflows. Empty clusters are re-seeded from the
-    point farthest from its centroid, keeping k fixed.
+    for k above the number of distinct points. Empty clusters are re-seeded
+    from the point farthest from its centroid, keeping k fixed. The points
+    are not checked for NaN or Inf; inside ``ComeModel.forward`` an
+    overflowing distance or mean raises FloatingPointError.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _lloyd(points, k, rng, init, max_iters)
-    except FloatingPointError as exc:
-        raise NonFiniteError(f"kmeans: {exc}") from exc
-
-
-def _lloyd(points: Array, k: int, rng, init, max_iters: int) -> KMeansRun:
-    pts = require_finite("kmeans points", points)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("kmeans: points must be (N, D)")
     if max_iters < 1:
@@ -194,7 +185,7 @@ def fine2coarse(points: Array, m: int = 16, k: int = 8,
     is smaller than m, to m' = distinct token count when it holds fewer
     distinct tokens than m, and to k' = m' - 1 (at least 1) when k >= m'.
     """
-    pts = require_finite("fine2coarse points", points)
+    pts = np.asarray(points, dtype=np.float64)
     if not (m > k >= 1):
         raise ValueError(f"fine2coarse: need m > k >= 1, got m={m} k={k}")
     n = pts.shape[0]

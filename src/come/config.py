@@ -3,10 +3,11 @@
 Unknown keys are rejected everywhere, and every value must have the type
 of its field's default (``ConfigError`` names key, value and type). The
 ``data`` section is the generator's own ``GeneratorConfig`` plus the
-dataset seed and an optional container path. A run manifest embeds the
-fully resolved config under a ``config`` key, and the loader accepts
-either a bare config object or such a manifest, so a manifest can be
-re-fed as ``--config`` to reproduce a run.
+dataset seed and an optional container path, and the ``optimizer`` section
+is ``numerics.AdamWConfig``, which ``AdamWState`` extends. A run manifest
+embeds the fully resolved config under a ``config`` key, and the loader
+accepts either a bare config object or such a manifest, so a manifest can
+be re-fed as ``--config`` to reproduce a run.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .datagen import GeneratorConfig
+from .numerics import AdamWConfig
 
 
 class ConfigError(ValueError):
@@ -70,15 +72,6 @@ class LossConfig:
 
 
 @dataclass
-class OptimizerConfig:
-    lr: float = 1.4e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-
-
-@dataclass
 class TrainingConfig:
     steps: int = 2000
     batch_size: int = 8
@@ -94,7 +87,7 @@ class RunConfig:
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
     losses: LossConfig = field(default_factory=LossConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: AdamWConfig = field(default_factory=AdamWConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
     def validate(self):

@@ -19,6 +19,10 @@ Checkpoint container (version 2)::
 
 A model checkpoint holds its trainable parameters and, for the routed
 model, the frozen shared experts as ``frozen.{kind}.{w,b}`` blobs.
+
+Both readers raise a ValueError naming the path for a malformed file. A
+checkpoint blob must also be finite, since the model does not re-check its
+parameters; dataset tokens are checked when a batch enters the model.
 """
 
 from __future__ import annotations
@@ -193,7 +197,7 @@ def load_checkpoint(path) -> dict:
     """Returns the saved arrays by name, as writable float64 copies.
 
     Raises ValueError naming the path and the blob being read when the file
-    is truncated or has bytes after its last blob.
+    is truncated, has bytes after its last blob, or holds a NaN or Inf.
     """
     reader = _Reader(path, "checkpoint")
     version, n_blobs = reader.unpack("<II", "the header")
@@ -210,7 +214,11 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"{reader.path}: {what} has a name that is not UTF-8 ({exc})") from exc
         what = f"blob {name!r}"
         (ndim,) = reader.unpack("<B", what)
-        arrays[name] = reader.floats(reader.unpack(f"<{ndim}I", what), what).copy()
+        arr = reader.floats(reader.unpack(f"<{ndim}I", what), what)
+        if not np.isfinite(arr).all():
+            bad = int(np.count_nonzero(~np.isfinite(arr)))
+            raise ValueError(f"{reader.path}: {what} holds {bad} non-finite entries")
+        arrays[name] = arr.copy()
     reader.finish(what)
     return arrays
 

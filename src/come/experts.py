@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import require_finite
-
 Array = np.ndarray
 
 
@@ -45,11 +43,7 @@ def init_frozen(kind: str, width: int, rng: np.random.Generator, scale: float = 
 
 def frozen_forward(frozen: dict, kind: str, tokens: Array) -> Array:
     """tanh(X W + b) applied row-wise with the ``kind`` map of ``frozen``."""
-    x = require_finite("frozen expert input", tokens)
-    w = frozen[f"frozen.{kind}.w"]
-    if x.shape[-1] != w.shape[0]:
-        raise ValueError(f"frozen expert: width {w.shape[0]} expected, got {x.shape[-1]}")
-    return np.tanh(x @ w + frozen[f"frozen.{kind}.b"])
+    return np.tanh(tokens @ frozen[f"frozen.{kind}.w"] + frozen[f"frozen.{kind}.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +131,9 @@ class DimReductionCache:
 
 def dr_forward(attended: Array, cluster_feats: Array, params: dict):
     """Project [attended | cluster feature] (N, 2D) down to (N, D)."""
-    a = require_finite("dr attended", attended)
-    c = require_finite("dr cluster features", cluster_feats)
-    if a.shape != c.shape:
-        raise ValueError(f"dr_forward: shapes differ {a.shape} vs {c.shape}")
-    concat = np.concatenate([a, c], axis=1)
+    concat = np.concatenate([attended, cluster_feats], axis=1)
     out = concat @ params["dr.w"] + params["dr.b"]
-    return out, DimReductionCache(concat=concat, width=a.shape[1])
+    return out, DimReductionCache(concat=concat, width=attended.shape[1])
 
 
 def dr_backward(grad_out: Array, cache: DimReductionCache, params: dict):
@@ -171,30 +161,21 @@ class MixtureCache:
     per_expert: list  # (expert id, token indices, hidden, outputs)
 
 
-def expert_mixture_forward(bank_params: dict, n_experts: int, plan, inputs: Array, gates: Array):
+def expert_mixture_forward(bank_params: dict, plan, inputs: Array, gates: Array):
     """Capacity-masked Top-K combination: out[i] = sum_j g[i,j] * E_j(x_i)
-    over the admitted (token, expert) pairs of ``plan``. Dropped pairs
-    contribute zero.
+    over the admitted (token, expert) pairs of ``plan``, whose experts
+    ``expert.{j}`` are read from ``bank_params``. Dropped pairs contribute
+    zero.
     """
-    x = require_finite("mixture inputs", inputs)
-    if plan.n_experts != n_experts:
-        raise ValueError(
-            f"dispatch plan built for {plan.n_experts} experts, bank has {n_experts}"
-        )
-    if plan.n_tokens != x.shape[0]:
-        raise ValueError(
-            f"dispatch plan built for {plan.n_tokens} tokens, got {x.shape[0]}"
-        )
-    out = np.zeros_like(x)
+    out = np.zeros_like(inputs)
     per_expert = []
-    for j in range(n_experts):
-        tok = plan.expert_tokens[j]
+    for j, tok in enumerate(plan.expert_tokens):
         if tok.size == 0:
             continue
-        y, h = ffn_forward(bank_params, f"expert.{j}", x[tok])
+        y, h = ffn_forward(bank_params, f"expert.{j}", inputs[tok])
         out[tok] += gates[tok, j][:, None] * y
         per_expert.append((j, tok, h, y))
-    return out, MixtureCache(inputs=x, gates=gates, per_expert=per_expert)
+    return out, MixtureCache(inputs=inputs, gates=gates, per_expert=per_expert)
 
 
 def expert_mixture_backward(grad_out: Array, cache: MixtureCache, bank_params: dict):

@@ -123,6 +123,8 @@ def _check_dataset(cfg: RunConfig, dataset: DatasetBundle):
         raise ValueError("dataset labels exceed configured class count")
     if dataset.sources.max(initial=0) >= cfg.data.n_sources:
         raise ValueError("dataset sources exceed configured source count")
+    if dataset.sources.min(initial=0) < 0:
+        raise ValueError(f"dataset source id {dataset.sources.min()} is negative")
 
 
 def routing_purity(plan, token_sources, owners) -> tuple:
@@ -148,9 +150,10 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
              batch_size: int | None = None, max_batches: int | None = None) -> EvalResult:
     """Deterministic evaluation of a checkpointed model on a dataset split.
 
-    ``split`` is "train", "test", or an explicit index array. Model
-    parameters are never mutated; an empty split, ``batch_size`` < 1 and
-    ``max_batches`` < 1 are rejected.
+    ``split`` is "train", "test", or an explicit array of integer indices
+    in [0, n_samples). Model parameters are never mutated; an empty split,
+    any other index, ``batch_size`` < 1 and ``max_batches`` < 1 are
+    rejected.
     """
     cfg = model.cfg
     _check_dataset(cfg, dataset)
@@ -162,6 +165,11 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         indices = np.asarray(split)
     if indices.size == 0:
         raise ValueError("evaluate: empty split")
+    integral = np.issubdtype(indices.dtype, np.integer)
+    bad = indices if not integral else indices[(indices < 0) | (indices >= dataset.n_samples)]
+    if bad.size:
+        raise ValueError(f"evaluate: split index {bad.flat[0].item()!r} is not an integer "
+                         f"in [0, {dataset.n_samples})")
     if batch_size is None:
         batch_size = cfg.training.batch_size
     for name, value in (("batch_size", batch_size), ("max_batches", max_batches)):
@@ -233,12 +241,15 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
           out_dir=None) -> TrainResult:
     """Train a model and log metrics at the configured cadence.
 
-    Deterministic given the seed. A step runs with NumPy overflow and
-    invalid operations raising; if it meets a non-finite value
-    (``NonFiniteError`` or ``FloatingPointError``), training halts and keeps
-    the parameters of the last log point, or the initial ones if none was
-    reached. Writes metrics.csv, expert_stats.csv, checkpoint.come and
-    manifest.json when ``out_dir`` is given.
+    Deterministic given the seed. A whole step (forward, backward, AdamW
+    and the log-point eval) runs with NumPy overflow and invalid operations
+    raising. If a step meets NaN or Inf tokens (``NonFiniteError``) or an
+    operation that overflows or is invalid (``FloatingPointError``),
+    training halts and keeps the parameters of the last log point, or the
+    initial ones if none was reached. The halt reason names the step, and
+    for a FloatingPointError the innermost function. Writes metrics.csv,
+    expert_stats.csv, checkpoint.come and manifest.json when ``out_dir`` is
+    given.
     """
     cfg.validate()
     if dataset is None:
@@ -375,14 +386,16 @@ def _run_grid(cfg: RunConfig, dataset: DatasetBundle, runs: list, header: list,
               out_dir, command: str, csv_name: str, **manifest_extra) -> list:
     """Train one run per (row prefix, overrides) pair and return its rows.
 
-    A row is the prefix, then the final log point's value of each metric
-    ``header`` names after the prefix, then whether the run halted. A run
-    that logged nothing gets nan metric cells. With ``out_dir``, writes the
-    rows to ``csv_name`` and a manifest that lists each halted run's reason.
+    Every run's config is validated before the first run trains. A row is
+    the prefix, then the final log point's value of each metric ``header``
+    names after the prefix, then whether the run halted. A run that logged
+    nothing gets nan metric cells. With ``out_dir``, writes the rows to
+    ``csv_name`` and a manifest that lists each halted run's reason.
     """
+    configs = [apply_overrides(cfg, overrides).validate() for _, overrides in runs]
     rows, halts = [], []
-    for prefix, overrides in runs:
-        result = train(apply_overrides(cfg, overrides), dataset=dataset)
+    for (prefix, _), run_cfg in zip(runs, configs):
+        result = train(run_cfg, dataset=dataset)
         names = header[len(prefix):-1]
         if result.metrics:
             cells = [getattr(result.metrics[-1], name) for name in names]

@@ -19,7 +19,6 @@ from .numerics import (
     cv_squared_grad,
     normal_cdf,
     normal_pdf,
-    require_finite,
     softmax,
 )
 
@@ -61,9 +60,8 @@ def traceability_loss(gates: Array, token_sources: Array, owners: Array):
 
     Returns (value, d_gates, clamp_count).
     """
-    g = require_finite("traceability gates", gates)
-    scale = 1.0 / g.shape[0]
-    d_gates = np.zeros_like(g)
+    scale = 1.0 / gates.shape[0]
+    d_gates = np.zeros_like(gates)
     total = 0.0
     clamped = 0
     for src in np.unique(token_sources):
@@ -71,7 +69,7 @@ def traceability_loss(gates: Array, token_sources: Array, owners: Array):
         if len(group) == 0:
             raise ValueError(f"source {src} owns no experts")
         rows = np.flatnonzero(token_sources == src)
-        mass = g[np.ix_(rows, group)].sum(axis=1)
+        mass = gates[np.ix_(rows, group)].sum(axis=1)
         low = mass < GROUP_MASS_EPS
         clamped += int(np.count_nonzero(low))
         safe = np.maximum(mass, GROUP_MASS_EPS)
@@ -86,11 +84,10 @@ def importance_loss(gates: Array):
 
     Returns (value, d_gates, importance vector).
     """
-    g = require_finite("importance gates", gates)
-    importance = g.sum(axis=0)
+    importance = gates.sum(axis=0)
     value = cv_squared(importance)
     d_importance = cv_squared_grad(importance)
-    d_gates = np.broadcast_to(d_importance, g.shape).copy()
+    d_gates = np.broadcast_to(d_importance, gates.shape).copy()
     return value, d_gates, importance
 
 
@@ -100,12 +97,10 @@ def load_loss(gates: Array):
 
     Returns (value, d_gates, load vector).
     """
-    g = require_finite("load gates", gates)
-    cdf = normal_cdf(g)
-    load = cdf.sum(axis=0)
+    load = normal_cdf(gates).sum(axis=0)
     value = cv_squared(load)
     d_load = cv_squared_grad(load)
-    d_gates = d_load[None, :] * normal_pdf(g)
+    d_gates = d_load[None, :] * normal_pdf(gates)
     return value, d_gates, load
 
 
@@ -114,14 +109,13 @@ def cross_entropy(logits: Array, labels: Array):
 
     Returns (value, d_logits).
     """
-    z = require_finite("task logits", logits)
     y = np.asarray(labels)
-    n, c = z.shape
+    n, c = logits.shape
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match {n} samples")
     if np.any(y < 0) or np.any(y >= c):
         raise ValueError(f"label out of range [0, {c})")
-    probs = softmax(z, axis=1)
+    probs = softmax(logits, axis=1)
     picked = probs[np.arange(n), y]
     value = float(-np.log(np.maximum(picked, 1e-300)).mean())
     d_logits = probs.copy()

@@ -26,6 +26,15 @@ admission are constants of the backward pass. For finite-difference
 checking, ``forward`` takes a ``pinned`` reference forward of the same
 batch and reuses its cluster features and dispatch plan, so the perturbed
 evaluations differentiate the same masked function the backward assumes.
+
+Finiteness is checked once, where values enter: attention rejects a batch
+with NaN or Inf tokens, and ``load_checkpoint`` a non-finite blob. The
+layers do not re-check the arrays the model builds from them. Instead
+``forward`` runs under ``np.errstate(over="raise", invalid="raise")``, so
+the first overflowing or invalid operation raises ``FloatingPointError``.
+No division by zero is reachable: softmax sums are >= 1, a renormalised
+Top-K mass is >= 1/E, group masses and CE probabilities are clamped, and
+empty k-means clusters are masked.
 """
 
 from __future__ import annotations
@@ -202,8 +211,15 @@ class ComeModel:
         )
         return cluster_features(model)
 
+    @np.errstate(over="raise", invalid="raise")
     def forward(self, batch: TokenBatch, cluster_rng=None,
                 pinned: ForwardState | None = None) -> ForwardState:
+        """Losses, predictions and the backward's caches for one batch.
+
+        Raises ValueError for an empty batch, NonFiniteError for NaN or Inf
+        tokens, and FloatingPointError at the first operation that
+        overflows or is invalid.
+        """
         b, t, d = batch.tokens.shape
         if b == 0 or t == 0:
             raise ValueError(f"forward: empty batch of shape {batch.tokens.shape} (B, T, D)")
@@ -265,9 +281,7 @@ class ComeModel:
             renorm_sums = picked.sum(axis=1, keepdims=True)
             combine = np.zeros_like(gates)
             np.put_along_axis(combine, plan.selection, picked / renorm_sums, axis=1)
-        mix_out, mix_cache = expert_mixture_forward(
-            self.params, cfg.model.n_experts, plan, routed_in, combine
-        )
+        mix_out, mix_cache = expert_mixture_forward(self.params, plan, routed_in, combine)
         features = mix_out.reshape(batch.tokens.shape)
         if priors:  # (structure + semantic) + routed
             features = sum(priors[1:], priors[0]) + features

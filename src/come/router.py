@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import require_finite, softmax, softmax_backward
+from .numerics import softmax, softmax_backward
 
 Array = np.ndarray
 
@@ -30,13 +30,9 @@ class GateCache:
 def gate_forward(inputs: Array, params: dict, temperature: float):
     """Row-stochastic gate matrix softmax((W x + b) / temperature) with the
     ``router.w`` (n_experts, D) and ``router.b`` weights of ``params``."""
-    x = require_finite("router inputs", inputs)
-    weight = params["router.w"]
-    if x.shape[1] != weight.shape[1]:
-        raise ValueError(f"router expects width {weight.shape[1]}, got {x.shape[1]}")
-    logits = x @ weight.T + params["router.b"]
+    logits = inputs @ params["router.w"].T + params["router.b"]
     gates = softmax(logits / temperature, axis=1)
-    return gates, GateCache(inputs=x, gates=gates)
+    return gates, GateCache(inputs=inputs, gates=gates)
 
 
 def gate_backward(d_gates: Array, cache: GateCache, params: dict, temperature: float):
@@ -74,10 +70,6 @@ class DispatchPlan:
     @property
     def n_tokens(self) -> int:
         return self.selection.shape[0]
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.expert_tokens)
 
     @property
     def n_overflow(self) -> int:

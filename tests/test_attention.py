@@ -104,16 +104,6 @@ def test_backward_zero_upstream_gives_zero_grads():
     assert all(np.all(g == 0) for g in grads.values())
 
 
-def test_backward_requires_cache_and_matching_shape():
-    params = _params()
-    with pytest.raises(ValueError, match="cache"):
-        attention_backward(np.zeros((1, 2, 8)), None, params, 2)
-    x = np.random.default_rng(9).normal(size=(1, 4, 8))
-    out, cache = attention_forward(x, params, 2)
-    with pytest.raises(ValueError, match="mismatch"):
-        attention_backward(np.zeros((1, 3, 8)), cache, params, 2)
-
-
 def test_single_token_backward_matches_hand_chain():
     # with one token the attention weight is constantly 1, so the block is
     # the linear chain x -> x @ wv @ wo and the score path carries no grad

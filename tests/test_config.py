@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -12,6 +13,7 @@ from come.config import (
     config_from_dict,
     config_to_dict,
 )
+from come.numerics import AdamWConfig, AdamWState
 
 
 @pytest.mark.parametrize(
@@ -134,6 +136,14 @@ JSON_VALUES = st.recursive(
 
 def test_there_are_46_config_keys():
     assert len(LEAF_KEYS) == 46
+
+
+def test_the_optimizer_section_is_the_config_adamw_state_extends():
+    cfg = apply_overrides(RunConfig(), ["optimizer.lr=0.5"])
+    assert type(cfg.optimizer) is AdamWConfig
+    state = AdamWState(**dataclasses.asdict(cfg.optimizer))
+    assert isinstance(state, AdamWConfig)
+    assert (state.lr, state.beta1, state.weight_decay, state.step) == (0.5, 0.9, 0.01, 0)
 
 
 @settings(max_examples=400, deadline=None)

@@ -167,6 +167,14 @@ def test_checkpoint_digest_stable_across_roundtrip(tmp_path):
     assert checkpoint_digest(loaded) != d0
 
 
+def test_checkpoint_rejects_a_non_finite_blob(tmp_path):
+    params = {"attn.wq": np.ones((2, 2)), "router.b": np.array([0.0, np.nan, -np.inf])}
+    path = save_checkpoint(tmp_path / "model.come", params)
+    with pytest.raises(ValueError, match="blob 'router.b' holds 2 non-finite entries") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.come"
     p.write_bytes(b"COMX" + b"\x00" * 32)

@@ -61,11 +61,6 @@ def test_frozen_params_are_read_only():
             arr[0] = 1.0
 
 
-def test_frozen_rejects_bad_width():
-    with pytest.raises(ValueError, match="width"):
-        frozen_forward(_frozen(width=4, seed=0), "structure", np.zeros((2, 5)))
-
-
 # ---------------------------------------------------------------------------
 # expert groups
 # ---------------------------------------------------------------------------
@@ -120,12 +115,6 @@ def test_dr_single_cluster_varies_only_through_token_branch():
     np.testing.assert_allclose(delta, expected, atol=1e-12)
 
 
-def test_dr_rejects_shape_mismatch():
-    params = init_dim_reduction(4)
-    with pytest.raises(ValueError, match="differ"):
-        dr_forward(np.zeros((3, 4)), np.zeros((4, 4)), params)
-
-
 def test_dr_param_and_token_grads_pass_grad_check():
     width = 4
     rng = np.random.default_rng(12)
@@ -173,7 +162,7 @@ def test_mixture_single_expert_unit_gate_is_plain_ffn():
     plan = build_dispatch(sel, 2, capacity_factor=10.0)
     gates = np.zeros((5, 2))
     gates[:, 0] = 1.0
-    out, _ = expert_mixture_forward(bank, 2, plan, x, gates)
+    out, _ = expert_mixture_forward(bank, plan, x, gates)
     expected, _ = ffn_forward(bank, "expert.0", x)
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -184,7 +173,7 @@ def test_mixture_zero_weights_give_zero_output():
     x = np.random.default_rng(14).normal(size=(4, 6))
     plan = _full_plan(4, 3)
     gates = np.full((4, 3), 1 / 3)
-    out, _ = expert_mixture_forward(bank, 3, plan, x, gates)
+    out, _ = expert_mixture_forward(bank, plan, x, gates)
     assert np.all(out == 0.0)
 
 
@@ -197,7 +186,7 @@ def test_mixture_matches_naive_loop_oracle():
 
     sel = topk_select(gates, 2)
     plan = build_dispatch(sel, 4, capacity_factor=1.25)
-    out, _ = expert_mixture_forward(bank, 4, plan, x, gates)
+    out, _ = expert_mixture_forward(bank, plan, x, gates)
 
     expected = np.zeros_like(x)
     for t in range(9):
@@ -207,17 +196,6 @@ def test_mixture_matches_naive_loop_oracle():
                 y, _ = ffn_forward(bank, f"expert.{j}", x[t : t + 1])
                 expected[t] += gates[t, j] * y[0]
     np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_mixture_rejects_mismatched_plan():
-    bank = _bank(n_experts=3)
-    plan = _full_plan(4, 2)
-    gates = np.full((4, 3), 1 / 3)
-    with pytest.raises(ValueError, match="plan"):
-        expert_mixture_forward(bank, 3, plan, np.zeros((4, 6)), gates)
-    plan = _full_plan(5, 3)
-    with pytest.raises(ValueError, match="tokens"):
-        expert_mixture_forward(bank, 3, plan, np.zeros((4, 6)), np.full((4, 3), 1 / 3))
 
 
 def test_mixture_backward_passes_grad_check():
@@ -239,7 +217,7 @@ def test_mixture_backward_passes_grad_check():
             size = bank[n].size
             params[n] = theta[off : off + size].reshape(bank[n].shape)
             off += size
-        out, cache = expert_mixture_forward(params, n_experts, plan, x, gates)
+        out, cache = expert_mixture_forward(params, plan, x, gates)
         val = float(np.sum(out * proj))
         _, _, grads = expert_mixture_backward(proj, cache, params)
         flat = np.concatenate(
@@ -261,7 +239,7 @@ def test_mixture_gate_gradient_nonzero_only_on_admitted_pairs():
     assert plan.n_overflow > 0
     gates = np.zeros((6, 2))
     gates[:, 0] = 1.0
-    out, cache = expert_mixture_forward(bank, 2, plan, x, gates)
+    out, cache = expert_mixture_forward(bank, plan, x, gates)
     _, d_gates, _ = expert_mixture_backward(np.ones_like(out), cache, bank)
     for t in np.nonzero(~plan.admitted[:, 0])[0]:
         assert d_gates[t, 0] == 0.0

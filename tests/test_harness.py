@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from come import harness
-from come.config import RunConfig, apply_overrides, config_to_dict
+from come.config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from come.container import save_dataset
 from come.model import ComeModel
 
@@ -33,12 +34,12 @@ def _final_row(cfg, dataset, overrides):
 
 
 def test_non_finite_step_halts_and_restores_initial_params():
-    # k-means meets the overflow first and raises before NumPy warns about it
+    # k-means seeding meets the overflow first and raises before NumPy warns
     cfg = apply_overrides(RunConfig(), ["optimizer.lr=1e6", "training.steps=50"])
     result = harness.train(cfg)
     assert result.halted
     assert result.halt_reason == ("non-finite value at step 20: "
-                                  "kmeans: overflow encountered in multiply")
+                                  "_farthest_first_seed: overflow encountered in multiply")
     assert result.manifest["halted"] == result.halt_reason
     assert result.metrics == []
     with pytest.raises(ValueError, match="logged no metrics"):
@@ -70,6 +71,21 @@ def test_evaluate_rejects_a_batch_argument_below_one(small, argument, value):
     model = ComeModel.build(cfg)
     with pytest.raises(ValueError, match=f"evaluate: {argument} must be >= 1, got {value}"):
         harness.evaluate(model, dataset, "test", **{argument: value})
+
+
+@pytest.mark.parametrize("source, split, message", [
+    (-1, "test", "dataset source id -1 is negative"),
+    (0, [-1, -2], r"split index -1 is not an integer in \[0, 80\)"),
+    (0, [0, 80], r"split index 80 is not an integer in \[0, 80\)"),
+    (0, [0.0, 1.0], r"split index 0.0 is not an integer in \[0, 80\)"),
+], ids=["negative-source", "negative-index", "index-past-the-end", "float-index"])
+def test_evaluate_rejects_ids_out_of_range(small, source, split, message):
+    cfg, dataset = small
+    sources = dataset.sources.copy()
+    sources[0] = source
+    dataset = dataclasses.replace(dataset, sources=sources)
+    with pytest.raises(ValueError, match=message):
+        harness.evaluate(ComeModel.build(cfg), dataset, split)
 
 
 def test_logged_test_accuracy_states_its_sample_count(small, tmp_path):
@@ -147,6 +163,16 @@ def test_sweep_rows_csv_and_manifest(small, tmp_path, axis, values, overrides):
     assert manifest["command"] == "sweep"
     assert (manifest["axis"], manifest["values"]) == (axis, values)
     assert manifest["outputs"] == [f"sweep_{axis}.csv"]
+
+
+def test_grid_validates_every_run_before_training_any(small, tmp_path, monkeypatch):
+    cfg, dataset = small
+    trained = []
+    monkeypatch.setattr(harness, "train", lambda run_cfg, **_: trained.append(run_cfg))
+    with pytest.raises(ConfigError, match=r"n_experts >= n_sources \(2 < 4\)"):
+        harness.sweep(cfg, "experts", dataset=dataset, values=[4, 2], out_dir=tmp_path)
+    assert trained == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_unknown_axis(small):

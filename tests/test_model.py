@@ -5,7 +5,7 @@ import come.model
 from come.config import apply_overrides, config_from_dict
 from come.container import checkpoint_digest
 from come.datagen import TokenBatch, generate
-from come.harness import ABLATION_VARIANTS
+from come.harness import ABLATION_VARIANTS, evaluate
 from come.model import ComeModel, component_grad_check, matched_dense_hidden
 from come.numerics import AdamWState, adamw_step
 
@@ -101,6 +101,20 @@ def test_forward_rejects_empty_batches(arch, monkeypatch):
     with pytest.raises(ValueError, match=r"empty batch of shape \(2, 0, 6\)"):
         _forward(model, TokenBatch(np.zeros((2, 0, 6)), np.zeros(2, np.int64), np.zeros(2, np.int64)))
     assert attention_calls == []
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_forward_raises_at_the_first_overflow(arch):
+    cfg = _cfg(**{"model.arch": arch})
+    model = ComeModel.build(cfg)
+    for name in ("attn.wq", "attn.wk"):
+        model.params[name] = model.params[name] * 1e200
+    dataset = generate(cfg.data.generator(), cfg.data.seed)
+    # the attention scores overflow; nothing downstream computes on inf
+    for run in (lambda: _forward(model, _batch(cfg)), lambda: evaluate(model, dataset)):
+        with pytest.raises(FloatingPointError, match="overflow encountered in matmul") as err:
+            run()
+        assert err.traceback[-1].name == "attention_forward"
 
 
 def test_no_dse_disables_both_shared_streams(monkeypatch):
