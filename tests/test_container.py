@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -138,6 +139,24 @@ def test_dataset_save_is_deterministic(tmp_path):
     p1 = save_dataset(tmp_path / "a.come", ds)
     p2 = save_dataset(tmp_path / "b.come", ds)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# SHA-256 of each saved container file, recorded from the per-sample writer.
+DATASET_FILE_DIGESTS = {
+    "small": "a7cf19f0309823b5ebf8adc1e39e8f3e820d5970c7313d4372daeabf198468f3",
+    "default": "0b318d4d5d392d0ca9591f42ef3019068f1e8588e06a884f3e348ade53858676",
+}
+
+
+@pytest.mark.parametrize("name", list(DATASET_FILE_DIGESTS))
+def test_dataset_file_bytes_are_pinned(tmp_path, name):
+    ds = _dataset() if name == "small" else generate(GeneratorConfig(), seed=0)
+    path = save_dataset(tmp_path / "data.come", ds)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_FILE_DIGESTS[name]
+    loaded = load_dataset(path)
+    for field in ("tokens", "sources", "labels"):
+        np.testing.assert_array_equal(getattr(loaded, field), getattr(ds, field))
+        assert getattr(loaded, field).dtype == getattr(ds, field).dtype
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -176,10 +177,65 @@ GENERATOR_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GENERATOR_DIGESTS))
-def test_generator_output_is_pinned(mode):
+def generator_digest(mode: str) -> str:
     ds = generate(_small_cfg(source_basis_mode=mode), seed=21)
     h = hashlib.sha256()
     for arr in (ds.tokens, ds.sources, ds.labels, ds.train_idx, ds.test_idx):
         h.update(np.ascontiguousarray(arr).tobytes())
-    assert h.hexdigest() == GENERATOR_DIGESTS[mode]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(GENERATOR_DIGESTS))
+def test_generator_output_is_pinned(mode):
+    assert generator_digest(mode) == GENERATOR_DIGESTS[mode]
+
+
+BUNDLE_ARRAYS = ("tokens", "sources", "labels", "train_idx", "test_idx",
+                 "label_shared_map", "label_source_maps", "latents_shared", "latents_source")
+
+# name -> (config, seed); "default" is the benchmark's dataset, and "wide"
+# crosses a 256-sample boundary at a width with larger BLAS kernels.
+PINNED_CASES = {
+    "shared": (_small_cfg(source_basis_mode="shared"), 21),
+    "private": (_small_cfg(source_basis_mode="private"), 21),
+    "no_source_latent": (_small_cfg(source_rank=0), 21),
+    "one_source": (_small_cfg(n_sources=1, source_weights=[1.0]), 21),
+    "wide": (_small_cfg(width=128, shared_rank=8, source_rank=4, n_samples=257), 21),
+    "default": (GeneratorConfig(), 0),
+}
+
+
+def bundle_digest(name: str) -> str:
+    """SHA-256 over the dtype, shape and bytes of all nine bundle arrays."""
+    ds = generate(*PINNED_CASES[name])
+    h = hashlib.sha256()
+    for field in BUNDLE_ARRAYS:
+        arr = np.ascontiguousarray(getattr(ds, field))
+        h.update(f"{field}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the per-sample generator loop, which drew each sample's
+# source with Generator.choice. Tolerance: none.
+BUNDLE_DIGESTS = {
+    "shared": "fba268592ea3dd09b04abb19014d0e6c2023e69edb58313186844c40646a0e00",
+    "private": "7a1404e76dfc8fc2d1632b9e90c6e3f774b0bc1af92bc5379eb990c684ce1532",
+    "no_source_latent": "4a5d52d44120c8d04cd3f1d03db3647270e2bc3d37fa3b160b95f5b2e6170697",
+    "one_source": "bfd0b214d97334dd8b806a9a8d0bbdbcb9da669a79824521f57615e0f38bd2cf",
+    "wide": "6f34a4e0a51f1b82253823e957cc2792a130708a7a77bd1ceabf1170c761d839",
+    "default": "eb90c72a5bfeabe0b2188d46a318424876f691e348633939aedd9ae59d1f362c",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CASES))
+def test_every_bundle_array_is_pinned(name):
+    assert bundle_digest(name) == BUNDLE_DIGESTS[name]
+
+
+if __name__ == "__main__":
+    # An intentional generator change re-records both tables from this output.
+    print(json.dumps({
+        "GENERATOR_DIGESTS": {mode: generator_digest(mode) for mode in GENERATOR_DIGESTS},
+        "BUNDLE_DIGESTS": {name: bundle_digest(name) for name in PINNED_CASES},
+    }, indent=4))
