@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .datagen import GeneratorConfig
-from .numerics import AdamWConfig
+from .numerics import AdamWConfig, finite_number
 
 
 class ConfigError(ValueError):
@@ -131,8 +130,7 @@ class RunConfig:
         for key, value in leaves.items():
             if isinstance(_DEFAULTS[key], (float, list)):
                 numbers = value if isinstance(value, list) else [value]
-                # finite, also as a float: an int can be too large for one
-                if not all(abs(v) <= sys.float_info.max for v in numbers):
+                if not all(map(finite_number, numbers)):
                     raise ConfigError(f"{key} must be finite, got {value!r}")
         try:
             self.data.validate()

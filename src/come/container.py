@@ -88,16 +88,31 @@ class _Reader:
             raise ValueError(f"{self.path}: {extra} trailing bytes after {what}")
 
 
+def _sample_dtype(t: int, d: int) -> np.dtype:
+    """One dataset sample as the container lays it out."""
+    return np.dtype([("source", "<u4"), ("label", "<u4"), ("tokens", "<f8", (t, d))])
+
+
 def save_dataset(path, bundle: DatasetBundle) -> Path:
-    """Write the feature container plus its JSON sidecar; returns the path."""
+    """Write the feature container plus its JSON sidecar; returns the path.
+
+    Raises ValueError naming the first sample whose source id or label does
+    not fit a u32, before anything is written.
+    """
     p = Path(path)
     n, t, d = bundle.tokens.shape
+    records = np.empty(n, dtype=_sample_dtype(t, d))
+    for field, ids in (("source", bundle.sources), ("label", bundle.labels)):
+        outside = np.flatnonzero((ids < 0) | (ids >= 2**32))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(f"{p}: sample {i + 1} of {n} has {field} {ids[i]}, outside [0, 2**32)")
+        records[field] = ids
+    records["tokens"] = bundle.tokens
     with open(p, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIII", DATASET_VERSION, n, t, d))
-        for i in range(n):
-            fh.write(struct.pack("<II", int(bundle.sources[i]), int(bundle.labels[i])))
-            fh.write(np.ascontiguousarray(bundle.tokens[i], dtype="<f8").tobytes())
+        fh.write(records.data)
     _sidecar_path(p).write_text(json.dumps(generator_sidecar(bundle), indent=2))
     return p
 
@@ -117,20 +132,18 @@ def load_dataset(path) -> DatasetBundle:
             f"{reader.path}: truncated in sample {fits + 1} of {n}: the header implies "
             f"{reader.offset + n * sample_size} bytes, file has {len(reader.raw)}"
         )
-    tokens = np.empty((n, t, d))
-    sources = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    what = "the header"
-    for i in range(n):
-        what = f"sample {i + 1} of {n}"
-        sources[i], labels[i] = reader.unpack("<II", what)
-        tokens[i] = reader.floats((t, d), what)
+    what = f"sample {n} of {n}" if n else "the header"
+    try:
+        dtype = _sample_dtype(t, d)
+    except ValueError as exc:  # a sample larger than NumPy supports
+        raise ValueError(f"{reader.path}: cannot shape samples as ({t}, {d}) ({exc})") from exc
+    records = np.frombuffer(reader.read(n * sample_size, what), dtype=dtype)
     reader.finish(what)
     side = _read_sidecar(_sidecar_path(reader.path), n)
     return DatasetBundle(
-        tokens=tokens,
-        sources=sources,
-        labels=labels,
+        tokens=records["tokens"].astype(np.float64),
+        sources=records["source"].astype(np.int64),
+        labels=records["label"].astype(np.int64),
         train_idx=np.asarray(side["train_indices"], dtype=np.int64),
         test_idx=np.asarray(side["test_indices"], dtype=np.int64),
         config=GeneratorConfig(**side["generator"]),

@@ -11,6 +11,7 @@ the training step raise on the first overflowing or invalid operation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,12 @@ def require_finite(name: str, arr: Array) -> Array:
         bad = int(np.count_nonzero(~np.isfinite(out)))
         raise NonFiniteError(f"{name}: {bad} non-finite entries (shape {out.shape})")
     return out
+
+
+def finite_number(value) -> bool:
+    """Whether a Python number is finite, also as a float: an int can be too
+    large for one."""
+    return abs(value) <= sys.float_info.max
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,27 @@ def test_dataset_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("field, value", [("sources", -1), ("labels", 2**32)])
+def test_dataset_save_rejects_an_id_that_does_not_fit_a_u32(tmp_path, field, value):
+    ds = _dataset()
+    ids = getattr(ds, field).copy()
+    ids[6] = value
+    setattr(ds, field, ids)
+    path = tmp_path / "data.come"
+    message = f"{path}: sample 7 of 20 has {field[:-1]} {value}, outside [0, 2**32)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_dataset(path, ds)
+    assert not path.exists()
+
+
+def test_dataset_largest_u32_label_loads_back(tmp_path):
+    ds = _dataset()
+    ds.labels = ds.labels.copy()
+    ds.labels[6] = 2**32 - 1
+    loaded = load_dataset(save_dataset(tmp_path / "data.come", ds))
+    np.testing.assert_array_equal(loaded.labels, ds.labels)
+
+
 # SHA-256 of each saved container file, recorded from the per-sample writer.
 DATASET_FILE_DIGESTS = {
     "small": "a7cf19f0309823b5ebf8adc1e39e8f3e820d5970c7313d4372daeabf198468f3",
@@ -238,6 +259,14 @@ def test_dataset_header_larger_than_the_file_fails_before_allocating(tmp_path):
     raw[8:12] = (0xFFFFFFFF).to_bytes(4, "little")  # n_samples
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="truncated in sample 21 of 4294967295") as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+
+
+def test_dataset_with_no_samples_and_huge_dims_names_the_path(tmp_path):
+    path = tmp_path / "data.come"
+    path.write_bytes(MAGIC + struct.pack("<IIII", 2, 0, 2**32 - 1, 2**32 - 1))
+    with pytest.raises(ValueError, match=r"cannot shape samples as \(4294967295, 4294967295\)") as err:
         load_dataset(path)
     assert str(path) in str(err.value)
 

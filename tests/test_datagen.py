@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_config_validation():
         generate(_small_cfg(source_weights=[1.0, 1.0, 1.0, 0.0]), seed=0)
     with pytest.raises(ValueError, match="degenerate"):
         generate(_small_cfg(width=0), seed=0)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(source_weights=[np.inf, 1.0, 1.0, 1.0]),
+         "source_weights must be finite, got [inf, 1.0, 1.0, 1.0]"),
+        (dict(source_weights=[np.nan, 1.0, 1.0, 1.0]),
+         "source_weights must be finite, got [nan, 1.0, 1.0, 1.0]"),
+        (dict(source_weights=[1e308, 1e308, 1.0, 1.0]),
+         "source_weights sum past the largest float: [1e+308, 1e+308, 1.0, 1.0]"),
+        (dict(noise_scale=np.nan), "noise_scale must be finite, got nan"),
+        (dict(mean_scale=-np.inf), "mean_scale must be finite, got -inf"),
+        (dict(label_source_scale=10**400), "label_source_scale must be finite"),
+    ],
+    ids=["inf-weight", "nan-weight", "weight-sum-overflows", "nan-scale", "inf-scale", "huge-int"],
+)
+def test_non_finite_weights_and_scales_are_rejected_by_name(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _small_cfg(**kw).validate()
 
 
 def test_sidecar_roundtrip_fields():
