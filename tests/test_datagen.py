@@ -4,13 +4,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from come.datagen import (
     GeneratorConfig,
+    _orthonormal,
+    _source_frames,
     generate,
     generator_sidecar,
     leave_source_out,
 )
+from come.numerics import RandomStreams
 
 
 def _small_cfg(**kw):
@@ -209,6 +214,55 @@ def generator_digest(mode: str) -> str:
 @pytest.mark.parametrize("mode", sorted(GENERATOR_DIGESTS))
 def test_generator_output_is_pinned(mode):
     assert generator_digest(mode) == GENERATOR_DIGESTS[mode]
+
+
+def _per_sample_reference(cfg: GeneratorConfig, seed: int):
+    """(tokens, sources, labels) from the per-sample loop that ``generate``
+    replaced: Generator.choice picks each source, and all arithmetic is done
+    one sample at a time."""
+    rng = RandomStreams(seed).stream("data")
+    bases, means = _source_frames(cfg, rng)
+    shared_basis = cfg.shared_scale * _orthonormal(rng, cfg.width, cfg.shared_rank)
+    label_shared = cfg.label_shared_scale * rng.standard_normal((cfg.n_classes, cfg.shared_rank))
+    label_source = cfg.label_source_scale * rng.standard_normal(
+        (cfg.n_sources, cfg.n_classes, cfg.source_rank)
+    )
+    weights = np.array(cfg.source_weights, dtype=np.float64)
+    weights = weights / weights.sum()
+    tokens, sources, labels = [], [], []
+    for _ in range(cfg.n_samples):
+        m = int(rng.choice(cfg.n_sources, p=weights))
+        z = rng.standard_normal(cfg.shared_rank)
+        u = rng.standard_normal(cfg.source_rank)
+        base = means[m] + shared_basis @ z + bases[m] @ u
+        noise = rng.standard_normal((cfg.tokens_per_sample, cfg.width))
+        tokens.append(base + cfg.noise_scale * noise)
+        sources.append(m)
+        labels.append(np.argmax(label_shared @ z + label_source[m] @ u))
+    return np.array(tokens), np.array(sources), np.array(labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_sources=st.integers(1, 4),
+    width=st.sampled_from([4, 8, 33]),
+    ranks=st.tuples(st.integers(1, 4), st.integers(0, 4)),
+    n_samples=st.integers(1, 300),
+    mode=st.sampled_from(["shared", "private"]),
+    weights=st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generate_matches_the_per_sample_loop(
+    n_sources, width, ranks, n_samples, mode, weights, seed
+):
+    cfg = _small_cfg(n_sources=n_sources, width=width, shared_rank=ranks[0],
+                     source_rank=ranks[1], n_samples=n_samples, source_basis_mode=mode,
+                     source_weights=weights[:n_sources])
+    ds = generate(cfg, seed)
+    tokens, sources, labels = _per_sample_reference(cfg, seed)
+    np.testing.assert_array_equal(ds.tokens, tokens)
+    np.testing.assert_array_equal(ds.sources, sources)
+    np.testing.assert_array_equal(ds.labels, labels)
 
 
 BUNDLE_ARRAYS = ("tokens", "sources", "labels", "train_idx", "test_idx",
