@@ -58,13 +58,13 @@ from come.numerics import AdamWConfig, AdamWState
         (["optimizer.lr=NaN"], "optimizer.lr must be finite, got nan"),
         (["data.source_weights=[1, 1, 1, 1e400]"], "data.source_weights must be finite"),
         (["data.noise_scale=" + "9" * 400], "data.noise_scale must be finite"),
+        (["data.shared_rank=40"], "data: shared_rank=40 outside [1, width=32]"),
         (["data.source_weights=[Infinity, 1, 1, 1]"],
          "data.source_weights must be finite, got [inf, 1, 1, 1]"),
         (["data.source_weights=[NaN, 1, 1, 1]"],
          "data.source_weights must be finite, got [nan, 1, 1, 1]"),
         (["data.source_weights=[1e308, 1e308, 1, 1]"],
          "data: source_weights sum past the largest float: [1e+308, 1e+308, 1, 1]"),
-        (["data.shared_rank=40"], "data: shared_rank=40 outside [1, width=32]"),
     ],
 )
 def test_validate_names_the_bad_key_and_value(overrides, message):
