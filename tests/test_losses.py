@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -177,6 +178,32 @@ def test_load_gradient_literal():
             return v, softmax_backward(g, dg, axis=1).ravel()
 
         assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-5
+
+
+# SHA-256 of load_loss's (value, d_gates, load), each as float64 bytes, on
+# softmax gates of seeded normal logits with 8 experts.
+LOAD_LOSS_DIGESTS = {
+    128: (
+        "06f63ef702e2fe9caa8e6f76d6b5a82a9074dd99ddc9dae9ce69a41af6727728",
+        "d8f3cc4ffcac1e9849252ae4068655ffccb24cd75d0c0207839829cd7711e407",
+        "02ba9269050b955590e0fa33bd46fe4dac1e07a5ba070c054d01d4af1c21cc59",
+    ),
+    1024: (
+        "fe6b9c09a3b78ed6d9c70d73b4b0da9f652cb75083c50132380fd30cd236408f",
+        "9b48b959b5ef7f2af294314ef1ab34ad54d4095752ecdc9b731db4773dcac076",
+        "65b04f477a9041245efdbacf3ebe31b786a1bc5c7203f324679f942daa174406",
+    ),
+}
+
+
+@pytest.mark.parametrize("n_tokens", sorted(LOAD_LOSS_DIGESTS))
+def test_load_loss_digest_pinned(n_tokens):
+    gates = softmax(np.random.default_rng(n_tokens).normal(size=(n_tokens, 8)), axis=1)
+    digests = tuple(
+        hashlib.sha256(np.asarray(part, dtype=np.float64).tobytes()).hexdigest()
+        for part in load_loss(gates)
+    )
+    assert digests == LOAD_LOSS_DIGESTS[n_tokens]
 
 
 # ---------------------------------------------------------------------------
