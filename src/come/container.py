@@ -97,7 +97,8 @@ def save_dataset(path, bundle: DatasetBundle) -> Path:
     """Write the feature container plus its JSON sidecar; returns the path.
 
     Raises ValueError naming the first sample whose source id or label does
-    not fit a u32, before anything is written.
+    not fit a u32, or whose source id is not below the generator's
+    ``n_sources``, before anything is written.
     """
     p = Path(path)
     n, t, d = bundle.tokens.shape
@@ -108,6 +109,12 @@ def save_dataset(path, bundle: DatasetBundle) -> Path:
             i = int(outside[0])
             raise ValueError(f"{p}: sample {i + 1} of {n} has {field} {ids[i]}, outside [0, 2**32)")
         records[field] = ids
+    n_sources = bundle.config.n_sources
+    unknown = np.flatnonzero(bundle.sources >= n_sources)
+    if unknown.size:
+        i = int(unknown[0])
+        raise ValueError(f"{p}: sample {i + 1} of {n} has source {bundle.sources[i]}, "
+                         f"not below the generator's n_sources = {n_sources}")
     records["tokens"] = bundle.tokens
     with open(p, "wb") as fh:
         fh.write(MAGIC)

@@ -154,6 +154,20 @@ def test_dataset_save_rejects_an_id_that_does_not_fit_a_u32(tmp_path, field, val
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [2, 2**32 - 1])
+def test_dataset_save_rejects_a_source_id_not_below_n_sources(tmp_path, value):
+    # The sidecar counts samples per source id, so a u32-sized id would
+    # otherwise ask for a count array of that length.
+    ds = _dataset()
+    ds.sources = ds.sources.copy()
+    ds.sources[6] = value
+    path = tmp_path / "data.come"
+    message = f"{path}: sample 7 of 20 has source {value}, not below the generator's n_sources = 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_dataset(path, ds)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dataset_largest_u32_label_loads_back(tmp_path):
     ds = _dataset()
     ds.labels = ds.labels.copy()

@@ -135,6 +135,52 @@ def test_normal_cdf_digest_pinned():
     assert hashlib.sha256(out.tobytes()).hexdigest() == NORMAL_CDF_DIGEST
 
 
+def _ncdf_mpmath(xs) -> np.ndarray:
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in xs])
+
+
+def test_normal_cdf_matches_mpmath_from_minus_8_to_8():
+    # Relative error bound 4 eps max(1, x^2): below x ~ -2 the CDF amplifies
+    # the rounding of x / sqrt(2) by about x^2, so a formula in the rounded
+    # z = x / sqrt(2) cannot do much better there (SciPy 1.17's ndtr reaches
+    # 1.05e-14 on this grid, this one 9.1e-15). Above -2 both stay within
+    # 2e-15. The grid includes both neighbours of +-sqrt(2), where the
+    # rational branch hands over to math.erfc.
+    root2 = math.sqrt(2.0)
+    edges = [np.nextafter(s * root2, t) for s in (1.0, -1.0) for t in (-np.inf, np.inf)]
+    x = np.concatenate([np.linspace(-8.0, 8.0, 4001), edges])
+    ref = _ncdf_mpmath(x)
+    rel = np.abs(normal_cdf(x) - ref) / ref
+    assert np.all(rel <= 4 * np.finfo(float).eps * np.maximum(1.0, x * x))
+    assert rel[x >= -2.0].max() <= 2e-15
+
+
+def test_normal_cdf_matches_mpmath_in_the_far_lower_tail():
+    # SciPy's ndtr underflows to 0 below about -37.7; math.erfc carries the
+    # tail on into subnormal results, whose error is measured against the
+    # smallest normal double.
+    x = np.linspace(-38.0, -8.0, 3001)
+    ref = _ncdf_mpmath(x)
+    out = normal_cdf(x)
+    assert np.all(out > 0.0)
+    err = np.abs(out - ref) / np.maximum(ref, np.finfo(float).tiny)
+    assert err.max() <= 1e-12
+
+
+def test_normal_cdf_edge_values_raise_no_floating_point_error():
+    with np.errstate(all="raise"):
+        out = normal_cdf(np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, 0.5, -0.0]))
+    assert out[0] == 1.0 and out[1] == 0.0 and np.isnan(out[2])
+    assert out[3] == 1.0 and out[4] == 0.0
+    # entries on the rational branch come out as they do without tail entries
+    assert out[5] == normal_cdf(np.array([0.5]))[0] and out[6] == 0.5
+    for x in (0.3, np.float64(0.3), np.array(0.3), 2, -5.0, math.inf, math.nan):
+        assert type(normal_cdf(x)) is float
+    assert normal_cdf(np.zeros((0, 3))).shape == (0, 3)
+    assert normal_cdf(np.full((2, 3), 0.25)).shape == (2, 3)
+
+
 def test_normal_pdf_is_cdf_derivative():
     for x in (-1.5, 0.0, 0.7):
         h = 1e-6

@@ -1,20 +1,71 @@
-"""What pyproject.toml declares exists."""
+"""What pyproject.toml declares exists, and is all the package needs."""
 
+import ast
 import importlib
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "come"
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+def _project() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    return tomllib.loads(PYPROJECT.read_text())["project"]
 
 
 def test_every_script_entry_point_resolves_to_a_callable():
-    project = tomllib.loads(PYPROJECT.read_text())["project"]
-    for name, target in project.get("scripts", {}).items():
+    for name, target in _project().get("scripts", {}).items():
         module, _, attr = target.partition(":")
         obj = importlib.import_module(module)
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r}: {target} is not callable"
+
+
+def _imported_top_level_modules(source: str) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_runtime_dependencies_are_exactly_the_third_party_imports():
+    imported = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        imported |= _imported_top_level_modules(path.read_text())
+    third_party = imported - set(sys.stdlib_module_names) - {"come"}
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+        for spec in _project()["dependencies"]
+    }
+    assert third_party == declared
+
+
+def test_importing_every_module_loads_no_scipy():
+    probe = (
+        "import importlib, pkgutil, sys\n"
+        "import come\n"
+        "for info in pkgutil.walk_packages(come.__path__, 'come.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "print(len([n for n in sys.modules if n.startswith('come.')]))\n"
+        "print(' '.join(sorted(n for n in sys.modules if n.startswith('scipy'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    n_modules, scipy_modules = result.stdout.split("\n")[:2]
+    assert int(n_modules) == len(list(PACKAGE.glob("[!_]*.py")))
+    assert scipy_modules == ""
