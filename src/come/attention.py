@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import require_finite, softmax, softmax_backward
+from .numerics import require_finite
 
 Array = np.ndarray
 
@@ -61,17 +61,20 @@ def attention_forward(tokens: Array, params: dict, heads: int):
     q = _split_heads(x @ params["attn.wq"], heads)
     k = _split_heads(x @ params["attn.wk"], heads)
     v = _split_heads(x @ params["attn.wv"], heads)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-    probs = softmax(scores, axis=-1)
+    probs = q @ k.transpose(0, 1, 3, 2)  # the scores, softmaxed in place
+    probs /= np.sqrt(dh)
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
     merged = _merge_heads(probs @ v)
     out = merged @ params["attn.wo"]
     cache = AttentionCache(tokens=x, q=q, k=k, v=v, probs=probs, merged=merged)
     return out, cache
 
 
-def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, heads: int):
-    """Gradients of the attention output w.r.t. tokens and parameters, from
-    the forward cache; returns (d_tokens, ``attn.*`` grads dict).
+def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, heads: int) -> dict:
+    """Gradients of the attention output w.r.t. the ``attn.*`` weights, from
+    the forward cache. Tokens are data, so no token gradient is formed.
     """
     width = cache.tokens.shape[2]
     dh = width // heads
@@ -80,22 +83,20 @@ def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, hea
     d_merged = grad_out @ params["attn.wo"].T
     d_headed = _split_heads(d_merged, heads)
 
-    d_probs = d_headed @ cache.v.transpose(0, 1, 3, 2)
+    d_scores = d_headed @ cache.v.transpose(0, 1, 3, 2)  # d_probs until the softmax
     d_v = cache.probs.transpose(0, 1, 3, 2) @ d_headed
-    d_scores = softmax_backward(cache.probs, d_probs, axis=-1) / np.sqrt(dh)
+    # softmax backward in place: probs * (d_probs - inner) / sqrt(dh)
+    inner = np.sum(d_scores * cache.probs, axis=-1, keepdims=True)
+    d_scores -= inner
+    d_scores *= cache.probs
+    d_scores /= np.sqrt(dh)
     d_q = d_scores @ cache.k
     d_k = d_scores.transpose(0, 1, 3, 2) @ cache.q
 
-    d_qf = _merge_heads(d_q)
-    d_kf = _merge_heads(d_k)
-    d_vf = _merge_heads(d_v)
     x_t = cache.tokens.reshape(-1, width).T
-    grads = {
-        "attn.wq": x_t @ d_qf.reshape(-1, width),
-        "attn.wk": x_t @ d_kf.reshape(-1, width),
-        "attn.wv": x_t @ d_vf.reshape(-1, width),
+    return {
+        "attn.wq": x_t @ _merge_heads(d_q).reshape(-1, width),
+        "attn.wk": x_t @ _merge_heads(d_k).reshape(-1, width),
+        "attn.wv": x_t @ _merge_heads(d_v).reshape(-1, width),
         "attn.wo": d_wo,
     }
-    d_tokens = (d_qf @ params["attn.wq"].T + d_kf @ params["attn.wk"].T
-                + d_vf @ params["attn.wv"].T)
-    return d_tokens, grads

@@ -43,7 +43,9 @@ def init_frozen(kind: str, width: int, rng: np.random.Generator, scale: float = 
 
 def frozen_forward(frozen: dict, kind: str, tokens: Array) -> Array:
     """tanh(X W + b) applied row-wise with the ``kind`` map of ``frozen``."""
-    return np.tanh(tokens @ frozen[f"frozen.{kind}.w"] + frozen[f"frozen.{kind}.b"])
+    out = tokens @ frozen[f"frozen.{kind}.w"]
+    out += frozen[f"frozen.{kind}.b"]
+    return np.tanh(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +83,21 @@ def init_ffn(prefix: str, width: int, hidden: int, rng: np.random.Generator) -> 
 
 def ffn_forward(params: dict, prefix: str, x: Array):
     """tanh(x W1 + b1) W2 + b2 on a row block; returns (output, hidden)."""
-    h = np.tanh(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
-    return h @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"], h
+    h = x @ params[f"{prefix}.w1"]
+    h += params[f"{prefix}.b1"]
+    np.tanh(h, out=h)
+    y = h @ params[f"{prefix}.w2"]
+    y += params[f"{prefix}.b2"]
+    return y, h
 
 
 def ffn_backward(params: dict, prefix: str, x: Array, h: Array, d_y: Array):
     """Backward of ``ffn_forward`` given its input, hidden activations and
     the output gradient; returns (d_x, parameter grads)."""
-    d_pre = (d_y @ params[f"{prefix}.w2"].T) * (1.0 - h * h)
+    slope = h * h  # tanh' = 1 - h^2
+    np.subtract(1.0, slope, out=slope)
+    d_pre = d_y @ params[f"{prefix}.w2"].T
+    d_pre *= slope
     grads = {
         f"{prefix}.w2": h.T @ d_y,
         f"{prefix}.b2": d_y.sum(axis=0),
@@ -137,16 +146,15 @@ def dr_forward(attended: Array, cluster_feats: Array, params: dict):
 
 
 def dr_backward(grad_out: Array, cache: DimReductionCache, params: dict):
-    """Gradients for the projection; the cluster branch is a constant, so
-    input gradients flow through the attended half only."""
+    """Gradients for the projection. The cluster branch is a constant, so the
+    input gradient is formed for the attended half only, from the
+    token-branch rows of ``dr.w``; returns (d_attended, grads)."""
     g = np.asarray(grad_out, dtype=np.float64)
     grads = {
         "dr.w": cache.concat.T @ g,
         "dr.b": g.sum(axis=0),
     }
-    d_concat = g @ params["dr.w"].T
-    d_attended = d_concat[:, : cache.width]
-    return d_attended, grads
+    return g @ params["dr.w"][: cache.width].T, grads
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +166,7 @@ def dr_backward(grad_out: Array, cache: DimReductionCache, params: dict):
 class MixtureCache:
     inputs: Array  # (N, D) expert inputs
     gates: Array  # (N, n_experts) full gate matrix
-    per_expert: list  # (expert id, token indices, hidden, outputs)
+    per_expert: list  # (expert id, token indices, gathered inputs, hidden, outputs)
 
 
 def expert_mixture_forward(bank_params: dict, plan, inputs: Array, gates: Array):
@@ -172,9 +180,10 @@ def expert_mixture_forward(bank_params: dict, plan, inputs: Array, gates: Array)
     for j, tok in enumerate(plan.expert_tokens):
         if tok.size == 0:
             continue
-        y, h = ffn_forward(bank_params, f"expert.{j}", inputs[tok])
+        x = inputs[tok]
+        y, h = ffn_forward(bank_params, f"expert.{j}", x)
         out[tok] += gates[tok, j][:, None] * y
-        per_expert.append((j, tok, h, y))
+        per_expert.append((j, tok, x, h, y))
     return out, MixtureCache(inputs=inputs, gates=gates, per_expert=per_expert)
 
 
@@ -189,11 +198,11 @@ def expert_mixture_backward(grad_out: Array, cache: MixtureCache, bank_params: d
     d_inputs = np.zeros_like(cache.inputs)
     d_gates = np.zeros_like(cache.gates)
     grads = {}
-    for j, tok, h, y in cache.per_expert:
+    for j, tok, x, h, y in cache.per_expert:
         up = g[tok]
         w = cache.gates[tok, j][:, None]
         d_gates[tok, j] = np.sum(up * y, axis=1)
-        d_x, expert_grads = ffn_backward(bank_params, f"expert.{j}", cache.inputs[tok], h, w * up)
+        d_x, expert_grads = ffn_backward(bank_params, f"expert.{j}", x, h, w * up)
         grads.update(expert_grads)
         d_inputs[tok] += d_x
     return d_inputs, d_gates, grads

@@ -55,28 +55,37 @@ def traceability_loss(gates: Array, token_sources: Array, owners: Array):
     group.
 
     ``owners`` is the (n_sources, n_experts) bool ownership mask of
-    ``experts.expert_group_map``. Group mass below GROUP_MASS_EPS is
-    clamped; the clamp count is returned for the warning counter.
+    ``experts.expert_group_map``; every id in ``token_sources`` must index
+    one of its rows. Every token's owned columns are gathered at once: that
+    map's groups are equal-sized, and a smaller group is padded with masked
+    columns. Group mass below GROUP_MASS_EPS is clamped; the clamp count is
+    returned for the warning counter. The total keeps one partial sum per
+    source, over its tokens in batch order, added in ascending source order.
 
     Returns (value, d_gates, clamp_count).
     """
-    scale = 1.0 / gates.shape[0]
-    d_gates = np.zeros_like(gates)
+    present = np.flatnonzero(np.bincount(token_sources))
+    sizes = np.count_nonzero(owners[present], axis=1)
+    if sizes.min() == 0:
+        raise ValueError(f"source {present[sizes.argmin()]} owns no experts")
+    # per source, its owned columns in ascending order, then unowned padding
+    order = np.argsort(~owners, axis=1, kind="stable")[:, : sizes.max()]
+    owned = np.take(np.take_along_axis(owners, order, axis=1), token_sources, axis=0)
+    n, n_experts = gates.shape
+    flat = np.take(order, token_sources, axis=0)  # (n, group) indices into the raveled gates
+    flat += np.arange(0, n * n_experts, n_experts)[:, None]
+    mass = np.where(owned, np.take(gates, flat), 0.0).sum(axis=1)
+    low = mass < GROUP_MASS_EPS
+    safe = np.maximum(mass, GROUP_MASS_EPS)
+    neg_log = -np.log(safe)
     total = 0.0
-    clamped = 0
-    for src in np.unique(token_sources):
-        group = np.flatnonzero(owners[src]) if src < len(owners) else []
-        if len(group) == 0:
-            raise ValueError(f"source {src} owns no experts")
-        rows = np.flatnonzero(token_sources == src)
-        mass = gates[np.ix_(rows, group)].sum(axis=1)
-        low = mass < GROUP_MASS_EPS
-        clamped += int(np.count_nonzero(low))
-        safe = np.maximum(mass, GROUP_MASS_EPS)
-        total += float(-np.log(safe).sum())
-        inv = np.where(low, 0.0, -1.0 / safe)  # clamped tokens sit on a constant
-        d_gates[np.ix_(rows, group)] = (inv * scale)[:, None]
-    return total * scale, d_gates, clamped
+    for src in present:
+        total += float(neg_log[token_sources == src].sum())
+    scale = 1.0 / n
+    d_gates = np.zeros(gates.shape)
+    inv = np.where(low, 0.0, -1.0 / safe)  # clamped tokens sit on a constant
+    d_gates.ravel()[flat] = np.where(owned, (inv * scale)[:, None], 0.0)
+    return total * scale, d_gates, int(np.count_nonzero(low))
 
 
 def importance_loss(gates: Array):

@@ -126,6 +126,19 @@ def matched_dense_hidden(cfg: RunConfig) -> int:
     return max(1, round((target - d) / (2 * d + 1)))
 
 
+def _check_sources(batch: TokenBatch, n_sources: int):
+    """Reject source ids that traceability could not score: they must be
+    integers, one per sample, in [0, n_sources)."""
+    sources = np.asarray(batch.sources)
+    n = batch.tokens.shape[0]
+    if not np.issubdtype(sources.dtype, np.integer):
+        raise ValueError(f"source ids have dtype {sources.dtype}, expected integers")
+    if sources.shape != (n,):
+        raise ValueError(f"source ids shape {sources.shape} does not match {n} samples")
+    if sources.min() < 0 or sources.max() >= n_sources:
+        raise ValueError(f"source id out of range [0, {n_sources})")
+
+
 class ComeModel:
     """Trainable ``params`` plus the ``frozen`` shared experts, which only
     the routed architecture has."""
@@ -216,9 +229,10 @@ class ComeModel:
                 pinned: ForwardState | None = None) -> ForwardState:
         """Losses, predictions and the backward's caches for one batch.
 
-        Raises ValueError for an empty batch, NonFiniteError for NaN or Inf
-        tokens, and FloatingPointError at the first operation that
-        overflows or is invalid.
+        Raises ValueError for an empty batch or, on the routed body, for
+        source ids that are not B integers in [0, n_sources);
+        NonFiniteError for NaN or Inf tokens; and FloatingPointError at the
+        first operation that overflows or is invalid.
         """
         b, t, d = batch.tokens.shape
         if b == 0 or t == 0:
@@ -255,6 +269,7 @@ class ComeModel:
         routing-loss fields of the LossReport).
         """
         cfg = self.cfg
+        _check_sources(batch, cfg.data.n_sources)
         priors = [frozen_forward(self.frozen, kind, batch.tokens)
                   for kind, on in (("structure", cfg.model.structure_expert),
                                    ("semantic", cfg.model.semantic_expert)) if on]
@@ -283,8 +298,11 @@ class ComeModel:
             np.put_along_axis(combine, plan.selection, picked / renorm_sums, axis=1)
         mix_out, mix_cache = expert_mixture_forward(self.params, plan, routed_in, combine)
         features = mix_out.reshape(batch.tokens.shape)
-        if priors:  # (structure + semantic) + routed
-            features = sum(priors[1:], priors[0]) + features
+        if priors:  # (structure + semantic) + routed, summed into the first prior
+            for prior in priors[1:]:
+                priors[0] += prior
+            priors[0] += features
+            features = priors[0]
 
         losses = cfg.losses
         l_tb, d_tb, clamped = traceability_loss(gates, batch.token_sources, self.groups)
@@ -318,10 +336,9 @@ class ComeModel:
             grads.update(dense_grads)
         else:
             d_flat = self._routed_backward(d_out, state, grads)
-        _, attn_grads = attention_backward(
+        grads.update(attention_backward(
             d_flat.reshape(b, t, d), state.att_cache, self.params, self.cfg.model.heads
-        )
-        grads.update(attn_grads)
+        ))
         for name, p in self.params.items():
             if name not in grads:  # an expert no token reached
                 grads[name] = np.zeros_like(p)
@@ -342,12 +359,13 @@ class ComeModel:
             d_gates = np.zeros_like(d_gates)
             np.put_along_axis(d_gates, sel, (picked_d - inner) / cache.renorm_sums, axis=1)
         for term in cache.d_gates_aux:
-            d_gates = d_gates + term
+            d_gates += term
         d_in_router, router_grads = gate_backward(
             d_gates, cache.gate, self.params, self.cfg.router.temperature
         )
         grads.update(router_grads)
-        d_flat, dr_grads = dr_backward(d_in_mix + d_in_router, cache.dr, self.params)
+        d_in_mix += d_in_router
+        d_flat, dr_grads = dr_backward(d_in_mix, cache.dr, self.params)
         grads.update(dr_grads)
         return d_flat
 

@@ -99,8 +99,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     params = _params()
     x = np.random.default_rng(8).normal(size=(1, 4, 8))
     out, cache = attention_forward(x, params, 2)
-    d_tokens, grads = attention_backward(np.zeros_like(out), cache, params, 2)
-    assert np.all(d_tokens == 0)
+    grads = attention_backward(np.zeros_like(out), cache, params, 2)
     assert all(np.all(g == 0) for g in grads.values())
 
 
@@ -111,10 +110,7 @@ def test_single_token_backward_matches_hand_chain():
     x = np.random.default_rng(11).normal(size=(1, 1, 8))
     out, cache = attention_forward(x, params, 2)
     g = np.random.default_rng(12).normal(size=out.shape)
-    d_tokens, grads = attention_backward(g, cache, params, 2)
-    np.testing.assert_allclose(
-        d_tokens[0, 0], (g[0, 0] @ params["attn.wo"].T) @ params["attn.wv"].T, atol=1e-13
-    )
+    grads = attention_backward(g, cache, params, 2)
     np.testing.assert_allclose(
         grads["attn.wv"], np.outer(x[0, 0], g[0, 0] @ params["attn.wo"].T), atol=1e-13
     )
@@ -136,25 +132,10 @@ def test_backward_passes_grad_check():
         p = dict(zip(names, mats))
         out, cache = attention_forward(x, p, heads)
         val = float(np.sum(out * proj))
-        _, grads = attention_backward(proj, cache, p, heads)
+        grads = attention_backward(proj, cache, p, heads)
         flat = np.concatenate([grads[n].ravel() for n in names])
         return val, flat
 
     theta0 = np.concatenate([params[n].ravel() for n in names])
     assert grad_check(fn, theta0, h=1e-5).max_rel_error < 1e-4
 
-
-def test_token_gradient_passes_grad_check():
-    params = _params(width=6, heads=2, seed=15)
-    rng = np.random.default_rng(16)
-    x0 = rng.normal(size=(1, 3, 6))
-    proj = rng.normal(size=(1, 3, 6))
-
-    def fn(flat):
-        xs = flat.reshape(1, 3, 6)
-        out, cache = attention_forward(xs, params, 2)
-        val = float(np.sum(out * proj))
-        d_tokens, _ = attention_backward(proj, cache, params, 2)
-        return val, d_tokens.ravel()
-
-    assert grad_check(fn, x0.ravel(), h=1e-5).max_rel_error < 1e-4

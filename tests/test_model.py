@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import come.model
-from come.config import apply_overrides, config_from_dict
+from come.config import RunConfig, apply_overrides, config_from_dict
 from come.container import checkpoint_digest
 from come.datagen import TokenBatch, generate
 from come.harness import ABLATION_VARIANTS, evaluate
@@ -101,6 +101,26 @@ def test_forward_rejects_empty_batches(arch, monkeypatch):
     with pytest.raises(ValueError, match=r"empty batch of shape \(2, 0, 6\)"):
         _forward(model, TokenBatch(np.zeros((2, 0, 6)), np.zeros(2, np.int64), np.zeros(2, np.int64)))
     assert attention_calls == []
+
+
+@pytest.mark.parametrize("sources, match", [
+    (np.full(8, -1), r"source id out of range \[0, 4\)"),
+    (np.full(8, 4), r"source id out of range \[0, 4\)"),
+    (np.zeros(7, np.int64), r"source ids shape \(7,\) does not match 8 samples"),
+    (np.zeros(9, np.int64), r"source ids shape \(9,\) does not match 8 samples"),
+    (np.zeros(8), "source ids have dtype float64, expected integers"),
+])
+def test_routed_forward_rejects_bad_source_ids(sources, match):
+    cfg = RunConfig().validate()  # B=8, 4 sources
+    model = ComeModel.build(cfg)
+    rng = np.random.default_rng(0)
+    batch = TokenBatch(
+        tokens=rng.normal(size=(8, cfg.data.tokens_per_sample, cfg.data.width)),
+        sources=sources,
+        labels=np.zeros(8, np.int64),
+    )
+    with pytest.raises(ValueError, match=match):
+        _forward(model, batch)
 
 
 @pytest.mark.parametrize("arch", ["come", "dense"])
