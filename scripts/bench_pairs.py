@@ -89,13 +89,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--candidate", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 501-510")
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.candidate / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workload not in names:  # checked before any run: "all" keys its metrics per workload
+        parser.error(f"--workload must be one of {', '.join(names)}, got {args.workload!r}")
     pairs = []
     for i, seed in enumerate(args.seeds):
         sides = ["parent", "candidate"] if i % 2 == 0 else ["candidate", "parent"]

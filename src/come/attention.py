@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import require_finite
+from .numerics import require_finite, softmax, softmax_backward
 
 Array = np.ndarray
 
@@ -63,9 +63,7 @@ def attention_forward(tokens: Array, params: dict, heads: int):
     v = _split_heads(x @ params["attn.wv"], heads)
     probs = q @ k.transpose(0, 1, 3, 2)  # the scores, softmaxed in place
     probs /= np.sqrt(dh)
-    probs -= np.max(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=-1, keepdims=True)
+    softmax(probs, axis=-1, out=probs)
     merged = _merge_heads(probs @ v)
     out = merged @ params["attn.wo"]
     cache = AttentionCache(tokens=x, q=q, k=k, v=v, probs=probs, merged=merged)
@@ -85,10 +83,7 @@ def attention_backward(grad_out: Array, cache: AttentionCache, params: dict, hea
 
     d_scores = d_headed @ cache.v.transpose(0, 1, 3, 2)  # d_probs until the softmax
     d_v = cache.probs.transpose(0, 1, 3, 2) @ d_headed
-    # softmax backward in place: probs * (d_probs - inner) / sqrt(dh)
-    inner = np.sum(d_scores * cache.probs, axis=-1, keepdims=True)
-    d_scores -= inner
-    d_scores *= cache.probs
+    softmax_backward(cache.probs, d_scores, axis=-1, out=d_scores)
     d_scores /= np.sqrt(dh)
     d_q = d_scores @ cache.k
     d_k = d_scores.transpose(0, 1, 3, 2) @ cache.q

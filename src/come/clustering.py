@@ -38,6 +38,9 @@ import numpy as np
 
 Array = np.ndarray
 
+# Lloyd iterations a k-means run may take before it stops unconverged.
+MAX_ITERS = 50
+
 
 @dataclass
 class KMeansRun:
@@ -114,7 +117,7 @@ def _farthest_first_seed(points: Array, k: int, rng: np.random.Generator) -> Arr
 
 
 def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
-           init: Array | None = None, max_iters: int = 100) -> KMeansRun:
+           init: Array | None = None, max_iters: int = MAX_ITERS) -> KMeansRun:
     """Lloyd iterations until the assignment fixpoint or ``max_iters``.
 
     ``init`` warm-starts from given centroids; otherwise seeding is
@@ -178,7 +181,7 @@ def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
 
 
 def fine2coarse(points: Array, m: int = 16, k: int = 8,
-                rng: np.random.Generator | None = None, max_iters: int = 100) -> ClusterModel:
+                rng: np.random.Generator | None = None) -> ClusterModel:
     """Two-phase hierarchical clustering: tokens -> m fine -> k coarse.
 
     Falls back, with a warning record, to m' = token count when the batch
@@ -193,11 +196,11 @@ def fine2coarse(points: Array, m: int = 16, k: int = 8,
 
     def clustered(points, count, what, name):
         try:
-            return kmeans(points, count, rng=rng, max_iters=max_iters)
+            return kmeans(points, count, rng=rng)
         except TooFewDistinctPoints as err:
             warnings.append(f"{err.n_distinct} distinct {what} < {count}; "
                             f"using {name}'={err.n_distinct}")
-            return kmeans(points, err.n_distinct, rng=rng, max_iters=max_iters)
+            return kmeans(points, err.n_distinct, rng=rng)
 
     m_eff = min(m, n)
     if m_eff < m:

@@ -45,7 +45,6 @@ class ModelConfig:
     attention_residual: bool = False
     structure_expert: bool = True
     semantic_expert: bool = True
-    frozen_scale: float = 0.3  # keeps the frozen priors out of tanh saturation
 
 
 @dataclass
@@ -53,14 +52,12 @@ class ClusteringConfig:
     strategy: str = "fine2coarse"  # fine2coarse | none
     fine_clusters: int = 16
     coarse_clusters: int = 8
-    max_iters: int = 50
 
 
 @dataclass
 class RouterConfig:
     top_k: int = 1
     capacity_factor: float = 1.25
-    temperature: float = 1.0
     renormalize_topk: bool = False
 
 
@@ -102,12 +99,12 @@ class RunConfig:
                 f"router.top_k={self.router.top_k} outside [1, {self.model.n_experts}]"
             )
         for bound, holds, keys in (
-            ("> 0", lambda v: v > 0, ("router.capacity_factor", "router.temperature")),
+            ("> 0", lambda v: v > 0, ("router.capacity_factor",)),
             (">= 0", lambda v: v >= 0,
              ("seed", "data.seed", "losses.tb_weight", "losses.balance_weight", "training.steps")),
             (">= 1", lambda v: v >= 1,
              ("model.heads", "model.expert_hidden_ratio", "training.batch_size",
-              "training.log_every", "training.eval_batches", "clustering.max_iters")),
+              "training.log_every", "training.eval_batches")),
         ):
             for key in keys:
                 if not holds(leaves[key]):
@@ -196,11 +193,11 @@ def load_config(path=None) -> RunConfig:
         return RunConfig()
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}")
+        data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"{p}: cannot read the config ({exc})")
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: config root must be an object")
     return config_from_dict(data)

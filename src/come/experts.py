@@ -1,9 +1,9 @@
 """The three expert families.
 
 Two frozen shared experts (structure / semantic priors as fixed random
-affine+tanh maps, never updated), a bank of trainable FFN experts with a
-disjoint source->expert ownership mask, and the 2D->D dimension-reduction
-projection that fuses attended tokens with their cluster feature.
+affine+tanh maps, never updated), a bank of trainable FFN experts, and the
+2D->D dimension-reduction projection that fuses attended tokens with their
+cluster feature. Which bank experts a source owns is ``ComeModel.group_size``.
 
 ``init_ffn``/``ffn_forward``/``ffn_backward`` define the one two-layer tanh
 FFN: every bank expert is one, under the parameter prefix ``expert.{i}``,
@@ -28,12 +28,16 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def init_frozen(kind: str, width: int, rng: np.random.Generator, scale: float = 1.0) -> dict:
+# Weight scale of the frozen maps: it keeps typical pre-activations in the
+# informative (non-saturated) range of tanh for the expected input size.
+FROZEN_SCALE = 0.3
+
+
+def init_frozen(kind: str, width: int, rng: np.random.Generator) -> dict:
     """A fixed affine + tanh map as read-only ``frozen.{kind}.{w,b}`` (w drawn
-    before b). ``scale`` tunes the weights so typical pre-activations stay in
-    the informative (non-saturated) range of tanh for the expected input size."""
+    before b)."""
     frozen = {
-        f"frozen.{kind}.w": rng.normal(scale=scale / np.sqrt(width), size=(width, width)),
+        f"frozen.{kind}.w": rng.normal(scale=FROZEN_SCALE / np.sqrt(width), size=(width, width)),
         f"frozen.{kind}.b": rng.normal(scale=0.1, size=width),
     }
     for arr in frozen.values():
@@ -51,21 +55,6 @@ def frozen_forward(frozen: dict, kind: str, tokens: Array) -> Array:
 # ---------------------------------------------------------------------------
 # source-specific expert bank
 # ---------------------------------------------------------------------------
-
-
-def expert_group_map(n_experts: int, n_sources: int) -> Array:
-    """Disjoint ownership as an (n_sources, n_experts) bool mask: source m
-    owns experts [m * per, (m + 1) * per) with per = n_experts // n_sources.
-
-    Remainder experts stay unowned and receive no traceability supervision.
-    """
-    if n_sources < 1:
-        raise ValueError("need at least one source")
-    per = n_experts // n_sources
-    mask = np.zeros((n_sources, n_experts), dtype=bool)
-    for m in range(n_sources):
-        mask[m, m * per : (m + 1) * per] = True
-    return mask
 
 
 def init_ffn(prefix: str, width: int, hidden: int, rng: np.random.Generator) -> dict:

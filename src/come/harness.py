@@ -127,17 +127,18 @@ def _check_dataset(cfg: RunConfig, dataset: DatasetBundle):
         raise ValueError(f"dataset source id {dataset.sources.min()} is negative")
 
 
-def routing_purity(plan, token_sources, owners) -> tuple:
+def routing_purity(plan, token_sources, group_size: int) -> tuple:
     """(in-group count, counted tokens) for the highest-gate admitted expert.
 
-    Tokens whose every selection overflowed have no admitted expert and are
-    excluded from the count. Selection columns are gate-sorted, so the first
-    admitted slot is the top-1 admitted expert.
+    A token is in group when its source owns that expert under
+    ``ComeModel.group_size``. Tokens whose every selection overflowed have
+    no admitted expert and are excluded from the count. Selection columns
+    are gate-sorted, so the first admitted slot is the top-1 admitted expert.
     """
     has_any = plan.admitted.any(axis=1)
     first_slot = np.argmax(plan.admitted, axis=1)
     experts = plan.selection[np.arange(plan.n_tokens), first_slot]
-    hits = owners[token_sources[has_any], experts[has_any]]
+    hits = experts[has_any] // group_size == token_sources[has_any]
     return int(hits.sum()), int(has_any.sum())
 
 
@@ -195,7 +196,7 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         correct += int(np.sum(state.predictions == batch.labels))
         n_batches += 1
         if state.plan is not None:
-            num, den = routing_purity(state.plan, batch.token_sources, model.groups)
+            num, den = routing_purity(state.plan, batch.token_sources, model.group_size)
             purity_num += num
             purity_den += den
             util += state.plan.utilization()

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    cv_squared,
-    cv_squared_grad,
-    normal_cdf,
-    normal_pdf,
-    softmax,
-)
+from .numerics import cv_squared, normal_cdf, normal_pdf, softmax
 
 Array = np.ndarray
 
@@ -50,41 +44,32 @@ class LossReport:
         return self.task_ce + self.tb_weight * self.l_tb + self.balance_weight * self.l_balance
 
 
-def traceability_loss(gates: Array, token_sources: Array, owners: Array):
+def traceability_loss(gates: Array, token_sources: Array, group_size: int):
     """Mean over tokens of -log of the gate mass on each token's own expert
-    group.
+    group: for source m, the block [m g, (m + 1) g) of g = ``group_size``
+    experts (``ComeModel.group_size``). Every id must own a whole block:
+    g >= 1 and (m + 1) g <= n_experts.
 
-    ``owners`` is the (n_sources, n_experts) bool ownership mask of
-    ``experts.expert_group_map``; every id in ``token_sources`` must index
-    one of its rows. Every token's owned columns are gathered at once: that
-    map's groups are equal-sized, and a smaller group is padded with masked
-    columns. Group mass below GROUP_MASS_EPS is clamped; the clamp count is
-    returned for the warning counter. The total keeps one partial sum per
-    source, over its tokens in batch order, added in ascending source order.
+    Group mass below GROUP_MASS_EPS is clamped; the clamp count is returned
+    for the warning counter. The total keeps one partial sum per source,
+    over its tokens in batch order, added in ascending source order.
 
     Returns (value, d_gates, clamp_count).
     """
-    present = np.flatnonzero(np.bincount(token_sources))
-    sizes = np.count_nonzero(owners[present], axis=1)
-    if sizes.min() == 0:
-        raise ValueError(f"source {present[sizes.argmin()]} owns no experts")
-    # per source, its owned columns in ascending order, then unowned padding
-    order = np.argsort(~owners, axis=1, kind="stable")[:, : sizes.max()]
-    owned = np.take(np.take_along_axis(owners, order, axis=1), token_sources, axis=0)
-    n, n_experts = gates.shape
-    flat = np.take(order, token_sources, axis=0)  # (n, group) indices into the raveled gates
-    flat += np.arange(0, n * n_experts, n_experts)[:, None]
-    mass = np.where(owned, np.take(gates, flat), 0.0).sum(axis=1)
+    if group_size < 1:
+        raise ValueError(f"group size {group_size} < 1: the sources own no experts")
+    owned = token_sources[:, None] * group_size + np.arange(group_size)  # (n, g) columns
+    mass = np.take_along_axis(gates, owned, axis=1).sum(axis=1)
     low = mass < GROUP_MASS_EPS
     safe = np.maximum(mass, GROUP_MASS_EPS)
     neg_log = -np.log(safe)
     total = 0.0
-    for src in present:
+    for src in np.flatnonzero(np.bincount(token_sources)):
         total += float(neg_log[token_sources == src].sum())
-    scale = 1.0 / n
+    scale = 1.0 / gates.shape[0]
     d_gates = np.zeros(gates.shape)
     inv = np.where(low, 0.0, -1.0 / safe)  # clamped tokens sit on a constant
-    d_gates.ravel()[flat] = np.where(owned, (inv * scale)[:, None], 0.0)
+    np.put_along_axis(d_gates, owned, (inv * scale)[:, None], axis=1)
     return total * scale, d_gates, int(np.count_nonzero(low))
 
 
@@ -94,8 +79,7 @@ def importance_loss(gates: Array):
     Returns (value, d_gates, importance vector).
     """
     importance = gates.sum(axis=0)
-    value = cv_squared(importance)
-    d_importance = cv_squared_grad(importance)
+    value, d_importance = cv_squared(importance)
     d_gates = np.broadcast_to(d_importance, gates.shape).copy()
     return value, d_gates, importance
 
@@ -107,8 +91,7 @@ def load_loss(gates: Array):
     Returns (value, d_gates, load vector).
     """
     load = normal_cdf(gates).sum(axis=0)
-    value = cv_squared(load)
-    d_load = cv_squared_grad(load)
+    value, d_load = cv_squared(load)
     d_gates = d_load[None, :] * normal_pdf(gates)
     return value, d_gates, load
 
@@ -122,7 +105,7 @@ def cross_entropy(logits: Array, labels: Array):
     n, c = logits.shape
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match {n} samples")
-    if np.any(y < 0) or np.any(y >= c):
+    if y.size and (y.min() < 0 or y.max() >= c):
         raise ValueError(f"label out of range [0, {c})")
     probs = softmax(logits, axis=1)
     picked = probs[np.arange(n), y]

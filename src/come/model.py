@@ -53,7 +53,6 @@ from .experts import (
     MixtureCache,
     dr_backward,
     dr_forward,
-    expert_group_map,
     expert_mixture_backward,
     expert_mixture_forward,
     ffn_backward,
@@ -141,14 +140,16 @@ def _check_sources(batch: TokenBatch, n_sources: int):
 
 class ComeModel:
     """Trainable ``params`` plus the ``frozen`` shared experts, which only
-    the routed architecture has."""
+    the routed architecture has. ``group_size`` g = n_experts // n_sources
+    is the ownership rule: source m owns the bank experts [m g, (m + 1) g),
+    and no source owns the remainder experts past the last block."""
 
     def __init__(self, cfg: RunConfig, params: dict, frozen: dict):
         cfg.validate()
         self.cfg = cfg
         self.params = params
         self.frozen = frozen
-        self.groups = expert_group_map(cfg.model.n_experts, cfg.data.n_sources)  # (M, E) mask
+        self.group_size = cfg.model.n_experts // cfg.data.n_sources
 
     # ------------------------------------------------------------------
     # construction / persistence
@@ -166,8 +167,7 @@ class ComeModel:
         if cfg.model.arch == "come":
             for kind, index in (("structure", 10), ("semantic", 11)):
                 seed = int(streams.stream("init", index).integers(2**62))
-                frozen.update(init_frozen(kind, d, np.random.default_rng(seed),
-                                          scale=cfg.model.frozen_scale))
+                frozen.update(init_frozen(kind, d, np.random.default_rng(seed)))
             params.update(init_expert_bank(
                 cfg.model.n_experts, d, cfg.model.expert_hidden_ratio * d,
                 streams.stream("init", 1),
@@ -218,10 +218,7 @@ class ComeModel:
         cfg = self.cfg.clustering
         if cfg.strategy == "none":
             return np.zeros_like(flat)
-        model = fine2coarse(
-            flat, m=cfg.fine_clusters, k=cfg.coarse_clusters, rng=rng,
-            max_iters=cfg.max_iters,
-        )
+        model = fine2coarse(flat, m=cfg.fine_clusters, k=cfg.coarse_clusters, rng=rng)
         return cluster_features(model)
 
     @np.errstate(over="raise", invalid="raise")
@@ -281,7 +278,7 @@ class ComeModel:
                 cluster_rng = np.random.default_rng(0)
             feats = self._cluster(flat, cluster_rng)
         routed_in, dr_cache = dr_forward(flat, feats, self.params)
-        gates, gate_cache = gate_forward(routed_in, self.params, cfg.router.temperature)
+        gates, gate_cache = gate_forward(routed_in, self.params)
 
         if pinned is not None:
             plan = pinned.plan
@@ -305,7 +302,7 @@ class ComeModel:
             features = priors[0]
 
         losses = cfg.losses
-        l_tb, d_tb, clamped = traceability_loss(gates, batch.token_sources, self.groups)
+        l_tb, d_tb, clamped = traceability_loss(gates, batch.token_sources, self.group_size)
         l_ip, d_ip, importance = importance_loss(gates)
         l_load, d_load, load = load_loss(gates)
         d_gates_aux = [losses.tb_weight * d_tb, losses.balance_weight * d_ip,
@@ -360,9 +357,7 @@ class ComeModel:
             np.put_along_axis(d_gates, sel, (picked_d - inner) / cache.renorm_sums, axis=1)
         for term in cache.d_gates_aux:
             d_gates += term
-        d_in_router, router_grads = gate_backward(
-            d_gates, cache.gate, self.params, self.cfg.router.temperature
-        )
+        d_in_router, router_grads = gate_backward(d_gates, cache.gate, self.params)
         grads.update(router_grads)
         d_in_mix += d_in_router
         d_flat, dr_grads = dr_backward(d_in_mix, cache.dr, self.params)

@@ -69,22 +69,25 @@ def finite_number(value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def softmax(logits: Array, axis: int = -1) -> Array:
-    """Shift-invariant softmax along ``axis``; rows sum to 1 within 1e-12."""
+def softmax(logits: Array, axis: int = -1, out: Array | None = None) -> Array:
+    """Shift-invariant softmax along ``axis``, written to ``out`` if given
+    (it may be ``logits``); rows sum to 1 within 1e-12."""
     x = np.asarray(logits, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
-def softmax_backward(probs: Array, grad_out: Array, axis: int = -1) -> Array:
-    """Gradient of softmax output w.r.t. its logits.
-
-    ``probs`` must be the forward output; ``grad_out`` is the upstream
-    gradient with the same shape.
-    """
+def softmax_backward(probs: Array, grad_out: Array, axis: int = -1,
+                     out: Array | None = None) -> Array:
+    """Gradient of softmax output w.r.t. its logits, written to ``out`` if
+    given (it may be ``grad_out``). ``probs`` must be the forward output;
+    ``grad_out`` is the upstream gradient with the same shape."""
     inner = np.sum(grad_out * probs, axis=axis, keepdims=True)
-    return probs * (grad_out - inner)
+    out = np.subtract(grad_out, inner, out=out)
+    out *= probs
+    return out
 
 
 def _ndtr_rational(z: Array) -> Array:
@@ -148,29 +151,22 @@ def normal_pdf(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def cv_squared(v: Array) -> float:
-    """Squared coefficient of variation (population variance / mean^2).
+def cv_squared(v: Array):
+    """Squared coefficient of variation (population variance / mean^2) and
+    its gradient w.r.t. ``v``; returns (value, gradient).
 
-    Defined as 0 for an all-zero vector so balance terms vanish at step 0.
-    Scale-invariant: cv_squared(c*v) == cv_squared(v) for c > 0.
+    Defined as 0, with a zero gradient, for an all-zero vector so balance
+    terms vanish at step 0. Scale-invariant: the value of c*v equals that of
+    v for c > 0.
     """
     arr = np.asarray(v, dtype=np.float64).ravel()
     mean = float(arr.mean())
     if mean == 0.0:
-        return 0.0
-    var = float(np.mean((arr - mean) ** 2))
-    return var / (mean * mean)
-
-
-def cv_squared_grad(v: Array) -> Array:
-    """Gradient of :func:`cv_squared` w.r.t. its input vector."""
-    arr = np.asarray(v, dtype=np.float64).ravel()
-    mean = float(arr.mean())
-    if mean == 0.0:
-        return np.zeros_like(arr)
-    n = arr.size
-    var = float(np.mean((arr - mean) ** 2))
-    return (2.0 / n) * ((arr - mean) / mean**2 - var / mean**3)
+        return 0.0, np.zeros_like(arr)
+    dev = arr - mean
+    var = float(np.mean(dev**2))
+    grad = (2.0 / arr.size) * (dev / mean**2 - var / mean**3)
+    return var / (mean * mean), grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Gating network and temperature-scaled Top-K capacity dispatch.
+"""Gating network and Top-K capacity dispatch.
 
-Gates are a per-token softmax over a linear map of the routed features,
-divided by a temperature before the softmax. The dispatcher admits tokens
-per expert in ascending token order up to capacity = ceil(f * T * K / E);
-a (token, expert) pair it does not admit overflows, so overflow is the
-complement of the ``admitted`` mask, and an overflowed pair contributes
-zero to the mixture. Ties in Top-K selection break toward the lower expert
-index, so identical inputs always produce identical plans.
+Gates are a per-token softmax over a linear map of the routed features.
+The dispatcher admits tokens per expert in ascending token order up to
+capacity = ceil(f * T * K / E); a (token, expert) pair it does not admit
+overflows, so overflow is the complement of the ``admitted`` mask, and an
+overflowed pair contributes zero to the mixture. Ties in Top-K selection
+break toward the lower expert index, so identical inputs always produce
+identical plans.
 """
 
 from __future__ import annotations
@@ -27,21 +27,20 @@ class GateCache:
     gates: Array  # (N, n_experts)
 
 
-def gate_forward(inputs: Array, params: dict, temperature: float):
-    """Row-stochastic gate matrix softmax((W x + b) / temperature) with the
-    ``router.w`` (n_experts, D) and ``router.b`` weights of ``params``."""
+def gate_forward(inputs: Array, params: dict):
+    """Row-stochastic gate matrix softmax(W x + b) with the ``router.w``
+    (n_experts, D) and ``router.b`` weights of ``params``."""
     logits = inputs @ params["router.w"].T + params["router.b"]
-    gates = softmax(logits / temperature, axis=1)
+    gates = softmax(logits, axis=1, out=logits)
     return gates, GateCache(inputs=inputs, gates=gates)
 
 
-def gate_backward(d_gates: Array, cache: GateCache, params: dict, temperature: float):
+def gate_backward(d_gates: Array, cache: GateCache, params: dict):
     """Push gate gradients through the softmax and linear map.
 
     Returns (d_inputs, {router.w, router.b} grads).
     """
-    d_scaled = softmax_backward(cache.gates, np.asarray(d_gates, dtype=np.float64), axis=1)
-    d_logits = d_scaled / temperature
+    d_logits = softmax_backward(cache.gates, np.asarray(d_gates, dtype=np.float64), axis=1)
     grads = {
         "router.w": d_logits.T @ cache.inputs,
         "router.b": d_logits.sum(axis=0),

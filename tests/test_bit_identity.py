@@ -4,7 +4,8 @@ Each ``_ref_*`` function below is an earlier form of a kernel, kept as the
 oracle: attention with the fresh-array softmax and the token gradient it
 used to build, the full-width dimension-reduction input gradient, the FFN
 and frozen priors without in-place writes, and traceability's per-source
-loop. The current kernels must give exactly the same arrays
+loop over the (n_sources, n_experts) ownership mask it once read. The
+current kernels must give exactly the same arrays
 (``np.array_equal``) on a real forward at the default routed shape (B=8,
 D=32, top-1) and at the wide one (B=64, D=64, top-2); the pinned runs of
 ``test_pin.py`` cover D=32 only.
@@ -20,13 +21,7 @@ from hypothesis import strategies as st
 from come.attention import _merge_heads, _split_heads, attention_backward, attention_forward
 from come.config import RunConfig, apply_overrides
 from come.datagen import TokenBatch
-from come.experts import (
-    dr_backward,
-    expert_group_map,
-    ffn_backward,
-    ffn_forward,
-    frozen_forward,
-)
+from come.experts import dr_backward, ffn_backward, ffn_forward, frozen_forward
 from come.losses import GROUP_MASS_EPS, traceability_loss
 from come.model import ComeModel
 
@@ -108,6 +103,17 @@ def _ref_ffn_backward(params, prefix, x, h, d_y):
 
 def _ref_frozen_forward(frozen, kind, tokens):
     return np.tanh(tokens @ frozen[f"frozen.{kind}.w"] + frozen[f"frozen.{kind}.b"])
+
+
+def expert_group_map(n_experts, n_sources):
+    """The ownership rule as the (n_sources, n_experts) bool mask it once
+    was: source m owns experts [m * per, (m + 1) * per) with per =
+    n_experts // n_sources, and the remainder experts are unowned."""
+    per = n_experts // n_sources
+    mask = np.zeros((n_sources, n_experts), dtype=bool)
+    for m in range(n_sources):
+        mask[m, m * per : (m + 1) * per] = True
+    return mask
 
 
 def _ref_traceability(gates, token_sources, owners):
@@ -211,9 +217,10 @@ def test_frozen_forward_matches_reference(shape):
 @shapes
 def test_traceability_matches_reference(shape):
     model, state, _ = _forward(shape)
-    args = (state.body.gate.gates, state.batch.token_sources, model.groups)
-    value, d_gates, clamped = traceability_loss(*args)
-    ref_value, ref_d_gates, ref_clamped = _ref_traceability(*args)
+    gates, sources = state.body.gate.gates, state.batch.token_sources
+    value, d_gates, clamped = traceability_loss(gates, sources, model.group_size)
+    owners = expert_group_map(model.cfg.model.n_experts, model.cfg.data.n_sources)
+    ref_value, ref_d_gates, ref_clamped = _ref_traceability(gates, sources, owners)
     assert value == ref_value
     assert np.array_equal(d_gates, ref_d_gates)
     assert clamped == ref_clamped
@@ -243,25 +250,8 @@ def test_traceability_matches_reference_on_any_grouping(n_sources, per, remainde
     for i in np.flatnonzero(starved):
         group = owners[sources[i]]
         gates[i, group] = rng.choice([0.0, GROUP_MASS_EPS * rng.random() / per])
-    value, d_gates, clamped = traceability_loss(gates, sources, owners)
+    value, d_gates, clamped = traceability_loss(gates, sources, n_experts // n_sources)
     ref_value, ref_d_gates, ref_clamped = _ref_traceability(gates, sources, owners)
     assert value == ref_value
     assert np.array_equal(d_gates, ref_d_gates)
     assert clamped == ref_clamped
-
-
-def test_traceability_matches_reference_on_unequal_groups():
-    # a hand-built mask: smaller groups are padded with masked columns
-    owners = np.zeros((4, 7), dtype=bool)
-    for src, experts in {0: (0, 1), 1: (2,), 2: (6, 3, 4)}.items():
-        owners[src, list(experts)] = True
-    rng = np.random.default_rng(3)
-    gates = rng.dirichlet(np.ones(7), size=30)
-    gates[0, [6, 3, 4]] = 0.0
-    sources = rng.integers(0, 3, size=30)
-    sources[0] = 2
-    value, d_gates, clamped = traceability_loss(gates, sources, owners)
-    ref_value, ref_d_gates, ref_clamped = _ref_traceability(gates, sources, owners)
-    assert value == ref_value
-    assert np.array_equal(d_gates, ref_d_gates)
-    assert clamped == ref_clamped == 1

@@ -12,6 +12,7 @@ from come.config import (
     apply_overrides,
     config_from_dict,
     config_to_dict,
+    load_config,
 )
 from come.numerics import AdamWConfig, AdamWState
 
@@ -23,7 +24,7 @@ from come.numerics import AdamWConfig, AdamWState
         (["model.heads=5"], "model.heads=5 does not divide data.width=32"),
         (["training.log_every=0"], "training.log_every must be >= 1, got 0"),
         (["training.eval_batches=0"], "training.eval_batches must be >= 1, got 0"),
-        (["clustering.max_iters=0"], "clustering.max_iters must be >= 1, got 0"),
+        (["clustering.coarse_clusters=-1"], "fine_clusters > coarse_clusters >= 1, got 16 and -1"),
         (
             ["clustering.strategy=kmeans"],
             "clustering.strategy must be fine2coarse|none, got 'kmeans'",
@@ -46,7 +47,7 @@ from come.numerics import AdamWConfig, AdamWState
             "fine_clusters > coarse_clusters >= 1, got 16 and 0",
         ),
         (["data.train_fraction=1"], "data: train_fraction must be in (0, 1)"),
-        (["router.temperature=0"], "router.temperature must be > 0, got 0"),
+        (["router.capacity_factor=-1"], "router.capacity_factor must be > 0, got -1"),
         (["router.capacity_factor=0"], "router.capacity_factor must be > 0, got 0"),
         (["router.top_k=9"], "router.top_k=9 outside [1, 8]"),
         (
@@ -84,6 +85,9 @@ def test_validate_names_the_bad_key_and_value(overrides, message):
         "losses.tb_average=true",
         "losses.load_mode=literal",
         "losses.load_noise_scale=1",
+        "model.frozen_scale=0.3",
+        "clustering.max_iters=50",
+        "router.temperature=1.0",
     ],
 )
 def test_removed_keys_are_rejected(override):
@@ -140,8 +144,8 @@ JSON_VALUES = st.recursive(
 )
 
 
-def test_there_are_46_config_keys():
-    assert len(LEAF_KEYS) == 46
+def test_there_are_43_config_keys():
+    assert len(LEAF_KEYS) == 43
 
 
 def test_the_optimizer_section_is_the_config_adamw_state_extends():
@@ -160,3 +164,39 @@ def test_any_json_override_validates_or_raises_config_error(key, value):
         apply_overrides(RunConfig(), [f"{key}={json.dumps(value)}"]).validate()
     except ConfigError:
         pass
+
+
+CHANGED = ["seed=3", "model.arch=dense", "router.top_k=2", "data.source_weights=[1, 2, 3, 4]"]
+
+
+def test_load_config_reads_a_bare_config_and_a_run_manifest(tmp_path):
+    from come.harness import run_manifest
+
+    cfg = apply_overrides(RunConfig(), CHANGED)
+    bare = tmp_path / "config.json"
+    bare.write_text(json.dumps(config_to_dict(cfg)))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(run_manifest(cfg, "train", {}, [])))
+    assert load_config(bare) == cfg
+    assert load_config(manifest) == cfg
+    assert load_config() == RunConfig()
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("missing.json", None, "cannot read the config"),
+        ("bad.json", b"{", "invalid JSON"),
+        ("list.json", b"[1, 2]", "config root must be an object"),
+        ("folder", "dir", "cannot read the config"),
+        ("latin1.json", b'{"seed": "\xe9"}', "cannot read the config"),
+    ],
+)
+def test_load_config_names_the_path_of_a_file_it_cannot_use(tmp_path, name, content, message):
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_config(path)

@@ -4,7 +4,6 @@ import pytest
 from come.experts import (
     dr_backward,
     dr_forward,
-    expert_group_map,
     expert_mixture_backward,
     expert_mixture_forward,
     ffn_forward,
@@ -13,6 +12,7 @@ from come.experts import (
     init_expert_bank,
     init_frozen,
 )
+from come.losses import traceability_loss
 from come.numerics import grad_check
 from come.router import build_dispatch
 
@@ -62,31 +62,42 @@ def test_frozen_params_are_read_only():
 
 
 # ---------------------------------------------------------------------------
-# expert groups
+# expert groups, as traceability's gradient reads them
 # ---------------------------------------------------------------------------
 
 
-def _owned(mask):
-    """The ownership mask as {source: owned expert ids}."""
-    return {m: tuple(np.flatnonzero(row).tolist()) for m, row in enumerate(mask)}
+def _owned(n_experts, n_sources):
+    """{source: the gate columns on which its tokens get traceability
+    gradient}, with every source present three times in shuffled order."""
+    rng = np.random.default_rng(n_experts * 100 + n_sources)
+    sources = rng.permutation(np.repeat(np.arange(n_sources), 3))
+    gates = rng.dirichlet(np.ones(n_experts), size=sources.size)
+    _, d_gates, clamped = traceability_loss(gates, sources, n_experts // n_sources)
+    assert clamped == 0
+    columns = {}
+    for src, row in zip(sources.tolist(), d_gates):
+        cols = tuple(np.flatnonzero(row).tolist())
+        assert columns.setdefault(src, cols) == cols  # one block per source
+    return columns
 
 
 def test_group_map_disjoint_and_sized():
-    groups = _owned(expert_group_map(8, 4))
+    groups = _owned(8, 4)
     assert groups == {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (6, 7)}
     all_owned = [e for g in groups.values() for e in g]
     assert len(all_owned) == len(set(all_owned)) == 4 * (8 // 4)
 
 
 def test_group_map_remainder_experts_unowned():
-    groups = _owned(expert_group_map(10, 4))
-    owned = {e for g in groups.values() for e in g}
-    assert owned == set(range(8))  # experts 8, 9 unowned
+    groups = _owned(10, 4)
+    assert groups == {0: (0, 1), 1: (2, 3), 2: (4, 5), 3: (6, 7)}  # experts 8, 9 unowned
+    groups = _owned(11, 4)
+    assert {e for g in groups.values() for e in g} == set(range(8))  # 8, 9, 10 unowned
 
 
 def test_group_map_singletons_when_counts_match():
-    groups = _owned(expert_group_map(8, 8))
-    assert all(len(g) == 1 for g in groups.values())
+    assert _owned(8, 8) == {m: (m,) for m in range(8)}
+    assert _owned(5, 3) == {0: (0,), 1: (1,), 2: (2,)}  # experts 3, 4 unowned
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from come import harness
 from come.config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from come.container import save_dataset
 from come.model import ComeModel
+from come.router import DispatchPlan
 
 SMALL = [
     "data.n_samples=80",
@@ -227,3 +229,26 @@ def test_grid_of_finished_runs_lists_no_halts(small, tmp_path):
     rows = harness.sweep(cfg, "topk", dataset=dataset, values=[1], out_dir=tmp_path)
     assert rows[0][-1] is False
     assert json.loads((tmp_path / "manifest.json").read_text())["halted"] == []
+
+
+# ---------------------------------------------------------------------------
+# routing purity
+# ---------------------------------------------------------------------------
+
+
+def test_routing_purity_counts_the_top_admitted_expert_of_each_token():
+    # 10 experts over 4 sources: groups of 2, and experts 8, 9 owned by none
+    selection = np.array([[1, 5], [8, 3], [4, 9], [0, 6], [7, 2], [2, 9], [6, 1]])
+    admitted = np.array([[1, 1], [1, 1], [0, 1], [0, 1], [0, 0], [1, 0], [0, 1]], dtype=bool)
+    sources = np.array([0, 1, 2, 3, 3, 1, 3])
+    plan = DispatchPlan(
+        selection=selection, admitted=admitted, capacity=2,
+        expert_tokens=[np.flatnonzero((selection == j) & admitted) // 2 for j in range(10)],
+    )
+    # token 0: expert 1 of source 0's group; 1: remainder expert 8; 2: its
+    # in-group top pick overflowed, then remainder expert 9; 3: top pick
+    # overflowed, then expert 6 of source 3's group; 4: both overflowed, not
+    # counted; 5: expert 2; 6: in-group top pick overflowed, then expert 1
+    assert harness.routing_purity(plan, sources, 2) == (3, 6)
+    # as singletons, source m owns expert m only, which no token reached
+    assert harness.routing_purity(plan, sources, 1) == (0, 6)

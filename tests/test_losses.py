@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,14 +20,6 @@ def _uniform_gates(n, m):
     return np.full((n, m), 1.0 / m)
 
 
-def _mask(groups, n_experts):
-    """{source: expert ids} as the (n_sources, n_experts) ownership mask."""
-    mask = np.zeros((max(groups) + 1, n_experts), dtype=bool)
-    for src, experts in groups.items():
-        mask[src, list(experts)] = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # traceability
 # ---------------------------------------------------------------------------
@@ -35,16 +28,14 @@ def _mask(groups, n_experts):
 def test_traceability_zero_when_group_holds_all_mass():
     gates = np.zeros((4, 4))
     gates[:, 0] = 1.0
-    groups = {0: (0,)}
-    val, grad, clamped = traceability_loss(gates, np.zeros(4, dtype=int), _mask(groups, 4))
+    val, grad, clamped = traceability_loss(gates, np.zeros(4, dtype=int), 1)  # owns expert 0
     assert val == 0.0
     assert clamped == 0
 
 
 def test_traceability_half_mass_is_ln2():
     gates = np.array([[0.25, 0.25, 0.3, 0.2]])
-    groups = {1: (0, 1)}  # group mass 0.5
-    val, _, _ = traceability_loss(gates, np.array([1]), _mask(groups, 4))
+    val, _, _ = traceability_loss(gates, np.array([1]), 2)  # experts 2, 3: group mass 0.5
     assert abs(val - math.log(2.0)) < 1e-12
 
 
@@ -52,9 +43,8 @@ def test_traceability_singleton_groups_match_loop_oracle():
     rng = np.random.default_rng(0)
     gates = rng.dirichlet(np.ones(5), size=12)
     sources = rng.integers(0, 3, size=12)
-    groups = {0: (2,), 1: (0,), 2: (4,)}
-    val, grad, _ = traceability_loss(gates, sources, _mask(groups, 5))
-    expected = -sum(math.log(gates[i, groups[int(sources[i])][0]]) for i in range(12)) / 12
+    val, grad, _ = traceability_loss(gates, sources, 1)  # source m owns expert m
+    expected = -sum(math.log(gates[i, sources[i]]) for i in range(12)) / 12
     assert abs(val - expected) < 1e-12
     # gradient vs finite differences (softmax reparam keeps gates valid)
     logits0 = rng.normal(size=(6, 5))
@@ -62,7 +52,7 @@ def test_traceability_singleton_groups_match_loop_oracle():
 
     def fn(flat):
         g = softmax(flat.reshape(6, 5), axis=1)
-        v, dg, _ = traceability_loss(g, src, _mask(groups, 5))
+        v, dg, _ = traceability_loss(g, src, 1)
         from come.numerics import softmax_backward
 
         return v, softmax_backward(g, dg, axis=1).ravel()
@@ -72,8 +62,8 @@ def test_traceability_singleton_groups_match_loop_oracle():
 
 def test_traceability_clamps_zero_mass_and_counts():
     gates = np.array([[1.0, 0.0], [0.0, 1.0]])
-    groups = {0: (1,)}  # first token has zero group mass
-    val, grad, clamped = traceability_loss(gates, np.zeros(2, dtype=int), _mask(groups, 2))
+    # source 1 owns expert 1, so the first token has zero group mass
+    val, grad, clamped = traceability_loss(gates, np.ones(2, dtype=int), 1)
     assert clamped == 1
     assert np.isfinite(val)
     assert val >= -0.5 * math.log(GROUP_MASS_EPS) - 1e-9
@@ -81,8 +71,8 @@ def test_traceability_clamps_zero_mass_and_counts():
 
 
 def test_traceability_rejects_empty_group():
-    with pytest.raises(ValueError, match="owns no experts"):
-        traceability_loss(_uniform_gates(2, 4), np.zeros(2, dtype=int), _mask({0: ()}, 4))
+    with pytest.raises(ValueError, match="group size 0 < 1: the sources own no experts"):
+        traceability_loss(_uniform_gates(2, 4), np.zeros(2, dtype=int), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +240,18 @@ def test_cross_entropy_gradient():
 
 
 def test_cross_entropy_rejects_bad_labels():
-    with pytest.raises(ValueError, match="range"):
+    with pytest.raises(ValueError, match=re.escape("label out of range [0, 3)")):
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+    with pytest.raises(ValueError, match=re.escape("label out of range [0, 3)")):
+        cross_entropy(np.zeros((2, 3)), np.array([-1, 2]))
     with pytest.raises(ValueError, match="shape"):
         cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+
+def test_cross_entropy_of_no_samples_passes_the_label_check():
+    with pytest.warns(RuntimeWarning):  # the mean of no losses
+        val, d_logits = cross_entropy(np.zeros((0, 3)), np.array([], dtype=np.int64))
+    assert math.isnan(val) and d_logits.shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +293,10 @@ def test_report_balance_contribution_is_linear_in_weight():
 
 def test_losses_are_nonnegative_on_random_gates():
     rng = np.random.default_rng(7)
-    groups = {0: (0, 1), 1: (2,)}
     for _ in range(25):
         gates = rng.dirichlet(np.ones(4), size=9)
         sources = rng.integers(0, 2, size=9)
-        v_tb, _, _ = traceability_loss(gates, sources, _mask(groups, 4))
+        v_tb, _, _ = traceability_loss(gates, sources, 2)
         v_ip, _, _ = importance_loss(gates)
         v_ld, _, _ = load_loss(gates)
         assert v_tb >= 0.0 and v_ip >= 0.0 and v_ld >= 0.0

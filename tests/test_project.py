@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+pytest_plugins = ["pytester"]
+
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "come"
@@ -69,3 +71,27 @@ def test_importing_every_module_loads_no_scipy():
     n_modules, scipy_modules = result.stdout.split("\n")[:2]
     assert int(n_modules) == len(list(PACKAGE.glob("[!_]*.py")))
     assert scipy_modules == ""
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_run(pytester):
+    # hypothesis reports a failure through libcst, whose import warns; under
+    # this repo's own pytest settings the run must go on past the failure
+    pytester.makepyfile(test_given="""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_passes():
+            pass
+    """)
+    result = pytester.runpytest_subprocess(
+        "-c", str(PYPROJECT), "--rootdir", str(pytester.path), "-p", "no:cacheprovider",
+        "test_given.py",
+    )
+    result.assert_outcomes(failed=1, passed=1)

@@ -44,31 +44,15 @@ def _grad_vector(grads):
 def test_zero_router_gives_uniform_gates():
     router = _router(n_experts=8, width=3)
     x = np.random.default_rng(0).normal(size=(5, 3))
-    gates, _ = gate_forward(x, router, 1.0)
+    gates, _ = gate_forward(x, router)
     np.testing.assert_allclose(gates, 1.0 / 8, atol=1e-15)
 
 
 def test_gate_rows_sum_to_one():
     router = _router(seed=1)
     x = np.random.default_rng(2).normal(size=(20, 5)) * 50
-    gates, _ = gate_forward(x, router, 1.0)
+    gates, _ = gate_forward(x, router)
     np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_high_temperature_flattens_gates():
-    router = _router(seed=3)
-    x = np.random.default_rng(4).normal(size=(10, 5))
-    gates, _ = gate_forward(x, router, 1e6)
-    assert np.all(gates.max(axis=1) - gates.min(axis=1) < 1e-3)
-
-
-def test_temperature_halving_equals_logit_doubling():
-    x = np.random.default_rng(5).normal(size=(8, 5))
-    half = _router(seed=6)
-    doubled = {name: 2.0 * value for name, value in half.items()}
-    g1, _ = gate_forward(x, half, 0.5)
-    g2, _ = gate_forward(x, doubled, 1.0)
-    np.testing.assert_allclose(g1, g2, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +171,9 @@ def test_gate_backward_passes_grad_check():
 
     def fn(theta):
         r = _theta_router(theta, 4, 5)
-        gates, cache = gate_forward(x, r, 0.7)
+        gates, cache = gate_forward(x, r)
         val = float(np.sum(gates * proj))
-        _, grads = gate_backward(proj, cache, r, 0.7)
+        _, grads = gate_backward(proj, cache, r)
         return val, _grad_vector(grads)
 
     assert grad_check(fn, _theta0(router), h=1e-5).max_rel_error < 1e-5
@@ -209,12 +193,12 @@ def test_unmasked_mixture_gradient_matches_full_softmax_mixture():
 
     def fn(theta):
         r = _theta_router(theta, n_experts, width)
-        gates, cache = gate_forward(x, r, 1.0)
+        gates, cache = gate_forward(x, r)
         plan = build_dispatch(topk_select(gates, n_experts), n_experts, 100.0)
         out, mix_cache = expert_mixture_forward(bank, plan, x, gates)
         val = float(np.sum(out * proj))
         _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank)
-        _, grads = gate_backward(d_gates, cache, r, 1.0)
+        _, grads = gate_backward(d_gates, cache, r)
         return val, _grad_vector(grads)
 
     assert grad_check(fn, _theta0(router0), h=1e-5).max_rel_error < 1e-4
@@ -229,7 +213,7 @@ def test_masked_mixture_gradient_with_fixed_mask():
     x = rng.normal(size=(n_tok, width))
     proj = rng.normal(size=(n_tok, width))
     router0 = _router(n_experts, width, seed=19)
-    gates0, _ = gate_forward(x, router0, 1.0)
+    gates0, _ = gate_forward(x, router0)
     plan = build_dispatch(topk_select(gates0, k), n_experts, 1.0)
     assert plan.n_overflow > 0
 
@@ -237,11 +221,11 @@ def test_masked_mixture_gradient_with_fixed_mask():
 
     def fn(theta):
         r = _theta_router(theta, n_experts, width)
-        gates, cache = gate_forward(x, r, 1.0)
+        gates, cache = gate_forward(x, r)
         out, mix_cache = expert_mixture_forward(bank, plan, x, gates)
         val = float(np.sum(out * proj))
         _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank)
-        _, grads = gate_backward(d_gates, cache, r, 1.0)
+        _, grads = gate_backward(d_gates, cache, r)
         return val, _grad_vector(grads)
 
     assert grad_check(fn, _theta0(router0), h=1e-5).max_rel_error < 1e-4
@@ -251,4 +235,4 @@ def test_gate_backward_rejects_cache_mismatch():
     router = _router(n_experts=3, width=4)
     cache = GateCache(inputs=np.zeros((2, 4)), gates=np.full((2, 3), 1 / 3))
     with pytest.raises(Exception):
-        gate_backward(np.zeros((3, 3)), cache, router, 1.0)
+        gate_backward(np.zeros((3, 3)), cache, router)
