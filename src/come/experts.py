@@ -155,7 +155,8 @@ def dr_backward(grad_out: Array, cache: DimReductionCache, params: dict):
 class MixtureCache:
     inputs: Array  # (N, D) expert inputs
     gates: Array  # (N, n_experts) full gate matrix
-    per_expert: list  # (expert id, token indices, gathered inputs, hidden, outputs)
+    # (expert id, token indices, gathered inputs, hidden, outputs); backward empties it
+    per_expert: list
 
 
 def expert_mixture_forward(bank_params: dict, plan, inputs: Array, gates: Array):
@@ -180,14 +181,17 @@ def expert_mixture_backward(grad_out: Array, cache: MixtureCache, bank_params: d
     """Backward of the admitted mixture.
 
     The selection and admission masks are constants of the backward pass.
-    Returns (d_inputs, d_gates, parameter grads); d_gates is nonzero only at
-    admitted (token, expert) entries.
+    Consumes ``cache.per_expert``: each expert's entry is dropped once its
+    backward is done, in ascending expert order, the order of the top-2
+    tokens' ``d_inputs`` scatter-adds. Returns (d_inputs, d_gates, parameter
+    grads); d_gates is nonzero only at admitted (token, expert) entries.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     d_inputs = np.zeros_like(cache.inputs)
     d_gates = np.zeros_like(cache.gates)
     grads = {}
-    for j, tok, x, h, y in cache.per_expert:
+    while cache.per_expert:
+        j, tok, x, h, y = cache.per_expert.pop(0)
         up = g[tok]
         w = cache.gates[tok, j][:, None]
         d_gates[tok, j] = np.sum(up * y, axis=1)

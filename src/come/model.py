@@ -22,10 +22,14 @@ the routed model.
 
 Backward mirrors the spine: head, body, attention. Every trainable piece
 ships an explicit backward; clustering, Top-K selection and capacity
-admission are constants of the backward pass. For finite-difference
-checking, ``forward`` takes a ``pinned`` reference forward of the same
-batch and reuses its cluster features and dispatch plan, so the perturbed
-evaluations differentiate the same masked function the backward assumes.
+admission are constants of the backward pass. Backward consumes the
+forward's state: it frees each saved activation once it has read it (each
+expert's entry, then the body's cache, then attention's), so a step never
+holds a spent cache, and a second backward of the same state is refused.
+For finite-difference checking, ``forward`` takes a ``pinned`` reference
+forward of the same batch and reuses its cluster features and dispatch
+plan, so the perturbed evaluations differentiate the same masked function
+the backward assumes.
 
 Finiteness is checked once, where values enter: attention rejects a batch
 with NaN or Inf tokens, and ``load_checkpoint`` a non-finite blob. The
@@ -99,6 +103,14 @@ class RoutedCache:
 
 @dataclass
 class ForwardState:
+    """One forward's outputs and the caches its backward reads.
+
+    ``ComeModel.backward`` consumes the state: it sets ``body`` and
+    ``att_cache`` to None and frees each once its backward has read it. The
+    other fields stay, for the callers that read the losses, predictions
+    and plan after the step.
+    """
+
     batch: TokenBatch
     report: LossReport
     predictions: Array
@@ -227,7 +239,8 @@ class ComeModel:
         """Losses, predictions and the backward's caches for one batch.
 
         Raises ValueError for an empty batch or, on the routed body, for
-        source ids that are not B integers in [0, n_sources);
+        source ids that are not B integers in [0, n_sources) or a ``pinned``
+        state that backward consumed;
         NonFiniteError for NaN or Inf tokens; and FloatingPointError at the
         first operation that overflows or is invalid.
         """
@@ -272,6 +285,9 @@ class ComeModel:
                                    ("semantic", cfg.model.semantic_expert)) if on]
 
         if pinned is not None:
+            if pinned.body is None:
+                raise ValueError("forward: the pinned ForwardState was consumed by backward; "
+                                 "pin a state that no backward has read")
             feats = pinned.body.dr.concat[:, flat.shape[1]:]
         else:
             if cluster_rng is None:
@@ -320,7 +336,16 @@ class ComeModel:
     # ------------------------------------------------------------------
 
     def backward(self, state: ForwardState) -> dict:
-        """Gradient of the total loss w.r.t. every trainable parameter."""
+        """Gradient of the total loss w.r.t. every trainable parameter.
+
+        Consumes ``state``'s caches (see ``ForwardState``); raises ValueError
+        for a state an earlier backward consumed.
+        """
+        body, att_cache = state.body, state.att_cache
+        if att_cache is None:
+            raise ValueError("backward: this ForwardState was consumed by an earlier "
+                             "backward; run forward again")
+        state.body = state.att_cache = None  # consumed even if a step below raises
         b, t, d = state.batch.tokens.shape
         grads = {}
         d_logits = state.d_task_logits
@@ -329,27 +354,29 @@ class ComeModel:
         d_pooled = d_logits @ self.params["head.w"].T
         d_out = (np.repeat(d_pooled[:, None, :], t, axis=1) / t).reshape(b * t, d)
         if self.cfg.model.arch == "dense":
-            d_flat, dense_grads = ffn_backward(self.params, "dense", *state.body, d_out)
+            d_flat, dense_grads = ffn_backward(self.params, "dense", *body, d_out)
             grads.update(dense_grads)
         else:
-            d_flat = self._routed_backward(d_out, state, grads)
+            d_flat = self._routed_backward(d_out, body, state.plan, grads)
+        del body  # each cache is freed as soon as its backward has read it
         grads.update(attention_backward(
-            d_flat.reshape(b, t, d), state.att_cache, self.params, self.cfg.model.heads
+            d_flat.reshape(b, t, d), att_cache, self.params, self.cfg.model.heads
         ))
+        del att_cache
         for name, p in self.params.items():
             if name not in grads:  # an expert no token reached
                 grads[name] = np.zeros_like(p)
         return grads
 
-    def _routed_backward(self, d_out: Array, state: ForwardState, grads: dict) -> Array:
+    def _routed_backward(self, d_out: Array, cache: RoutedCache, plan: DispatchPlan,
+                         grads: dict) -> Array:
         """Backward of ``_routed_forward``; fills ``grads`` and returns the
         gradient w.r.t. the attended tokens."""
-        cache = state.body
         d_in_mix, d_gates, expert_grads = expert_mixture_backward(d_out, cache.mix, self.params)
         grads.update(expert_grads)
         if cache.renorm_sums is not None:
             # combine = gates[sel] / sum(gates[sel]); push back to raw gates
-            sel = state.plan.selection
+            sel = plan.selection
             picked_d = np.take_along_axis(d_gates, sel, axis=1)
             picked_w = np.take_along_axis(cache.mix.gates, sel, axis=1)
             inner = np.sum(picked_d * picked_w, axis=1, keepdims=True)

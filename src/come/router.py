@@ -79,9 +79,12 @@ class DispatchPlan:
 
 
 def dispatch_capacity(n_tokens: int, top_k: int, n_experts: int, capacity_factor: float) -> int:
+    """ceil(f N K / E), or N when that product overflows a float: any
+    capacity >= N admits every (token, expert) pair."""
     if capacity_factor <= 0:
         raise ValueError("capacity factor must be > 0")
-    return int(math.ceil(capacity_factor * n_tokens * top_k / n_experts))
+    capacity = capacity_factor * n_tokens * top_k / n_experts
+    return n_tokens if math.isinf(capacity) else int(math.ceil(capacity))
 
 
 def build_dispatch(selection: Array, n_experts: int, capacity_factor: float) -> DispatchPlan:

@@ -100,6 +100,15 @@ def test_logged_test_accuracy_states_its_sample_count(small, tmp_path):
     assert [line.split(",")[3] for line in lines[1:]] == ["8", "8"]
 
 
+def test_a_capacity_factor_past_float_range_trains_without_overflow():
+    # f N K / E overflows to inf; the capacity is then every token of the batch
+    cfg = apply_overrides(RunConfig(), ["router.capacity_factor=1e308", "training.steps=3",
+                                        "data.n_samples=200"])
+    result = harness.train(cfg)
+    assert not result.halted
+    assert result.final().overflow_rate == 0.0
+
+
 # ---------------------------------------------------------------------------
 # datasets
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -321,3 +323,50 @@ def test_matched_dense_hidden_accounting():
         + 2 * (d * d + d)  # frozen shared maps
     )
     assert abs(dense_params - active) <= 2 * d + 1  # off by at most one hidden unit
+
+
+# ---------------------------------------------------------------------------
+# backward consumes the forward state
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_backward_consumes_the_caches_and_keeps_the_results(arch):
+    cfg = _cfg(**{"model.arch": arch})
+    model = ComeModel.build(cfg)
+    batch = _batch(cfg, b=3)
+    state, _ = model.loss_and_grads(batch, cluster_rng=np.random.default_rng(1))
+    assert state.body is None and state.att_cache is None
+    assert np.isfinite(state.report.total)
+    assert state.predictions.shape == (3,)
+    assert (state.plan is None) == (arch == "dense")
+    if arch == "come":
+        assert state.plan.n_tokens == 9
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        model.backward(state)
+    if arch == "come":  # the dense body ignores a pinned state
+        with pytest.raises(ValueError, match="pinned ForwardState was consumed"):
+            model.forward(batch, pinned=state)
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_backward_frees_more_than_its_gradients_take(arch):
+    """At B=64, D=64, top-2 the forward's caches hold megabytes; once backward
+    returns, all that stays allocated besides the gradients is the state's
+    results, under half of what the forward left."""
+    cfg = apply_overrides(RunConfig(), ["training.batch_size=64", "data.width=64",
+                                        "router.top_k=2", f"model.arch={arch}"])
+    model = ComeModel.build(cfg)
+    batch = _batch(cfg, b=64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = _forward(model, batch)
+        started = tracemalloc.get_traced_memory()[0]
+        grads = model.backward(state)
+        returned = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(g.nbytes for g in grads.values())
+    assert started - before > 4e6
+    assert returned - grad_bytes - before < (started - before) / 2

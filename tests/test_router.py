@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ def test_capacity_arithmetic_examples():
     assert dispatch_capacity(20, 1, 8, 1.25) == 4
     with pytest.raises(ValueError):
         dispatch_capacity(10, 1, 4, 0.0)
+
+
+def test_capacity_of_an_overflowing_product_admits_every_token():
+    # f N K / E is inf in float arithmetic, and ceil(inf) raises OverflowError
+    assert dispatch_capacity(128, 1, 8, 1e308) == 128
+    assert dispatch_capacity(64, 2, 8, sys.float_info.max) == 64
+    plan = build_dispatch(np.zeros((5, 1), dtype=np.int64), 2, 1e308)
+    assert plan.capacity == 5
+    assert plan.n_overflow == 0
 
 
 def test_all_tokens_one_expert_overflow_accounting():
