@@ -81,8 +81,14 @@ def summarise(pairs: list, end_to_end: list) -> dict:
 
 
 def parse_seeds(text: str) -> list:
+    """``first-last`` (inclusive) or one seed; a range with no seeds is an
+    argparse usage error, raised before any run."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} is empty: write first-last "
+                                         f"with first <= last")
+    return seeds
 
 
 def main(argv=None) -> int:

@@ -165,7 +165,8 @@ def _is_int(value) -> bool:
 def _read_sidecar(path: Path, n_samples: int) -> dict:
     """The parsed sidecar of a dataset with ``n_samples`` samples. Raises a
     ValueError naming the sidecar unless it holds every generator field and
-    no other, an int seed, and split indices that are ints in [0, n)."""
+    no other, an int seed, and split indices that are ints in [0, n), each
+    in at most one split and at most once."""
     try:
         side = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -191,6 +192,12 @@ def _read_sidecar(path: Path, n_samples: int) -> dict:
         if not (isinstance(indices, list)
                 and all(_is_int(i) and 0 <= i < n_samples for i in indices)):
             raise ValueError(f"{path}: {key} must be a list of ints in [0, {n_samples})")
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"{path}: {key} repeats a sample index")
+    shared = set(side["train_indices"]) & set(side["test_indices"])
+    if shared:
+        raise ValueError(f"{path}: {len(shared)} sample indices are in both train_indices and "
+                         f"test_indices, e.g. {min(shared)}")
     return side
 
 
@@ -217,7 +224,8 @@ def load_checkpoint(path) -> dict:
     """Returns the saved arrays by name, as writable float64 copies.
 
     Raises ValueError naming the path and the blob being read when the file
-    is truncated, has bytes after its last blob, or holds a NaN or Inf.
+    is truncated, has bytes after its last blob, repeats a blob name, or
+    holds a NaN or Inf.
     """
     reader = _Reader(path, "checkpoint")
     version, n_blobs = reader.unpack("<II", "the header")
@@ -234,6 +242,8 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"{reader.path}: {what} has a name that is not UTF-8 ({exc})") from exc
         what = f"blob {name!r}"
         (ndim,) = reader.unpack("<B", what)
+        if name in arrays:
+            raise ValueError(f"{reader.path}: {what} appears more than once")
         arr = reader.floats(reader.unpack(f"<{ndim}I", what), what)
         if not np.isfinite(arr).all():
             bad = int(np.count_nonzero(~np.isfinite(arr)))

@@ -16,8 +16,6 @@ its ``frozen`` dict and saves in the checkpoint next to its parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 Array = np.ndarray
@@ -121,29 +119,25 @@ def init_dim_reduction(width: int) -> dict:
     return {"dr.w": w, "dr.b": np.zeros(width)}
 
 
-@dataclass
-class DimReductionCache:
-    concat: Array  # (N, 2D)
-    width: int
-
-
 def dr_forward(attended: Array, cluster_feats: Array, params: dict):
-    """Project [attended | cluster feature] (N, 2D) down to (N, D)."""
+    """Project [attended | cluster feature] (N, 2D) down to (N, D); returns
+    (out, concat), and the backward reads ``concat``."""
     concat = np.concatenate([attended, cluster_feats], axis=1)
     out = concat @ params["dr.w"] + params["dr.b"]
-    return out, DimReductionCache(concat=concat, width=attended.shape[1])
+    return out, concat
 
 
-def dr_backward(grad_out: Array, cache: DimReductionCache, params: dict):
-    """Gradients for the projection. The cluster branch is a constant, so the
-    input gradient is formed for the attended half only, from the
-    token-branch rows of ``dr.w``; returns (d_attended, grads)."""
+def dr_backward(grad_out: Array, concat: Array, params: dict):
+    """Gradients for the projection, given the forward's ``concat``. The
+    cluster branch is a constant, so the input gradient is formed for the
+    attended half only, from the first D = ``grad_out.shape[1]`` (token-branch)
+    rows of ``dr.w``; returns (d_attended, grads)."""
     g = np.asarray(grad_out, dtype=np.float64)
     grads = {
-        "dr.w": cache.concat.T @ g,
+        "dr.w": concat.T @ g,
         "dr.b": g.sum(axis=0),
     }
-    return g @ params["dr.w"][: cache.width].T, grads
+    return g @ params["dr.w"][: g.shape[1]].T, grads
 
 
 # ---------------------------------------------------------------------------
@@ -151,51 +145,46 @@ def dr_backward(grad_out: Array, cache: DimReductionCache, params: dict):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MixtureCache:
-    inputs: Array  # (N, D) expert inputs
-    gates: Array  # (N, n_experts) full gate matrix
-    # (expert id, token indices, gathered inputs, hidden, outputs); backward empties it
-    per_expert: list
-
-
-def expert_mixture_forward(bank_params: dict, plan, inputs: Array, gates: Array):
-    """Capacity-masked Top-K combination: out[i] = sum_j g[i,j] * E_j(x_i)
-    over the admitted (token, expert) pairs of ``plan``, whose experts
-    ``expert.{j}`` are read from ``bank_params``. Dropped pairs contribute
-    zero.
+def expert_mixture_forward(bank_params: dict, plan, inputs: Array, combine: Array):
+    """Capacity-masked Top-K combination: out[i] = sum_j c[i,j] * E_j(x_i)
+    over the admitted (token, expert) pairs of ``plan``, with weights c =
+    ``combine`` (N, n_experts) and experts ``expert.{j}`` read from
+    ``bank_params``. Dropped pairs contribute zero. Returns (out, saved):
+    (expert id, token indices, gathered inputs, hidden, outputs) for each
+    expert that got tokens, in ascending expert order.
     """
     out = np.zeros_like(inputs)
-    per_expert = []
+    saved = []
     for j, tok in enumerate(plan.expert_tokens):
         if tok.size == 0:
             continue
         x = inputs[tok]
         y, h = ffn_forward(bank_params, f"expert.{j}", x)
-        out[tok] += gates[tok, j][:, None] * y
-        per_expert.append((j, tok, x, h, y))
-    return out, MixtureCache(inputs=inputs, gates=gates, per_expert=per_expert)
+        out[tok] += combine[tok, j][:, None] * y
+        saved.append((j, tok, x, h, y))
+    return out, saved
 
 
-def expert_mixture_backward(grad_out: Array, cache: MixtureCache, bank_params: dict):
-    """Backward of the admitted mixture.
+def expert_mixture_backward(grad_out: Array, saved: list, combine: Array, bank_params: dict):
+    """Backward of the admitted mixture, given the forward's ``saved``
+    entries and ``combine`` weights.
 
     The selection and admission masks are constants of the backward pass.
-    Consumes ``cache.per_expert``: each expert's entry is dropped once its
-    backward is done, in ascending expert order, the order of the top-2
-    tokens' ``d_inputs`` scatter-adds. Returns (d_inputs, d_gates, parameter
-    grads); d_gates is nonzero only at admitted (token, expert) entries.
+    Consumes ``saved``: each expert's entry is popped once its backward is
+    done, in ascending expert order, the order of the top-2 tokens'
+    ``d_inputs`` scatter-adds. Returns (d_inputs, d_combine, parameter
+    grads); d_combine is nonzero only at admitted (token, expert) entries.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    d_inputs = np.zeros_like(cache.inputs)
-    d_gates = np.zeros_like(cache.gates)
+    d_inputs = np.zeros_like(g)
+    d_combine = np.zeros_like(combine)
     grads = {}
-    while cache.per_expert:
-        j, tok, x, h, y = cache.per_expert.pop(0)
+    while saved:
+        j, tok, x, h, y = saved.pop(0)
         up = g[tok]
-        w = cache.gates[tok, j][:, None]
-        d_gates[tok, j] = np.sum(up * y, axis=1)
+        w = combine[tok, j][:, None]
+        d_combine[tok, j] = np.sum(up * y, axis=1)
         d_x, expert_grads = ffn_backward(bank_params, f"expert.{j}", x, h, w * up)
         grads.update(expert_grads)
         d_inputs[tok] += d_x
-    return d_inputs, d_gates, grads
+    return d_inputs, d_combine, grads

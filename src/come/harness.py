@@ -415,6 +415,11 @@ def _run_grid(cfg: RunConfig, dataset: DatasetBundle, runs: list, header: list,
     return rows
 
 
+def _plain(value):
+    """A NumPy scalar as its Python value, for overrides and JSON; else ``value``."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def run_ablations(cfg: RunConfig, dataset: DatasetBundle | None = None,
                   seeds: list | None = None, out_dir=None) -> list:
     """Full model plus the five single-removal variants on identical seeds.
@@ -425,9 +430,9 @@ def run_ablations(cfg: RunConfig, dataset: DatasetBundle | None = None,
     cfg.validate()
     if dataset is None:
         dataset = build_dataset(cfg)
-    seeds = list(seeds) if seeds else [cfg.seed]
+    seeds = [cfg.seed] if seeds is None or len(seeds) == 0 else [_plain(s) for s in seeds]
     runs = [
-        ([variant, seed], [*overrides, f"seed={seed}"])
+        ([variant, seed], [*overrides, f"seed={json.dumps(seed)}"])
         for variant, overrides in ABLATION_VARIANTS.items()
         for seed in seeds
     ]
@@ -441,16 +446,16 @@ def sweep(cfg: RunConfig, axis: str, dataset: DatasetBundle | None = None,
     cfg.validate()
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    values = list(values) if values is not None else SWEEP_AXES[axis]
+    values = SWEEP_AXES[axis] if values is None else [_plain(v) for v in values]
     if dataset is None:
         dataset = build_dataset(cfg)
     runs = []
-    for value in values:
+    for value in values:  # as given: config validation rejects a value that is not an int
         if axis == "experts":
-            overrides = [f"model.n_experts={int(value)}",
-                         f"router.top_k={min(cfg.router.top_k, int(value))}"]
+            top_k = min(cfg.router.top_k, value) if type(value) is int else cfg.router.top_k
+            overrides = [f"model.n_experts={json.dumps(value)}", f"router.top_k={top_k}"]
         else:
-            overrides = [f"router.top_k={int(value)}"]
+            overrides = [f"router.top_k={json.dumps(value)}"]
         runs.append(([axis, value, cfg.seed], overrides))
     return _run_grid(cfg, dataset, runs, SWEEP_HEADER, out_dir, "sweep", f"sweep_{axis}.csv",
                      axis=axis, values=values)

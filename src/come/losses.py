@@ -23,25 +23,17 @@ GROUP_MASS_EPS = 1e-12
 
 @dataclass
 class LossReport:
-    """One training step's loss decomposition plus per-expert statistics."""
+    """One training step's loss decomposition plus per-expert statistics.
+    ``total`` is the objective ``ComeModel.forward`` weighted from the parts."""
 
     task_ce: float
+    total: float
     l_tb: float = 0.0  # the routing fields stay zero for the dense body
     l_ip: float = 0.0
     l_load: float = 0.0
     importance: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
     load: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
-    tb_weight: float = 0.0
-    balance_weight: float = 0.0
     tb_clamped: int = 0
-
-    @property
-    def l_balance(self) -> float:
-        return self.l_ip + self.l_load
-
-    @property
-    def total(self) -> float:
-        return self.task_ce + self.tb_weight * self.l_tb + self.balance_weight * self.l_balance
 
 
 def traceability_loss(gates: Array, token_sources: Array, group_size: int):

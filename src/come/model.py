@@ -53,8 +53,6 @@ from .config import RunConfig
 from .container import checkpoint_digest, load_checkpoint, save_checkpoint
 from .datagen import TokenBatch
 from .experts import (
-    DimReductionCache,
-    MixtureCache,
     dr_backward,
     dr_forward,
     expert_mixture_backward,
@@ -71,7 +69,6 @@ from .losses import LossReport, cross_entropy, importance_loss, load_loss, trace
 from .numerics import RandomStreams
 from .router import (
     DispatchPlan,
-    GateCache,
     build_dispatch,
     gate_backward,
     gate_forward,
@@ -92,11 +89,13 @@ COMPONENT_PREFIXES = {
 
 @dataclass
 class RoutedCache:
-    """What the routed body's backward reads from its forward."""
+    """The arrays the routed body's backward reads from its forward, each held once."""
 
-    dr: DimReductionCache
-    gate: GateCache
-    mix: MixtureCache  # mix.gates holds the combination weights
+    concat: Array  # (N, 2D) [attended | cluster feature]
+    routed_in: Array  # (N, D) dimension-reduced tokens: gate and expert input
+    gates: Array  # (N, n_experts) gate softmax
+    combine: Array  # (N, n_experts) mixture weights; ``gates`` itself unless renormalizing
+    saved: list  # expert_mixture_forward's per-expert entries
     renorm_sums: Array | None  # per-token selected gate mass when renormalizing
     d_gates_aux: list  # weighted routing-loss gradients w.r.t. the gates
 
@@ -258,9 +257,14 @@ class ComeModel:
         pooled = features.mean(axis=1)
         class_logits = pooled @ self.params["head.w"] + self.params["head.b"]
         task, d_task = cross_entropy(class_logits, batch.labels)
+        total = task
+        if aux:  # weighted as _routed_forward weights the routing-loss gradients
+            w = self.cfg.losses
+            total = task + w.tb_weight * aux["l_tb"] + w.balance_weight * (
+                aux["l_ip"] + aux["l_load"])
         return ForwardState(
             batch=batch,
-            report=LossReport(task_ce=task, **aux),
+            report=LossReport(task_ce=task, total=total, **aux),
             predictions=np.argmax(class_logits, axis=1),
             plan=plan,
             pooled=pooled,
@@ -288,13 +292,13 @@ class ComeModel:
             if pinned.body is None:
                 raise ValueError("forward: the pinned ForwardState was consumed by backward; "
                                  "pin a state that no backward has read")
-            feats = pinned.body.dr.concat[:, flat.shape[1]:]
+            feats = pinned.body.concat[:, flat.shape[1]:]
         else:
             if cluster_rng is None:
                 cluster_rng = np.random.default_rng(0)
             feats = self._cluster(flat, cluster_rng)
-        routed_in, dr_cache = dr_forward(flat, feats, self.params)
-        gates, gate_cache = gate_forward(routed_in, self.params)
+        routed_in, concat = dr_forward(flat, feats, self.params)
+        gates = gate_forward(routed_in, self.params)
 
         if pinned is not None:
             plan = pinned.plan
@@ -309,7 +313,7 @@ class ComeModel:
             renorm_sums = picked.sum(axis=1, keepdims=True)
             combine = np.zeros_like(gates)
             np.put_along_axis(combine, plan.selection, picked / renorm_sums, axis=1)
-        mix_out, mix_cache = expert_mixture_forward(self.params, plan, routed_in, combine)
+        mix_out, saved = expert_mixture_forward(self.params, plan, routed_in, combine)
         features = mix_out.reshape(batch.tokens.shape)
         if priors:  # (structure + semantic) + routed, summed into the first prior
             for prior in priors[1:]:
@@ -324,10 +328,9 @@ class ComeModel:
         d_gates_aux = [losses.tb_weight * d_tb, losses.balance_weight * d_ip,
                        losses.balance_weight * d_load]
 
-        cache = RoutedCache(dr=dr_cache, gate=gate_cache, mix=mix_cache,
-                            renorm_sums=renorm_sums, d_gates_aux=d_gates_aux)
+        cache = RoutedCache(concat=concat, routed_in=routed_in, gates=gates, combine=combine,
+                            saved=saved, renorm_sums=renorm_sums, d_gates_aux=d_gates_aux)
         aux = dict(l_tb=l_tb, l_ip=l_ip, l_load=l_load, importance=importance, load=load,
-                   tb_weight=losses.tb_weight, balance_weight=losses.balance_weight,
                    tb_clamped=clamped)
         return features, plan, cache, aux
 
@@ -372,22 +375,24 @@ class ComeModel:
                          grads: dict) -> Array:
         """Backward of ``_routed_forward``; fills ``grads`` and returns the
         gradient w.r.t. the attended tokens."""
-        d_in_mix, d_gates, expert_grads = expert_mixture_backward(d_out, cache.mix, self.params)
+        d_in_mix, d_gates, expert_grads = expert_mixture_backward(
+            d_out, cache.saved, cache.combine, self.params)
         grads.update(expert_grads)
         if cache.renorm_sums is not None:
             # combine = gates[sel] / sum(gates[sel]); push back to raw gates
             sel = plan.selection
             picked_d = np.take_along_axis(d_gates, sel, axis=1)
-            picked_w = np.take_along_axis(cache.mix.gates, sel, axis=1)
+            picked_w = np.take_along_axis(cache.combine, sel, axis=1)
             inner = np.sum(picked_d * picked_w, axis=1, keepdims=True)
             d_gates = np.zeros_like(d_gates)
             np.put_along_axis(d_gates, sel, (picked_d - inner) / cache.renorm_sums, axis=1)
         for term in cache.d_gates_aux:
             d_gates += term
-        d_in_router, router_grads = gate_backward(d_gates, cache.gate, self.params)
+        d_in_router, router_grads = gate_backward(d_gates, cache.routed_in, cache.gates,
+                                                  self.params)
         grads.update(router_grads)
         d_in_mix += d_in_router
-        d_flat, dr_grads = dr_backward(d_in_mix, cache.dr, self.params)
+        d_flat, dr_grads = dr_backward(d_in_mix, cache.concat, self.params)
         grads.update(dr_grads)
         return d_flat
 

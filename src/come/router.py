@@ -21,28 +21,23 @@ from .numerics import softmax, softmax_backward
 Array = np.ndarray
 
 
-@dataclass
-class GateCache:
-    inputs: Array  # (N, D)
-    gates: Array  # (N, n_experts)
-
-
-def gate_forward(inputs: Array, params: dict):
+def gate_forward(inputs: Array, params: dict) -> Array:
     """Row-stochastic gate matrix softmax(W x + b) with the ``router.w``
-    (n_experts, D) and ``router.b`` weights of ``params``."""
+    (n_experts, D) and ``router.b`` weights of ``params``. The backward
+    reads ``inputs`` and the returned gates."""
     logits = inputs @ params["router.w"].T + params["router.b"]
-    gates = softmax(logits, axis=1, out=logits)
-    return gates, GateCache(inputs=inputs, gates=gates)
+    return softmax(logits, axis=1, out=logits)
 
 
-def gate_backward(d_gates: Array, cache: GateCache, params: dict):
-    """Push gate gradients through the softmax and linear map.
+def gate_backward(d_gates: Array, inputs: Array, gates: Array, params: dict):
+    """Push gate gradients through the softmax and linear map, given the
+    forward's ``inputs`` (N, D) and ``gates`` (N, n_experts).
 
     Returns (d_inputs, {router.w, router.b} grads).
     """
-    d_logits = softmax_backward(cache.gates, np.asarray(d_gates, dtype=np.float64), axis=1)
+    d_logits = softmax_backward(gates, np.asarray(d_gates, dtype=np.float64), axis=1)
     grads = {
-        "router.w": d_logits.T @ cache.inputs,
+        "router.w": d_logits.T @ inputs,
         "router.b": d_logits.sum(axis=0),
     }
     d_inputs = d_logits @ params["router.w"]

@@ -33,6 +33,20 @@ def test_parse_seeds_takes_a_range_or_one_seed():
     assert bench_pairs.parse_seeds("7") == [7]
 
 
+def test_a_reversed_seed_range_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch):
+    def run_once(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path), "--candidate", str(ROOT),
+                          "--workload", "routed-small", "--seeds", "5-3", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --seeds: seed range '5-3' is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_summarise_counts_wins_and_checks_bounds_in_the_better_direction():
     parent = {
         "step_ms.p50": [10.0, 11.0, 12.0, 13.0],

@@ -79,10 +79,10 @@ def _ref_attention_backward(grad_out, cache, params, heads):
     return d_tokens, grads
 
 
-def _ref_dr_backward(grad_out, cache, params):
+def _ref_dr_backward(grad_out, concat, params):
     g = np.asarray(grad_out, dtype=np.float64)
-    grads = {"dr.w": cache.concat.T @ g, "dr.b": g.sum(axis=0)}
-    return (g @ params["dr.w"].T)[:, : cache.width], grads
+    grads = {"dr.w": concat.T @ g, "dr.b": g.sum(axis=0)}
+    return (g @ params["dr.w"].T)[:, : g.shape[1]], grads
 
 
 def _ref_ffn_forward(params, prefix, x):
@@ -180,10 +180,10 @@ def test_attention_matches_reference(shape):
 @shapes
 def test_dr_backward_matches_reference(shape):
     model, state, rng = _forward(shape)
-    cache = state.body.dr
-    grad_out = rng.normal(size=(cache.concat.shape[0], cache.width))
-    d_attended, grads = dr_backward(grad_out, cache, model.params)
-    ref_attended, ref_grads = _ref_dr_backward(grad_out, cache, model.params)
+    concat = state.body.concat
+    grad_out = rng.normal(size=(concat.shape[0], concat.shape[1] // 2))
+    d_attended, grads = dr_backward(grad_out, concat, model.params)
+    ref_attended, ref_grads = _ref_dr_backward(grad_out, concat, model.params)
     assert np.array_equal(d_attended, ref_attended)
     _assert_dicts_equal(grads, ref_grads)
 
@@ -191,8 +191,8 @@ def test_dr_backward_matches_reference(shape):
 @shapes
 def test_ffn_matches_reference_on_every_routed_expert(shape):
     model, state, rng = _forward(shape)
-    assert state.body.mix.per_expert
-    for j, _, x, h, y in state.body.mix.per_expert:
+    assert state.body.saved
+    for j, _, x, h, y in state.body.saved:
         prefix = f"expert.{j}"
         ref_y, ref_h = _ref_ffn_forward(model.params, prefix, x)
         assert np.array_equal(y, ref_y) and np.array_equal(h, ref_h), prefix
@@ -217,7 +217,7 @@ def test_frozen_forward_matches_reference(shape):
 @shapes
 def test_traceability_matches_reference(shape):
     model, state, _ = _forward(shape)
-    gates, sources = state.body.gate.gates, state.batch.token_sources
+    gates, sources = state.body.gates, state.batch.token_sources
     value, d_gates, clamped = traceability_loss(gates, sources, model.group_size)
     owners = expert_group_map(model.cfg.model.n_experts, model.cfg.data.n_sources)
     ref_value, ref_d_gates, ref_clamped = _ref_traceability(gates, sources, owners)

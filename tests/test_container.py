@@ -111,6 +111,12 @@ SIDECAR_EDITS = {
                     "test_indices must be a list of ints in [0, 20)"),
     "indices_not_a_list": (lambda s: s.update(train_indices=3),
                            "train_indices must be a list of ints in [0, 20)"),
+    "repeated_train_index": (lambda s: s["train_indices"].append(s["train_indices"][0]),
+                             "train_indices repeats a sample index"),
+    "repeated_test_index": (lambda s: s["test_indices"].append(s["test_indices"][-1]),
+                            "test_indices repeats a sample index"),
+    "test_indices_in_train": (lambda s: s["train_indices"].extend(s["test_indices"][:3]),
+                              "3 sample indices are in both train_indices and test_indices"),
 }
 
 
@@ -257,6 +263,17 @@ def test_checkpoint_truncation_names_path_and_blob(tmp_path):
         assert str(cut) in str(err.value)
         if size in expected:
             assert f"truncated in {expected[size]}:" in str(err.value)
+
+
+def test_checkpoint_with_a_repeated_blob_name_is_rejected(tmp_path):
+    first = save_checkpoint(tmp_path / "a.come", {"w": np.ones(2)}).read_bytes()
+    second = save_checkpoint(tmp_path / "b.come", {"w": np.zeros(3)}).read_bytes()
+    # the magic and version, a blob count of two, then both files' single 'w' blob
+    path = tmp_path / "twice.come"
+    path.write_bytes(first[:8] + struct.pack("<I", 2) + first[12:] + second[12:])
+    with pytest.raises(ValueError, match="blob 'w' appears more than once") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_trailing_bytes_are_rejected(tmp_path):

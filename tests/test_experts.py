@@ -140,9 +140,9 @@ def test_dr_param_and_token_grads_pass_grad_check():
             "dr.w": theta[: 2 * width * width].reshape(2 * width, width),
             "dr.b": theta[2 * width * width :],
         }
-        out, cache = dr_forward(attended, feats, params)
+        out, concat = dr_forward(attended, feats, params)
         val = float(np.sum(out * proj))
-        _, grads = dr_backward(proj, cache, params)
+        _, grads = dr_backward(proj, concat, params)
         return val, np.concatenate([grads["dr.w"].ravel(), grads["dr.b"]])
 
     theta0 = np.concatenate([w0.ravel(), b0])
@@ -153,9 +153,9 @@ def test_dr_param_and_token_grads_pass_grad_check():
 
     def fn_tokens(flat):
         a = flat.reshape(5, width)
-        out, cache = dr_forward(a, feats, params)
+        out, concat = dr_forward(a, feats, params)
         val = float(np.sum(out * proj))
-        d_attended, _ = dr_backward(proj, cache, params)
+        d_attended, _ = dr_backward(proj, concat, params)
         return val, d_attended.ravel()
 
     assert grad_check(fn_tokens, attended.ravel(), h=1e-5).max_rel_error < 1e-6
@@ -228,9 +228,9 @@ def test_mixture_backward_passes_grad_check():
             size = bank[n].size
             params[n] = theta[off : off + size].reshape(bank[n].shape)
             off += size
-        out, cache = expert_mixture_forward(params, plan, x, gates)
+        out, saved = expert_mixture_forward(params, plan, x, gates)
         val = float(np.sum(out * proj))
-        _, _, grads = expert_mixture_backward(proj, cache, params)
+        _, _, grads = expert_mixture_backward(proj, saved, gates, params)
         flat = np.concatenate(
             [grads.get(n, np.zeros_like(bank[n])).ravel() for n in names]
         )
@@ -250,8 +250,8 @@ def test_mixture_gate_gradient_nonzero_only_on_admitted_pairs():
     assert plan.n_overflow > 0
     gates = np.zeros((6, 2))
     gates[:, 0] = 1.0
-    out, cache = expert_mixture_forward(bank, plan, x, gates)
-    _, d_gates, _ = expert_mixture_backward(np.ones_like(out), cache, bank)
+    out, saved = expert_mixture_forward(bank, plan, x, gates)
+    _, d_gates, _ = expert_mixture_backward(np.ones_like(out), saved, gates, bank)
     for t in np.nonzero(~plan.admitted[:, 0])[0]:
         assert d_gates[t, 0] == 0.0
         assert np.all(out[t] == 0.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,48 @@ def test_grid_validates_every_run_before_training_any(small, tmp_path, monkeypat
         harness.sweep(cfg, "experts", dataset=dataset, values=[4, 2], out_dir=tmp_path)
     assert trained == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def trained(monkeypatch):
+    """The configs ``harness.train`` is called with; each run logs nothing."""
+    configs = []
+
+    def fake_train(run_cfg, **_):
+        configs.append(run_cfg)
+        return harness.TrainResult(model=None, metrics=[], expert_stats=[], manifest={})
+
+    monkeypatch.setattr(harness, "train", fake_train)
+    return configs
+
+
+@pytest.mark.parametrize("axis, value, message", [
+    ("experts", 4.7, "model.n_experts must be an int, got 4.7"),
+    ("topk", True, "router.top_k must be an int, got True"),
+], ids=["experts-4.7", "topk-True"])
+def test_sweep_rejects_a_value_that_is_not_an_int_before_training(small, trained, axis, value,
+                                                                   message):
+    cfg, dataset = small
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        harness.sweep(cfg, axis, dataset=dataset, values=[value])
+    assert trained == []
+
+
+def test_sweep_takes_numpy_values_as_plain_ints(small, trained, tmp_path):
+    cfg, dataset = small
+    rows = harness.sweep(cfg, "topk", dataset=dataset, values=np.array([1, 2]), out_dir=tmp_path)
+    assert [c.router.top_k for c in trained] == [1, 2]
+    assert [type(row[1]) for row in rows] == [int, int]
+    assert json.loads((tmp_path / "manifest.json").read_text())["values"] == [1, 2]
+
+
+@pytest.mark.parametrize("seeds", [[0, 1], [3]], ids=["two_seeds", "one_seed"])
+def test_run_ablations_takes_a_numpy_seed_array(small, trained, tmp_path, seeds):
+    cfg, dataset = small
+    rows = harness.run_ablations(cfg, dataset=dataset, seeds=np.array(seeds), out_dir=tmp_path)
+    assert [c.seed for c in trained] == seeds * len(harness.ABLATION_VARIANTS)
+    assert [row[1] for row in rows] == seeds * len(harness.ABLATION_VARIANTS)
+    assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == seeds
 
 
 def test_sweep_rejects_unknown_axis(small):

@@ -5,14 +5,16 @@ import re
 import numpy as np
 import pytest
 
+from come.config import LossConfig, apply_overrides, config_from_dict
+from come.datagen import TokenBatch
 from come.losses import (
     GROUP_MASS_EPS,
-    LossReport,
     cross_entropy,
     importance_loss,
     load_loss,
     traceability_loss,
 )
+from come.model import ComeModel
 from come.numerics import grad_check, normal_cdf, softmax
 
 
@@ -255,40 +257,61 @@ def test_cross_entropy_of_no_samples_passes_the_label_check():
 
 
 # ---------------------------------------------------------------------------
-# combined report
+# combined report: the model weights the losses once, in its forward
 # ---------------------------------------------------------------------------
 
 
+def _report(**over):
+    """The LossReport of one forward of a small model with ``over`` set and
+    a random router."""
+    cfg = config_from_dict({
+        "data": {"n_sources": 2, "width": 6, "tokens_per_sample": 3, "n_classes": 3,
+                 "shared_rank": 2, "source_rank": 1, "source_weights": [1.0, 1.0]},
+        "model": {"heads": 2, "n_experts": 4},
+        "clustering": {"fine_clusters": 4, "coarse_clusters": 2},
+        "router": {"top_k": 2},
+    })
+    cfg = apply_overrides(cfg, [f"{key}={value}" for key, value in over.items()])
+    rng = np.random.default_rng(3)
+    batch = TokenBatch(tokens=rng.normal(size=(4, 3, 6)), sources=np.array([0, 1, 1, 0]),
+                       labels=np.array([0, 2, 1, 1]))
+    model = ComeModel.build(cfg)
+    if "router.w" in model.params:  # the zero init gives uniform gates and zero balance losses
+        model.params["router.w"] = np.random.default_rng(5).normal(size=(4, 6))
+    return model.forward(batch, cluster_rng=np.random.default_rng(4)).report
+
+
 def test_report_total_is_stated_weighted_sum():
-    rep = LossReport(
-        task_ce=1.2,
-        l_tb=0.4,
-        l_ip=0.3,
-        l_load=0.1,
-        importance=np.ones(4),
-        load=np.ones(4),
-        tb_weight=1.0,
-        balance_weight=0.1,
-    )
-    assert abs(rep.l_balance - 0.4) < 1e-15
-    assert abs(rep.total - (1.2 + 0.4 + 0.1 * 0.4)) < 1e-12
+    defaults = LossConfig()
+    for w_tb, w_bal, rep in (
+        (defaults.tb_weight, defaults.balance_weight, _report()),
+        (0.5, 0.3, _report(**{"losses.tb_weight": 0.5, "losses.balance_weight": 0.3})),
+    ):
+        assert rep.l_tb > 0 and rep.l_ip > 0 and rep.l_load > 0
+        assert rep.total == rep.task_ce + w_tb * rep.l_tb + w_bal * (rep.l_ip + rep.l_load)
 
 
 def test_report_zero_aux_weights_reduce_to_task():
-    rep = LossReport(
-        task_ce=0.9, l_tb=5.0, l_ip=2.0, l_load=3.0,
-        importance=np.ones(2), load=np.ones(2),
-        tb_weight=0.0, balance_weight=0.0,
-    )
-    assert rep.total == 0.9
+    rep = _report(**{"losses.tb_weight": 0.0, "losses.balance_weight": 0.0})
+    assert rep.l_tb > 0 and rep.l_ip > 0 and rep.l_load > 0
+    assert rep.total == rep.task_ce
 
 
 def test_report_balance_contribution_is_linear_in_weight():
-    kw = dict(task_ce=1.0, l_tb=0.0, l_ip=0.5, l_load=0.25,
-              importance=np.ones(2), load=np.ones(2), tb_weight=0.0)
-    lo = LossReport(balance_weight=0.1, **kw)
-    hi = LossReport(balance_weight=0.2, **kw)
-    assert abs((hi.total - 1.0) - 2 * (lo.total - 1.0)) < 1e-12
+    lo = _report(**{"losses.tb_weight": 0.0, "losses.balance_weight": 0.1})
+    hi = _report(**{"losses.tb_weight": 0.0, "losses.balance_weight": 0.2})
+    # the weights move the total only: every loss part is the same
+    assert (lo.task_ce, lo.l_tb, lo.l_ip, lo.l_load) == (hi.task_ce, hi.l_tb, hi.l_ip, hi.l_load)
+    for w, rep in ((0.1, lo), (0.2, hi)):
+        assert rep.total == rep.task_ce + 0.0 * rep.l_tb + w * (rep.l_ip + rep.l_load)
+
+
+@pytest.mark.parametrize("w_tb, w_bal", [(1.0, 0.1), (0.5, 0.3), (0.0, 0.0)])
+def test_dense_report_total_is_task_whatever_the_weights(w_tb, w_bal):
+    rep = _report(**{"model.arch": "dense", "losses.tb_weight": w_tb,
+                     "losses.balance_weight": w_bal})
+    assert rep.total == rep.task_ce
+    assert (rep.l_tb, rep.l_ip, rep.l_load) == (0.0, 0.0, 0.0)
 
 
 def test_losses_are_nonnegative_on_random_gates():

@@ -73,7 +73,7 @@ def test_forward_shapes_and_finiteness():
     model = ComeModel.build(cfg)
     batch = _batch(cfg, b=3)
     state = _forward(model, batch)
-    gates = state.body.gate.gates
+    gates = state.body.gates
     assert state.pooled.shape == (3, 6)
     assert gates.shape == (9, 4)
     assert state.predictions.shape == (3,)
@@ -87,7 +87,7 @@ def test_forward_deterministic_given_rng():
     batch = _batch(cfg)
     s1 = _forward(model, batch, seed=3)
     s2 = _forward(model, batch, seed=3)
-    np.testing.assert_array_equal(s1.body.gate.gates, s2.body.gate.gates)
+    np.testing.assert_array_equal(s1.body.gates, s2.body.gates)
     np.testing.assert_array_equal(s1.plan.admitted, s2.plan.admitted)
     assert s1.report.total == s2.report.total
 
@@ -189,17 +189,17 @@ def test_no_clustering_equals_fine2coarse_at_initialization(monkeypatch):
     assert len(calls) == 1
     s_abl = _forward(ablated, batch, seed=5)
     assert len(calls) == 1
-    np.testing.assert_array_equal(s_base.body.gate.gates, s_abl.body.gate.gates)
+    np.testing.assert_array_equal(s_base.body.gates, s_abl.body.gates)
     np.testing.assert_array_equal(s_base.pooled, s_abl.pooled)
     assert s_base.report.total == s_abl.report.total
-    assert np.all(s_abl.body.dr.concat[:, base.cfg.data.width :] == 0)
+    assert np.all(s_abl.body.concat[:, base.cfg.data.width :] == 0)
 
 
 def test_no_tb_zeroes_the_traceability_weight_but_reports_value():
     cfg = _preset("no_tb")
     model = ComeModel.build(cfg)
     state = _forward(model, _batch(cfg))
-    assert state.report.tb_weight == 0.0
+    assert model.cfg.losses.tb_weight == 0.0
     assert state.report.l_tb >= 0.0
     expected = state.report.task_ce + 0.1 * (state.report.l_ip + state.report.l_load)
     assert abs(state.report.total - expected) < 1e-12

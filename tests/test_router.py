@@ -7,7 +7,6 @@ import pytest
 from come.experts import init_expert_bank
 from come.numerics import grad_check, softmax
 from come.router import (
-    GateCache,
     build_dispatch,
     dispatch_capacity,
     gate_backward,
@@ -45,14 +44,14 @@ def _grad_vector(grads):
 def test_zero_router_gives_uniform_gates():
     router = _router(n_experts=8, width=3)
     x = np.random.default_rng(0).normal(size=(5, 3))
-    gates, _ = gate_forward(x, router)
+    gates = gate_forward(x, router)
     np.testing.assert_allclose(gates, 1.0 / 8, atol=1e-15)
 
 
 def test_gate_rows_sum_to_one():
     router = _router(seed=1)
     x = np.random.default_rng(2).normal(size=(20, 5)) * 50
-    gates, _ = gate_forward(x, router)
+    gates = gate_forward(x, router)
     np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -181,9 +180,9 @@ def test_gate_backward_passes_grad_check():
 
     def fn(theta):
         r = _theta_router(theta, 4, 5)
-        gates, cache = gate_forward(x, r)
+        gates = gate_forward(x, r)
         val = float(np.sum(gates * proj))
-        _, grads = gate_backward(proj, cache, r)
+        _, grads = gate_backward(proj, x, gates, r)
         return val, _grad_vector(grads)
 
     assert grad_check(fn, _theta0(router), h=1e-5).max_rel_error < 1e-5
@@ -203,12 +202,12 @@ def test_unmasked_mixture_gradient_matches_full_softmax_mixture():
 
     def fn(theta):
         r = _theta_router(theta, n_experts, width)
-        gates, cache = gate_forward(x, r)
+        gates = gate_forward(x, r)
         plan = build_dispatch(topk_select(gates, n_experts), n_experts, 100.0)
-        out, mix_cache = expert_mixture_forward(bank, plan, x, gates)
+        out, saved = expert_mixture_forward(bank, plan, x, gates)
         val = float(np.sum(out * proj))
-        _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank)
-        _, grads = gate_backward(d_gates, cache, r)
+        _, d_gates, _ = expert_mixture_backward(proj, saved, gates, bank)
+        _, grads = gate_backward(d_gates, x, gates, r)
         return val, _grad_vector(grads)
 
     assert grad_check(fn, _theta0(router0), h=1e-5).max_rel_error < 1e-4
@@ -223,7 +222,7 @@ def test_masked_mixture_gradient_with_fixed_mask():
     x = rng.normal(size=(n_tok, width))
     proj = rng.normal(size=(n_tok, width))
     router0 = _router(n_experts, width, seed=19)
-    gates0, _ = gate_forward(x, router0)
+    gates0 = gate_forward(x, router0)
     plan = build_dispatch(topk_select(gates0, k), n_experts, 1.0)
     assert plan.n_overflow > 0
 
@@ -231,11 +230,11 @@ def test_masked_mixture_gradient_with_fixed_mask():
 
     def fn(theta):
         r = _theta_router(theta, n_experts, width)
-        gates, cache = gate_forward(x, r)
-        out, mix_cache = expert_mixture_forward(bank, plan, x, gates)
+        gates = gate_forward(x, r)
+        out, saved = expert_mixture_forward(bank, plan, x, gates)
         val = float(np.sum(out * proj))
-        _, d_gates, _ = expert_mixture_backward(proj, mix_cache, bank)
-        _, grads = gate_backward(d_gates, cache, r)
+        _, d_gates, _ = expert_mixture_backward(proj, saved, gates, bank)
+        _, grads = gate_backward(d_gates, x, gates, r)
         return val, _grad_vector(grads)
 
     assert grad_check(fn, _theta0(router0), h=1e-5).max_rel_error < 1e-4
@@ -243,6 +242,5 @@ def test_masked_mixture_gradient_with_fixed_mask():
 
 def test_gate_backward_rejects_cache_mismatch():
     router = _router(n_experts=3, width=4)
-    cache = GateCache(inputs=np.zeros((2, 4)), gates=np.full((2, 3), 1 / 3))
     with pytest.raises(Exception):
-        gate_backward(np.zeros((3, 3)), cache, router)
+        gate_backward(np.zeros((3, 3)), np.zeros((2, 4)), np.full((2, 3), 1 / 3), router)
