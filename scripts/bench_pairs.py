@@ -8,9 +8,12 @@ runs once in each tree, in fresh processes, parent first on odd pairs and
 candidate first on even ones, so slow drift of the host falls on both sides.
 Every end-to-end metric of ``BENCHMARK.json`` (read from the candidate) is
 summarised per workload: the value of each pair, each side's median and
-quartiles, the shift of the medians, how many pairs the candidate won, and
-whether that shift stays inside the metric's bound. Each pair also records
-whether ``params_final`` and ``test_acc`` were equal on both sides.
+quartiles, the shift of the medians, how many pairs the candidate won,
+whether that shift stays inside the metric's bound, and whether the pairs
+show a gain (``gain_shown``): the candidate won at least 9 in 10 of them, ties
+counting for neither side, and its median is better than the parent's by more
+than the parent's interquartile range. Each pair also records whether
+``params_final`` and ``test_acc`` were equal on both sides.
 
 The summary of each workload is merged into ``--out`` after every pair, so
 an interrupted run keeps the pairs it finished and several invocations fill
@@ -57,6 +60,7 @@ def summarise(pairs: list, end_to_end: list) -> dict:
         cand = [p["candidate"]["metrics"][name] for p in pairs]
         before, after = quartiles(parent), quartiles(cand)
         shift = after["median"] / before["median"] - 1.0
+        wins = sum(int(sign * (c - p) > 0) for p, c in zip(parent, cand))
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -65,9 +69,11 @@ def summarise(pairs: list, end_to_end: list) -> dict:
             "parent_stats": before,
             "candidate_stats": after,
             "median_shift": shift,
-            "candidate_wins": sum(int(sign * (c - p) > 0) for p, c in zip(parent, cand)),
+            "candidate_wins": wins,
             "bound": spec["bound"],
             "within_bound": bool(sign * shift >= -spec["bound"]),
+            "gain_shown": bool(10 * wins >= 9 * len(pairs)
+                               and sign * (after["median"] - before["median"]) > before["iqr"]),
         }
     return {
         "pairs": len(pairs),

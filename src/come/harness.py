@@ -153,8 +153,8 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
 
     ``split`` is "train", "test", or an explicit array of integer indices
     in [0, n_samples). Model parameters are never mutated; an empty split,
-    any other index, ``batch_size`` < 1 and ``max_batches`` < 1 are
-    rejected.
+    a split that is not 1-D, any other index, and a ``batch_size`` or
+    ``max_batches`` that is not an int >= 1 are rejected.
     """
     cfg = model.cfg
     _check_dataset(cfg, dataset)
@@ -164,6 +164,9 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         indices = dataset.train_idx if split == "train" else dataset.test_idx
     else:
         indices = np.asarray(split)
+    if indices.ndim != 1:
+        raise ValueError(f"evaluate: split must be a 1-D array of indices, "
+                         f"got shape {indices.shape}")
     if indices.size == 0:
         raise ValueError("evaluate: empty split")
     integral = np.issubdtype(indices.dtype, np.integer)
@@ -174,7 +177,11 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     if batch_size is None:
         batch_size = cfg.training.batch_size
     for name, value in (("batch_size", batch_size), ("max_batches", max_batches)):
-        if value is not None and value < 1:
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"evaluate: {name} must be an int, got {value!r}")
+        if value < 1:
             raise ValueError(f"evaluate: {name} must be >= 1, got {value}")
     streams = RandomStreams(cfg.seed)
 
@@ -190,9 +197,8 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         if max_batches is not None and b_i >= max_batches:
             break
         batch = dataset.take(indices[start : start + batch_size])
-        state = model.forward(
-            batch, cluster_rng=streams.stream("noise", EVAL_STREAM_OFFSET + b_i)
-        )
+        rng = streams.stream("noise", EVAL_STREAM_OFFSET + b_i) if model.clusters else None
+        state = model.forward(batch, cluster_rng=rng)
         correct += int(np.sum(state.predictions == batch.labels))
         n_batches += 1
         if state.plan is not None:
@@ -289,7 +295,8 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
         log = step % cfg.training.log_every == 0 or step == cfg.training.steps
         try:
             with np.errstate(over="raise", invalid="raise"):
-                state = model.forward(batch, cluster_rng=streams.stream("noise", step))
+                rng = streams.stream("noise", step) if model.clusters else None
+                state = model.forward(batch, cluster_rng=rng)
                 plan = state.plan
                 if plan is not None and np.any(plan.utilization() > plan.capacity):
                     raise RuntimeError(f"capacity bound violated at step {step}")
@@ -447,6 +454,8 @@ def sweep(cfg: RunConfig, axis: str, dataset: DatasetBundle | None = None,
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     values = SWEEP_AXES[axis] if values is None else [_plain(v) for v in values]
+    if not values:
+        raise ValueError(f"sweep over {axis!r}: values is empty, so no run would train")
     if dataset is None:
         dataset = build_dataset(cfg)
     runs = []

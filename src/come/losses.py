@@ -99,7 +99,7 @@ def cross_entropy(logits: Array, labels: Array):
         raise ValueError(f"labels shape {y.shape} does not match {n} samples")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ValueError(f"label out of range [0, {c})")
-    probs = softmax(logits, axis=1)
+    probs = softmax(logits)
     picked = probs[np.arange(n), y]
     value = float(-np.log(np.maximum(picked, 1e-300)).mean())
     d_logits = probs.copy()

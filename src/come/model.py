@@ -225,10 +225,18 @@ class ComeModel:
     # forward
     # ------------------------------------------------------------------
 
+    @property
+    def clusters(self) -> bool:
+        """Whether ``forward`` draws from its ``cluster_rng``: only the routed
+        body clusters, and only when ``clustering.strategy`` is not none."""
+        return self.cfg.model.arch == "come" and self.cfg.clustering.strategy != "none"
+
     def _cluster(self, flat: Array, rng) -> Array:
-        cfg = self.cfg.clustering
-        if cfg.strategy == "none":
+        if not self.clusters:
             return np.zeros_like(flat)
+        cfg = self.cfg.clustering
+        if rng is None:
+            rng = np.random.default_rng(0)
         model = fine2coarse(flat, m=cfg.fine_clusters, k=cfg.coarse_clusters, rng=rng)
         return cluster_features(model)
 
@@ -236,6 +244,9 @@ class ComeModel:
     def forward(self, batch: TokenBatch, cluster_rng=None,
                 pinned: ForwardState | None = None) -> ForwardState:
         """Losses, predictions and the backward's caches for one batch.
+
+        ``cluster_rng`` seeds k-means and is read only when ``clusters``;
+        None then stands for ``np.random.default_rng(0)``.
 
         Raises ValueError for an empty batch or, on the routed body, for
         source ids that are not B integers in [0, n_sources) or a ``pinned``
@@ -294,8 +305,6 @@ class ComeModel:
                                  "pin a state that no backward has read")
             feats = pinned.body.concat[:, flat.shape[1]:]
         else:
-            if cluster_rng is None:
-                cluster_rng = np.random.default_rng(0)
             feats = self._cluster(flat, cluster_rng)
         routed_in, concat = dr_forward(flat, feats, self.params)
         gates = gate_forward(routed_in, self.params)

@@ -69,22 +69,33 @@ def finite_number(value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def softmax(logits: Array, axis: int = -1, out: Array | None = None) -> Array:
-    """Shift-invariant softmax along ``axis``, written to ``out`` if given
-    (it may be ``logits``); rows sum to 1 within 1e-12."""
+def softmax(logits: Array, out: Array | None = None) -> Array:
+    """Shift-invariant softmax along the last axis, written to ``out`` if
+    given (it may be ``logits``); rows sum to 1 within 1e-12.
+
+    Every caller normalises the last axis: attention scores, gates and
+    class logits. The shift is each row's max, reduced column-wise over a
+    contiguous transposed copy, which is far cheaper than ``np.max`` on
+    many short rows. It is bit-identical to the row-wise max: a max is
+    exact in any order, and the one order-dependent bit, the sign of a zero
+    max, cannot reach the output, because x - 0.0 and x - (-0.0) differ
+    only in the sign of a zero, and exp maps both zeros to 1.
+    """
     x = np.asarray(logits, dtype=np.float64)
-    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    columns = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+    shift = np.maximum.reduce(columns, axis=0).reshape(*x.shape[:-1], 1)
+    out = np.subtract(x, shift, out=out)
     np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True)
+    out /= np.sum(out, axis=-1, keepdims=True)
     return out
 
 
-def softmax_backward(probs: Array, grad_out: Array, axis: int = -1,
-                     out: Array | None = None) -> Array:
-    """Gradient of softmax output w.r.t. its logits, written to ``out`` if
-    given (it may be ``grad_out``). ``probs`` must be the forward output;
-    ``grad_out`` is the upstream gradient with the same shape."""
-    inner = np.sum(grad_out * probs, axis=axis, keepdims=True)
+def softmax_backward(probs: Array, grad_out: Array, out: Array | None = None) -> Array:
+    """Gradient of the last-axis softmax w.r.t. its logits, written to
+    ``out`` if given (it may be ``grad_out``). ``probs`` must be the
+    forward output; ``grad_out`` is the upstream gradient with the same
+    shape."""
+    inner = np.sum(grad_out * probs, axis=-1, keepdims=True)
     out = np.subtract(grad_out, inner, out=out)
     out *= probs
     return out

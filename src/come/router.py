@@ -26,7 +26,7 @@ def gate_forward(inputs: Array, params: dict) -> Array:
     (n_experts, D) and ``router.b`` weights of ``params``. The backward
     reads ``inputs`` and the returned gates."""
     logits = inputs @ params["router.w"].T + params["router.b"]
-    return softmax(logits, axis=1, out=logits)
+    return softmax(logits, out=logits)
 
 
 def gate_backward(d_gates: Array, inputs: Array, gates: Array, params: dict):
@@ -35,7 +35,7 @@ def gate_backward(d_gates: Array, inputs: Array, gates: Array, params: dict):
 
     Returns (d_inputs, {router.w, router.b} grads).
     """
-    d_logits = softmax_backward(gates, np.asarray(d_gates, dtype=np.float64), axis=1)
+    d_logits = softmax_backward(gates, np.asarray(d_gates, dtype=np.float64))
     grads = {
         "router.w": d_logits.T @ inputs,
         "router.b": d_logits.sum(axis=0),
@@ -84,16 +84,24 @@ def dispatch_capacity(n_tokens: int, top_k: int, n_experts: int, capacity_factor
 
 def build_dispatch(selection: Array, n_experts: int, capacity_factor: float) -> DispatchPlan:
     """Admit (token, expert) pairs per expert in ascending token order until
-    capacity; the pairs left out of ``admitted`` overflow."""
+    capacity; the pairs left out of ``admitted`` overflow.
+
+    One stable argsort of the row-major pairs groups them by expert with
+    each group in ascending token order; a pair is admitted when its rank
+    in its group is below capacity.
+    """
     sel = np.asarray(selection)
     n_tokens, top_k = sel.shape
     capacity = dispatch_capacity(n_tokens, top_k, n_experts, capacity_factor)
-    admitted = np.zeros_like(sel, dtype=bool)
-    expert_tokens = []
-    for j in range(n_experts):
-        rows, cols = np.nonzero(sel == j)  # nonzero scans row-major: ascending token order
-        keep = rows[:capacity]
-        admitted[keep, cols[:capacity]] = True
-        expert_tokens.append(keep.astype(np.int64))
-    return DispatchPlan(selection=sel, admitted=admitted, expert_tokens=expert_tokens,
-                        capacity=capacity)
+    order = np.argsort(sel.ravel(), kind="stable")
+    counts = np.bincount(sel.ravel(), minlength=n_experts)
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(order.size) - np.repeat(starts, counts)
+    kept = order[rank < capacity]
+    admitted = np.zeros(sel.size, dtype=bool)
+    admitted[kept] = True
+    tokens = (kept // top_k).astype(np.int64, copy=False)
+    ends = np.cumsum(np.minimum(counts, capacity)).tolist()
+    expert_tokens = [tokens[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+    return DispatchPlan(selection=sel, admitted=admitted.reshape(sel.shape),
+                        expert_tokens=expert_tokens, capacity=capacity)

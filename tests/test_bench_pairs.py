@@ -18,14 +18,17 @@ END_TO_END = [
 ]
 
 
-def _pairs(parent: dict, candidate: dict, same=(True, True, True, True)):
+def _pairs(parent: dict, candidate: dict, same=None):
+    n = len(next(iter(parent.values())))
+    same = same or (True,) * n
+
     def side(metrics, i, tag):
         return {"metrics": {name: values[i] for name, values in metrics.items()},
                 "params_final": "p" if same[i] else tag, "test_acc": 0.5}
 
     return [{"seed": 601 + i, "first": "parent",
              "parent": side(parent, i, "a"), "candidate": side(candidate, i, "b")}
-            for i in range(4)]
+            for i in range(n)]
 
 
 def test_parse_seeds_takes_a_range_or_one_seed():
@@ -89,3 +92,37 @@ def test_a_workload_not_in_benchmark_json_is_rejected_before_any_run(tmp_path, c
     assert ("--workload must be one of routed-small, routed-wide, dense-small, got 'all'"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_gain_shown_needs_nine_in_ten_wins_and_a_shift_past_the_parent_iqr():
+    slow = [10.0 + 0.2 * i for i in range(10)]  # median 10.9, IQR 0.9
+    rate = [100.0 + 2.0 * i for i in range(10)]  # median 109, IQR 9
+    parent = {"step_ms.p50": slow, "peak_rss_mb": slow,
+              "train_steps_per_s": rate, "eval_samples_per_s": rate}
+    candidate = {
+        # 9 wins and a tie, median 9.9: better by 1.0 > 0.9
+        "step_ms.p50": [v - 1.0 for v in slow[:9]] + slow[9:],
+        # the same shift, but 8 wins and 2 ties
+        "peak_rss_mb": [v - 1.0 for v in slow[:8]] + slow[8:],
+        # 10 wins, but the median moves by exactly the IQR, not more
+        "train_steps_per_s": [v + 9.0 for v in rate],
+        # 10 wins and a shift of 20 > 9
+        "eval_samples_per_s": [v + 20.0 for v in rate],
+    }
+    metrics = bench_pairs.summarise(_pairs(parent, candidate), END_TO_END)["metrics"]
+    assert [metrics[n]["candidate_wins"] for n in parent] == [9, 8, 10, 10]
+    assert metrics["step_ms.p50"]["parent_stats"]["iqr"] == pytest.approx(0.9)
+    assert metrics["train_steps_per_s"]["parent_stats"]["iqr"] == 9.0
+    assert [metrics[n]["gain_shown"] for n in parent] == [True, False, False, True]
+
+
+def test_gain_shown_is_false_in_the_worse_direction():
+    parent = {name: [100.0 + i for i in range(10)] for name in
+              ("step_ms.p50", "peak_rss_mb", "train_steps_per_s", "eval_samples_per_s")}
+    candidate = {"step_ms.p50": [v + 50.0 for v in parent["step_ms.p50"]],
+                 "peak_rss_mb": parent["peak_rss_mb"],
+                 "train_steps_per_s": [v - 50.0 for v in parent["train_steps_per_s"]],
+                 "eval_samples_per_s": parent["eval_samples_per_s"]}
+    metrics = bench_pairs.summarise(_pairs(parent, candidate), END_TO_END)["metrics"]
+    assert [metrics[n]["candidate_wins"] for n in parent] == [0, 0, 0, 0]
+    assert not any(metrics[n]["gain_shown"] for n in parent)

@@ -1,14 +1,17 @@
 """The step's kernels against the forms they replaced, bit for bit.
 
 Each ``_ref_*`` function below is an earlier form of a kernel, kept as the
-oracle: attention with the fresh-array softmax and the token gradient it
-used to build, the full-width dimension-reduction input gradient, the FFN
-and frozen priors without in-place writes, and traceability's per-source
-loop over the (n_sources, n_experts) ownership mask it once read. The
+oracle: attention with one GEMM per projection, the row-wise ``np.max``
+softmax and the token gradient it used to build, the full-width
+dimension-reduction input gradient, the FFN and frozen priors without
+in-place writes, traceability's per-source loop over the (n_sources,
+n_experts) ownership mask it once read, and dispatch's per-expert scan. The
 current kernels must give exactly the same arrays
 (``np.array_equal``) on a real forward at the default routed shape (B=8,
 D=32, top-1) and at the wide one (B=64, D=64, top-2); the pinned runs of
-``test_pin.py`` cover D=32 only.
+``test_pin.py`` cover D=32 only. Attention is also compared at edge shapes
+(one token, one sample, one head, one head per channel), softmax on rows
+with ties, signed zeros and logits near -700, and dispatch on random plans.
 """
 
 from functools import lru_cache
@@ -18,12 +21,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from come.attention import _merge_heads, _split_heads, attention_backward, attention_forward
+from come.attention import (
+    _merge_heads,
+    _split_heads,
+    attention_backward,
+    attention_forward,
+    init_attention,
+)
 from come.config import RunConfig, apply_overrides
 from come.datagen import TokenBatch
 from come.experts import dr_backward, ffn_backward, ffn_forward, frozen_forward
 from come.losses import GROUP_MASS_EPS, traceability_loss
 from come.model import ComeModel
+from come.numerics import softmax
+from come.router import build_dispatch, dispatch_capacity
 
 SHAPES = {
     "routed-small": (),
@@ -77,6 +88,19 @@ def _ref_attention_backward(grad_out, cache, params, heads):
     d_tokens = (d_qf @ params["attn.wq"].T + d_kf @ params["attn.wk"].T
                 + d_vf @ params["attn.wv"].T)
     return d_tokens, grads
+
+
+def _ref_build_dispatch(sel, n_experts, capacity_factor):
+    n_tokens, top_k = sel.shape
+    capacity = dispatch_capacity(n_tokens, top_k, n_experts, capacity_factor)
+    admitted = np.zeros_like(sel, dtype=bool)
+    expert_tokens = []
+    for j in range(n_experts):
+        rows, cols = np.nonzero(sel == j)  # nonzero scans row-major: ascending token order
+        keep = rows[:capacity]
+        admitted[keep, cols[:capacity]] = True
+        expert_tokens.append(keep.astype(np.int64))
+    return admitted, expert_tokens, capacity
 
 
 def _ref_dr_backward(grad_out, concat, params):
@@ -255,3 +279,80 @@ def test_traceability_matches_reference_on_any_grouping(n_sources, per, remainde
     assert value == ref_value
     assert np.array_equal(d_gates, ref_d_gates)
     assert clamped == ref_clamped
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("b, t, width, heads", [
+    (1, 1, 8, 1), (1, 1, 8, 8), (3, 1, 6, 2), (1, 7, 6, 3),
+    (2, 5, 8, 1), (2, 5, 8, 8), (4, 16, 32, 4),
+], ids=lambda v: str(v))
+def test_attention_matches_reference_at_edge_shapes(b, t, width, heads):
+    rng = np.random.default_rng(b * 1000 + t * 100 + width * 10 + heads)
+    params = init_attention(width, heads, rng)
+    tokens = rng.normal(size=(b, t, width))
+    out, cache = attention_forward(tokens, params, heads)
+    ref_out, ref_probs = _ref_attention_forward(tokens, params, heads)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(cache.probs, ref_probs)
+    grad_out = rng.normal(size=out.shape)
+    _, ref_grads = _ref_attention_backward(grad_out, cache, params, heads)
+    _assert_dicts_equal(attention_backward(grad_out, cache, params, heads), ref_grads)
+
+
+SPECIAL_ROWS = np.array([
+    [1.5, 1.5, 1.5, 1.5],  # all tied
+    [3.0, -1.0, 3.0, 2.0],  # tied max
+    [0.0, -0.0, -1.0, -2.0],  # max of +0.0 and -0.0
+    [-0.0, 0.0, -0.0, -3.0],
+    [-0.0, -0.0, -0.0, -0.0],
+    [-700.0, -700.5, -701.0, -745.0],  # near exp's underflow
+    [-700.0, -700.0, 0.0, -1e3],  # entries that underflow after the shift
+    [-708.3, -709.9, -700.1, -699.7],
+])
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (2, 4, 4), (4, 2, 1, 4)], ids=str)
+def test_softmax_matches_reference_on_special_rows(shape):
+    x = SPECIAL_ROWS.reshape(shape)
+    want = _ref_softmax(x, axis=-1)
+    assert np.array_equal(_bits(softmax(x)), _bits(want))
+    inplace = x.copy()
+    softmax(inplace, out=inplace)
+    assert np.array_equal(_bits(inplace), _bits(want))
+    for row in SPECIAL_ROWS:  # one row on its own, as a 1-D array
+        assert np.array_equal(_bits(softmax(row)), _bits(_ref_softmax(row)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_softmax_matches_reference_on_random_rows(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 1.0, -700.0, -700.25, -745.5, 20.0])
+    x = np.where(rng.random((rows, cols)) < 0.5, rng.choice(special, size=(rows, cols)),
+                 rng.normal(scale=rng.choice([1.0, 300.0]), size=(rows, cols)))
+    assert np.array_equal(_bits(softmax(x)), _bits(_ref_softmax(x)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_tokens=st.integers(1, 64), n_experts=st.integers(1, 10), top_k=st.integers(1, 3),
+       factor=st.sampled_from(["low", "mid", "full", "past"]), seed=st.integers(0, 2**32 - 1))
+def test_dispatch_matches_reference_on_random_plans(n_tokens, n_experts, top_k, factor, seed):
+    top_k = min(top_k, n_experts)
+    rng = np.random.default_rng(seed)
+    # skewed preferences crowd a few experts, so capacity binds
+    scores = rng.random((n_tokens, n_experts)) + rng.random(n_experts) * rng.choice([0, 3])
+    sel = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
+    full = n_experts / top_k  # capacity >= n_tokens: every pair admitted
+    capacity_factor = {"low": 0.3, "mid": 0.9, "full": full, "past": full + 0.7}[factor]
+    plan = build_dispatch(sel, n_experts, capacity_factor)
+    admitted, expert_tokens, capacity = _ref_build_dispatch(sel, n_experts, capacity_factor)
+    assert plan.capacity == capacity
+    assert np.array_equal(plan.admitted, admitted) and plan.admitted.shape == sel.shape
+    assert len(plan.expert_tokens) == n_experts
+    for got, want in zip(plan.expert_tokens, expert_tokens):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    if factor in ("full", "past"):
+        assert admitted.all()

@@ -10,6 +10,7 @@ from come import harness
 from come.config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from come.container import save_dataset
 from come.model import ComeModel
+from come.numerics import RandomStreams
 from come.router import DispatchPlan
 
 SMALL = [
@@ -89,6 +90,71 @@ def test_evaluate_rejects_ids_out_of_range(small, source, split, message):
     dataset = dataclasses.replace(dataset, sources=sources)
     with pytest.raises(ValueError, match=message):
         harness.evaluate(ComeModel.build(cfg), dataset, split)
+
+
+@pytest.mark.parametrize("split", [np.array([[1, 2], [3, 4]]), np.array(3)],
+                         ids=["2-D", "0-D"])
+def test_evaluate_rejects_a_split_that_is_not_1d(small, split):
+    cfg, dataset = small
+    with pytest.raises(ValueError, match=re.escape(
+            f"evaluate: split must be a 1-D array of indices, got shape {split.shape}")):
+        harness.evaluate(ComeModel.build(cfg), dataset, split)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("batch_size", True), ("batch_size", 2.5), ("batch_size", "4"),
+    ("max_batches", 1.5), ("max_batches", False), ("max_batches", np.float64(2.0)),
+])
+def test_evaluate_rejects_a_batch_argument_that_is_not_an_int(small, argument, value):
+    cfg, dataset = small
+    with pytest.raises(ValueError, match=re.escape(
+            f"evaluate: {argument} must be an int, got {value!r}")):
+        harness.evaluate(ComeModel.build(cfg), dataset, "test", **{argument: value})
+
+
+def test_evaluate_takes_numpy_int_batch_arguments(small):
+    cfg, dataset = small
+    model = ComeModel.build(cfg)
+    plain = harness.evaluate(model, dataset, "test", batch_size=4, max_batches=3)
+    numpy = harness.evaluate(model, dataset, "test", batch_size=np.int64(4),
+                             max_batches=np.int32(3))
+    assert numpy == plain and numpy.n_samples == 12
+
+
+@pytest.fixture
+def noise_indices(monkeypatch):
+    """The index of every ``noise`` stream the harness derives."""
+    indices = []
+    stream = RandomStreams.stream
+
+    def counting(self, purpose, index=0):
+        if purpose == "noise":
+            indices.append(index)
+        return stream(self, purpose, index)
+
+    monkeypatch.setattr(RandomStreams, "stream", counting)
+    return indices
+
+
+@pytest.mark.parametrize("overrides, clusters", [
+    ([], True),
+    (["clustering.strategy=none"], False),
+    (["model.arch=dense"], False),
+], ids=["fine2coarse", "strategy-none", "dense"])
+def test_a_noise_stream_is_derived_per_batch_only_when_the_model_clusters(
+        small, noise_indices, overrides, clusters):
+    cfg, dataset = small
+    cfg = apply_overrides(cfg, overrides)
+    model = ComeModel.build(cfg)
+    assert model.clusters is clusters
+    harness.evaluate(model, dataset, "test", batch_size=4)  # 16 test samples: 4 batches
+    eval_expected = [harness.EVAL_STREAM_OFFSET + b for b in range(4)] if clusters else []
+    assert noise_indices == eval_expected
+    noise_indices.clear()
+    harness.train(cfg, dataset=dataset)
+    # 4 steps, and at each of the 2 log points one batch on each split
+    evals = [harness.EVAL_STREAM_OFFSET] * 2
+    assert noise_indices == ([1, 2] + evals + [3, 4] + evals if clusters else [])
 
 
 def test_logged_test_accuracy_states_its_sample_count(small, tmp_path):
@@ -227,6 +293,15 @@ def test_run_ablations_takes_a_numpy_seed_array(small, trained, tmp_path, seeds)
     assert [c.seed for c in trained] == seeds * len(harness.ABLATION_VARIANTS)
     assert [row[1] for row in rows] == seeds * len(harness.ABLATION_VARIANTS)
     assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == seeds
+
+
+@pytest.mark.parametrize("axis", ["experts", "topk"])
+def test_sweep_rejects_an_empty_value_list_before_writing(small, trained, tmp_path, axis):
+    cfg, dataset = small
+    with pytest.raises(ValueError, match=f"sweep over '{axis}': values is empty"):
+        harness.sweep(cfg, axis, dataset=dataset, values=[], out_dir=tmp_path)
+    assert trained == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_unknown_axis(small):

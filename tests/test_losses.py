@@ -53,11 +53,11 @@ def test_traceability_singleton_groups_match_loop_oracle():
     src = rng.integers(0, 3, size=6)
 
     def fn(flat):
-        g = softmax(flat.reshape(6, 5), axis=1)
+        g = softmax(flat.reshape(6, 5))
         v, dg, _ = traceability_loss(g, src, 1)
         from come.numerics import softmax_backward
 
-        return v, softmax_backward(g, dg, axis=1).ravel()
+        return v, softmax_backward(g, dg).ravel()
 
     assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-6
 
@@ -118,11 +118,11 @@ def test_importance_gradient():
         logits0 = np.random.default_rng(100 + seed).normal(size=(5, 4))
 
         def fn(flat):
-            g = softmax(flat.reshape(5, 4), axis=1)
+            g = softmax(flat.reshape(5, 4))
             v, dg, _ = importance_loss(g)
             from come.numerics import softmax_backward
 
-            return v, softmax_backward(g, dg, axis=1).ravel()
+            return v, softmax_backward(g, dg).ravel()
 
         assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-5
 
@@ -163,11 +163,11 @@ def test_load_gradient_literal():
         logits0 = np.random.default_rng(200 + seed).normal(size=(4, 5))
 
         def fn(flat):
-            g = softmax(flat.reshape(4, 5), axis=1)
+            g = softmax(flat.reshape(4, 5))
             v, dg, _ = load_loss(g)
             from come.numerics import softmax_backward
 
-            return v, softmax_backward(g, dg, axis=1).ravel()
+            return v, softmax_backward(g, dg).ravel()
 
         assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-5
 
@@ -190,7 +190,7 @@ LOAD_LOSS_DIGESTS = {
 
 @pytest.mark.parametrize("n_tokens", sorted(LOAD_LOSS_DIGESTS))
 def test_load_loss_digest_pinned(n_tokens):
-    gates = softmax(np.random.default_rng(n_tokens).normal(size=(n_tokens, 8)), axis=1)
+    gates = softmax(np.random.default_rng(n_tokens).normal(size=(n_tokens, 8)))
     digests = tuple(
         hashlib.sha256(np.asarray(part, dtype=np.float64).tobytes()).hexdigest()
         for part in load_loss(gates)
