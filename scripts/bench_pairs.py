@@ -17,7 +17,9 @@ than the parent's interquartile range. Each pair also records whether
 
 The summary of each workload is merged into ``--out`` after every pair, so
 an interrupted run keeps the pairs it finished and several invocations fill
-one file.
+one file. Pairs already in ``--out`` for the workload are kept and the
+alternation goes on from their count; a seed already recorded there, or a
+``--seconds`` other than theirs, is a usage error raised before any run.
 """
 
 from __future__ import annotations
@@ -111,9 +113,17 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     if args.workload not in names:  # checked before any run: "all" keys its metrics per workload
         parser.error(f"--workload must be one of {', '.join(names)}, got {args.workload!r}")
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        sides = ["parent", "candidate"] if i % 2 == 0 else ["candidate", "parent"]
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    earlier = out.get("workloads", {}).get(args.workload)
+    pairs = earlier["runs"] if earlier else []
+    if earlier and earlier["seconds"] != args.seconds:
+        parser.error(f"--seconds {args.seconds} differs from the {earlier['seconds']} of the "
+                     f"{args.workload} pairs already in {args.out}")
+    recorded = sorted(set(args.seeds) & {p["seed"] for p in pairs})
+    if recorded:
+        parser.error(f"seed {recorded[0]} of {args.workload} is already in {args.out}")
+    for seed in args.seeds:
+        sides = ["parent", "candidate"] if len(pairs) % 2 == 0 else ["candidate", "parent"]
         pair = {"seed": seed, "first": sides[0]}
         for side in sides:
             pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)

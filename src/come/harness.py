@@ -1,9 +1,14 @@
-"""Training and evaluation loops, ablation matrix, hyperparameter sweeps.
+"""Training and evaluation loops, and one driver for grids of runs.
 
 One training run is single-threaded and bit-deterministic given its seed:
 batch order, clustering seeds and evaluation subsets are all derived from
-named sub-streams of the run seed. The ablation and sweep drivers train
-their configurations one after another on the same read-only dataset.
+named sub-streams of the run seed. ``run_grid`` trains a table of named
+override lists (``ABLATION_VARIANTS``, or ``sweep_runs`` for a sweep axis)
+on each seed, one run after another on one shared read-only dataset. Each
+row is ``GRID_HEADER``: run name, seed, the run's final logged
+``MetricsRecord`` and whether it halted. Every run's config, the run and
+seed lists, and that no run changes the ``data`` section are checked before
+the first run trains.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, config_to_dict
+from .config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from .container import checkpoint_digest, load_dataset
 from .datagen import DatasetBundle, generate
 from .model import ComeModel, ForwardState
@@ -23,7 +28,7 @@ from .numerics import AdamWState, NonFiniteError, RandomStreams, adamw_step
 
 EVAL_STREAM_OFFSET = 2**33  # keeps eval clustering seeds clear of training steps
 
-# Each ablation is a list of --set overrides on the run config.
+# A run table for run_grid: each ablation is a list of --set overrides on the run config.
 ABLATION_VARIANTS = {
     "full": [],
     "no_ste": ["model.structure_expert=false"],
@@ -33,7 +38,7 @@ ABLATION_VARIANTS = {
     "no_tb": ["losses.tb_weight=0"],
 }
 
-SWEEP_AXES = {
+SWEEP_AXES = {  # default values of each sweep_runs axis
     "experts": [4, 8, 10],
     "topk": [1, 2, 3, 4],
 }
@@ -125,6 +130,8 @@ def _check_dataset(cfg: RunConfig, dataset: DatasetBundle):
         raise ValueError("dataset sources exceed configured source count")
     if dataset.sources.min(initial=0) < 0:
         raise ValueError(f"dataset source id {dataset.sources.min()} is negative")
+    if dataset.labels.min(initial=0) < 0:
+        raise ValueError(f"dataset label {dataset.labels.min()} is negative")
 
 
 def routing_purity(plan, token_sources, group_size: int) -> tuple:
@@ -382,44 +389,10 @@ def _write_train_outputs(result: TrainResult, cfg: RunConfig, out_dir):
 
 
 # ---------------------------------------------------------------------------
-# ablations and sweeps
+# grids of runs
 # ---------------------------------------------------------------------------
 
-ABLATION_HEADER = ["variant", "seed", "test_acc", "purity", "util_cv", "halted"]
-SWEEP_HEADER = ["axis", "value", "seed", "test_acc", "purity", "util_cv", "overflow_rate",
-                "halted"]
-
-
-def _run_grid(cfg: RunConfig, dataset: DatasetBundle, runs: list, header: list,
-              out_dir, command: str, csv_name: str, **manifest_extra) -> list:
-    """Train one run per (row prefix, overrides) pair and return its rows.
-
-    Every run's config is validated before the first run trains. A row is
-    the prefix, then the final log point's value of each metric ``header``
-    names after the prefix, then whether the run halted. A run that logged
-    nothing gets nan metric cells. With ``out_dir``, writes the rows to
-    ``csv_name`` and a manifest that lists each halted run's reason.
-    """
-    configs = [apply_overrides(cfg, overrides).validate() for _, overrides in runs]
-    rows, halts = [], []
-    for (prefix, _), run_cfg in zip(runs, configs):
-        result = train(run_cfg, dataset=dataset)
-        names = header[len(prefix):-1]
-        if result.metrics:
-            cells = [getattr(result.metrics[-1], name) for name in names]
-        else:
-            cells = [float("nan")] * len(names)
-        rows.append([*prefix, *cells, result.halted])
-        if result.halted:
-            halts.append({"row": prefix, "halt_reason": result.halt_reason})
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / csv_name, header, rows)
-        manifest = run_manifest(cfg, command, {}, [csv_name])
-        manifest.update(manifest_extra, halted=halts)
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return rows
+GRID_HEADER = ["run", "seed", *METRICS_HEADER, "halted"]
 
 
 def _plain(value):
@@ -427,44 +400,67 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def run_ablations(cfg: RunConfig, dataset: DatasetBundle | None = None,
-                  seeds: list | None = None, out_dir=None) -> list:
-    """Full model plus the five single-removal variants on identical seeds.
-
-    Returns rows (variant, seed, test accuracy, purity, utilization CV,
-    halted).
-    """
-    cfg.validate()
-    if dataset is None:
-        dataset = build_dataset(cfg)
-    seeds = [cfg.seed] if seeds is None or len(seeds) == 0 else [_plain(s) for s in seeds]
-    runs = [
-        ([variant, seed], [*overrides, f"seed={json.dumps(seed)}"])
-        for variant, overrides in ABLATION_VARIANTS.items()
-        for seed in seeds
-    ]
-    return _run_grid(cfg, dataset, runs, ABLATION_HEADER, out_dir, "ablate", "ablations.csv",
-                     seeds=seeds)
-
-
-def sweep(cfg: RunConfig, axis: str, dataset: DatasetBundle | None = None,
-          values: list | None = None, out_dir=None) -> list:
-    """One run per axis value on a shared seed; axes: experts, topk."""
-    cfg.validate()
+def sweep_runs(cfg: RunConfig, axis: str, values: list | None = None) -> dict:
+    """The run table of a sweep axis (experts, topk): ``{axis}={value}`` to
+    its overrides. ``experts`` caps ``router.top_k`` at each value. A value
+    that repeats is rejected; one that is not an int is left for config
+    validation to reject."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    values = SWEEP_AXES[axis] if values is None else [_plain(v) for v in values]
-    if not values:
-        raise ValueError(f"sweep over {axis!r}: values is empty, so no run would train")
-    if dataset is None:
-        dataset = build_dataset(cfg)
-    runs = []
-    for value in values:  # as given: config validation rejects a value that is not an int
+    runs = {}
+    for value in SWEEP_AXES[axis] if values is None else [_plain(v) for v in values]:
+        name = f"{axis}={value}"
+        if name in runs:
+            raise ValueError(f"sweep over {axis!r}: value {value!r} repeats")
         if axis == "experts":
             top_k = min(cfg.router.top_k, value) if type(value) is int else cfg.router.top_k
-            overrides = [f"model.n_experts={json.dumps(value)}", f"router.top_k={top_k}"]
+            runs[name] = [f"model.n_experts={json.dumps(value)}", f"router.top_k={top_k}"]
         else:
-            overrides = [f"router.top_k={json.dumps(value)}"]
-        runs.append(([axis, value, cfg.seed], overrides))
-    return _run_grid(cfg, dataset, runs, SWEEP_HEADER, out_dir, "sweep", f"sweep_{axis}.csv",
-                     axis=axis, values=values)
+            runs[name] = [f"router.top_k={json.dumps(value)}"]
+    return runs
+
+
+def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,
+             seeds: list | None = None, out_dir=None, csv_name: str = "grid.csv") -> list:
+    """Train each named override list of ``runs`` on each seed; return the rows.
+
+    ``seeds`` defaults to ``[cfg.seed]``. Every run trains on one shared
+    dataset: ``dataset``, or the one ``cfg`` builds. A row is ``GRID_HEADER``:
+    the run name, the seed, the final logged ``MetricsRecord.row()`` (nan
+    cells if the run logged nothing) and whether the run halted. Before any
+    run trains, every run's config is validated, and empty ``runs`` or
+    ``seeds`` and a run whose overrides change the ``data`` section are
+    rejected. With ``out_dir``, writes the rows to ``csv_name`` and a
+    manifest with the runs' overrides, the seeds and each halt's reason.
+    """
+    cfg.validate()
+    seeds = [cfg.seed] if seeds is None else [_plain(s) for s in seeds]
+    for name, value in (("runs", runs), ("seeds", seeds)):
+        if not value:
+            raise ValueError(f"run_grid: {name} is empty, so no run would train")
+    configs = []
+    for name, overrides in runs.items():
+        for seed in seeds:
+            run_cfg = apply_overrides(cfg, [*overrides, f"seed={json.dumps(seed)}"]).validate()
+            changed = [k for k, v in asdict(run_cfg.data).items() if v != getattr(cfg.data, k)]
+            if changed:
+                raise ConfigError(f"run {name!r} changes data.{changed[0]}, but every run of "
+                                  f"a grid trains on one shared dataset")
+            configs.append((name, seed, run_cfg))
+    if dataset is None:
+        dataset = build_dataset(cfg)
+    rows, halts = [], []
+    for name, seed, run_cfg in configs:
+        result = train(run_cfg, dataset=dataset)
+        cells = result.final().row() if result.metrics else [float("nan")] * len(METRICS_HEADER)
+        rows.append([name, seed, *cells, result.halted])
+        if result.halted:
+            halts.append({"run": name, "seed": seed, "halt_reason": result.halt_reason})
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / csv_name, GRID_HEADER, rows)
+        manifest = run_manifest(cfg, "grid", {}, [csv_name])
+        manifest.update(runs=runs, seeds=seeds, halted=halts)
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return rows

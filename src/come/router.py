@@ -88,13 +88,20 @@ def build_dispatch(selection: Array, n_experts: int, capacity_factor: float) -> 
 
     One stable argsort of the row-major pairs groups them by expert with
     each group in ascending token order; a pair is admitted when its rank
-    in its group is below capacity.
+    in its group is below capacity. A selection entry outside
+    [0, n_experts) is rejected; the sorted order gives its extremes.
     """
     sel = np.asarray(selection)
     n_tokens, top_k = sel.shape
     capacity = dispatch_capacity(n_tokens, top_k, n_experts, capacity_factor)
-    order = np.argsort(sel.ravel(), kind="stable")
-    counts = np.bincount(sel.ravel(), minlength=n_experts)
+    flat = sel.ravel()
+    order = np.argsort(flat, kind="stable")
+    if order.size:
+        least, most = flat[order[0]], flat[order[-1]]
+        if least < 0 or most >= n_experts:
+            raise ValueError(f"build_dispatch: selection entry {least if least < 0 else most} "
+                             f"is outside [0, {n_experts}), the {n_experts} experts")
+    counts = np.bincount(flat, minlength=n_experts)
     starts = np.cumsum(counts) - counts
     rank = np.arange(order.size) - np.repeat(starts, counts)
     kept = order[rank < capacity]

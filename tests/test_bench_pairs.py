@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py on fabricated pairs: no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,45 @@ def test_gain_shown_is_false_in_the_worse_direction():
     metrics = bench_pairs.summarise(_pairs(parent, candidate), END_TO_END)["metrics"]
     assert [metrics[n]["candidate_wins"] for n in parent] == [0, 0, 0, 0]
     assert not any(metrics[n]["gain_shown"] for n in parent)
+
+
+def _fake_run_once(tree, workload, seed, seconds):
+    """Every metric reads the seed in the candidate tree and seed + 0.5 in the parent."""
+    value = float(seed) if Path(tree) == ROOT else float(seed) + 0.5
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {"metrics": {m["name"]: value for m in spec["end_to_end"]},
+            "params_final": "p", "test_acc": 0.5}
+
+
+def test_a_second_invocation_keeps_the_pairs_already_in_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once)
+    out = tmp_path / "out.json"
+    args = ["--parent", str(tmp_path), "--candidate", str(ROOT), "--workload", "routed-small",
+            "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(args + ["--seeds", "1-3"]) == 0
+    assert bench_pairs.main(args + ["--seeds", "4-5"]) == 0
+    summary = json.loads(out.read_text())["workloads"]["routed-small"]
+    assert summary["pairs"] == 5 and summary["seeds"] == [1, 2, 3, 4, 5]
+    assert [p["first"] for p in summary["runs"]] == ["parent", "candidate"] * 2 + ["parent"]
+    assert summary["metrics"]["step_ms.p50"]["candidate"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("seeds, seconds, message", [
+    ("3-4", "1", "seed 3 of routed-small is already in"),
+    ("4-4", "2", "--seconds 2.0 differs from the 1.0 of the routed-small pairs already in"),
+], ids=["recorded-seed", "other-seconds"])
+def test_a_run_that_clashes_with_the_recorded_pairs_is_a_usage_error(tmp_path, capsys,
+                                                                     monkeypatch, seeds,
+                                                                     seconds, message):
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once)
+    out = tmp_path / "out.json"
+    args = ["--parent", str(tmp_path), "--candidate", str(ROOT), "--workload", "routed-small",
+            "--out", str(out)]
+    assert bench_pairs.main(args + ["--seeds", "1-3", "--seconds", "1"]) == 0
+    before = out.read_text()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a benchmark ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(args + ["--seeds", seeds, "--seconds", seconds])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert out.read_text() == before

@@ -27,11 +27,6 @@ def small():
     return cfg, harness.build_dataset(cfg)
 
 
-def _final_row(cfg, dataset, overrides):
-    final = harness.train(apply_overrides(cfg, overrides), dataset=dataset).final()
-    return [final.test_acc, final.purity, final.util_cv, final.overflow_rate]
-
-
 # ---------------------------------------------------------------------------
 # halting
 # ---------------------------------------------------------------------------
@@ -90,6 +85,15 @@ def test_evaluate_rejects_ids_out_of_range(small, source, split, message):
     dataset = dataclasses.replace(dataset, sources=sources)
     with pytest.raises(ValueError, match=message):
         harness.evaluate(ComeModel.build(cfg), dataset, split)
+
+
+def test_train_rejects_a_negative_label_before_training(small, monkeypatch):
+    cfg, dataset = small
+    labels = dataset.labels.copy()
+    labels[5] = -1
+    monkeypatch.setattr(ComeModel, "build", lambda _: pytest.fail("a model was built"))
+    with pytest.raises(ValueError, match="dataset label -1 is negative"):
+        harness.train(cfg, dataset=dataclasses.replace(dataset, labels=labels))
 
 
 @pytest.mark.parametrize("split", [np.array([[1, 2], [3, 4]]), np.array(3)],
@@ -194,53 +198,50 @@ def test_training_from_a_saved_dataset_equals_training_from_the_generator(tmp_pa
 
 
 # ---------------------------------------------------------------------------
-# ablations and sweeps
+# grids of runs
 # ---------------------------------------------------------------------------
 
+TABLES = {
+    "ablations": lambda cfg: harness.ABLATION_VARIANTS,
+    "sweep-topk": lambda cfg: harness.sweep_runs(cfg, "topk", [2, 1]),
+    "sweep-experts": lambda cfg: harness.sweep_runs(cfg, "experts", [4, 8]),
+}
 
-def test_run_ablations_rows_csv_and_manifest(small, tmp_path):
+
+def test_sweep_runs_names_each_value_and_caps_top_k_at_the_expert_count(small):
+    cfg, _ = small
+    assert harness.sweep_runs(cfg, "topk", [2, 1]) == {
+        "topk=2": ["router.top_k=2"], "topk=1": ["router.top_k=1"]}
+    assert harness.sweep_runs(apply_overrides(cfg, ["router.top_k=5"]), "experts", [4, 8]) == {
+        "experts=4": ["model.n_experts=4", "router.top_k=4"],
+        "experts=8": ["model.n_experts=8", "router.top_k=5"]}
+    assert list(harness.sweep_runs(cfg, "topk")) == ["topk=1", "topk=2", "topk=3", "topk=4"]
+
+
+@pytest.mark.parametrize("table, seeds", [("ablations", [3, 4]), ("sweep-topk", None),
+                                          ("sweep-experts", None)],
+                         ids=["ablations", "sweep-topk", "sweep-experts"])
+def test_grid_rows_csv_and_manifest(small, tmp_path, table, seeds):
     cfg, dataset = small
-    rows = harness.run_ablations(cfg, dataset=dataset, seeds=[3, 4], out_dir=tmp_path)
-    assert [row[:2] for row in rows] == [
-        [variant, seed] for variant in harness.ABLATION_VARIANTS for seed in (3, 4)
-    ]
-    assert all(len(row) == len(harness.ABLATION_HEADER) for row in rows)
-    no_tb = rows[2 * list(harness.ABLATION_VARIANTS).index("no_tb") + 1]
-    expected = _final_row(cfg, dataset, ["losses.tb_weight=0", "seed=4"])
-    assert no_tb[2:] == expected[:3] + [False]
+    runs = TABLES[table](cfg)
+    rows = harness.run_grid(cfg, runs, dataset=dataset, seeds=seeds, out_dir=tmp_path)
+    seeds = seeds or [cfg.seed]
+    assert [row[:2] for row in rows] == [[name, seed] for name in runs for seed in seeds]
+    for name, seed, *cells in rows:
+        overrides = [*runs[name], f"seed={seed}"]
+        final = harness.train(apply_overrides(cfg, overrides), dataset=dataset).final()
+        assert cells == final.row() + [False]
 
-    lines = (tmp_path / "ablations.csv").read_text().splitlines()
-    assert lines[0] == ",".join(harness.ABLATION_HEADER)
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert lines[0] == ",".join(harness.GRID_HEADER)
+    assert harness.GRID_HEADER == ["run", "seed", *harness.METRICS_HEADER, "halted"]
     assert lines[1:] == [",".join(harness._fmt(v) for v in row) for row in rows]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["command"] == "ablate"
-    assert manifest["seeds"] == [3, 4]
-    assert manifest["outputs"] == ["ablations.csv"]
+    assert manifest["command"] == "grid"
+    assert manifest["runs"] == runs
+    assert manifest["seeds"] == seeds
+    assert manifest["outputs"] == ["grid.csv"]
     assert manifest["config"] == config_to_dict(cfg)
-
-
-@pytest.mark.parametrize(
-    "axis, values, overrides",
-    [
-        ("topk", [2, 1], [["router.top_k=2"], ["router.top_k=1"]]),
-        ("experts", [4, 8], [["model.n_experts=4", "router.top_k=1"],
-                             ["model.n_experts=8", "router.top_k=1"]]),
-    ],
-)
-def test_sweep_rows_csv_and_manifest(small, tmp_path, axis, values, overrides):
-    cfg, dataset = small
-    rows = harness.sweep(cfg, axis, dataset=dataset, values=values, out_dir=tmp_path)
-    assert [row[:3] for row in rows] == [[axis, v, cfg.seed] for v in values]
-    assert rows[0][3:] == _final_row(cfg, dataset, overrides[0]) + [False]
-    assert rows[1][3:] == _final_row(cfg, dataset, overrides[1]) + [False]
-
-    lines = (tmp_path / f"sweep_{axis}.csv").read_text().splitlines()
-    assert lines[0] == ",".join(harness.SWEEP_HEADER)
-    assert lines[1:] == [",".join(harness._fmt(v) for v in row) for row in rows]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["command"] == "sweep"
-    assert (manifest["axis"], manifest["values"]) == (axis, values)
-    assert manifest["outputs"] == [f"sweep_{axis}.csv"]
 
 
 def test_grid_validates_every_run_before_training_any(small, tmp_path, monkeypatch):
@@ -248,7 +249,8 @@ def test_grid_validates_every_run_before_training_any(small, tmp_path, monkeypat
     trained = []
     monkeypatch.setattr(harness, "train", lambda run_cfg, **_: trained.append(run_cfg))
     with pytest.raises(ConfigError, match=r"n_experts >= n_sources \(2 < 4\)"):
-        harness.sweep(cfg, "experts", dataset=dataset, values=[4, 2], out_dir=tmp_path)
+        harness.run_grid(cfg, harness.sweep_runs(cfg, "experts", [4, 2]), dataset=dataset,
+                         out_dir=tmp_path)
     assert trained == []
     assert list(tmp_path.iterdir()) == []
 
@@ -266,6 +268,34 @@ def trained(monkeypatch):
     return configs
 
 
+@pytest.mark.parametrize("table, seeds, error, message", [
+    (TABLES["ablations"], [], ValueError, "run_grid: seeds is empty, so no run would train"),
+    (TABLES["ablations"], np.array([], dtype=int), ValueError,
+     "run_grid: seeds is empty, so no run would train"),
+    (lambda cfg: {"full": [], "more": ["data.n_samples=160"]}, None, ConfigError,
+     "run 'more' changes data.n_samples, but every run of a grid trains on one shared dataset"),
+    (lambda cfg: {"other": ["data.seed=1", "losses.tb_weight=0"]}, None, ConfigError,
+     "run 'other' changes data.seed"),
+    (lambda cfg: harness.sweep_runs(cfg, "topk", [1, 2, np.int64(1)]), None, ValueError,
+     "sweep over 'topk': value 1 repeats"),
+], ids=["no-seeds", "empty-seed-array", "data-n-samples", "data-seed", "repeated-value"])
+def test_grid_rejects_a_bad_table_before_training_or_writing(small, trained, tmp_path,
+                                                             monkeypatch, table, seeds, error,
+                                                             message):
+    cfg, _ = small
+    monkeypatch.setattr(harness, "build_dataset", lambda _: pytest.fail("a dataset was built"))
+    with pytest.raises(error, match=re.escape(message)):
+        harness.run_grid(cfg, table(cfg), seeds=seeds, out_dir=tmp_path)
+    assert trained == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_that_leaves_the_data_section_as_it_is_trains(small, trained):
+    cfg, dataset = small
+    harness.run_grid(cfg, {"same": ["data.n_samples=80"]}, dataset=dataset)
+    assert len(trained) == 1
+
+
 @pytest.mark.parametrize("axis, value, message", [
     ("experts", 4.7, "model.n_experts must be an int, got 4.7"),
     ("topk", True, "router.top_k must be an int, got True"),
@@ -274,40 +304,45 @@ def test_sweep_rejects_a_value_that_is_not_an_int_before_training(small, trained
                                                                    message):
     cfg, dataset = small
     with pytest.raises(ConfigError, match=re.escape(message)):
-        harness.sweep(cfg, axis, dataset=dataset, values=[value])
+        harness.run_grid(cfg, harness.sweep_runs(cfg, axis, [value]), dataset=dataset)
     assert trained == []
 
 
 def test_sweep_takes_numpy_values_as_plain_ints(small, trained, tmp_path):
     cfg, dataset = small
-    rows = harness.sweep(cfg, "topk", dataset=dataset, values=np.array([1, 2]), out_dir=tmp_path)
+    runs = harness.sweep_runs(cfg, "topk", np.array([1, 2]))
+    rows = harness.run_grid(cfg, runs, dataset=dataset, out_dir=tmp_path)
     assert [c.router.top_k for c in trained] == [1, 2]
-    assert [type(row[1]) for row in rows] == [int, int]
-    assert json.loads((tmp_path / "manifest.json").read_text())["values"] == [1, 2]
+    assert [row[0] for row in rows] == ["topk=1", "topk=2"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["runs"] == {"topk=1": ["router.top_k=1"], "topk=2": ["router.top_k=2"]}
 
 
 @pytest.mark.parametrize("seeds", [[0, 1], [3]], ids=["two_seeds", "one_seed"])
-def test_run_ablations_takes_a_numpy_seed_array(small, trained, tmp_path, seeds):
+def test_grid_takes_a_numpy_seed_array(small, trained, tmp_path, seeds):
     cfg, dataset = small
-    rows = harness.run_ablations(cfg, dataset=dataset, seeds=np.array(seeds), out_dir=tmp_path)
+    rows = harness.run_grid(cfg, harness.ABLATION_VARIANTS, dataset=dataset,
+                            seeds=np.array(seeds), out_dir=tmp_path)
     assert [c.seed for c in trained] == seeds * len(harness.ABLATION_VARIANTS)
     assert [row[1] for row in rows] == seeds * len(harness.ABLATION_VARIANTS)
+    assert all(type(row[1]) is int for row in rows)
     assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == seeds
 
 
 @pytest.mark.parametrize("axis", ["experts", "topk"])
 def test_sweep_rejects_an_empty_value_list_before_writing(small, trained, tmp_path, axis):
     cfg, dataset = small
-    with pytest.raises(ValueError, match=f"sweep over '{axis}': values is empty"):
-        harness.sweep(cfg, axis, dataset=dataset, values=[], out_dir=tmp_path)
+    with pytest.raises(ValueError, match="run_grid: runs is empty, so no run would train"):
+        harness.run_grid(cfg, harness.sweep_runs(cfg, axis, []), dataset=dataset,
+                         out_dir=tmp_path)
     assert trained == []
     assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_unknown_axis(small):
-    cfg, dataset = small
+    cfg, _ = small
     with pytest.raises(ValueError, match="sweep axis must be one of"):
-        harness.sweep(cfg, "heads", dataset=dataset)
+        harness.sweep_runs(cfg, "heads")
 
 
 @pytest.fixture(scope="module")
@@ -319,32 +354,35 @@ def diverging():
 
 def test_sweep_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
     cfg, dataset = diverging
-    rows = harness.sweep(cfg, "topk", dataset=dataset, values=[1], out_dir=tmp_path)
+    runs = harness.sweep_runs(cfg, "topk", [1])
+    rows = harness.run_grid(cfg, runs, dataset=dataset, out_dir=tmp_path,
+                            csv_name="sweep_topk.csv")
     result = harness.train(cfg, dataset=dataset)
     assert result.halt_reason.startswith("non-finite value at step 20:")
     final = result.final()
     assert final.step == 10
-    assert rows == [["topk", 1, cfg.seed, final.test_acc, final.purity, final.util_cv,
-                     final.overflow_rate, True]]
+    assert rows == [["topk=1", cfg.seed, *final.row(), True]]
     assert (tmp_path / "sweep_topk.csv").read_text().splitlines()[1].endswith(",True")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["halted"] == [{"row": ["topk", 1, cfg.seed],
+    assert manifest["halted"] == [{"run": "topk=1", "seed": cfg.seed,
                                    "halt_reason": result.halt_reason}]
 
 
 def test_run_with_no_log_point_gets_nan_cells_instead_of_aborting_the_grid(diverging, tmp_path):
     cfg, dataset = diverging
     cfg = apply_overrides(cfg, ["training.log_every=100"])
-    rows = harness.run_ablations(cfg, dataset=dataset, out_dir=tmp_path)
+    rows = harness.run_grid(cfg, harness.ABLATION_VARIANTS, dataset=dataset, out_dir=tmp_path)
     assert [row[0] for row in rows] == list(harness.ABLATION_VARIANTS)
     for row in rows:
         assert row[-1] is True
+        assert len(row) == len(harness.GRID_HEADER)
         assert all(math.isnan(v) for v in row[2:-1])
-    lines = (tmp_path / "ablations.csv").read_text().splitlines()
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0].endswith(",halted")
-    assert lines[1] == "full,0,nan,nan,nan,True"
+    assert lines[1] == ",".join(["full", "0"] + ["nan"] * len(harness.METRICS_HEADER) + ["True"])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert [h["row"] for h in manifest["halted"]] == [[v, 0] for v in harness.ABLATION_VARIANTS]
+    assert [(h["run"], h["seed"]) for h in manifest["halted"]] == [
+        (v, 0) for v in harness.ABLATION_VARIANTS]
     assert all(h["halt_reason"].startswith("non-finite value at step ") for h in manifest["halted"])
     # without the semantic prior the second moment overflows in AdamW first
     no_see = manifest["halted"][list(harness.ABLATION_VARIANTS).index("no_see")]
@@ -353,7 +391,8 @@ def test_run_with_no_log_point_gets_nan_cells_instead_of_aborting_the_grid(diver
 
 def test_grid_of_finished_runs_lists_no_halts(small, tmp_path):
     cfg, dataset = small
-    rows = harness.sweep(cfg, "topk", dataset=dataset, values=[1], out_dir=tmp_path)
+    rows = harness.run_grid(cfg, harness.sweep_runs(cfg, "topk", [1]), dataset=dataset,
+                            out_dir=tmp_path)
     assert rows[0][-1] is False
     assert json.loads((tmp_path / "manifest.json").read_text())["halted"] == []
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -155,6 +156,15 @@ def test_capacity_never_violated_randomized():
             seen[sel[t, s]] += 1
         np.testing.assert_array_equal(plan.admitted, expected)
         assert plan.n_overflow == np.count_nonzero(~expected)
+
+
+@pytest.mark.parametrize("selection, entry", [([[0], [5]], 5), ([[0], [-1]], -1),
+                                              ([[2, 1], [0, 1]], 2)],
+                         ids=["past-the-end", "negative", "equal-to-count"])
+def test_dispatch_rejects_a_selection_entry_outside_the_experts(selection, entry):
+    with pytest.raises(ValueError, match=re.escape(
+            f"build_dispatch: selection entry {entry} is outside [0, 2), the 2 experts")):
+        build_dispatch(np.array(selection), 2, 1.25)
 
 
 def test_dispatch_deterministic():
