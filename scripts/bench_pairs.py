@@ -19,7 +19,10 @@ The summary of each workload is merged into ``--out`` after every pair, so
 an interrupted run keeps the pairs it finished and several invocations fill
 one file. Pairs already in ``--out`` for the workload are kept and the
 alternation goes on from their count; a seed already recorded there, or a
-``--seconds`` other than theirs, is a usage error raised before any run.
+``--seconds``, ``--parent`` or ``--candidate`` other than theirs, is a usage
+error raised before any run. Each tree is recorded as its commit when it is
+the top of a git checkout with no uncommitted changes to tracked files, and
+as its resolved path otherwise.
 """
 
 from __future__ import annotations
@@ -47,6 +50,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{tree}: seed {seed} failed its correctness check")
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "params_final": record["params_final"], "test_acc": record["test_acc"]}
+
+
+def tree_id(tree: Path) -> str:
+    """The commit of a clean git checkout at ``tree``, else its resolved path."""
+    if (tree / ".git").exists():
+        git = ["git", "-C", str(tree)]
+        head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+        dirty = subprocess.run(git + ["status", "--porcelain", "--untracked-files=no"],
+                               capture_output=True, text=True)
+        if head.returncode == 0 and dirty.returncode == 0 and not dirty.stdout.strip():
+            return head.stdout.strip()
+    return str(tree.resolve())
 
 
 def quartiles(values) -> dict:
@@ -116,9 +131,13 @@ def main(argv=None) -> int:
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     earlier = out.get("workloads", {}).get(args.workload)
     pairs = earlier["runs"] if earlier else []
+    trees = {side: tree_id(getattr(args, side)) for side in ("parent", "candidate")}
     if earlier and earlier["seconds"] != args.seconds:
         parser.error(f"--seconds {args.seconds} differs from the {earlier['seconds']} of the "
                      f"{args.workload} pairs already in {args.out}")
+    if earlier and earlier.get("trees") != trees:
+        parser.error(f"--parent/--candidate {trees} differ from the trees {earlier.get('trees')} "
+                     f"of the {args.workload} pairs already in {args.out}")
     recorded = sorted(set(args.seeds) & {p["seed"] for p in pairs})
     if recorded:
         parser.error(f"seed {recorded[0]} of {args.workload} is already in {args.out}")
@@ -133,7 +152,8 @@ def main(argv=None) -> int:
               flush=True)
         out = json.loads(args.out.read_text()) if args.out.exists() else {}
         out.setdefault("workloads", {})[args.workload] = {
-            "seconds": args.seconds, **summarise(pairs, spec["end_to_end"]), "runs": pairs}
+            "seconds": args.seconds, "trees": trees, **summarise(pairs, spec["end_to_end"]),
+            "runs": pairs}
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -7,8 +7,8 @@ override lists (``ABLATION_VARIANTS``, or ``sweep_runs`` for a sweep axis)
 on each seed, one run after another on one shared read-only dataset. Each
 row is ``GRID_HEADER``: run name, seed, the run's final logged
 ``MetricsRecord`` and whether it halted. Every run's config, the run and
-seed lists, and that no run changes the ``data`` section are checked before
-the first run trains.
+seed lists (not empty, no seed twice), and that no run changes the ``data``
+section or its own seed are checked before the first run trains.
 """
 
 from __future__ import annotations
@@ -233,12 +233,7 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
 
 
 def _expert_stats_header(n_experts: int) -> list:
-    return (
-        ["step"]
-        + [f"ip_{j}" for j in range(n_experts)]
-        + [f"load_{j}" for j in range(n_experts)]
-        + [f"util_{j}" for j in range(n_experts)]
-    )
+    return ["step"] + [f"{kind}_{j}" for kind in ("ip", "load", "util") for j in range(n_experts)]
 
 
 def run_manifest(cfg: RunConfig, command: str, digests: dict, outputs: list) -> dict:
@@ -421,7 +416,7 @@ def sweep_runs(cfg: RunConfig, axis: str, values: list | None = None) -> dict:
 
 
 def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,
-             seeds: list | None = None, out_dir=None, csv_name: str = "grid.csv") -> list:
+             seeds: list | None = None, out_dir=None) -> list:
     """Train each named override list of ``runs`` on each seed; return the rows.
 
     ``seeds`` defaults to ``[cfg.seed]``. Every run trains on one shared
@@ -429,9 +424,10 @@ def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,
     the run name, the seed, the final logged ``MetricsRecord.row()`` (nan
     cells if the run logged nothing) and whether the run halted. Before any
     run trains, every run's config is validated, and empty ``runs`` or
-    ``seeds`` and a run whose overrides change the ``data`` section are
-    rejected. With ``out_dir``, writes the rows to ``csv_name`` and a
-    manifest with the runs' overrides, the seeds and each halt's reason.
+    ``seeds``, a repeated seed, and a run whose overrides change the ``data``
+    section or set a seed other than the one it is given are rejected. With
+    ``out_dir``, writes the rows to ``grid.csv`` and a manifest with the
+    runs' overrides, the seeds and each halt's reason.
     """
     cfg.validate()
     seeds = [cfg.seed] if seeds is None else [_plain(s) for s in seeds]
@@ -441,12 +437,17 @@ def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,
     configs = []
     for name, overrides in runs.items():
         for seed in seeds:
-            run_cfg = apply_overrides(cfg, [*overrides, f"seed={json.dumps(seed)}"]).validate()
+            run_cfg = apply_overrides(cfg, [f"seed={json.dumps(seed)}", *overrides]).validate()
+            if run_cfg.seed != seed:
+                raise ConfigError(f"run {name!r} sets seed={run_cfg.seed}, but run_grid trains "
+                                  f"it on seed {seed}: pass seeds to run_grid instead")
             changed = [k for k, v in asdict(run_cfg.data).items() if v != getattr(cfg.data, k)]
             if changed:
                 raise ConfigError(f"run {name!r} changes data.{changed[0]}, but every run of "
                                   f"a grid trains on one shared dataset")
             configs.append((name, seed, run_cfg))
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"run_grid: a seed repeats in {seeds}, so a run would train twice")
     if dataset is None:
         dataset = build_dataset(cfg)
     rows, halts = [], []
@@ -459,8 +460,8 @@ def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / csv_name, GRID_HEADER, rows)
-        manifest = run_manifest(cfg, "grid", {}, [csv_name])
+        write_csv(out / "grid.csv", GRID_HEADER, rows)
+        manifest = run_manifest(cfg, "grid", {}, ["grid.csv"])
         manifest.update(runs=runs, seeds=seeds, halted=halts)
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return rows

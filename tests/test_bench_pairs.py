@@ -145,27 +145,32 @@ def test_a_second_invocation_keeps_the_pairs_already_in_the_file(tmp_path, monke
     assert bench_pairs.main(args + ["--seeds", "1-3"]) == 0
     assert bench_pairs.main(args + ["--seeds", "4-5"]) == 0
     summary = json.loads(out.read_text())["workloads"]["routed-small"]
+    assert summary["trees"]["parent"] == str(tmp_path.resolve())
     assert summary["pairs"] == 5 and summary["seeds"] == [1, 2, 3, 4, 5]
     assert [p["first"] for p in summary["runs"]] == ["parent", "candidate"] * 2 + ["parent"]
     assert summary["metrics"]["step_ms.p50"]["candidate"] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-@pytest.mark.parametrize("seeds, seconds, message", [
-    ("3-4", "1", "seed 3 of routed-small is already in"),
-    ("4-4", "2", "--seconds 2.0 differs from the 1.0 of the routed-small pairs already in"),
-], ids=["recorded-seed", "other-seconds"])
+@pytest.mark.parametrize("seeds, seconds, parent, message", [
+    ("3-4", "1", None, "seed 3 of routed-small is already in"),
+    ("4-4", "2", None,
+     "--seconds 2.0 differs from the 1.0 of the routed-small pairs already in"),
+    ("4-4", "1", "other", "differ from the trees {'parent': "),
+], ids=["recorded-seed", "other-seconds", "other-parent"])
 def test_a_run_that_clashes_with_the_recorded_pairs_is_a_usage_error(tmp_path, capsys,
                                                                      monkeypatch, seeds,
-                                                                     seconds, message):
+                                                                     seconds, parent, message):
     monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once)
     out = tmp_path / "out.json"
-    args = ["--parent", str(tmp_path), "--candidate", str(ROOT), "--workload", "routed-small",
-            "--out", str(out)]
-    assert bench_pairs.main(args + ["--seeds", "1-3", "--seconds", "1"]) == 0
+    args = ["--candidate", str(ROOT), "--workload", "routed-small", "--out", str(out)]
+    assert bench_pairs.main(args + ["--parent", str(tmp_path), "--seeds", "1-3",
+                                    "--seconds", "1"]) == 0
     before = out.read_text()
+    (tmp_path / "other").mkdir()
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a benchmark ran"))
     with pytest.raises(SystemExit) as exit_info:
-        bench_pairs.main(args + ["--seeds", seeds, "--seconds", seconds])
+        bench_pairs.main(args + ["--parent", str(tmp_path / (parent or "")), "--seeds", seeds,
+                                 "--seconds", seconds])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
     assert out.read_text() == before

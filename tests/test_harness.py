@@ -278,7 +278,14 @@ def trained(monkeypatch):
      "run 'other' changes data.seed"),
     (lambda cfg: harness.sweep_runs(cfg, "topk", [1, 2, np.int64(1)]), None, ValueError,
      "sweep over 'topk': value 1 repeats"),
-], ids=["no-seeds", "empty-seed-array", "data-n-samples", "data-seed", "repeated-value"])
+    (lambda cfg: {"full": [], "a": ["seed=5"]}, None, ConfigError,
+     "run 'a' sets seed=5, but run_grid trains it on seed 0: pass seeds to run_grid instead"),
+    (lambda cfg: {"a": ["seed=3"]}, [3, 4], ConfigError,
+     "run 'a' sets seed=3, but run_grid trains it on seed 4"),
+    (TABLES["ablations"], np.array([3, 1, 3]), ValueError,
+     "run_grid: a seed repeats in [3, 1, 3], so a run would train twice"),
+], ids=["no-seeds", "empty-seed-array", "data-n-samples", "data-seed", "repeated-value",
+        "run-sets-a-seed", "run-sets-one-of-the-seeds", "repeated-seed"])
 def test_grid_rejects_a_bad_table_before_training_or_writing(small, trained, tmp_path,
                                                              monkeypatch, table, seeds, error,
                                                              message):
@@ -294,6 +301,12 @@ def test_a_run_that_leaves_the_data_section_as_it_is_trains(small, trained):
     cfg, dataset = small
     harness.run_grid(cfg, {"same": ["data.n_samples=80"]}, dataset=dataset)
     assert len(trained) == 1
+
+
+def test_a_run_that_sets_the_seed_it_is_given_trains(small, trained):
+    cfg, dataset = small
+    harness.run_grid(cfg, {"pinned": ["seed=7"]}, dataset=dataset, seeds=[7])
+    assert [c.seed for c in trained] == [7]
 
 
 @pytest.mark.parametrize("axis, value, message", [
@@ -355,14 +368,13 @@ def diverging():
 def test_sweep_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
     cfg, dataset = diverging
     runs = harness.sweep_runs(cfg, "topk", [1])
-    rows = harness.run_grid(cfg, runs, dataset=dataset, out_dir=tmp_path,
-                            csv_name="sweep_topk.csv")
+    rows = harness.run_grid(cfg, runs, dataset=dataset, out_dir=tmp_path)
     result = harness.train(cfg, dataset=dataset)
     assert result.halt_reason.startswith("non-finite value at step 20:")
     final = result.final()
     assert final.step == 10
     assert rows == [["topk=1", cfg.seed, *final.row(), True]]
-    assert (tmp_path / "sweep_topk.csv").read_text().splitlines()[1].endswith(",True")
+    assert (tmp_path / "grid.csv").read_text().splitlines()[1].endswith(",True")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["halted"] == [{"run": "topk=1", "seed": cfg.seed,
                                    "halt_reason": result.halt_reason}]
