@@ -297,16 +297,14 @@ def test_grid_rejects_a_bad_table_before_training_or_writing(small, trained, tmp
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_run_that_leaves_the_data_section_as_it_is_trains(small, trained):
+@pytest.mark.parametrize("runs, seeds", [
+    ({"same": ["data.n_samples=80"]}, None),
+    ({"pinned": ["seed=7"]}, [7]),
+], ids=["same-data", "the-seed-it-is-given"])
+def test_a_run_that_keeps_the_shared_data_and_its_seed_trains(small, trained, runs, seeds):
     cfg, dataset = small
-    harness.run_grid(cfg, {"same": ["data.n_samples=80"]}, dataset=dataset)
-    assert len(trained) == 1
-
-
-def test_a_run_that_sets_the_seed_it_is_given_trains(small, trained):
-    cfg, dataset = small
-    harness.run_grid(cfg, {"pinned": ["seed=7"]}, dataset=dataset, seeds=[7])
-    assert [c.seed for c in trained] == [7]
+    harness.run_grid(cfg, runs, dataset=dataset, seeds=seeds)
+    assert [c.seed for c in trained] == (seeds or [cfg.seed])
 
 
 @pytest.mark.parametrize("axis, value, message", [
