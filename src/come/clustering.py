@@ -25,9 +25,9 @@ the loops are written:
   column pairwise instead, so that case sums each cluster separately.
 - ``k`` above the number of distinct points raises TooFewDistinctPoints.
   The distinct count (an ``np.unique`` over rows) is only computed when it
-  can matter: for an ``init`` warm start, for k < 1 or k > N, and when a
-  farthest-first pick lands at distance 0. A pick at positive distance
-  differs from every earlier pick, so k such picks prove k distinct points.
+  can matter: for k < 1 or k > N, and when a farthest-first pick lands at
+  distance 0. A pick at positive distance differs from every earlier pick,
+  so k such picks prove k distinct points.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class KMeansRun:
     assignments: Array  # (N,) int
     inertia_history: list  # one entry per Lloyd iteration
     converged: bool
-
-    @property
-    def inertia(self) -> float:
-        return self.inertia_history[-1]
 
     @property
     def n_iters(self) -> int:
@@ -117,29 +113,24 @@ def _farthest_first_seed(points: Array, k: int, rng: np.random.Generator) -> Arr
 
 
 def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
-           init: Array | None = None, max_iters: int = MAX_ITERS) -> KMeansRun:
+           max_iters: int = MAX_ITERS) -> KMeansRun:
     """Lloyd iterations until the assignment fixpoint or ``max_iters``.
 
-    ``init`` warm-starts from given centroids; otherwise seeding is
-    farthest-first using ``rng``. Raises TooFewDistinctPoints (a ValueError)
-    for k above the number of distinct points. Empty clusters are re-seeded
-    from the point farthest from its centroid, keeping k fixed. The points
-    are not checked for NaN or Inf; inside ``ComeModel.forward`` an
-    overflowing distance or mean raises FloatingPointError.
+    Seeding is farthest-first using ``rng``. Raises TooFewDistinctPoints
+    (a ValueError) for k above the number of distinct points. Empty clusters
+    are re-seeded from the point farthest from its centroid, keeping k
+    fixed. The points are not checked for NaN or Inf; inside
+    ``ComeModel.forward`` an overflowing distance or mean raises
+    FloatingPointError.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("kmeans: points must be (N, D)")
     if max_iters < 1:
         raise ValueError("kmeans: max_iters must be >= 1")
-    if init is not None:
-        centroids = np.asarray(init, dtype=np.float64).copy()
-        k = centroids.shape[0]
-        _require_distinct(pts, k)
-    elif k < 1 or k > pts.shape[0]:
+    if k < 1 or k > pts.shape[0]:
         _require_distinct(pts, k)  # raises, naming the distinct count
-    else:
-        centroids = _farthest_first_seed(pts, k, rng if rng is not None else np.random.default_rng(0))
+    centroids = _farthest_first_seed(pts, k, rng if rng is not None else np.random.default_rng(0))
 
     n, d = pts.shape
     terms = _point_terms(pts)

@@ -41,7 +41,6 @@ class ModelConfig:
     arch: str = "come"  # come | dense
     heads: int = 4
     n_experts: int = 8
-    expert_hidden_ratio: int = 4
     attention_residual: bool = False
     structure_expert: bool = True
     semantic_expert: bool = True
@@ -103,8 +102,8 @@ class RunConfig:
             (">= 0", lambda v: v >= 0,
              ("seed", "data.seed", "losses.tb_weight", "losses.balance_weight", "training.steps")),
             (">= 1", lambda v: v >= 1,
-             ("model.heads", "model.expert_hidden_ratio", "training.batch_size",
-              "training.log_every", "training.eval_batches")),
+             ("model.heads", "training.batch_size", "training.log_every",
+              "training.eval_batches")),
         ):
             for key in keys:
                 if not holds(leaves[key]):
@@ -133,6 +132,12 @@ class RunConfig:
             self.data.validate()
         except ValueError as exc:
             raise ConfigError(f"data: {exc}") from exc
+        if not 0 < self.data.n_train < self.data.n_samples:
+            empty = "training" if self.data.n_train == 0 else "test"
+            raise ConfigError(
+                f"data.train_fraction={self.data.train_fraction} of "
+                f"data.n_samples={self.data.n_samples} leaves the {empty} split empty"
+            )
         return self
 
 

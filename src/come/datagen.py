@@ -60,6 +60,11 @@ class GeneratorConfig:
     source_basis_mode: str = "shared"  # shared | private
     train_fraction: float = 0.8
 
+    @property
+    def n_train(self) -> int:
+        """Samples in the training split; the rest are the test split."""
+        return int(round(self.train_fraction * self.n_samples))
+
     def validate(self):
         if self.source_basis_mode not in ("shared", "private"):
             raise ValueError("source_basis_mode must be shared|private")
@@ -193,9 +198,8 @@ def generate(cfg: GeneratorConfig, seed: int) -> DatasetBundle:
         labels[blk] = scores.argmax(axis=1)
 
     perm = rng.permutation(n)
-    n_train = int(round(cfg.train_fraction * n))
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
+    train_idx = np.sort(perm[: cfg.n_train])
+    test_idx = np.sort(perm[cfg.n_train :])
 
     return DatasetBundle(
         tokens=tokens,

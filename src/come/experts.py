@@ -7,7 +7,8 @@ cluster feature. Which bank experts a source owns is ``ComeModel.group_size``.
 
 ``init_ffn``/``ffn_forward``/``ffn_backward`` define the one two-layer tanh
 FFN: every bank expert is one, under the parameter prefix ``expert.{i}``,
-and so is the dense baseline's body, under ``dense``.
+and so is the dense baseline's body, under ``dense``. A bank expert's
+hidden width is ``EXPERT_HIDDEN_RATIO`` times the token width.
 
 The frozen experts live outside the trainable ``params``: ``init_frozen``
 returns read-only ``frozen.{kind}.{w,b}`` arrays, which the model keeps in
@@ -53,6 +54,10 @@ def frozen_forward(frozen: dict, kind: str, tokens: Array) -> Array:
 # ---------------------------------------------------------------------------
 # source-specific expert bank
 # ---------------------------------------------------------------------------
+
+
+# Hidden width of a bank expert per unit of token width.
+EXPERT_HIDDEN_RATIO = 4
 
 
 def init_ffn(prefix: str, width: int, hidden: int, rng: np.random.Generator) -> dict:

@@ -13,6 +13,7 @@ section or its own seed are checked before the first run trains.
 
 from __future__ import annotations
 
+import csv
 import json
 import traceback
 from dataclasses import asdict, dataclass, fields
@@ -99,17 +100,10 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path, header: list, rows: list) -> Path:
     p = Path(path)
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    p.write_text("\n".join(lines) + "\n")
+    with p.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     return p
 
 
@@ -264,15 +258,16 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     if dataset is None:
         dataset = build_dataset(cfg)
     _check_dataset(cfg, dataset)
+    train_idx = dataset.train_idx
+    for name, idx in (("training", train_idx), ("test", dataset.test_idx)):
+        if idx.size == 0:
+            raise ValueError(f"train: dataset has no {name} samples")
     model = ComeModel.build(cfg)
     init_digest = model.parameter_digest()
     frozen_before = checkpoint_digest(model.frozen)
     opt = AdamWState(**asdict(cfg.optimizer))
     streams = RandomStreams(cfg.seed)
 
-    train_idx = dataset.train_idx
-    if train_idx.size == 0:
-        raise ValueError("train: dataset has no training samples")
     bs = min(cfg.training.batch_size, train_idx.size)
     steps_per_epoch = max(1, train_idx.size // bs)
     eval_n = cfg.training.eval_batches * bs
@@ -340,7 +335,7 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
 
 def _log_point(model, dataset, state: ForwardState, step, bs, eval_train, eval_test):
     tr = evaluate(model, dataset, eval_train, batch_size=bs)
-    te = evaluate(model, dataset, eval_test, batch_size=bs) if eval_test.size else tr
+    te = evaluate(model, dataset, eval_test, batch_size=bs)
     rep = state.report
     return MetricsRecord(
         step=step,
@@ -424,10 +419,11 @@ def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,
     the run name, the seed, the final logged ``MetricsRecord.row()`` (nan
     cells if the run logged nothing) and whether the run halted. Before any
     run trains, every run's config is validated, and empty ``runs`` or
-    ``seeds``, a repeated seed, and a run whose overrides change the ``data``
-    section or set a seed other than the one it is given are rejected. With
-    ``out_dir``, writes the rows to ``grid.csv`` and a manifest with the
-    runs' overrides, the seeds and each halt's reason.
+    ``seeds``, a repeated seed, and a run whose overrides are not a list of
+    strings, change the ``data`` section or set a seed other than the one it
+    is given are rejected. With ``out_dir``, writes the rows to ``grid.csv``
+    and a manifest with the runs' overrides, the seeds and each halt's
+    reason.
     """
     cfg.validate()
     seeds = [cfg.seed] if seeds is None else [_plain(s) for s in seeds]
@@ -436,6 +432,10 @@ def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,
             raise ValueError(f"run_grid: {name} is empty, so no run would train")
     configs = []
     for name, overrides in runs.items():
+        strings = isinstance(overrides, (list, tuple)) and all(isinstance(o, str) for o in overrides)
+        if not strings:
+            raise ConfigError(f"run {name!r}: overrides must be a list of key=value strings, "
+                              f"got {overrides!r}")
         for seed in seeds:
             run_cfg = apply_overrides(cfg, [f"seed={json.dumps(seed)}", *overrides]).validate()
             if run_cfg.seed != seed:

@@ -53,6 +53,7 @@ from .config import RunConfig
 from .container import checkpoint_digest, load_checkpoint, save_checkpoint
 from .datagen import TokenBatch
 from .experts import (
+    EXPERT_HIDDEN_RATIO,
     dr_backward,
     dr_forward,
     expert_mixture_backward,
@@ -126,7 +127,7 @@ def matched_dense_hidden(cfg: RunConfig) -> int:
     router + the two frozen shared maps; attention and classifier are
     common to both architectures)."""
     d = cfg.data.width
-    dh = cfg.model.expert_hidden_ratio * d
+    dh = EXPERT_HIDDEN_RATIO * d
     k = cfg.router.top_k
     experts_active = k * (d * dh + dh + dh * d + d)
     dim_reduction = 2 * d * d + d
@@ -180,7 +181,7 @@ class ComeModel:
                 seed = int(streams.stream("init", index).integers(2**62))
                 frozen.update(init_frozen(kind, d, np.random.default_rng(seed)))
             params.update(init_expert_bank(
-                cfg.model.n_experts, d, cfg.model.expert_hidden_ratio * d,
+                cfg.model.n_experts, d, EXPERT_HIDDEN_RATIO * d,
                 streams.stream("init", 1),
             ))
             params.update(init_dim_reduction(d))

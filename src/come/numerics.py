@@ -7,11 +7,10 @@ not check their inputs for NaN or Inf: values from outside the program are
 checked where they enter (``require_finite``), and the model's forward and
 the training step raise on the first overflowing or invalid operation.
 
-The normal CDF needs only NumPy and the standard library. For |x| < sqrt(2),
-bar the last double below it, it is the Cephes rational erf evaluated in
-Cephes ``ndtr``'s operation order, so it matches SciPy's ``ndtr`` bit for
-bit there, on every gate value the load loss passes it. Beyond that it takes
-the tail from ``math.erfc``.
+The normal CDF needs only NumPy and takes only the gate range: every entry
+must have |x| < sqrt(2), bar the last double below it, or it raises
+ValueError, NaN included. There it is the Cephes rational erf in Cephes
+``ndtr``'s operation order, so it matches SciPy's ``ndtr`` bit for bit.
 """
 
 from __future__ import annotations
@@ -101,10 +100,22 @@ def softmax_backward(probs: Array, grad_out: Array, out: Array | None = None) ->
     return out
 
 
-def _ndtr_rational(z: Array) -> Array:
-    """0.5 + 0.5 erf(z) for a 1-D array with every |z| < 1, computed in place
-    in Cephes' operation order: Horner from the leading coefficient for T
-    (``polevl``), from z^2 + U[0] for U (``p1evl``), then z * T / U."""
+def normal_cdf(x: Array) -> Array:
+    """Standard-normal CDF Phi(x) = (1 + erf(x / sqrt(2))) / 2 on the gate range.
+
+    With z = x / sqrt(2) as rounded, every entry must have |z| < 1 (every
+    |x| < sqrt(2) but the last double below it), or ValueError is raised,
+    NaN included. Phi is then 0.5 + 0.5 erf(z), with erf the Cephes rational
+    z T(z^2) / U(z^2) in Cephes ``ndtr``'s operation order: Horner from the
+    leading coefficient for T (``polevl``), from z^2 + U[0] for U
+    (``p1evl``). So it equals SciPy's ``ndtr`` bit for bit.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    z = arr.ravel() * _SQRT1_2
+    size = np.abs(z)
+    if not size.max(initial=0.0) < 1.0:  # NaN fails this too
+        bad = float(arr.ravel()[~(size < 1.0)][0])
+        raise ValueError(f"normal_cdf: every entry must have |x| < sqrt(2), got {bad}")
     zz = z * z
     p = zz * _ERF_T[0]
     p += _ERF_T[1]
@@ -119,47 +130,13 @@ def _ndtr_rational(z: Array) -> Array:
     p /= q
     p *= 0.5
     p += 0.5
-    return p
+    return p.reshape(arr.shape)
 
 
-def _ndtr_tail(z: float) -> float:
-    y = 0.5 * math.erfc(abs(z))
-    return 1.0 - y if z > 0 else y
-
-
-def normal_cdf(x):
-    """Standard-normal CDF Phi(x) = (1 + erf(x / sqrt(2))) / 2, NumPy only.
-
-    With z = x / sqrt(2) as rounded, entries with |z| < 1 (every |x| <
-    sqrt(2) but the last double below it) take Cephes ``ndtr``'s branch
-    0.5 + 0.5 erf(z), with erf from the Cephes rational approximation
-    z T(z^2) / U(z^2) in Cephes' operation order, so they equal SciPy's
-    ``ndtr`` bit for bit. The rest take 0.5 erfc(|z|) from ``math.erfc``,
-    or 1 minus that when x > 0: +inf gives 1, -inf 0 and NaN NaN. The
-    relative error stays within 4 eps max(1, x^2): in the lower tail the
-    CDF amplifies the rounding of z by about x^2. Accepts scalars or
-    arrays; a scalar gives a float.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    z = arr.ravel() * _SQRT1_2
-    size = np.abs(z)
-    if size.max(initial=0.0) < 1.0:  # NaN fails this and takes the tail
-        out = _ndtr_rational(z)
-    else:
-        inner = size < 1.0
-        out = np.empty_like(z)
-        out[inner] = _ndtr_rational(z[inner])
-        outer = ~inner
-        out[outer] = [_ndtr_tail(v) for v in z[outer].tolist()]
-    out = out.reshape(arr.shape)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def normal_pdf(x):
+def normal_pdf(x: Array) -> Array:
     """Standard-normal density (the derivative of :func:`normal_cdf`)."""
     arr = np.asarray(x, dtype=np.float64)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
 
 
 def cv_squared(v: Array):

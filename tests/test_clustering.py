@@ -27,7 +27,7 @@ def _assignment_cost(points, labels, k):
 def test_kmeans_separated_points_zero_inertia():
     pts = np.array([[0.0, 0.0], [5.0, 5.0], [-7.0, 3.0]])
     run = kmeans(pts, 3, rng=_rng())
-    assert run.inertia == 0.0
+    assert run.inertia_history[-1] == 0.0
     assert sorted(map(tuple, run.centroids)) == sorted(map(tuple, pts))
 
 
@@ -41,7 +41,7 @@ def test_kmeans_four_point_fixture_matches_brute_force():
     )
     run = kmeans(pts, 2, rng=_rng(1))
     assert abs(best - 1.0) < 1e-12
-    assert abs(run.inertia - best) < 1e-12
+    assert abs(run.inertia_history[-1] - best) < 1e-12
     np.testing.assert_allclose(
         sorted(map(tuple, run.centroids)), [(0.0, 0.5), (10.0, 0.5)], atol=1e-12
     )
@@ -54,7 +54,7 @@ def test_kmeans_beats_random_assignments():
     random_costs = [
         _assignment_cost(pts, rng.integers(0, 4, size=200), 4) for _ in range(50)
     ]
-    assert run.inertia <= min(random_costs)
+    assert run.inertia_history[-1] <= min(random_costs)
 
 
 def test_kmeans_inertia_monotone_on_random_instances():
@@ -100,18 +100,14 @@ def _loop_farthest_first_seed(points, k, rng):
     return points[chosen].copy()
 
 
-def _loop_kmeans(points, k, rng=None, init=None, max_iters=100):
+def _loop_kmeans(points, k, rng=None, max_iters=100):
     pts = np.asarray(points, dtype=np.float64)
     n_distinct = np.unique(pts, axis=0).shape[0]
-    if init is not None:
-        centroids = np.asarray(init, dtype=np.float64).copy()
-        k = centroids.shape[0]
     if k < 1 or k > n_distinct:
         raise ValueError(f"kmeans: k={k} exceeds {n_distinct} distinct points")
-    if init is None:
-        centroids = _loop_farthest_first_seed(
-            pts, k, rng if rng is not None else np.random.default_rng(0)
-        )
+    centroids = _loop_farthest_first_seed(
+        pts, k, rng if rng is not None else np.random.default_rng(0)
+    )
     assignments = np.full(pts.shape[0], -1, dtype=np.int64)
     history = []
     converged = False
@@ -138,10 +134,10 @@ def _loop_kmeans(points, k, rng=None, init=None, max_iters=100):
     return centroids, assignments, history, it, converged
 
 
-def _assert_matches_loop(pts, k, seed=None, init=None, max_iters=100):
+def _assert_matches_loop(pts, k, seed=None, max_iters=100):
     def call(fn):
         rng = None if seed is None else _rng(seed)
-        return fn(pts, k, rng=rng, init=init, max_iters=max_iters)
+        return fn(pts, k, rng=rng, max_iters=max_iters)
 
     try:
         want = call(_loop_kmeans)
@@ -157,7 +153,6 @@ def _assert_matches_loop(pts, k, seed=None, init=None, max_iters=100):
     assert run.assignments.dtype == assignments.dtype
     assert run.assignments.tobytes() == assignments.tobytes()
     assert np.array(run.inertia_history).tobytes() == np.array(history).tobytes()
-    assert np.float64(run.inertia).tobytes() == np.float64(history[-1]).tobytes()
     assert (run.n_iters, run.converged) == (n_iters, converged)
     return run
 
@@ -183,11 +178,11 @@ def test_kmeans_matches_loop_reference():
     for k in (1, 5, len(np.unique(dup, axis=0)), 16):
         _assert_matches_loop(dup, k, seed=k)
     _assert_matches_loop(np.repeat(base[:3, :1], 9, axis=0), 3, seed=1)
-    # the init= warm start whose empty clusters get repaired
-    pts = np.concatenate([_rng(5).normal(size=(30, 2)), [[50.0, 50.0]]])
-    init = np.array([[100.0, 100.0], [100.0, 100.0], [0.0, 0.0]])
-    assert _assert_matches_loop(pts, 3, init=init).n_iters > 1
-    _assert_matches_loop(pts, 3, init=init[:2], max_iters=1)
+    # far from the origin, where mean updates leave clusters empty to be repaired
+    for seed in range(3):
+        for max_iters in (2, 100):
+            _assert_matches_loop(1e8 + _rng(seed).normal(size=(8, 2)), 3, seed=0,
+                                 max_iters=max_iters)
     # a cluster whose members all have -0.0 in one coordinate
     neg = np.concatenate([rng.normal(size=(20, 3)) + 10.0, rng.normal(size=(20, 3))])
     neg[:20, 1] = -0.0
@@ -196,21 +191,25 @@ def test_kmeans_matches_loop_reference():
         run = _assert_matches_loop(neg[:, cols], 2, seed=3)
         assert np.array_equal(np.bincount(run.assignments), [20, 20])
     _assert_matches_loop(np.array([[-0.0, 1.0], [-0.0, 1.0], [5.0, -0.0]]), 2, seed=0)
-    # k above the distinct count, through seeding, init=, k < 1 and k > N
-    for k, init in ((3, None), (0, None), (4, None), (3, np.zeros((3, 2)))):
+    # k above the distinct count, through seeding, k < 1 and k > N
+    for k in (3, 0, 4):
         assert _assert_matches_loop(
-            np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]), k, seed=0, init=init
+            np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]), k, seed=0
         ) is None
     assert _assert_matches_loop(np.zeros((0, 2)), 2, seed=0) is None
 
 
 def test_kmeans_repairs_empty_clusters_keeping_k():
-    # adversarial warm start: two centroids on top of each other far away
-    pts = np.concatenate([_rng(5).normal(size=(30, 2)), [[50.0, 50.0]]])
-    init = np.array([[100.0, 100.0], [100.0, 100.0], [0.0, 0.0]])
-    run = kmeans(pts, 3, init=init)
+    # Far from the origin the Lloyd distance ||x||^2 + ||c||^2 - 2 x.c is
+    # rounding noise, so the second assignment leaves cluster 1 empty: its
+    # centroid, a mean of two points, is re-seeded at the farthest point
+    pts = 1e8 + _rng(0).normal(size=(8, 2))
+    first = kmeans(pts, 3, rng=_rng(0), max_iters=1)
+    assert np.bincount(first.assignments, minlength=3).tolist() == [4, 2, 2]
+    run = kmeans(pts, 3, rng=_rng(0))
     assert run.centroids.shape == (3, 2)
-    assert len(np.unique(run.assignments)) == 3
+    assert np.bincount(run.assignments, minlength=3).tolist() == [7, 0, 1]
+    assert (run.centroids[1] == pts).all(axis=1).any()
 
 
 def test_kmeans_deterministic_given_seed():
@@ -233,14 +232,14 @@ def test_fine2coarse_on_sixteen_distinct_positions():
     model = fine2coarse(tokens, m=16, k=8, rng=_rng(9))
     # the mean of identical copies reproduces the position only to an ulp,
     # so "inertia 0" holds up to accumulated rounding
-    assert model.fine.inertia < 1e-9
+    assert model.fine.inertia_history[-1] < 1e-9
     np.testing.assert_allclose(
         sorted(map(tuple, model.fine.centroids)), sorted(map(tuple, positions)), atol=1e-12
     )
     # phase 2 is k-means over those positions: its inertia is the cost of
     # the coarse centroids on the fine-centroid set
     d2 = ((model.fine.centroids[:, None, :] - model.coarse.centroids[None, :, :]) ** 2).sum(-1)
-    assert abs(d2.min(axis=1).sum() - model.coarse.inertia) < 1e-9
+    assert abs(d2.min(axis=1).sum() - model.coarse.inertia_history[-1]) < 1e-9
 
 
 def test_fine2coarse_separated_sources_have_pure_coarse_clusters():

@@ -35,7 +35,10 @@ from come.numerics import AdamWConfig, AdamWState
         ),
         (["model.arch=moe"], "model.arch must be come|dense, got 'moe'"),
         (["data.seed=-1"], "data.seed must be >= 0, got -1"),
-        (["model.expert_hidden_ratio=0"], "model.expert_hidden_ratio must be >= 1, got 0"),
+        (
+            ["data.n_samples=200", "data.train_fraction=0.999"],
+            "data.train_fraction=0.999 of data.n_samples=200 leaves the test split empty",
+        ),
         (["training.batch_size=0"], "training.batch_size must be >= 1, got 0"),
         (["training.steps=-1"], "training.steps must be >= 0, got -1"),
         (["router.top_k=0"], "router.top_k=0 outside [1, 8]"),
@@ -66,6 +69,8 @@ from come.numerics import AdamWConfig, AdamWState
          "data.source_weights must be finite, got [nan, 1, 1, 1]"),
         (["data.source_weights=[1e308, 1e308, 1, 1]"],
          "data: source_weights sum past the largest float: [1e+308, 1e+308, 1, 1]"),
+        (["data.n_samples=1", "data.train_fraction=0.4"],
+         "data.train_fraction=0.4 of data.n_samples=1 leaves the training split empty"),
     ],
 )
 def test_validate_names_the_bad_key_and_value(overrides, message):
@@ -88,6 +93,7 @@ def test_validate_names_the_bad_key_and_value(overrides, message):
         "model.frozen_scale=0.3",
         "clustering.max_iters=50",
         "router.temperature=1.0",
+        "model.expert_hidden_ratio=4",
     ],
 )
 def test_removed_keys_are_rejected(override):
@@ -144,8 +150,8 @@ JSON_VALUES = st.recursive(
 )
 
 
-def test_there_are_43_config_keys():
-    assert len(LEAF_KEYS) == 43
+def test_there_are_42_config_keys():
+    assert len(LEAF_KEYS) == 42
 
 
 def test_the_optimizer_section_is_the_config_adamw_state_extends():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from come import harness
 from come.config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from come.container import save_dataset
+from come.datagen import generate
 from come.model import ComeModel
 from come.numerics import RandomStreams
 from come.router import DispatchPlan
@@ -171,6 +173,19 @@ def test_logged_test_accuracy_states_its_sample_count(small, tmp_path):
     assert [line.split(",")[3] for line in lines[1:]] == ["8", "8"]
 
 
+@pytest.mark.parametrize("train_fraction, empty", [(0.001, "training"), (0.999, "test")],
+                         ids=["no-training-samples", "no-test-samples"])
+def test_train_rejects_an_empty_split_before_building_a_model(small, monkeypatch,
+                                                              train_fraction, empty):
+    # the config itself is valid: only the dataset handed to train lacks a split
+    cfg, _ = small
+    generator = dataclasses.replace(cfg.data.generator(), train_fraction=train_fraction)
+    dataset = generate(generator, cfg.data.seed)
+    monkeypatch.setattr(harness.ComeModel, "build", lambda _: pytest.fail("a model was built"))
+    with pytest.raises(ValueError, match=f"train: dataset has no {empty} samples"):
+        harness.train(cfg, dataset=dataset)
+
+
 def test_a_capacity_factor_past_float_range_trains_without_overflow():
     # f N K / E overflows to inf; the capacity is then every token of the batch
     cfg = apply_overrides(RunConfig(), ["router.capacity_factor=1e308", "training.steps=3",
@@ -235,7 +250,7 @@ def test_grid_rows_csv_and_manifest(small, tmp_path, table, seeds):
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == ",".join(harness.GRID_HEADER)
     assert harness.GRID_HEADER == ["run", "seed", *harness.METRICS_HEADER, "halted"]
-    assert lines[1:] == [",".join(harness._fmt(v) for v in row) for row in rows]
+    assert lines[1:] == [",".join(map(str, row)) for row in rows]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "grid"
     assert manifest["runs"] == runs
@@ -284,8 +299,11 @@ def trained(monkeypatch):
      "run 'a' sets seed=3, but run_grid trains it on seed 4"),
     (TABLES["ablations"], np.array([3, 1, 3]), ValueError,
      "run_grid: a seed repeats in [3, 1, 3], so a run would train twice"),
+    (lambda cfg: {"full": [], "dense": "model.arch=dense"}, None, ConfigError,
+     "run 'dense': overrides must be a list of key=value strings, got 'model.arch=dense'"),
 ], ids=["no-seeds", "empty-seed-array", "data-n-samples", "data-seed", "repeated-value",
-        "run-sets-a-seed", "run-sets-one-of-the-seeds", "repeated-seed"])
+        "run-sets-a-seed", "run-sets-one-of-the-seeds", "repeated-seed",
+        "overrides-not-a-list"])
 def test_grid_rejects_a_bad_table_before_training_or_writing(small, trained, tmp_path,
                                                              monkeypatch, table, seeds, error,
                                                              message):
@@ -295,6 +313,17 @@ def test_grid_rejects_a_bad_table_before_training_or_writing(small, trained, tmp
         harness.run_grid(cfg, table(cfg), seeds=seeds, out_dir=tmp_path)
     assert trained == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_csv_quotes_a_run_name_with_a_comma(small, trained, tmp_path):
+    cfg, dataset = small
+    name = "lr=1e-3, wd=0"
+    harness.run_grid(cfg, {name: []}, dataset=dataset, out_dir=tmp_path)
+    with open(tmp_path / "grid.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == harness.GRID_HEADER
+    assert [len(row) for row in rows] == [len(header)]
+    assert rows[0][:2] == [name, str(cfg.seed)]
 
 
 @pytest.mark.parametrize("runs, seeds", [

@@ -7,6 +7,7 @@ import come.model
 from come.config import RunConfig, apply_overrides, config_from_dict
 from come.container import checkpoint_digest
 from come.datagen import TokenBatch, generate
+from come.experts import EXPERT_HIDDEN_RATIO
 from come.harness import ABLATION_VARIANTS, evaluate
 from come.model import ComeModel, component_grad_check, matched_dense_hidden
 from come.numerics import AdamWState, adamw_step
@@ -315,7 +316,7 @@ def test_matched_dense_hidden_accounting():
     d = cfg.data.width
     hidden = matched_dense_hidden(cfg)
     dense_params = 2 * d * hidden + hidden + d
-    dh = cfg.model.expert_hidden_ratio * d
+    dh = EXPERT_HIDDEN_RATIO * d
     active = (
         2 * (d * dh + dh + dh * d + d)  # top_k experts
         + (2 * d * d + d)  # dimension reduction

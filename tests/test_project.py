@@ -40,16 +40,27 @@ def _imported_top_level_modules(source: str) -> set:
     return names
 
 
+def _requirement_names(specs) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+            for spec in specs}
+
+
 def test_runtime_dependencies_are_exactly_the_third_party_imports():
     imported = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         imported |= _imported_top_level_modules(path.read_text())
     third_party = imported - set(sys.stdlib_module_names) - {"come"}
-    declared = {
-        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
-        for spec in _project()["dependencies"]
-    }
-    assert third_party == declared
+    assert third_party == _requirement_names(_project()["dependencies"])
+
+
+def test_dev_extras_are_exactly_the_third_party_test_imports():
+    imported = set()
+    for folder in (ROOT / "tests", ROOT / "perfbench" / "tests"):
+        for path in sorted(folder.rglob("*.py")):
+            imported |= _imported_top_level_modules(path.read_text())
+    runtime = _requirement_names(_project()["dependencies"])
+    third_party = imported - set(sys.stdlib_module_names) - runtime - {"come", "perfbench"}
+    assert third_party == _requirement_names(_project()["optional-dependencies"]["dev"])
 
 
 def test_importing_every_module_loads_no_scipy():
