@@ -97,17 +97,17 @@ class RunConfig:
             raise ConfigError(
                 f"router.top_k={self.router.top_k} outside [1, {self.model.n_experts}]"
             )
-        for bound, holds, keys in (
-            ("> 0", lambda v: v > 0, ("router.capacity_factor",)),
-            (">= 0", lambda v: v >= 0,
-             ("seed", "data.seed", "losses.tb_weight", "losses.balance_weight", "training.steps")),
-            (">= 1", lambda v: v >= 1,
-             ("model.heads", "training.batch_size", "training.log_every",
-              "training.eval_batches")),
-        ):
+
+        def bounded(bound, holds, *keys):
             for key in keys:
                 if not holds(leaves[key]):
                     raise ConfigError(f"{key} must be {bound}, got {leaves[key]}")
+
+        bounded("> 0", lambda v: v > 0, "router.capacity_factor")
+        bounded(">= 0", lambda v: v >= 0, "seed", "data.seed", "losses.tb_weight",
+                "losses.balance_weight", "training.steps")
+        bounded(">= 1", lambda v: v >= 1, "model.heads", "training.batch_size",
+                "training.log_every", "training.eval_batches")
         if self.model.arch == "come" and self.model.n_experts < self.data.n_sources:
             # traceability (computed even at weight 0) needs every source to own an expert
             raise ConfigError(
@@ -128,6 +128,10 @@ class RunConfig:
                 numbers = value if isinstance(value, list) else [value]
                 if not all(map(finite_number, numbers)):
                     raise ConfigError(f"{key} must be finite, got {value!r}")
+        # after the finite check, so a NaN optimizer value is reported as not finite
+        bounded("in [0, 1)", lambda v: 0 <= v < 1, "optimizer.beta1", "optimizer.beta2")
+        bounded("> 0", lambda v: v > 0, "optimizer.eps")
+        bounded(">= 0", lambda v: v >= 0, "optimizer.lr", "optimizer.weight_decay")
         try:
             self.data.validate()
         except ValueError as exc:

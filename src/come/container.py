@@ -1,28 +1,26 @@
-"""Binary containers for datasets and model checkpoints.
+"""One binary container of named f64 arrays, for model checkpoints and datasets.
 
-Both files open with the magic bytes ``COME`` and a u32 format version;
-all integers and floats are little-endian, and every tensor payload is f64,
-so an array loads back bit-exact.
+The file opens with the magic bytes ``COME`` and a u32 format version; all
+integers and floats are little-endian, and every array is f64, so an array
+loads back bit-exact::
 
-Dataset container (version 2)::
-
-    "COME" | u32 version | u32 n_samples | u32 tokens | u32 width
-    then per sample: u32 source id | u32 label | tokens*width f64
-
-A JSON sidecar (same path with a .json suffix) records the generator
-parameters and the train/test indices.
-
-Checkpoint container (version 2)::
-
-    "COME" | u32 version | u32 n_blobs
+    "COME" | u32 version (2) | u32 n_blobs
     then per blob, in name order: u16 name length | name utf-8 | u8 ndim | u32 dims... | f64 data
 
 A model checkpoint holds its trainable parameters and, for the routed
 model, the frozen shared experts as ``frozen.{kind}.{w,b}`` blobs.
 
-Both readers raise a ValueError naming the path for a malformed file. A
-checkpoint blob must also be finite, since the model does not re-check its
-parameters; dataset tokens are checked when a batch enters the model.
+A dataset file holds exactly three blobs: ``tokens`` (N, T, D) and the
+per-sample integer ids ``sources`` and ``labels`` (N,), which f64 holds
+exactly. Its JSON sidecar (same path with a .json suffix) records the
+generator parameters and seed, the train/test indices and the per-source
+sample counts. The arrays must agree with the generator: (T, D) is its
+(``tokens_per_sample``, ``width``), and ids lie in [0, ``n_sources``) and
+[0, ``n_classes``).
+
+The reader raises a ValueError naming the path for a malformed file:
+truncated, with bytes after its last blob, a repeated blob name, or a NaN
+or Inf (the model does not re-check its parameters).
 """
 
 from __future__ import annotations
@@ -36,16 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import DatasetBundle, GeneratorConfig, generator_sidecar
+from .datagen import DatasetBundle, GeneratorConfig
 
 MAGIC = b"COME"
-DATASET_VERSION = 2
 CHECKPOINT_VERSION = 2
-
-
-def _sidecar_path(path) -> Path:
-    p = Path(path)
-    return p.with_suffix(p.suffix + ".json")
 
 
 class _Reader:
@@ -55,11 +47,11 @@ class _Reader:
     Sizes are exact Python integers, so no header value can wrap them.
     """
 
-    def __init__(self, path, kind: str):
+    def __init__(self, path):
         self.path = Path(path)
         self.raw = memoryview(self.path.read_bytes())
         if self.raw[:4] != MAGIC:
-            raise ValueError(f"{self.path}: not a {kind} container (bad magic)")
+            raise ValueError(f"{self.path}: not a COME container (bad magic)")
         self.offset = 4
 
     def read(self, size: int, what: str):
@@ -79,7 +71,7 @@ class _Reader:
         data = self.read(8 * math.prod(shape), what)
         try:
             return np.frombuffer(data, dtype="<f8").reshape(shape)
-        except ValueError as exc:  # more dimensions than NumPy supports
+        except ValueError as exc:  # more dimensions or entries than NumPy supports
             raise ValueError(f"{self.path}: cannot shape {what} as {shape} ({exc})") from exc
 
     def finish(self, what: str):
@@ -88,74 +80,64 @@ class _Reader:
             raise ValueError(f"{self.path}: {extra} trailing bytes after {what}")
 
 
-def _sample_dtype(t: int, d: int) -> np.dtype:
-    """One dataset sample as the container lays it out."""
-    return np.dtype([("source", "<u4"), ("label", "<u4"), ("tokens", "<f8", (t, d))])
+def _check_against_generator(path, arrays: dict, config: GeneratorConfig):
+    """Raise a ValueError naming ``path`` unless the tokens are (T, D) =
+    (tokens_per_sample, width) per sample and each source id and label is
+    an integer in [0, n_sources) and [0, n_classes)."""
+    shape = (config.tokens_per_sample, config.width)
+    if arrays["tokens"].shape[1:] != shape:
+        raise ValueError(f"{path}: tokens have shape {arrays['tokens'].shape}, but the "
+                         f"generator's (tokens_per_sample, width) is {shape}")
+    for name, key in (("sources", "n_sources"), ("labels", "n_classes")):
+        ids, limit = arrays[name], getattr(config, key)
+        bad = np.flatnonzero((ids < 0) | (ids >= limit) | (ids != np.floor(ids)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{path}: sample {i + 1} of {len(ids)} has {name[:-1]} "
+                             f"{ids[i].item()!r}, not an integer in [0, {key} = {limit})")
 
 
 def save_dataset(path, bundle: DatasetBundle) -> Path:
-    """Write the feature container plus its JSON sidecar; returns the path.
-
-    Raises ValueError naming the first sample whose source id or label does
-    not fit a u32, or whose source id is not below the generator's
-    ``n_sources``, before anything is written.
-    """
+    """Write the dataset container plus its JSON sidecar; returns the path.
+    Tokens or ids that disagree with the generator raise the ValueError
+    ``load_dataset`` would, before anything is written."""
     p = Path(path)
-    n, t, d = bundle.tokens.shape
-    records = np.empty(n, dtype=_sample_dtype(t, d))
-    for field, ids in (("source", bundle.sources), ("label", bundle.labels)):
-        outside = np.flatnonzero((ids < 0) | (ids >= 2**32))
-        if outside.size:
-            i = int(outside[0])
-            raise ValueError(f"{p}: sample {i + 1} of {n} has {field} {ids[i]}, outside [0, 2**32)")
-        records[field] = ids
-    n_sources = bundle.config.n_sources
-    unknown = np.flatnonzero(bundle.sources >= n_sources)
-    if unknown.size:
-        i = int(unknown[0])
-        raise ValueError(f"{p}: sample {i + 1} of {n} has source {bundle.sources[i]}, "
-                         f"not below the generator's n_sources = {n_sources}")
-    records["tokens"] = bundle.tokens
-    with open(p, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIII", DATASET_VERSION, n, t, d))
-        fh.write(records.data)
-    _sidecar_path(p).write_text(json.dumps(generator_sidecar(bundle), indent=2))
+    arrays = {"tokens": bundle.tokens, "sources": bundle.sources, "labels": bundle.labels}
+    _check_against_generator(p, arrays, bundle.config)
+    save_checkpoint(p, arrays)
+    Path(f"{p}.json").write_text(json.dumps(generator_sidecar(bundle), indent=2))
     return p
 
 
 def load_dataset(path) -> DatasetBundle:
-    """Raises ValueError naming the path and the sample being read when the
-    file is truncated or has bytes after its last sample, and naming the
-    sidecar when that is missing or unreadable."""
-    reader = _Reader(path, "feature")
-    version, n, t, d = reader.unpack("<IIII", "the header")
-    if version != DATASET_VERSION:
-        raise ValueError(f"{reader.path}: unsupported dataset version {version}")
-    sample_size = 8 + 8 * t * d
-    fits = (len(reader.raw) - reader.offset) // sample_size
-    if fits < n:  # checked before allocating what the header claims
-        raise ValueError(
-            f"{reader.path}: truncated in sample {fits + 1} of {n}: the header implies "
-            f"{reader.offset + n * sample_size} bytes, file has {len(reader.raw)}"
-        )
-    what = f"sample {n} of {n}" if n else "the header"
-    try:
-        dtype = _sample_dtype(t, d)
-    except ValueError as exc:  # a sample larger than NumPy supports
-        raise ValueError(f"{reader.path}: cannot shape samples as ({t}, {d}) ({exc})") from exc
-    records = np.frombuffer(reader.read(n * sample_size, what), dtype=dtype)
-    reader.finish(what)
-    side = _read_sidecar(_sidecar_path(reader.path), n)
-    return DatasetBundle(
-        tokens=records["tokens"].astype(np.float64),
-        sources=records["source"].astype(np.int64),
-        labels=records["label"].astype(np.int64),
-        train_idx=np.asarray(side["train_indices"], dtype=np.int64),
-        test_idx=np.asarray(side["test_indices"], dtype=np.int64),
-        config=GeneratorConfig(**side["generator"]),
-        seed=side["seed"],
-    )
+    """The dataset saved at ``path``, read through ``load_checkpoint``. Raises
+    a ValueError naming the container when it is malformed, holds other than
+    (N, T, D) tokens and (N,) sources and labels, or disagrees with the
+    sidecar's generator, and naming the sidecar when that is missing or bad."""
+    arrays = load_checkpoint(path)
+    shapes = {name: arr.shape for name, arr in sorted(arrays.items())}
+    tokens = shapes.get("tokens", ())
+    n = tokens[0] if len(tokens) == 3 else -1
+    if shapes != {"labels": (n,), "sources": (n,), "tokens": tokens}:
+        raise ValueError(f"{path}: a dataset holds (N, T, D) tokens and (N,) sources and "
+                         f"labels, not {shapes}")
+    side = _read_sidecar(Path(f"{path}.json"), n)
+    config = GeneratorConfig(**side["generator"])
+    _check_against_generator(path, arrays, config)
+    ids = [arrays[name].astype(np.int64) for name in ("sources", "labels")]
+    splits = [np.asarray(side[key], dtype=np.int64) for key in ("train_indices", "test_indices")]
+    return DatasetBundle(arrays["tokens"], *ids, *splits, config, side["seed"])
+
+
+def generator_sidecar(bundle: DatasetBundle) -> dict:
+    """JSON-ready description of how the dataset was produced."""
+    return {
+        "seed": bundle.seed,
+        "generator": dataclasses.asdict(bundle.config),
+        "train_indices": bundle.train_idx.tolist(),
+        "test_indices": bundle.test_idx.tolist(),
+        "source_counts": np.bincount(bundle.sources, minlength=bundle.config.n_sources).tolist(),
+    }
 
 
 def _is_int(value) -> bool:
@@ -165,8 +147,9 @@ def _is_int(value) -> bool:
 def _read_sidecar(path: Path, n_samples: int) -> dict:
     """The parsed sidecar of a dataset with ``n_samples`` samples. Raises a
     ValueError naming the sidecar unless it holds every generator field and
-    no other, an int seed, and split indices that are ints in [0, n), each
-    in at most one split and at most once."""
+    no other, with values ``GeneratorConfig.validate`` accepts, an int seed,
+    and split indices that are ints in [0, n), each in at most one split and
+    at most once."""
     try:
         side = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -185,6 +168,10 @@ def _read_sidecar(path: Path, n_samples: int) -> dict:
             f"{path}: generator fields do not match: unknown {sorted(set(generator) - fields)}, "
             f"missing {sorted(fields - set(generator))}"
         )
+    try:
+        GeneratorConfig(**generator).validate()
+    except (TypeError, ValueError) as exc:  # a TypeError compares a value of the wrong type
+        raise ValueError(f"{path}: generator: {exc}") from exc
     if not _is_int(side["seed"]):
         raise ValueError(f"{path}: seed must be an int, got {side['seed']!r}")
     for key in ("train_indices", "test_indices"):
@@ -227,7 +214,7 @@ def load_checkpoint(path) -> dict:
     is truncated, has bytes after its last blob, repeats a blob name, or
     holds a NaN or Inf.
     """
-    reader = _Reader(path, "checkpoint")
+    reader = _Reader(path)
     version, n_blobs = reader.unpack("<II", "the header")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{reader.path}: unsupported checkpoint version {version}")

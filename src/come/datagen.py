@@ -30,7 +30,7 @@ as a per-sample loop computes them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -245,15 +245,3 @@ def leave_source_out(bundle: DatasetBundle, holdout: int):
     held = part(held_pos, np.array([], dtype=np.int64), np.arange(held_pos.size))
     return kept, held
 
-
-def generator_sidecar(bundle: DatasetBundle) -> dict:
-    """JSON-ready description of how the dataset was produced."""
-    return {
-        "seed": bundle.seed,
-        "generator": asdict(bundle.config),
-        "train_indices": bundle.train_idx.tolist(),
-        "test_indices": bundle.test_idx.tolist(),
-        "source_counts": np.bincount(
-            bundle.sources, minlength=bundle.config.n_sources
-        ).tolist(),
-    }

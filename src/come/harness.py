@@ -108,9 +108,16 @@ def write_csv(path, header: list, rows: list) -> Path:
 
 
 def build_dataset(cfg: RunConfig) -> DatasetBundle:
-    if cfg.data.path:
-        return load_dataset(cfg.data.path)
-    return generate(cfg.data.generator(), cfg.data.seed)
+    """Generated from the ``data`` section, or loaded from ``data.path`` if the file's
+    generator and seed equal that section's (else a ConfigError names the first key)."""
+    if not cfg.data.path:
+        return generate(cfg.data.generator(), cfg.data.seed)
+    dataset = load_dataset(cfg.data.path)
+    for key, saved in {"seed": dataset.seed, **asdict(dataset.config)}.items():
+        if saved != getattr(cfg.data, key):
+            raise ConfigError(f"data.{key}={getattr(cfg.data, key)!r}, but {cfg.data.path} "
+                              f"was generated with {key}={saved!r}")
+    return dataset
 
 
 def _check_dataset(cfg: RunConfig, dataset: DatasetBundle):
@@ -152,29 +159,20 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
              batch_size: int | None = None, max_batches: int | None = None) -> EvalResult:
     """Deterministic evaluation of a checkpointed model on a dataset split.
 
-    ``split`` is "train", "test", or an explicit array of integer indices
-    in [0, n_samples). Model parameters are never mutated; an empty split,
-    a split that is not 1-D, any other index, and a ``batch_size`` or
+    ``split`` is "train" or "test": the dataset's training or test indices,
+    in order, of which the first ``max_batches`` batches of ``batch_size``
+    are evaluated (all of them by default). Model parameters are never
+    mutated; any other split, an empty one, and a ``batch_size`` or
     ``max_batches`` that is not an int >= 1 are rejected.
     """
     cfg = model.cfg
     _check_dataset(cfg, dataset)
-    if isinstance(split, str):
-        if split not in ("train", "test"):
-            raise ValueError(f"split must be train|test or indices, got {split!r}")
-        indices = dataset.train_idx if split == "train" else dataset.test_idx
-    else:
-        indices = np.asarray(split)
-    if indices.ndim != 1:
-        raise ValueError(f"evaluate: split must be a 1-D array of indices, "
-                         f"got shape {indices.shape}")
+    # str first: `array in tuple` would compare an index array elementwise
+    if not (isinstance(split, str) and split in ("train", "test")):
+        raise ValueError(f"evaluate: split must be 'train' or 'test', got {split!r}")
+    indices = dataset.train_idx if split == "train" else dataset.test_idx
     if indices.size == 0:
         raise ValueError("evaluate: empty split")
-    integral = np.issubdtype(indices.dtype, np.integer)
-    bad = indices if not integral else indices[(indices < 0) | (indices >= dataset.n_samples)]
-    if bad.size:
-        raise ValueError(f"evaluate: split index {bad.flat[0].item()!r} is not an integer "
-                         f"in [0, {dataset.n_samples})")
     if batch_size is None:
         batch_size = cfg.training.batch_size
     for name, value in (("batch_size", batch_size), ("max_batches", max_batches)):
@@ -270,9 +268,6 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
 
     bs = min(cfg.training.batch_size, train_idx.size)
     steps_per_epoch = max(1, train_idx.size // bs)
-    eval_n = cfg.training.eval_batches * bs
-    eval_train = train_idx[:eval_n]
-    eval_test = dataset.test_idx[:eval_n]
 
     metrics: list = []
     expert_rows: list = []
@@ -299,7 +294,7 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
                     raise RuntimeError(f"capacity bound violated at step {step}")
                 adamw_step(model.params, model.backward(state), opt)
                 if log:
-                    record = _log_point(model, dataset, state, step, bs, eval_train, eval_test)
+                    record = _log_point(model, dataset, state, step, bs)
         except NonFiniteError as exc:
             halt_reason = f"non-finite value at step {step}: {exc}"
         except FloatingPointError as exc:
@@ -333,9 +328,10 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     return result
 
 
-def _log_point(model, dataset, state: ForwardState, step, bs, eval_train, eval_test):
-    tr = evaluate(model, dataset, eval_train, batch_size=bs)
-    te = evaluate(model, dataset, eval_test, batch_size=bs)
+def _log_point(model, dataset, state: ForwardState, step, bs):
+    n = model.cfg.training.eval_batches
+    tr = evaluate(model, dataset, "train", batch_size=bs, max_batches=n)
+    te = evaluate(model, dataset, "test", batch_size=bs, max_batches=n)
     rep = state.report
     return MetricsRecord(
         step=step,

@@ -71,6 +71,15 @@ from come.numerics import AdamWConfig, AdamWState
          "data: source_weights sum past the largest float: [1e+308, 1e+308, 1, 1]"),
         (["data.n_samples=1", "data.train_fraction=0.4"],
          "data.train_fraction=0.4 of data.n_samples=1 leaves the training split empty"),
+        (["optimizer.beta1=1.0"], "optimizer.beta1 must be in [0, 1), got 1.0"),
+        (["optimizer.beta1=2.0"], "optimizer.beta1 must be in [0, 1), got 2.0"),
+        (["optimizer.beta1=-0.1"], "optimizer.beta1 must be in [0, 1), got -0.1"),
+        (["optimizer.beta2=1.0"], "optimizer.beta2 must be in [0, 1), got 1.0"),
+        (["optimizer.beta2=1.5"], "optimizer.beta2 must be in [0, 1), got 1.5"),
+        (["optimizer.eps=0"], "optimizer.eps must be > 0, got 0"),
+        (["optimizer.eps=-1"], "optimizer.eps must be > 0, got -1"),
+        (["optimizer.lr=-1"], "optimizer.lr must be >= 0, got -1"),
+        (["optimizer.weight_decay=-5"], "optimizer.weight_decay must be >= 0, got -5"),
     ],
 )
 def test_validate_names_the_bad_key_and_value(overrides, message):

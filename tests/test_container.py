@@ -16,7 +16,7 @@ from come.container import (
     save_checkpoint,
     save_dataset,
 )
-from come.datagen import GeneratorConfig, generate
+from come.datagen import GeneratorConfig, generate, leave_source_out
 
 
 def _dataset(seed=0):
@@ -60,10 +60,13 @@ def test_dataset_rejects_bad_magic(tmp_path):
 def test_dataset_truncation_names_path_and_sample(tmp_path):
     raw = save_dataset(tmp_path / "data.come", _dataset()).read_bytes()
     cut = tmp_path / "cut.come"
-    # 20-byte header, then 20 samples of u32 source + u32 label + 3*6 f64
-    assert len(raw) == 20 + 20 * 152
-    expected = {10: "the header", 20: "sample 1 of 20", 171: "sample 1 of 20",
-                172: "sample 2 of 20", 182: "sample 2 of 20", len(raw) - 1: "sample 20 of 20"}
+    # 12-byte header, then blobs 'labels' (20,), 'sources' (20,) and 'tokens' (20, 3, 6)
+    labels_end = 12 + (2 + 6 + 1 + 4 + 20 * 8)
+    sources_end = labels_end + (2 + 7 + 1 + 4 + 20 * 8)
+    assert len(raw) == sources_end + (2 + 6 + 1 + 12 + 20 * 3 * 6 * 8)
+    expected = {10: "the header", 13: "blob 1 of 3", 20: "blob 'labels'",
+                labels_end + 1: "blob 2 of 3", sources_end - 1: "blob 'sources'",
+                sources_end + 8: "blob 'tokens'", len(raw) - 1: "blob 'tokens'"}
     for size in range(4, len(raw)):
         cut.write_bytes(raw[:size])
         with pytest.raises(ValueError, match="truncated in") as err:
@@ -76,7 +79,7 @@ def test_dataset_truncation_names_path_and_sample(tmp_path):
 def test_dataset_trailing_bytes_are_rejected(tmp_path):
     path = save_dataset(tmp_path / "data.come", _dataset())
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00")
-    with pytest.raises(ValueError, match="3 trailing bytes after sample 20 of 20") as err:
+    with pytest.raises(ValueError, match="3 trailing bytes after blob 'tokens'") as err:
         load_dataset(path)
     assert str(path) in str(err.value)
 
@@ -147,17 +150,20 @@ def test_dataset_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("field, value", [("sources", -1), ("labels", 2**32)])
-def test_dataset_save_rejects_an_id_that_does_not_fit_a_u32(tmp_path, field, value):
+@pytest.mark.parametrize("field, value, limit", [
+    ("sources", -1, "n_sources = 2"), ("labels", 3, "n_classes = 3"),
+    ("labels", -1, "n_classes = 3"), ("labels", 1.5, "n_classes = 3"),
+], ids=["sources--1", "labels-3", "labels--1", "labels-1.5"])
+def test_dataset_save_rejects_an_id_outside_the_generator_range(tmp_path, field, value, limit):
     ds = _dataset()
-    ids = getattr(ds, field).copy()
+    ids = getattr(ds, field).astype(type(value))
     ids[6] = value
     setattr(ds, field, ids)
     path = tmp_path / "data.come"
-    message = f"{path}: sample 7 of 20 has {field[:-1]} {value}, outside [0, 2**32)"
+    message = f"{path}: sample 7 of 20 has {field[:-1]} {value}, not an integer in [0, {limit})"
     with pytest.raises(ValueError, match=re.escape(message)):
         save_dataset(path, ds)
-    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", [2, 2**32 - 1])
@@ -168,24 +174,76 @@ def test_dataset_save_rejects_a_source_id_not_below_n_sources(tmp_path, value):
     ds.sources = ds.sources.copy()
     ds.sources[6] = value
     path = tmp_path / "data.come"
-    message = f"{path}: sample 7 of 20 has source {value}, not below the generator's n_sources = 2"
+    message = f"{path}: sample 7 of 20 has source {value}, not an integer in [0, n_sources = 2)"
     with pytest.raises(ValueError, match=re.escape(message)):
         save_dataset(path, ds)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_dataset_largest_u32_label_loads_back(tmp_path):
+SIDECAR_CONTRADICTIONS = {
+    "width": (lambda g: g.update(width=7),
+              "tokens have shape (20, 3, 6), but the generator's (tokens_per_sample, width) "
+              "is (3, 7)"),
+    "tokens_per_sample": (lambda g: g.update(tokens_per_sample=5),
+                          "tokens have shape (20, 3, 6), but the generator's "
+                          "(tokens_per_sample, width) is (5, 6)"),
+    "one_class": (lambda g: g.update(n_classes=1),
+                  "generator: need at least one source and two classes"),
+    "no_sources": (lambda g: g.update(n_sources=0, source_weights=[]),
+                   "generator: need at least one source and two classes"),
+    "basis_mode": (lambda g: g.update(source_basis_mode="bogus"),
+                   "generator: source_basis_mode must be shared|private"),
+    "weights_for_other_sources": (lambda g: g.update(n_sources=3),
+                                  "generator: 2 weights for 3 sources"),
+    "label_past_n_classes": (lambda g: g.update(n_classes=2),
+                             "has label 2.0, not an integer in [0, n_classes = 2)"),
+    "source_past_n_sources": (lambda g: g.update(n_sources=1, source_weights=[1.0]),
+                              "has source 1.0, not an integer in [0, n_sources = 1)"),
+}
+
+
+@pytest.mark.parametrize("edit, message", SIDECAR_CONTRADICTIONS.values(),
+                         ids=SIDECAR_CONTRADICTIONS)
+def test_dataset_sidecar_that_contradicts_its_container_is_rejected(tmp_path, edit, message):
+    path = save_dataset(tmp_path / "data.come", _dataset())
+    sidecar = tmp_path / "data.come.json"
+    side = json.loads(sidecar.read_text())
+    edit(side["generator"])
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(str(path))
+
+
+def test_both_leave_source_out_parts_round_trip(tmp_path):
     ds = _dataset()
-    ds.labels = ds.labels.copy()
-    ds.labels[6] = 2**32 - 1
-    loaded = load_dataset(save_dataset(tmp_path / "data.come", ds))
-    np.testing.assert_array_equal(loaded.labels, ds.labels)
+    for i, part in enumerate(leave_source_out(ds, holdout=1)):
+        loaded = load_dataset(save_dataset(tmp_path / f"part{i}.come", part))
+        for field in ("tokens", "sources", "labels", "train_idx", "test_idx"):
+            np.testing.assert_array_equal(getattr(loaded, field), getattr(part, field))
+            assert getattr(loaded, field).dtype == getattr(part, field).dtype, field
+        assert (loaded.config, loaded.seed) == (ds.config, ds.seed)
+    assert loaded.train_idx.size == 0  # the held-out part only evaluates
 
 
-# SHA-256 of each saved container file, recorded from the per-sample writer.
+def test_a_dataset_in_the_old_per_sample_layout_names_its_path(tmp_path):
+    ds = _dataset()
+    path = save_dataset(tmp_path / "data.come", ds)
+    # "COME" | u32 version 2 | u32 n | u32 tokens | u32 width, then per sample
+    # u32 source | u32 label | tokens*width f64
+    records = np.empty(20, dtype=[("source", "<u4"), ("label", "<u4"), ("tokens", "<f8", (3, 6))])
+    records["source"], records["label"], records["tokens"] = ds.sources, ds.labels, ds.tokens
+    path.write_bytes(MAGIC + struct.pack("<IIII", 2, 20, 3, 6) + records.tobytes())
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+# SHA-256 of each saved container file, recorded when datasets moved to the
+# checkpoint's named-array layout.
 DATASET_FILE_DIGESTS = {
-    "small": "a7cf19f0309823b5ebf8adc1e39e8f3e820d5970c7313d4372daeabf198468f3",
-    "default": "0b318d4d5d392d0ca9591f42ef3019068f1e8588e06a884f3e348ade53858676",
+    "small": "9ca7f9c23403aebe23aacc00124bbcd28d52bf0eb68672f6a15a3d8d03538444",
+    "default": "1f10faa976285a9949145623da9a06995d955ee17ef02499e8c178712751fb95",
 }
 
 
@@ -287,19 +345,43 @@ def test_checkpoint_trailing_bytes_are_rejected(tmp_path):
 def test_dataset_header_larger_than_the_file_fails_before_allocating(tmp_path):
     path = save_dataset(tmp_path / "data.come", _dataset())
     raw = bytearray(path.read_bytes())
-    raw[8:12] = (0xFFFFFFFF).to_bytes(4, "little")  # n_samples
+    n_at = raw.index(b"tokens") + 6 + 1  # after the name and ndim of blob 'tokens'
+    raw[n_at : n_at + 4] = (0xFFFFFFFF).to_bytes(4, "little")  # its sample count
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="truncated in sample 21 of 4294967295") as err:
+    message = f"truncated in blob 'tokens': needs {8 * (2**32 - 1) * 3 * 6} bytes"
+    with pytest.raises(ValueError, match=message) as err:
         load_dataset(path)
     assert str(path) in str(err.value)
+
+
+def _blob_header(name: str, *dims) -> bytes:
+    return (struct.pack("<H", len(name)) + name.encode()
+            + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
 
 
 def test_dataset_with_no_samples_and_huge_dims_names_the_path(tmp_path):
     path = tmp_path / "data.come"
-    path.write_bytes(MAGIC + struct.pack("<IIII", 2, 0, 2**32 - 1, 2**32 - 1))
-    with pytest.raises(ValueError, match=r"cannot shape samples as \(4294967295, 4294967295\)") as err:
+    path.write_bytes(MAGIC + struct.pack("<II", 2, 3) + _blob_header("labels", 0)
+                     + _blob_header("sources", 0) + _blob_header("tokens", 0, 2**32 - 1, 2**32 - 1))
+    message = r"cannot shape blob 'tokens' as \(0, 4294967295, 4294967295\)"
+    with pytest.raises(ValueError, match=message) as err:
         load_dataset(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("arrays", [
+    {"tokens": np.zeros((2, 3, 6)), "sources": np.zeros(2)},
+    {"tokens": np.zeros((2, 3, 6)), "sources": np.zeros(2), "labels": np.zeros(2),
+     "extra": np.zeros(1)},
+    {"tokens": np.zeros((2, 18)), "sources": np.zeros(2), "labels": np.zeros(2)},
+    {"tokens": np.zeros((2, 3, 6)), "sources": np.zeros(3), "labels": np.zeros(2)},
+    {"tokens": np.zeros((2, 3, 6)), "sources": np.zeros(2), "labels": np.zeros((2, 1))},
+], ids=["no-labels", "extra-blob", "2-D-tokens", "more-sources", "2-D-labels"])
+def test_dataset_must_hold_exactly_its_three_arrays(tmp_path, arrays):
+    path = save_checkpoint(tmp_path / "data.come", arrays)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: a dataset holds (N, T, D) tokens and (N,) sources and labels, not ")):
+        load_dataset(path)
 
 
 def test_checkpoint_dims_are_sized_without_wrapping(tmp_path):
@@ -315,7 +397,7 @@ def test_dataset_rejects_a_version_1_header(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 1)
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="unsupported dataset version 1") as err:
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1") as err:
         load_dataset(path)
     assert str(path) in str(err.value)
 

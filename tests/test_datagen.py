@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from come.container import generator_sidecar
 from come.datagen import (
     GeneratorConfig,
     _orthonormal,
     _source_frames,
     generate,
-    generator_sidecar,
     leave_source_out,
 )
 from come.numerics import RandomStreams

@@ -76,10 +76,7 @@ def test_evaluate_rejects_a_batch_argument_below_one(small, argument, value):
 
 @pytest.mark.parametrize("source, split, message", [
     (-1, "test", "dataset source id -1 is negative"),
-    (0, [-1, -2], r"split index -1 is not an integer in \[0, 80\)"),
-    (0, [0, 80], r"split index 80 is not an integer in \[0, 80\)"),
-    (0, [0.0, 1.0], r"split index 0.0 is not an integer in \[0, 80\)"),
-], ids=["negative-source", "negative-index", "index-past-the-end", "float-index"])
+], ids=["negative-source"])
 def test_evaluate_rejects_ids_out_of_range(small, source, split, message):
     cfg, dataset = small
     sources = dataset.sources.copy()
@@ -89,6 +86,13 @@ def test_evaluate_rejects_ids_out_of_range(small, source, split, message):
         harness.evaluate(ComeModel.build(cfg), dataset, split)
 
 
+def test_evaluate_rejects_an_index_array_as_a_split(small):
+    cfg, dataset = small
+    with pytest.raises(ValueError, match=re.escape(
+            "evaluate: split must be 'train' or 'test', got array([0, 1])")):
+        harness.evaluate(ComeModel.build(cfg), dataset, np.array([0, 1]))
+
+
 def test_train_rejects_a_negative_label_before_training(small, monkeypatch):
     cfg, dataset = small
     labels = dataset.labels.copy()
@@ -96,15 +100,6 @@ def test_train_rejects_a_negative_label_before_training(small, monkeypatch):
     monkeypatch.setattr(ComeModel, "build", lambda _: pytest.fail("a model was built"))
     with pytest.raises(ValueError, match="dataset label -1 is negative"):
         harness.train(cfg, dataset=dataclasses.replace(dataset, labels=labels))
-
-
-@pytest.mark.parametrize("split", [np.array([[1, 2], [3, 4]]), np.array(3)],
-                         ids=["2-D", "0-D"])
-def test_evaluate_rejects_a_split_that_is_not_1d(small, split):
-    cfg, dataset = small
-    with pytest.raises(ValueError, match=re.escape(
-            f"evaluate: split must be a 1-D array of indices, got shape {split.shape}")):
-        harness.evaluate(ComeModel.build(cfg), dataset, split)
 
 
 @pytest.mark.parametrize("argument, value", [
@@ -210,6 +205,24 @@ def test_training_from_a_saved_dataset_equals_training_from_the_generator(tmp_pa
     b = harness.train(from_file)
     assert b.manifest["digests"]["params_final"] == a.manifest["digests"]["params_final"]
     assert [m.total for m in b.metrics] == [m.total for m in a.metrics]
+
+
+@pytest.mark.parametrize("saved_with, message", [
+    (["data.seed=7"], "data.seed=0, but {path} was generated with seed=7"),
+    (["data.n_samples=300"], "data.n_samples=200, but {path} was generated with n_samples=300"),
+    (["data.mean_scale=0.5"], "data.mean_scale=2.0, but {path} was generated with mean_scale=0.5"),
+    (["data.n_samples=300", "data.mean_scale=0.5", "data.seed=7"],
+     "data.seed=0, but {path} was generated with seed=7"),
+], ids=["seed", "n_samples", "mean_scale", "all-three"])
+def test_training_from_a_dataset_made_by_another_generator_is_rejected(
+        tmp_path, monkeypatch, saved_with, message):
+    base = apply_overrides(RunConfig(), ["data.n_samples=200"])
+    path = save_dataset(tmp_path / "data.come",
+                        harness.build_dataset(apply_overrides(base, saved_with)))
+    cfg = apply_overrides(base, [f"data.path={json.dumps(str(path))}"])
+    monkeypatch.setattr(ComeModel, "build", lambda _: pytest.fail("a model was built"))
+    with pytest.raises(ConfigError, match=re.escape(message.format(path=path))):
+        harness.train(cfg)
 
 
 # ---------------------------------------------------------------------------

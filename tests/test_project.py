@@ -63,6 +63,14 @@ def test_dev_extras_are_exactly_the_third_party_test_imports():
     assert third_party == _requirement_names(_project()["optional-dependencies"]["dev"])
 
 
+def test_only_the_container_module_knows_the_binary_layout():
+    # one module packs bytes, so a second binary layout cannot return unnoticed
+    knowing = sorted(path.name for path in PACKAGE.rglob("*.py")
+                     if "struct" in _imported_top_level_modules(path.read_text())
+                     or re.search(r"\bMAGIC\b", path.read_text()))
+    assert knowing == ["container.py"]
+
+
 def test_importing_every_module_loads_no_scipy():
     probe = (
         "import importlib, pkgutil, sys\n"
