@@ -15,9 +15,19 @@ repairs.
 The arithmetic is fixed down to the bit, so results do not depend on how
 the loops are written:
 
-- Seeding distances are ``sum((x - c)**2)`` per point, summed by NumPy
-  along each row. Lloyd distances are ``(||x||^2 + ||c||^2) - (2x) @ c.T``,
-  clipped at 0, with both point terms computed once per call.
+- Farthest-first seeding picks the lowest-index point with the largest
+  exact distance ``sum((x - c)**2)`` to its nearest pick, summed by NumPy
+  along each row. It finds that point through a screen: one GEMV per pick
+  gives ``||x||^2 + ||c||^2 - (2x) @ c``, which is within a proven bound of
+  the exact distance, (8D + 14)·2^-53·max ||x||^2 used with a 2x margin.
+  When the screen's running minima leave exactly one point within twice
+  the bound of their top, and the top exceeds the bound, that point is the
+  exact argmax; otherwise the exact distances of the points the screen
+  admits are computed against the picks so far. Every point that could be
+  the exact argmax is admitted, so the picks are those of the exact
+  distances, bit for bit.
+- Lloyd distances are ``(||x||^2 + ||c||^2) - (2x) @ c.T``, clipped at 0,
+  with both point terms computed once per call and shared with seeding.
 - A centroid is the sum of its members over their count. The sum starts
   from +0.0 and adds member rows in row order: one ``np.bincount`` scatter
   over (cluster, column) bins for all clusters at once, which is how
@@ -88,26 +98,69 @@ def _squared_distances(pp: Array, twice_points: Array, centroids: Array) -> Arra
     return d2
 
 
-def _farthest_first_seed(points: Array, k: int, rng: np.random.Generator) -> Array:
-    """k farthest-first picks; raises TooFewDistinctPoints if k exceeds the
-    distinct point count. A pick at positive distance differs from every
-    earlier pick, so the distinct count is computed only when a pick lands
-    at distance 0."""
-    n = points.shape[0]
+def _exact_farthest(points: Array, admitted: Array, chosen: list) -> tuple:
+    """The first of the ``admitted`` points (ascending indices) with the
+    largest exact distance ``min over chosen c of sum((x - c)**2)``, and
+    that distance."""
+    diff = points[admitted, None, :] - points[chosen]
+    exact = np.add.reduce(diff * diff, axis=2).min(axis=1)
+    best = int(exact.argmax())  # ties resolve to the lowest index
+    return int(admitted[best]), exact[best]
+
+
+def _farthest_first_seed(points: Array, k: int, rng: np.random.Generator,
+                         pp: Array, twice_points: Array) -> Array:
+    """k farthest-first picks, given ``_point_terms(points)``; raises
+    TooFewDistinctPoints if k exceeds the distinct point count.
+
+    The next pick is the lowest-index argmax of the exact distance
+    e_i = min over picks c of ``sum((x_i - c)**2)``. Each pick instead costs
+    one GEMV: the screened distance s_i = ||x_i||^2 + ||c||^2 - (2x_i).c,
+    kept as a running minimum m_i over the picks.
+
+    *Bound.* Let u = 2^-53 and R = max ||x||^2. Both squared norms are off
+    by at most D·u·R and the dot product by at most D·u·2R (Cauchy-Schwarz,
+    in any summation order), the sum and the difference after them round by
+    at most u·2R and u·4R, and the computed exact distance is itself off by
+    at most (D + 2)·u·4R from the true one. So, to first order,
+
+        |s_i - e_i| <= (8D + 14)·u·R + 4D·2^-1075,
+
+    the last term for products that underflow. ``slack`` is twice that, and
+    |m_i - e_i| <= slack too, since a minimum moves no more than its terms.
+
+    *Pick.* With top = max m, every exact argmax j has
+    m_j >= e_j - slack >= top - 2·slack. If that floor admits one point and
+    top > slack, that point is the unique exact argmax, at positive exact
+    distance. Otherwise ``_exact_farthest`` computes the exact distances of
+    the admitted points against the picks so far and takes the first
+    largest, which is the point an argmax over every exact distance finds.
+    A NaN bound or distance admits its point, so non-finite input takes the
+    exact path. A pick at positive distance differs from every earlier
+    pick, so the distinct count is computed only when a pick lands at exact
+    distance 0.
+    """
+    n, d = points.shape
+    pp = pp[:, 0]
+    slack = 2.0 * ((8 * d + 14) * 2.0**-53 * float(pp.max()) + 2 * d * 2.0**-1074)
     chosen = [int(rng.integers(n))]
-    diff = np.empty_like(points)
-    dist = np.empty(n)
-    d2 = np.full(n, np.inf)
+    screened = np.empty(n)
+    mins = np.full(n, np.inf)
     checked = False
     while len(chosen) < k:
-        np.subtract(points, points[chosen[-1]], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.minimum(d2, np.add.reduce(diff, axis=1, out=dist), out=d2)
-        nxt = int(d2.argmax())  # ties resolve to the lowest index
-        if d2[nxt] == 0.0 and not checked:
-            # every point repeats a pick, unless a squared difference underflowed
-            _require_distinct(points, k)
-            checked = True
+        c = chosen[-1]
+        np.add(pp, pp[c], out=screened)
+        screened -= twice_points @ points[c]
+        np.minimum(mins, screened, out=mins)
+        nxt = int(mins.argmax())
+        top = mins[nxt]
+        floor = top - 2.0 * slack
+        if not (top > slack and np.count_nonzero(mins >= floor) == 1):
+            nxt, dist = _exact_farthest(points, np.flatnonzero(~(mins < floor)), chosen)
+            if dist == 0.0 and not checked:
+                # every point repeats a pick, unless a squared difference underflowed
+                _require_distinct(points, k)
+                checked = True
         chosen.append(nxt)
     return points[chosen]
 
@@ -130,10 +183,11 @@ def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
         raise ValueError("kmeans: max_iters must be >= 1")
     if k < 1 or k > pts.shape[0]:
         _require_distinct(pts, k)  # raises, naming the distinct count
-    centroids = _farthest_first_seed(pts, k, rng if rng is not None else np.random.default_rng(0))
+    terms = _point_terms(pts)
+    centroids = _farthest_first_seed(pts, k, rng if rng is not None else np.random.default_rng(0),
+                                     *terms)
 
     n, d = pts.shape
-    terms = _point_terms(pts)
     rows = np.arange(n)
     cols = np.arange(d)
     assignments = np.full(n, -1, dtype=np.int64)

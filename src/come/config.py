@@ -191,10 +191,16 @@ def config_from_dict(data: dict) -> RunConfig:
         kwargs[name] = cls(**section)
     cfg = RunConfig(**kwargs)
     for key, value in _leaves(cfg):
-        expected, accepts = _TYPES[type(_DEFAULTS[key])]
+        expected, accepts = value_type(key)
         if not accepts(value):
             raise ConfigError(f"{key} must be {expected}, got {value!r}")
     return cfg
+
+
+def value_type(key: str) -> tuple:
+    """(what a value of the dotted ``key`` must be, a test that it is one),
+    by the type of the key's default."""
+    return _TYPES[type(_DEFAULTS[key])]
 
 
 def load_config(path=None) -> RunConfig:

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import value_type
 from .datagen import DatasetBundle, GeneratorConfig
 
 MAGIC = b"COME"
@@ -67,12 +68,21 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def floats(self, shape: tuple, what: str) -> np.ndarray:
-        """A read-only view of the next f64 array of ``shape``."""
-        data = self.read(8 * math.prod(shape), what)
+        """A read-only view of the next f64 array of ``shape``. Its errors name
+        a shape of more than four dims by its ndim and first four dims."""
+        size = 8 * math.prod(shape)
+        shown = str(shape)
+        if len(shape) > 4:
+            shown = f"{len(shape)} dims ({', '.join(map(str, shape[:4]))}, ...)"
+            left = len(self.raw) - self.offset
+            if size > left:  # before read, whose message would spell out the size
+                raise ValueError(f"{self.path}: truncated in {what}: {shown} need more than "
+                                 f"the {left} bytes left")
+        data = self.read(size, what)
         try:
             return np.frombuffer(data, dtype="<f8").reshape(shape)
         except ValueError as exc:  # more dimensions or entries than NumPy supports
-            raise ValueError(f"{self.path}: cannot shape {what} as {shape} ({exc})") from exc
+            raise ValueError(f"{self.path}: cannot shape {what} as {shown} ({exc})") from exc
 
     def finish(self, what: str):
         if self.offset != len(self.raw):
@@ -147,9 +157,10 @@ def _is_int(value) -> bool:
 def _read_sidecar(path: Path, n_samples: int) -> dict:
     """The parsed sidecar of a dataset with ``n_samples`` samples. Raises a
     ValueError naming the sidecar unless it holds every generator field and
-    no other, with values ``GeneratorConfig.validate`` accepts, an int seed,
-    and split indices that are ints in [0, n), each in at most one split and
-    at most once."""
+    no other, each of the type a ``data.*`` config key of that name takes and
+    together accepted by ``GeneratorConfig.validate``, an int seed, and split
+    indices that are ints in [0, n), each in at most one split and at most
+    once."""
     try:
         side = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -168,9 +179,13 @@ def _read_sidecar(path: Path, n_samples: int) -> dict:
             f"{path}: generator fields do not match: unknown {sorted(set(generator) - fields)}, "
             f"missing {sorted(fields - set(generator))}"
         )
+    for name, value in generator.items():
+        expected, accepts = value_type(f"data.{name}")
+        if not accepts(value):
+            raise ValueError(f"{path}: generator.{name} must be {expected}, got {value!r}")
     try:
         GeneratorConfig(**generator).validate()
-    except (TypeError, ValueError) as exc:  # a TypeError compares a value of the wrong type
+    except ValueError as exc:
         raise ValueError(f"{path}: generator: {exc}") from exc
     if not _is_int(side["seed"]):
         raise ValueError(f"{path}: seed must be an int, got {side['seed']!r}")

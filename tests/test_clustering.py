@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from come import clustering
 from come.clustering import cluster_features, fine2coarse, kmeans
 
 
@@ -218,6 +221,112 @@ def test_kmeans_deterministic_given_seed():
     b = kmeans(pts, 4, rng=_rng(7))
     np.testing.assert_array_equal(a.centroids, b.centroids)
     np.testing.assert_array_equal(a.assignments, b.assignments)
+
+
+# Seeding screens with ||x||^2 + ||c||^2 - 2x.c and falls back to exact
+# distances where the screen cannot tell the farthest point. Each case below
+# forces that fallback and must still pick what the loop reference picks.
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The admitted index arrays of every exact fallback seeding takes."""
+    calls = []
+    exact = clustering._exact_farthest
+
+    def recorded(points, admitted, chosen):
+        calls.append(admitted.copy())
+        return exact(points, admitted, chosen)
+
+    monkeypatch.setattr(clustering, "_exact_farthest", recorded)
+    return calls
+
+
+def _seed_picking(n, index):
+    # a generator seed whose first farthest-first pick is point ``index``
+    return next(s for s in range(1000) if _rng(s).integers(n) == index)
+
+
+def _picks(pts, k, seed):
+    seeds = clustering._farthest_first_seed(pts, k, _rng(seed), *clustering._point_terms(pts))
+    return [int(np.flatnonzero((pts == row).all(axis=1))[0]) for row in seeds]
+
+
+def test_seeding_breaks_exact_ties_at_the_lowest_index(fallbacks):
+    # from the first pick at point 0, points 5 and 6 tie at distance 8, and
+    # after them points 1-4 tie at distance 1
+    pts = 0.375 + np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0],
+                            [2.0, 2.0], [-2.0, -2.0]])
+    seed = _seed_picking(len(pts), 0)
+    _assert_matches_loop(pts, 4, seed=seed, max_iters=1)
+    fallbacks.clear()
+    assert _picks(pts, 4, seed) == [0, 5, 6, 1]
+    assert [a.tolist() for a in fallbacks] == [[5, 6], [1, 2, 3, 4]]
+
+
+def test_seeding_tells_apart_distances_one_ulp_apart(fallbacks):
+    # the exact distances of points 1 and 2 from point 0 are 13.253625999999997
+    # and the next float up, but the screen puts point 1 above point 2
+    pts = np.array([[-2.99, -8.343], [-2.789, -4.708], [-2.7889999999999993, -4.708]])
+    first, second = (np.add.reduce((pts[i] - pts[0]) ** 2) for i in (1, 2))
+    assert np.nextafter(first, np.inf) == second
+    seed = _seed_picking(3, 0)
+    _assert_matches_loop(pts, 2, seed=seed, max_iters=1)
+    assert _picks(pts, 2, seed) == [0, 2]
+    assert [a.tolist() for a in fallbacks] == [[1, 2]] * 2
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_seeding_on_duplicate_rows_checks_the_distinct_count(fallbacks, k):
+    # three distinct rows, four copies each: a fourth pick lands at distance 0
+    pts = np.repeat(_rng(41).normal(size=(3, 4)), 4, axis=0)
+    _assert_matches_loop(pts, k, seed=k, max_iters=2)
+    if k > 3:
+        with pytest.raises(clustering.TooFewDistinctPoints, match="3 distinct points"):
+            kmeans(pts, k, rng=_rng(k))
+        assert len(fallbacks) >= 1
+
+
+def test_seeding_far_from_the_origin_admits_every_point(fallbacks):
+    # at 1e8 the screen's bound exceeds every distance, so each pick is exact
+    pts = 1e8 + _rng(42).normal(size=(30, 3))
+    _assert_matches_loop(pts, 6, seed=0, max_iters=2)
+    assert [len(a) for a in fallbacks] == [30] * 5
+
+
+def test_seeding_in_one_dimension(fallbacks):
+    # from point 0, points 3, 4 and 5 tie at distance 9 (3 and 5 are one row)
+    pts = np.array([[0.0], [1.0], [-1.0], [3.0], [-3.0], [3.0], [0.5]]) + 0.125
+    seed = _seed_picking(len(pts), 0)
+    _assert_matches_loop(pts, 4, seed=seed, max_iters=3)
+    fallbacks.clear()
+    assert _picks(pts, 4, seed) == [0, 3, 4, 1]
+    assert len(fallbacks) >= 1
+    rows = _rng(43).normal(size=(50, 1))
+    for k in (1, 7, 50):
+        _assert_matches_loop(rows, k, seed=k, max_iters=3)
+
+
+_COORD = st.one_of(st.integers(-4, 4).map(float),
+                   st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+_OFFSET = st.one_of(st.sampled_from([0.0, 0.5, 1e8, -1e8]),
+                    st.floats(-1e8, 1e8, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_seeding_matches_loop_reference_on_any_small_instance(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    distinct = data.draw(st.integers(1, n), label="distinct")
+    rows = np.array(data.draw(st.lists(st.lists(_COORD, min_size=d, max_size=d),
+                                       min_size=distinct, max_size=distinct), label="rows"))
+    copies = data.draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n),
+                       label="copies")
+    pts = data.draw(_OFFSET, label="offset") + rows[copies]
+    k = data.draw(st.integers(1, n), label="k")
+    _assert_matches_loop(pts, k, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                         max_iters=data.draw(st.integers(1, 3), label="max_iters"))
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,16 @@ SIDECAR_EDITS = {
                             "test_indices repeats a sample index"),
     "test_indices_in_train": (lambda s: s["train_indices"].extend(s["test_indices"][:3]),
                               "3 sample indices are in both train_indices and test_indices"),
+    "float_n_sources": (lambda s: s["generator"].update(n_sources=2.0),
+                        "generator.n_sources must be an int, got 2.0"),
+    "bool_width": (lambda s: s["generator"].update(width=True),
+                   "generator.width must be an int, got True"),
+    "string_mean_scale": (lambda s: s["generator"].update(mean_scale="2"),
+                          "generator.mean_scale must be a number, got '2'"),
+    "string_source_weight": (lambda s: s["generator"].update(source_weights=[1.0, "1"]),
+                             "generator.source_weights must be a list of numbers, got [1.0, '1']"),
+    "numeric_basis_mode": (lambda s: s["generator"].update(source_basis_mode=1),
+                           "generator.source_basis_mode must be a string, got 1"),
 }
 
 
@@ -367,6 +377,18 @@ def test_dataset_with_no_samples_and_huge_dims_names_the_path(tmp_path):
     with pytest.raises(ValueError, match=message) as err:
         load_dataset(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("first", [0, 7], ids=["no-entries", "more-than-the-file"])
+def test_blob_of_242_dims_fails_with_a_short_message_naming_the_path(tmp_path, first):
+    # the dims an older dataset layout decodes to
+    path = tmp_path / "data.come"
+    dims = (first, *[2**32 - 1] * 241)
+    path.write_bytes(MAGIC + struct.pack("<II", 2, 1) + _blob_header("", *dims))
+    with pytest.raises(ValueError, match=re.escape(f"242 dims ({first}, 4294967295, ")) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert len(str(err.value)) < 300
 
 
 @pytest.mark.parametrize("arrays", [

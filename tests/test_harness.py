@@ -35,12 +35,12 @@ def small():
 
 
 def test_non_finite_step_halts_and_restores_initial_params():
-    # k-means seeding meets the overflow first and raises before NumPy warns
+    # k-means's point terms meet the overflow first and raise before NumPy warns
     cfg = apply_overrides(RunConfig(), ["optimizer.lr=1e6", "training.steps=50"])
     result = harness.train(cfg)
     assert result.halted
     assert result.halt_reason == ("non-finite value at step 20: "
-                                  "_farthest_first_seed: overflow encountered in multiply")
+                                  "_point_terms: overflow encountered in multiply")
     assert result.manifest["halted"] == result.halt_reason
     assert result.metrics == []
     with pytest.raises(ValueError, match="logged no metrics"):
