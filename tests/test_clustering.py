@@ -270,6 +270,9 @@ def test_seeding_tells_apart_distances_one_ulp_apart(fallbacks):
     pts = np.array([[-2.99, -8.343], [-2.789, -4.708], [-2.7889999999999993, -4.708]])
     first, second = (np.add.reduce((pts[i] - pts[0]) ** 2) for i in (1, 2))
     assert np.nextafter(first, np.inf) == second
+    pp, twice = clustering._point_terms(pts)
+    screen = pp[:, 0] + pp[0, 0] - twice @ pts[0]
+    assert screen[1] > screen[2]
     seed = _seed_picking(3, 0)
     _assert_matches_loop(pts, 2, seed=seed, max_iters=1)
     assert _picks(pts, 2, seed) == [0, 2]
