@@ -198,15 +198,17 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         batch = dataset.take(indices[start : start + batch_size])
         rng = streams.stream("noise", EVAL_STREAM_OFFSET + b_i) if model.clusters else None
         state = model.forward(batch, cluster_rng=rng)
-        correct += int(np.sum(state.predictions == batch.labels))
+        predictions, plan = state.predictions, state.plan
+        del state  # free the forward's caches before the next batch's forward
+        correct += int(np.sum(predictions == batch.labels))
         n_batches += 1
-        if state.plan is not None:
-            num, den = routing_purity(state.plan, batch.token_sources, model.group_size)
+        if plan is not None:
+            num, den = routing_purity(plan, batch.token_sources, model.group_size)
             purity_num += num
             purity_den += den
-            util += state.plan.utilization()
-            overflow_total += state.plan.n_overflow
-            pair_total += state.plan.admitted.size
+            util += plan.utilization()
+            overflow_total += plan.n_overflow
+            pair_total += plan.admitted.size
     n_seen = min(indices.size, n_batches * batch_size)
     mean_util = util.mean() if util.size else 0.0
     util_cv = float(util.std() / mean_util) if mean_util > 0 else 0.0

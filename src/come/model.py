@@ -15,6 +15,11 @@ The routed body (``come``):
     features = (f_structure + f_semantic) + f_routed
     gates also feed the traceability / importance / load losses.
 
+Forward forms loss values only: each loss hands back the small arrays its
+gradient reads (the class probabilities, the owned gate columns and clamped
+masses, the per-expert CV^2 gradients), and ``backward`` builds the loss
+gradients from them. An eval forward thus pays for no gradient.
+
 A frozen prior switched off (``model.structure_expert`` or
 ``model.semantic_expert`` false) is left out of the sum. The ``dense`` body
 is one tanh FFN whose hidden width matches the active parameter count of
@@ -66,7 +71,17 @@ from .experts import (
     init_ffn,
     init_frozen,
 )
-from .losses import LossReport, cross_entropy, importance_loss, load_loss, traceability_loss
+from .losses import (
+    LossReport,
+    cross_entropy,
+    cross_entropy_backward,
+    importance_backward,
+    importance_loss,
+    load_backward,
+    load_loss,
+    traceability_backward,
+    traceability_loss,
+)
 from .numerics import RandomStreams
 from .router import (
     DispatchPlan,
@@ -98,13 +113,17 @@ class RoutedCache:
     combine: Array  # (N, n_experts) mixture weights; ``gates`` itself unless renormalizing
     saved: list  # expert_mixture_forward's per-expert entries
     renorm_sums: Array | None  # per-token selected gate mass when renormalizing
-    d_gates_aux: list  # weighted routing-loss gradients w.r.t. the gates
+    tb_parts: tuple  # traceability_loss's (owned columns, clamped masses, clamp mask)
+    d_importance: Array  # (n_experts,) CV^2 gradient w.r.t. the importance vector
+    d_load: Array  # (n_experts,) CV^2 gradient w.r.t. the load vector
 
 
 @dataclass
 class ForwardState:
     """One forward's outputs and the caches its backward reads.
 
+    The forward holds no loss gradient: ``probs`` and the routed body's loss
+    parts are what backward builds those gradients from.
     ``ComeModel.backward`` consumes the state: it sets ``body`` and
     ``att_cache`` to None and frees each once its backward has read it. The
     other fields stay, for the callers that read the losses, predictions
@@ -116,7 +135,7 @@ class ForwardState:
     predictions: Array
     plan: DispatchPlan | None
     pooled: Array
-    d_task_logits: Array
+    probs: Array  # (B, C) class softmax, which the cross-entropy backward reads
     att_cache: AttentionCache
     body: object  # RoutedCache, or (flat inputs, hidden) for the dense FFN
 
@@ -142,7 +161,7 @@ def _check_sources(batch: TokenBatch, n_sources: int):
     integers, one per sample, in [0, n_sources)."""
     sources = np.asarray(batch.sources)
     n = batch.tokens.shape[0]
-    if not np.issubdtype(sources.dtype, np.integer):
+    if sources.dtype.kind not in "iu":
         raise ValueError(f"source ids have dtype {sources.dtype}, expected integers")
     if sources.shape != (n,):
         raise ValueError(f"source ids shape {sources.shape} does not match {n} samples")
@@ -244,7 +263,7 @@ class ComeModel:
     @np.errstate(over="raise", invalid="raise")
     def forward(self, batch: TokenBatch, cluster_rng=None,
                 pinned: ForwardState | None = None) -> ForwardState:
-        """Losses, predictions and the backward's caches for one batch.
+        """Loss values, predictions and the backward's caches for one batch.
 
         ``cluster_rng`` seeds k-means and is read only when ``clusters``;
         None then stands for ``np.random.default_rng(0)``.
@@ -268,9 +287,9 @@ class ComeModel:
             features, plan, body, aux = self._routed_forward(batch, flat, cluster_rng, pinned)
         pooled = features.mean(axis=1)
         class_logits = pooled @ self.params["head.w"] + self.params["head.b"]
-        task, d_task = cross_entropy(class_logits, batch.labels)
+        task, probs = cross_entropy(class_logits, batch.labels)
         total = task
-        if aux:  # weighted as _routed_forward weights the routing-loss gradients
+        if aux:  # weighted as _routed_backward weights the routing-loss gradients
             w = self.cfg.losses
             total = task + w.tb_weight * aux["l_tb"] + w.balance_weight * (
                 aux["l_ip"] + aux["l_load"])
@@ -280,7 +299,7 @@ class ComeModel:
             predictions=np.argmax(class_logits, axis=1),
             plan=plan,
             pooled=pooled,
-            d_task_logits=d_task,
+            probs=probs,
             att_cache=att_cache,
             body=body,
         )
@@ -288,7 +307,7 @@ class ComeModel:
     def _routed_forward(self, batch: TokenBatch, flat: Array, cluster_rng,
                         pinned: ForwardState | None):
         """Enabled frozen priors plus the routed expert mixture over the
-        attended tokens ``flat``, and the routing losses on its gates. With
+        attended tokens ``flat``, and the routing-loss values on its gates. With
         ``pinned``, its cluster features and dispatch plan are reused.
 
         Returns (features (B, T, D), dispatch plan, RoutedCache, the
@@ -331,15 +350,13 @@ class ComeModel:
             priors[0] += features
             features = priors[0]
 
-        losses = cfg.losses
-        l_tb, d_tb, clamped = traceability_loss(gates, batch.token_sources, self.group_size)
-        l_ip, d_ip, importance = importance_loss(gates)
+        l_tb, tb_parts, clamped = traceability_loss(gates, batch.token_sources, self.group_size)
+        l_ip, d_importance, importance = importance_loss(gates)
         l_load, d_load, load = load_loss(gates)
-        d_gates_aux = [losses.tb_weight * d_tb, losses.balance_weight * d_ip,
-                       losses.balance_weight * d_load]
 
         cache = RoutedCache(concat=concat, routed_in=routed_in, gates=gates, combine=combine,
-                            saved=saved, renorm_sums=renorm_sums, d_gates_aux=d_gates_aux)
+                            saved=saved, renorm_sums=renorm_sums, tb_parts=tb_parts,
+                            d_importance=d_importance, d_load=d_load)
         aux = dict(l_tb=l_tb, l_ip=l_ip, l_load=l_load, importance=importance, load=load,
                    tb_clamped=clamped)
         return features, plan, cache, aux
@@ -361,7 +378,7 @@ class ComeModel:
         state.body = state.att_cache = None  # consumed even if a step below raises
         b, t, d = state.batch.tokens.shape
         grads = {}
-        d_logits = state.d_task_logits
+        d_logits = cross_entropy_backward(state.probs, state.batch.labels)
         grads["head.w"] = state.pooled.T @ d_logits
         grads["head.b"] = d_logits.sum(axis=0)
         d_pooled = d_logits @ self.params["head.w"].T
@@ -396,8 +413,11 @@ class ComeModel:
             inner = np.sum(picked_d * picked_w, axis=1, keepdims=True)
             d_gates = np.zeros_like(d_gates)
             np.put_along_axis(d_gates, sel, (picked_d - inner) / cache.renorm_sums, axis=1)
-        for term in cache.d_gates_aux:
-            d_gates += term
+        w = self.cfg.losses
+        n, n_experts = cache.gates.shape
+        d_gates += w.tb_weight * traceability_backward(n_experts, *cache.tb_parts)
+        d_gates += w.balance_weight * importance_backward(cache.d_importance, n)
+        d_gates += w.balance_weight * load_backward(cache.d_load, cache.gates)
         d_in_router, router_grads = gate_backward(d_gates, cache.routed_in, cache.gates,
                                                   self.params)
         grads.update(router_grads)

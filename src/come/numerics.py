@@ -148,11 +148,11 @@ def cv_squared(v: Array):
     v for c > 0.
     """
     arr = np.asarray(v, dtype=np.float64).ravel()
-    mean = float(arr.mean())
+    mean = float(np.add.reduce(arr) / arr.size)
     if mean == 0.0:
         return 0.0, np.zeros_like(arr)
     dev = arr - mean
-    var = float(np.mean(dev**2))
+    var = float(np.add.reduce(dev**2) / arr.size)
     grad = (2.0 / arr.size) * (dev / mean**2 - var / mean**3)
     return var / (mean * mean), grad
 

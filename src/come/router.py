@@ -46,10 +46,13 @@ def gate_backward(d_gates: Array, inputs: Array, gates: Array, params: dict):
 
 def topk_select(gates: Array, k: int) -> Array:
     """Per-token indices (N, K) of the K largest gates, largest first; ties
-    break toward the lower expert index."""
+    break toward the lower expert index. K = 1 takes ``argmax``, whose first
+    largest gate is the stable sort's pick, without sorting the rows."""
     g = np.asarray(gates, dtype=np.float64)
     if k > g.shape[1]:
         raise ValueError(f"top_k={k} exceeds {g.shape[1]} experts")
+    if k == 1:
+        return np.argmax(g, axis=1).reshape(-1, 1)
     order = np.argsort(-g, axis=1, kind="stable")  # stable: equal gates keep index order
     return order[:, :k]
 

@@ -10,8 +10,11 @@ from come.datagen import TokenBatch
 from come.losses import (
     GROUP_MASS_EPS,
     cross_entropy,
+    cross_entropy_backward,
     importance_loss,
+    load_backward,
     load_loss,
+    traceability_backward,
     traceability_loss,
 )
 from come.model import ComeModel
@@ -30,7 +33,7 @@ def _uniform_gates(n, m):
 def test_traceability_zero_when_group_holds_all_mass():
     gates = np.zeros((4, 4))
     gates[:, 0] = 1.0
-    val, grad, clamped = traceability_loss(gates, np.zeros(4, dtype=int), 1)  # owns expert 0
+    val, _, clamped = traceability_loss(gates, np.zeros(4, dtype=int), 1)  # owns expert 0
     assert val == 0.0
     assert clamped == 0
 
@@ -45,7 +48,7 @@ def test_traceability_singleton_groups_match_loop_oracle():
     rng = np.random.default_rng(0)
     gates = rng.dirichlet(np.ones(5), size=12)
     sources = rng.integers(0, 3, size=12)
-    val, grad, _ = traceability_loss(gates, sources, 1)  # source m owns expert m
+    val, _, _ = traceability_loss(gates, sources, 1)  # source m owns expert m
     expected = -sum(math.log(gates[i, sources[i]]) for i in range(12)) / 12
     assert abs(val - expected) < 1e-12
     # gradient vs finite differences (softmax reparam keeps gates valid)
@@ -54,10 +57,10 @@ def test_traceability_singleton_groups_match_loop_oracle():
 
     def fn(flat):
         g = softmax(flat.reshape(6, 5))
-        v, dg, _ = traceability_loss(g, src, 1)
+        v, parts, _ = traceability_loss(g, src, 1)
         from come.numerics import softmax_backward
 
-        return v, softmax_backward(g, dg).ravel()
+        return v, softmax_backward(g, traceability_backward(5, *parts)).ravel()
 
     assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-6
 
@@ -65,7 +68,8 @@ def test_traceability_singleton_groups_match_loop_oracle():
 def test_traceability_clamps_zero_mass_and_counts():
     gates = np.array([[1.0, 0.0], [0.0, 1.0]])
     # source 1 owns expert 1, so the first token has zero group mass
-    val, grad, clamped = traceability_loss(gates, np.ones(2, dtype=int), 1)
+    val, parts, clamped = traceability_loss(gates, np.ones(2, dtype=int), 1)
+    grad = traceability_backward(2, *parts)
     assert clamped == 1
     assert np.isfinite(val)
     assert val >= -0.5 * math.log(GROUP_MASS_EPS) - 1e-9
@@ -164,16 +168,17 @@ def test_load_gradient_literal():
 
         def fn(flat):
             g = softmax(flat.reshape(4, 5))
-            v, dg, _ = load_loss(g)
+            v, d_load, _ = load_loss(g)
             from come.numerics import softmax_backward
 
-            return v, softmax_backward(g, dg).ravel()
+            return v, softmax_backward(g, load_backward(d_load, g)).ravel()
 
         assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-5
 
 
-# SHA-256 of load_loss's (value, d_gates, load), each as float64 bytes, on
-# softmax gates of seeded normal logits with 8 experts.
+# SHA-256 of load_loss's value, load_backward's d_gates and load_loss's load
+# vector, each as float64 bytes, on softmax gates of seeded normal logits
+# with 8 experts.
 LOAD_LOSS_DIGESTS = {
     128: (
         "06f63ef702e2fe9caa8e6f76d6b5a82a9074dd99ddc9dae9ce69a41af6727728",
@@ -191,9 +196,10 @@ LOAD_LOSS_DIGESTS = {
 @pytest.mark.parametrize("n_tokens", sorted(LOAD_LOSS_DIGESTS))
 def test_load_loss_digest_pinned(n_tokens):
     gates = softmax(np.random.default_rng(n_tokens).normal(size=(n_tokens, 8)))
+    value, d_load, load = load_loss(gates)
     digests = tuple(
         hashlib.sha256(np.asarray(part, dtype=np.float64).tobytes()).hexdigest()
-        for part in load_loss(gates)
+        for part in (value, load_backward(d_load, gates), load)
     )
     assert digests == LOAD_LOSS_DIGESTS[n_tokens]
 
@@ -235,8 +241,8 @@ def test_cross_entropy_gradient():
     labels = rng.integers(0, 3, size=4)
 
     def fn(flat):
-        v, d = cross_entropy(flat.reshape(4, 3), labels)
-        return v, d.ravel()
+        v, probs = cross_entropy(flat.reshape(4, 3), labels)
+        return v, cross_entropy_backward(probs, labels).ravel()
 
     assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-7
 
@@ -248,6 +254,10 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy(np.zeros((2, 3)), np.array([-1, 2]))
     with pytest.raises(ValueError, match="shape"):
         cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="labels have dtype float64, expected integers"):
+        cross_entropy(np.zeros((2, 3)), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="labels have dtype bool, expected integers"):
+        cross_entropy(np.zeros((2, 3)), np.array([True, False]))
 
 
 def test_cross_entropy_of_no_samples_passes_the_label_check():

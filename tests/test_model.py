@@ -371,3 +371,43 @@ def test_backward_frees_more_than_its_gradients_take(arch):
     grad_bytes = sum(g.nbytes for g in grads.values())
     assert started - before > 4e6
     assert returned - grad_bytes - before < (started - before) / 2
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_evaluate_holds_one_forward_state_at_a_time(arch):
+    """Each batch's forward state is freed before the next forward, so a
+    3-batch evaluate peaks within a quarter of a 1-batch one at B=64, D=64,
+    top-2."""
+    cfg = apply_overrides(RunConfig(), ["training.batch_size=64", "data.width=64",
+                                        "router.top_k=2", "data.n_samples=1000",
+                                        f"model.arch={arch}"])
+    model = ComeModel.build(cfg)
+    dataset = generate(cfg.data.generator(), cfg.data.seed)
+    peaks = []
+    for n_batches in (1, 3):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = evaluate(model, dataset, "train", max_batches=n_batches)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert result.n_samples == 64 * n_batches
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+LOSS_BACKWARDS = ("cross_entropy_backward", "traceability_backward", "importance_backward",
+                  "load_backward")
+
+
+def test_evaluate_forms_loss_values_and_calls_no_loss_backward(monkeypatch):
+    cfg = _cfg()
+    model = ComeModel.build(cfg)
+    dataset = generate(cfg.data.generator(), cfg.data.seed)
+    values = _counting(monkeypatch, "cross_entropy")
+    calls = {name: _counting(monkeypatch, name) for name in LOSS_BACKWARDS}
+    evaluate(model, dataset, "test", batch_size=4, max_batches=2)
+    assert len(values) == 2
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(LOSS_BACKWARDS, 0)
+    model.loss_and_grads(_batch(cfg), cluster_rng=np.random.default_rng(1))  # counted if called
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(LOSS_BACKWARDS, 1)

@@ -81,6 +81,16 @@ def test_topk_tie_breaks_to_lowest_index():
     np.testing.assert_array_equal(idx2[0], [0, 1, 2])
 
 
+def test_top1_is_the_stable_sort_pick_on_exact_ties():
+    rng = np.random.default_rng(9)
+    tied = rng.dirichlet(np.ones(3), size=5)[:, [0, 1, 1, 2, 0]]  # equal column pairs
+    tied[0] = [0.3, 0.3, 0.1, 0.3, 0.0]  # the largest gate three times
+    for gates in (np.full((4, 5), 0.2), np.array([[0.5, 0.5], [0.0, 0.0]]), tied):
+        expected = np.argsort(-gates, axis=1, kind="stable")[:, :1]
+        picked = topk_select(gates, 1)
+        assert picked.shape == expected.shape and np.array_equal(picked, expected)
+
+
 def test_topk_invariant_to_per_row_constant_logit_shift():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(10, 6))
