@@ -14,9 +14,11 @@ A dataset file holds exactly three blobs: ``tokens`` (N, T, D) and the
 per-sample integer ids ``sources`` and ``labels`` (N,), which f64 holds
 exactly. Its JSON sidecar (same path with a .json suffix) records the
 generator parameters and seed, the train/test indices and the per-source
-sample counts. The arrays must agree with the generator: (T, D) is its
+sample counts. Saving and loading check the arrays against the generator
+with ``datagen.check_dataset``, the check ``harness.train`` and
+``evaluate`` make of an in-memory dataset: (T, D) is its
 (``tokens_per_sample``, ``width``), and ids lie in [0, ``n_sources``) and
-[0, ``n_classes``).
+[0, ``n_classes``); a blob's ids must also be integral.
 
 The reader raises a ValueError naming the path for a malformed file:
 truncated, with bytes after its last blob, a repeated blob name, or a NaN
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import value_type
-from .datagen import DatasetBundle, GeneratorConfig
+from .datagen import DatasetBundle, GeneratorConfig, check_dataset
 
 MAGIC = b"COME"
 CHECKPOINT_VERSION = 2
@@ -90,30 +92,13 @@ class _Reader:
             raise ValueError(f"{self.path}: {extra} trailing bytes after {what}")
 
 
-def _check_against_generator(path, arrays: dict, config: GeneratorConfig):
-    """Raise a ValueError naming ``path`` unless the tokens are (T, D) =
-    (tokens_per_sample, width) per sample and each source id and label is
-    an integer in [0, n_sources) and [0, n_classes)."""
-    shape = (config.tokens_per_sample, config.width)
-    if arrays["tokens"].shape[1:] != shape:
-        raise ValueError(f"{path}: tokens have shape {arrays['tokens'].shape}, but the "
-                         f"generator's (tokens_per_sample, width) is {shape}")
-    for name, key in (("sources", "n_sources"), ("labels", "n_classes")):
-        ids, limit = arrays[name], getattr(config, key)
-        bad = np.flatnonzero((ids < 0) | (ids >= limit) | (ids != np.floor(ids)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"{path}: sample {i + 1} of {len(ids)} has {name[:-1]} "
-                             f"{ids[i].item()!r}, not an integer in [0, {key} = {limit})")
-
-
 def save_dataset(path, bundle: DatasetBundle) -> Path:
     """Write the dataset container plus its JSON sidecar; returns the path.
     Tokens or ids that disagree with the generator raise the ValueError
     ``load_dataset`` would, before anything is written."""
     p = Path(path)
     arrays = {"tokens": bundle.tokens, "sources": bundle.sources, "labels": bundle.labels}
-    _check_against_generator(p, arrays, bundle.config)
+    check_dataset(p, **arrays, generator=bundle.config)
     save_checkpoint(p, arrays)
     Path(f"{p}.json").write_text(json.dumps(generator_sidecar(bundle), indent=2))
     return p
@@ -133,7 +118,7 @@ def load_dataset(path) -> DatasetBundle:
                          f"labels, not {shapes}")
     side = _read_sidecar(Path(f"{path}.json"), n)
     config = GeneratorConfig(**side["generator"])
-    _check_against_generator(path, arrays, config)
+    check_dataset(path, **arrays, generator=config)
     ids = [arrays[name].astype(np.int64) for name in ("sources", "labels")]
     splits = [np.asarray(side[key], dtype=np.int64) for key in ("train_indices", "test_indices")]
     return DatasetBundle(arrays["tokens"], *ids, *splits, config, side["seed"])

@@ -30,11 +30,11 @@ as a per-sample loop computes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import RandomStreams, finite_number
+from .numerics import RandomStreams, finite_number, require_ids
 
 Array = np.ndarray
 
@@ -74,12 +74,13 @@ class GeneratorConfig:
             raise ValueError(
                 f"{len(self.source_weights)} weights for {self.n_sources} sources"
             )
-        for name in ("source_weights", "mean_scale", "shared_scale", "source_scale",
-                     "noise_scale", "label_shared_scale", "label_source_scale"):
-            value = getattr(self, name)
-            numbers = value if isinstance(value, list) else [value]
-            if not all(map(finite_number, numbers)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        defaults = GeneratorConfig()
+        for f in fields(GeneratorConfig):
+            if isinstance(getattr(defaults, f.name), (float, list)):
+                value = getattr(self, f.name)
+                numbers = value if isinstance(value, list) else [value]
+                if not all(map(finite_number, numbers)):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
         if any(w <= 0 for w in self.source_weights):
             raise ValueError("source_weights must be positive")
         if math.isinf(sum(map(float, self.source_weights))):
@@ -92,6 +93,19 @@ class GeneratorConfig:
             raise ValueError(f"source_rank={self.source_rank} outside [0, width={self.width}]")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+
+
+def check_dataset(where, tokens: Array, sources: Array, labels: Array,
+                  generator: GeneratorConfig):
+    """Raise a ValueError starting with ``where`` unless the tokens are
+    (N, tokens_per_sample, width) and the sources and labels are N integers
+    in [0, n_sources) and [0, n_classes). Float ids pass if integral."""
+    shape = (generator.tokens_per_sample, generator.width)
+    if tokens.shape[1:] != shape:
+        raise ValueError(f"{where}: tokens have shape {tokens.shape}, but the "
+                         f"generator's (tokens_per_sample, width) is {shape}")
+    for name, ids, bound in (("sources", sources, "n_sources"), ("labels", labels, "n_classes")):
+        require_ids(where, name, ids, len(tokens), bound, getattr(generator, bound), floats=True)
 
 
 @dataclass

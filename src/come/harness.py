@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from .container import checkpoint_digest, load_dataset
-from .datagen import DatasetBundle, generate
+from .datagen import DatasetBundle, check_dataset, generate
 from .model import ComeModel, ForwardState
 from .numerics import AdamWState, NonFiniteError, RandomStreams, adamw_step
 
@@ -120,21 +120,6 @@ def build_dataset(cfg: RunConfig) -> DatasetBundle:
     return dataset
 
 
-def _check_dataset(cfg: RunConfig, dataset: DatasetBundle):
-    if dataset.tokens.shape[2] != cfg.data.width:
-        raise ValueError(
-            f"dataset width {dataset.tokens.shape[2]} != configured {cfg.data.width}"
-        )
-    if dataset.labels.max(initial=0) >= cfg.data.n_classes:
-        raise ValueError("dataset labels exceed configured class count")
-    if dataset.sources.max(initial=0) >= cfg.data.n_sources:
-        raise ValueError("dataset sources exceed configured source count")
-    if dataset.sources.min(initial=0) < 0:
-        raise ValueError(f"dataset source id {dataset.sources.min()} is negative")
-    if dataset.labels.min(initial=0) < 0:
-        raise ValueError(f"dataset label {dataset.labels.min()} is negative")
-
-
 def routing_purity(plan, token_sources, group_size: int) -> tuple:
     """(in-group count, counted tokens) for the highest-gate admitted expert.
 
@@ -162,11 +147,13 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     ``split`` is "train" or "test": the dataset's training or test indices,
     in order, of which the first ``max_batches`` batches of ``batch_size``
     are evaluated (all of them by default). Model parameters are never
-    mutated; any other split, an empty one, and a ``batch_size`` or
-    ``max_batches`` that is not an int >= 1 are rejected.
+    mutated. Before the first forward, a dataset that fails
+    ``datagen.check_dataset`` against ``cfg.data``, any other split, an
+    empty one, and a ``batch_size`` or ``max_batches`` that is not an
+    int >= 1 are rejected with a ValueError.
     """
     cfg = model.cfg
-    _check_dataset(cfg, dataset)
+    check_dataset("evaluate", dataset.tokens, dataset.sources, dataset.labels, cfg.data)
     # str first: `array in tuple` would compare an index array elementwise
     if not (isinstance(split, str) and split in ("train", "test")):
         raise ValueError(f"evaluate: split must be 'train' or 'test', got {split!r}")
@@ -252,12 +239,13 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     initial ones if none was reached. The halt reason names the step, and
     for a FloatingPointError the innermost function. Writes metrics.csv,
     expert_stats.csv, checkpoint.come and manifest.json when ``out_dir`` is
-    given.
+    given. Before a model is built, a dataset that fails
+    ``datagen.check_dataset`` against ``cfg.data`` raises a ValueError.
     """
     cfg.validate()
     if dataset is None:
         dataset = build_dataset(cfg)
-    _check_dataset(cfg, dataset)
+    check_dataset("train", dataset.tokens, dataset.sources, dataset.labels, cfg.data)
     train_idx = dataset.train_idx
     for name, idx in (("training", train_idx), ("test", dataset.test_idx)):
         if idx.size == 0:

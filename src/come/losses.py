@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import cv_squared, normal_cdf, normal_pdf, softmax
+from .numerics import cv_squared, normal_cdf, normal_pdf, require_ids, softmax
 
 Array = np.ndarray
 
@@ -115,19 +115,13 @@ def load_backward(d_load: Array, gates: Array) -> Array:
 
 def cross_entropy(logits: Array, labels: Array):
     """Mean softmax cross-entropy over samples; rejects labels that are not
-    integers or are out of range.
+    one integer per row of ``logits`` in [0, C) (``require_ids``).
 
     Returns (value, probs): the (B, C) softmax ``cross_entropy_backward``
     reads.
     """
-    y = np.asarray(labels)
     n, c = logits.shape
-    if y.dtype.kind not in "iu":
-        raise ValueError(f"labels have dtype {y.dtype}, expected integers")
-    if y.shape != (n,):
-        raise ValueError(f"labels shape {y.shape} does not match {n} samples")
-    if y.size and (y.min() < 0 or y.max() >= c):
-        raise ValueError(f"label out of range [0, {c})")
+    y = require_ids("cross_entropy", "labels", labels, n, "n_classes", c)
     probs = softmax(logits)
     picked = probs[np.arange(n), y]
     value = float(np.add.reduce(-np.log(np.maximum(picked, 1e-300))) / n)

@@ -37,13 +37,16 @@ plan, so the perturbed evaluations differentiate the same masked function
 the backward assumes.
 
 Finiteness is checked once, where values enter: attention rejects a batch
-with NaN or Inf tokens, and ``load_checkpoint`` a non-finite blob. The
-layers do not re-check the arrays the model builds from them. Instead
-``forward`` runs under ``np.errstate(over="raise", invalid="raise")``, so
-the first overflowing or invalid operation raises ``FloatingPointError``.
-No division by zero is reachable: softmax sums are >= 1, a renormalised
-Top-K mass is >= 1/E, group masses and CE probabilities are clamped, and
-empty k-means clusters are masked.
+with NaN or Inf tokens, and ``load_checkpoint`` a non-finite blob. Ids are
+too, by ``numerics.require_ids``: the routed body checks a batch's source
+ids before traceability indexes expert groups with them, and
+``cross_entropy`` its labels. The layers do not re-check the arrays the
+model builds from them. Instead ``forward`` runs under
+``np.errstate(over="raise", invalid="raise")``, so the first overflowing
+or invalid operation raises ``FloatingPointError``. No division by zero is
+reachable: softmax sums are >= 1, a renormalised Top-K mass is >= 1/E,
+group masses and CE probabilities are clamped, and empty k-means clusters
+are masked.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from .losses import (
     traceability_backward,
     traceability_loss,
 )
-from .numerics import RandomStreams
+from .numerics import RandomStreams, require_ids
 from .router import (
     DispatchPlan,
     build_dispatch,
@@ -156,19 +159,6 @@ def matched_dense_hidden(cfg: RunConfig) -> int:
     return max(1, round((target - d) / (2 * d + 1)))
 
 
-def _check_sources(batch: TokenBatch, n_sources: int):
-    """Reject source ids that traceability could not score: they must be
-    integers, one per sample, in [0, n_sources)."""
-    sources = np.asarray(batch.sources)
-    n = batch.tokens.shape[0]
-    if sources.dtype.kind not in "iu":
-        raise ValueError(f"source ids have dtype {sources.dtype}, expected integers")
-    if sources.shape != (n,):
-        raise ValueError(f"source ids shape {sources.shape} does not match {n} samples")
-    if sources.min() < 0 or sources.max() >= n_sources:
-        raise ValueError(f"source id out of range [0, {n_sources})")
-
-
 class ComeModel:
     """Trainable ``params`` plus the ``frozen`` shared experts, which only
     the routed architecture has. ``group_size`` g = n_experts // n_sources
@@ -176,7 +166,6 @@ class ComeModel:
     and no source owns the remainder experts past the last block."""
 
     def __init__(self, cfg: RunConfig, params: dict, frozen: dict):
-        cfg.validate()
         self.cfg = cfg
         self.params = params
         self.frozen = frozen
@@ -268,9 +257,10 @@ class ComeModel:
         ``cluster_rng`` seeds k-means and is read only when ``clusters``;
         None then stands for ``np.random.default_rng(0)``.
 
-        Raises ValueError for an empty batch or, on the routed body, for
-        source ids that are not B integers in [0, n_sources) or a ``pinned``
-        state that backward consumed;
+        Raises ValueError for an empty batch, for labels that are not B
+        integers in [0, n_classes) and, on the routed body, for source ids
+        that are not B integers in [0, n_sources) or a ``pinned`` state that
+        backward consumed, each id failure naming the first bad sample;
         NonFiniteError for NaN or Inf tokens; and FloatingPointError at the
         first operation that overflows or is invalid.
         """
@@ -314,7 +304,8 @@ class ComeModel:
         routing-loss fields of the LossReport).
         """
         cfg = self.cfg
-        _check_sources(batch, cfg.data.n_sources)
+        require_ids("forward", "source ids", batch.sources, batch.tokens.shape[0], "n_sources",
+                    cfg.data.n_sources)
         priors = [frozen_forward(self.frozen, kind, batch.tokens)
                   for kind, on in (("structure", cfg.model.structure_expert),
                                    ("semantic", cfg.model.semantic_expert)) if on]

@@ -3,9 +3,10 @@
 Stable softmax, standard-normal CDF, squared coefficient of variation,
 decoupled-weight-decay Adam, seeded random sub-streams, and a central
 difference gradient checker. All operations work in 64-bit reals. They do
-not check their inputs for NaN or Inf: values from outside the program are
-checked where they enter (``require_finite``), and the model's forward and
-the training step raise on the first overflowing or invalid operation.
+not check their inputs: values from outside the program are checked where
+they enter, arrays by ``require_finite`` and source ids and labels by
+``require_ids``, and the model's forward and the training step raise on
+the first overflowing or invalid operation.
 
 The normal CDF needs only NumPy and takes only the gate range: every entry
 must have |x| < sqrt(2), bar the last double below it, or it raises
@@ -55,6 +56,30 @@ def require_finite(name: str, arr: Array) -> Array:
         bad = int(np.count_nonzero(~np.isfinite(out)))
         raise NonFiniteError(f"{name}: {bad} non-finite entries (shape {out.shape})")
     return out
+
+
+def require_ids(where: str, name: str, ids, n: int, bound: str, limit: int,
+                floats: bool = False) -> Array:
+    """``ids`` as an array if it holds ``n`` integers in [0, ``limit``), else a
+    ValueError that starts with ``where`` and names ``bound`` and the first
+    bad sample's id, a ``name`` (plural: ``labels``). The dtype must be an
+    integer one, checked by one min and max; with ``floats``, integral float
+    ids (a container blob) pass too."""
+    arr = np.asarray(ids)
+    kind = arr.dtype.kind
+    if kind not in "iu" and not (floats and kind == "f"):
+        raise ValueError(f"{where}: {name} have dtype {arr.dtype}, expected integers")
+    if arr.shape != (n,):
+        raise ValueError(f"{where}: {name} shape {arr.shape} does not match {n} samples")
+    if kind != "f" and (n == 0 or (arr.min() >= 0 and arr.max() < limit)):
+        return arr
+    # NaN fails every comparison, so it counts as bad
+    bad = np.flatnonzero(~((arr >= 0) & (arr < limit) & (arr == np.floor(arr))))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{where}: sample {i + 1} of {n} has {name[:-1]} {arr[i].item()!r}, "
+                         f"not an integer in [0, {bound} = {limit})")
+    return arr
 
 
 def finite_number(value) -> bool:

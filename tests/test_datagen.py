@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -184,6 +186,18 @@ def test_config_validation():
 def test_non_finite_weights_and_scales_are_rejected_by_name(kw, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         _small_cfg(**kw).validate()
+
+
+NUMBER_FIELDS = [f.name for f in dataclasses.fields(GeneratorConfig)
+                 if isinstance(getattr(GeneratorConfig(), f.name), (float, list))]
+
+
+@pytest.mark.parametrize("name", NUMBER_FIELDS)
+def test_every_float_and_list_field_must_be_finite(name):
+    value = getattr(_small_cfg(), name)
+    nan = [*value[:-1], math.nan] if isinstance(value, list) else math.nan
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {nan!r}")):
+        _small_cfg(**{name: nan}).validate()
 
 
 def test_sidecar_roundtrip_fields():

@@ -75,7 +75,7 @@ def test_evaluate_rejects_a_batch_argument_below_one(small, argument, value):
 
 
 @pytest.mark.parametrize("source, split, message", [
-    (-1, "test", "dataset source id -1 is negative"),
+    (-1, "test", r"evaluate: sample 1 of 80 has source -1, not an integer in \[0, n_sources = 4\)"),
 ], ids=["negative-source"])
 def test_evaluate_rejects_ids_out_of_range(small, source, split, message):
     cfg, dataset = small
@@ -98,8 +98,42 @@ def test_train_rejects_a_negative_label_before_training(small, monkeypatch):
     labels = dataset.labels.copy()
     labels[5] = -1
     monkeypatch.setattr(ComeModel, "build", lambda _: pytest.fail("a model was built"))
-    with pytest.raises(ValueError, match="dataset label -1 is negative"):
+    with pytest.raises(ValueError, match=re.escape(
+            "train: sample 6 of 80 has label -1, not an integer in [0, n_classes = 3)")):
         harness.train(cfg, dataset=dataclasses.replace(dataset, labels=labels))
+
+
+MALFORMED_BUNDLES = {
+    "2-D-tokens": (lambda d: dataclasses.replace(d, tokens=d.tokens[:, :, 0]),
+                   "tokens have shape (80, 16), but the generator's (tokens_per_sample, width) "
+                   "is (16, 32)"),
+    "short-labels": (lambda d: dataclasses.replace(d, labels=d.labels[:-5]),
+                     "labels shape (75,) does not match 80 samples"),
+    "short-sources": (lambda d: dataclasses.replace(d, sources=d.sources[:-5]),
+                      "sources shape (75,) does not match 80 samples"),
+    "5-tokens-per-sample": (
+        lambda d: dataclasses.replace(d, tokens=d.tokens[:, :5],
+                                      config=dataclasses.replace(d.config, tokens_per_sample=5)),
+        "tokens have shape (80, 5, 32), but the generator's (tokens_per_sample, width) "
+        "is (16, 32)"),
+    "source-equal-to-n_sources": (
+        lambda d: dataclasses.replace(d, sources=np.where(np.arange(80) == 3, 4, d.sources)),
+        "sample 4 of 80 has source 4, not an integer in [0, n_sources = 4)"),
+}
+
+
+@pytest.mark.parametrize("malform, message", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES)
+def test_a_malformed_bundle_is_rejected_before_any_model_runs(small, monkeypatch, malform,
+                                                              message):
+    cfg, dataset = small
+    bundle = malform(dataset)
+    model = ComeModel.build(cfg)
+    monkeypatch.setattr(ComeModel, "build", lambda _: pytest.fail("a model was built"))
+    monkeypatch.setattr(ComeModel, "forward", lambda *_, **__: pytest.fail("a forward ran"))
+    with pytest.raises(ValueError, match=re.escape(f"train: {message}")):
+        harness.train(cfg, dataset=bundle)
+    with pytest.raises(ValueError, match=re.escape(f"evaluate: {message}")):
+        harness.evaluate(model, bundle, "train")
 
 
 @pytest.mark.parametrize("argument, value", [

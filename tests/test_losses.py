@@ -248,9 +248,11 @@ def test_cross_entropy_gradient():
 
 
 def test_cross_entropy_rejects_bad_labels():
-    with pytest.raises(ValueError, match=re.escape("label out of range [0, 3)")):
+    with pytest.raises(ValueError, match=re.escape(
+            "cross_entropy: sample 2 of 2 has label 3, not an integer in [0, n_classes = 3)")):
         cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
-    with pytest.raises(ValueError, match=re.escape("label out of range [0, 3)")):
+    with pytest.raises(ValueError, match=re.escape(
+            "cross_entropy: sample 1 of 2 has label -1, not an integer in [0, n_classes = 3)")):
         cross_entropy(np.zeros((2, 3)), np.array([-1, 2]))
     with pytest.raises(ValueError, match="shape"):
         cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))

@@ -107,8 +107,8 @@ def test_forward_rejects_empty_batches(arch, monkeypatch):
 
 
 @pytest.mark.parametrize("sources, match", [
-    (np.full(8, -1), r"source id out of range \[0, 4\)"),
-    (np.full(8, 4), r"source id out of range \[0, 4\)"),
+    (np.full(8, -1), r"sample 1 of 8 has source id -1, not an integer in \[0, n_sources = 4\)"),
+    (np.full(8, 4), r"sample 1 of 8 has source id 4, not an integer in \[0, n_sources = 4\)"),
     (np.zeros(7, np.int64), r"source ids shape \(7,\) does not match 8 samples"),
     (np.zeros(9, np.int64), r"source ids shape \(9,\) does not match 8 samples"),
     (np.zeros(8), "source ids have dtype float64, expected integers"),
@@ -263,6 +263,18 @@ def test_training_steps_reduce_loss():
         adamw_step(model.params, grads, opt)
     last = _forward(model, batch, seed=7).report.total
     assert last < first
+
+
+def test_build_and_from_checkpoint_validate_the_config_once(tmp_path, monkeypatch):
+    cfg = _cfg()
+    path = ComeModel.build(cfg).save(tmp_path / "m.come")
+    calls = []
+    validate = RunConfig.validate
+    monkeypatch.setattr(RunConfig, "validate", lambda self: calls.append(1) or validate(self))
+    ComeModel.build(cfg)
+    assert len(calls) == 1
+    ComeModel.from_checkpoint(cfg, path)
+    assert len(calls) == 2
 
 
 def test_checkpoint_roundtrip_and_validation(tmp_path):

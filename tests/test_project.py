@@ -71,6 +71,14 @@ def test_only_the_container_module_knows_the_binary_layout():
     assert knowing == ["container.py"]
 
 
+def test_only_the_numerics_module_words_the_id_range_rule():
+    # source ids and labels are range-checked by numerics.require_ids alone
+    phrases = ("not an integer in [0", "out of range [0", "exceed configured", "is negative")
+    wording = sorted(path.name for path in PACKAGE.rglob("*.py")
+                     if any(phrase in path.read_text() for phrase in phrases))
+    assert wording == ["numerics.py"]
+
+
 def test_importing_every_module_loads_no_scipy():
     probe = (
         "import importlib, pkgutil, sys\n"
