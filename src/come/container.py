@@ -12,13 +12,17 @@ model, the frozen shared experts as ``frozen.{kind}.{w,b}`` blobs.
 
 A dataset file holds exactly three blobs: ``tokens`` (N, T, D) and the
 per-sample integer ids ``sources`` and ``labels`` (N,), which f64 holds
-exactly. Its JSON sidecar (same path with a .json suffix) records the
-generator parameters and seed, the train/test indices and the per-source
-sample counts. Saving and loading check the arrays against the generator
-with ``datagen.check_dataset``, the check ``harness.train`` and
-``evaluate`` make of an in-memory dataset: (T, D) is its
-(``tokens_per_sample``, ``width``), and ids lie in [0, ``n_sources``) and
-[0, ``n_classes``); a blob's ids must also be integral.
+exactly; ``load_dataset`` turns them into int64, rejecting an entry that is
+not a 64-bit integer, so ids are integers everywhere past the file. Its JSON
+sidecar (same path with a .json suffix) records the generator parameters and
+seed, the train/test indices and the per-source sample counts. Saving and
+loading check the whole bundle against the generator with
+``datagen.check_dataset``, the check ``harness.train`` and ``evaluate`` make
+of an in-memory dataset: (T, D) is its (``tokens_per_sample``, ``width``),
+ids lie in [0, ``n_sources``) and [0, ``n_classes``), and the splits keep
+``datagen.check_splits``' rule (indices in [0, N), each in at most one
+split and at most once), which the sidecar's indices also meet under the
+sidecar's name.
 
 The reader raises a ValueError naming the path for a malformed file:
 truncated, with bytes after its last blob, a repeated blob name, or a NaN
@@ -37,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import value_type
-from .datagen import DatasetBundle, GeneratorConfig, check_dataset
+from .datagen import DatasetBundle, GeneratorConfig, check_dataset, check_splits
 
 MAGIC = b"COME"
 CHECKPOINT_VERSION = 2
@@ -94,12 +98,12 @@ class _Reader:
 
 def save_dataset(path, bundle: DatasetBundle) -> Path:
     """Write the dataset container plus its JSON sidecar; returns the path.
-    Tokens or ids that disagree with the generator raise the ValueError
+    A bundle that disagrees with its generator raises the ValueError
     ``load_dataset`` would, before anything is written."""
     p = Path(path)
-    arrays = {"tokens": bundle.tokens, "sources": bundle.sources, "labels": bundle.labels}
-    check_dataset(p, **arrays, generator=bundle.config)
-    save_checkpoint(p, arrays)
+    check_dataset(p, bundle, bundle.config)
+    save_checkpoint(p, {"tokens": bundle.tokens, "sources": bundle.sources,
+                        "labels": bundle.labels})
     Path(f"{p}.json").write_text(json.dumps(generator_sidecar(bundle), indent=2))
     return p
 
@@ -107,8 +111,9 @@ def save_dataset(path, bundle: DatasetBundle) -> Path:
 def load_dataset(path) -> DatasetBundle:
     """The dataset saved at ``path``, read through ``load_checkpoint``. Raises
     a ValueError naming the container when it is malformed, holds other than
-    (N, T, D) tokens and (N,) sources and labels, or disagrees with the
-    sidecar's generator, and naming the sidecar when that is missing or bad."""
+    (N, T, D) tokens and (N,) sources and labels, an id blob entry that is
+    not a 64-bit integer, or disagrees with the sidecar's generator, and
+    naming the sidecar when that is missing or bad."""
     arrays = load_checkpoint(path)
     shapes = {name: arr.shape for name, arr in sorted(arrays.items())}
     tokens = shapes.get("tokens", ())
@@ -116,12 +121,26 @@ def load_dataset(path) -> DatasetBundle:
     if shapes != {"labels": (n,), "sources": (n,), "tokens": tokens}:
         raise ValueError(f"{path}: a dataset holds (N, T, D) tokens and (N,) sources and "
                          f"labels, not {shapes}")
+    ids = [_int_blob(path, name, arrays[name]) for name in ("sources", "labels")]
     side = _read_sidecar(Path(f"{path}.json"), n)
-    config = GeneratorConfig(**side["generator"])
-    check_dataset(path, **arrays, generator=config)
-    ids = [arrays[name].astype(np.int64) for name in ("sources", "labels")]
     splits = [np.asarray(side[key], dtype=np.int64) for key in ("train_indices", "test_indices")]
-    return DatasetBundle(arrays["tokens"], *ids, *splits, config, side["seed"])
+    bundle = DatasetBundle(arrays["tokens"], *ids, *splits, GeneratorConfig(**side["generator"]),
+                           side["seed"])
+    check_dataset(path, bundle, bundle.config)
+    return bundle
+
+
+def _int_blob(path, name: str, blob: np.ndarray) -> np.ndarray:
+    """The f64 id blob ``name`` as int64, or a ValueError naming the file, the
+    blob and its first entry that is not a 64-bit integer."""
+    with np.errstate(invalid="ignore"):  # an entry past int64 casts to garbage, caught below
+        ids = blob.astype(np.int64)
+    bad = np.flatnonzero(ids != blob)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path}: blob {name!r} has {blob[i].item()!r} at sample {i + 1} of "
+                         f"{blob.size}, not a 64-bit integer")
+    return ids
 
 
 def generator_sidecar(bundle: DatasetBundle) -> dict:
@@ -144,8 +163,7 @@ def _read_sidecar(path: Path, n_samples: int) -> dict:
     ValueError naming the sidecar unless it holds every generator field and
     no other, each of the type a ``data.*`` config key of that name takes and
     together accepted by ``GeneratorConfig.validate``, an int seed, and split
-    indices that are ints in [0, n), each in at most one split and at most
-    once."""
+    indices that are lists of ints keeping ``datagen.check_splits``."""
     try:
         side = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -174,17 +192,11 @@ def _read_sidecar(path: Path, n_samples: int) -> dict:
         raise ValueError(f"{path}: generator: {exc}") from exc
     if not _is_int(side["seed"]):
         raise ValueError(f"{path}: seed must be an int, got {side['seed']!r}")
-    for key in ("train_indices", "test_indices"):
-        indices = side[key]
-        if not (isinstance(indices, list)
-                and all(_is_int(i) and 0 <= i < n_samples for i in indices)):
+    splits = {key: side[key] for key in ("train_indices", "test_indices")}
+    for key, indices in splits.items():
+        if not (isinstance(indices, list) and all(map(_is_int, indices))):
             raise ValueError(f"{path}: {key} must be a list of ints in [0, {n_samples})")
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"{path}: {key} repeats a sample index")
-    shared = set(side["train_indices"]) & set(side["test_indices"])
-    if shared:
-        raise ValueError(f"{path}: {len(shared)} sample indices are in both train_indices and "
-                         f"test_indices, e.g. {min(shared)}")
+    check_splits(path, n_samples, **{key: np.asarray(idx) for key, idx in splits.items()})
     return side
 
 

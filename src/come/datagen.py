@@ -95,17 +95,54 @@ class GeneratorConfig:
             raise ValueError("train_fraction must be in (0, 1)")
 
 
-def check_dataset(where, tokens: Array, sources: Array, labels: Array,
-                  generator: GeneratorConfig):
-    """Raise a ValueError starting with ``where`` unless the tokens are
-    (N, tokens_per_sample, width) and the sources and labels are N integers
-    in [0, n_sources) and [0, n_classes). Float ids pass if integral."""
+def check_dataset(where, bundle: DatasetBundle, generator: GeneratorConfig):
+    """Raise a ValueError starting with ``where`` unless the bundle's tokens
+    are (N, tokens_per_sample, width), its sources and labels are N integers
+    (an integer dtype) in [0, n_sources) and [0, n_classes), and its splits
+    pass ``check_splits``."""
+    tokens = bundle.tokens
     shape = (generator.tokens_per_sample, generator.width)
     if tokens.shape[1:] != shape:
         raise ValueError(f"{where}: tokens have shape {tokens.shape}, but the "
                          f"generator's (tokens_per_sample, width) is {shape}")
-    for name, ids, bound in (("sources", sources, "n_sources"), ("labels", labels, "n_classes")):
-        require_ids(where, name, ids, len(tokens), bound, getattr(generator, bound), floats=True)
+    for name, bound in (("sources", "n_sources"), ("labels", "n_classes")):
+        require_ids(where, name, getattr(bundle, name), len(tokens), bound,
+                    getattr(generator, bound))
+    check_splits(where, len(tokens), train_idx=bundle.train_idx, test_idx=bundle.test_idx)
+
+
+def check_splits(where, n: int, **splits):
+    """The split rule: raise a ValueError starting with ``where`` and naming
+    the split unless each of the two named splits is an array of integer
+    sample indices in [0, n), no index repeats within a split, and no index
+    is in both. The error names the first bad entry. On success this is a
+    min, a max and one count per sample."""
+    arrays = {}
+    for name, idx in splits.items():
+        if not isinstance(idx, np.ndarray):
+            raise ValueError(f"{where}: {name} must be a NumPy array, got {type(idx).__name__}")
+        rule = f"{where}: {name} must be a list of ints in [0, {n})"
+        if idx.size == 0:  # an empty JSON list converts to float64
+            idx = idx.astype(np.int64)
+        if idx.dtype.kind not in "iu" or idx.ndim != 1:
+            raise ValueError(f"{rule}, got dtype {idx.dtype} and shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            j = int(np.flatnonzero((idx < 0) | (idx >= n))[0])
+            raise ValueError(f"{rule}, but entry {j + 1} of {idx.size} is {idx[j]}")
+        arrays[name] = idx.astype(np.intp, copy=False)
+    counts = np.bincount(np.concatenate(list(arrays.values())), minlength=n)
+    if counts.max(initial=0) <= 1:
+        return
+    for name, idx in arrays.items():
+        repeated = np.bincount(idx, minlength=n)[idx] > 1
+        if repeated.any():
+            i, j = np.flatnonzero(idx == idx[repeated.argmax()])[:2]
+            raise ValueError(f"{where}: {name} repeats a sample index: entries {i + 1} and "
+                             f"{j + 1} of {idx.size} are {idx[i]}")
+    shared = np.flatnonzero(counts > 1)
+    first, second = arrays
+    raise ValueError(f"{where}: {shared.size} sample indices are in both {first} and {second}, "
+                     f"the lowest {shared[0]}")
 
 
 @dataclass

@@ -148,12 +148,14 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     in order, of which the first ``max_batches`` batches of ``batch_size``
     are evaluated (all of them by default). Model parameters are never
     mutated. Before the first forward, a dataset that fails
-    ``datagen.check_dataset`` against ``cfg.data``, any other split, an
-    empty one, and a ``batch_size`` or ``max_batches`` that is not an
-    int >= 1 are rejected with a ValueError.
+    ``datagen.check_dataset`` against ``cfg.data`` (integer ids in range,
+    and splits of integer indices in [0, N), each in at most one split and
+    at most once, so no sample is scored twice), any other split, an empty
+    one, and a ``batch_size`` or ``max_batches`` that is not an int >= 1
+    are rejected with a ValueError.
     """
     cfg = model.cfg
-    check_dataset("evaluate", dataset.tokens, dataset.sources, dataset.labels, cfg.data)
+    check_dataset("evaluate", dataset, cfg.data)
     # str first: `array in tuple` would compare an index array elementwise
     if not (isinstance(split, str) and split in ("train", "test")):
         raise ValueError(f"evaluate: split must be 'train' or 'test', got {split!r}")
@@ -240,12 +242,14 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
     for a FloatingPointError the innermost function. Writes metrics.csv,
     expert_stats.csv, checkpoint.come and manifest.json when ``out_dir`` is
     given. Before a model is built, a dataset that fails
-    ``datagen.check_dataset`` against ``cfg.data`` raises a ValueError.
+    ``datagen.check_dataset`` against ``cfg.data`` raises a ValueError: ids
+    must have an integer dtype and lie in range, and the splits must hold
+    integer indices in [0, N), each in at most one split and at most once.
     """
     cfg.validate()
     if dataset is None:
         dataset = build_dataset(cfg)
-    check_dataset("train", dataset.tokens, dataset.sources, dataset.labels, cfg.data)
+    check_dataset("train", dataset, cfg.data)
     train_idx = dataset.train_idx
     for name, idx in (("training", train_idx), ("test", dataset.test_idx)):
         if idx.size == 0:

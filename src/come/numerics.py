@@ -58,28 +58,21 @@ def require_finite(name: str, arr: Array) -> Array:
     return out
 
 
-def require_ids(where: str, name: str, ids, n: int, bound: str, limit: int,
-                floats: bool = False) -> Array:
+def require_ids(where: str, name: str, ids, n: int, bound: str, limit: int) -> Array:
     """``ids`` as an array if it holds ``n`` integers in [0, ``limit``), else a
     ValueError that starts with ``where`` and names ``bound`` and the first
     bad sample's id, a ``name`` (plural: ``labels``). The dtype must be an
-    integer one, checked by one min and max; with ``floats``, integral float
-    ids (a container blob) pass too."""
+    integer one; the range is checked by one min and max."""
     arr = np.asarray(ids)
-    kind = arr.dtype.kind
-    if kind not in "iu" and not (floats and kind == "f"):
+    if arr.dtype.kind not in "iu":
         raise ValueError(f"{where}: {name} have dtype {arr.dtype}, expected integers")
     if arr.shape != (n,):
         raise ValueError(f"{where}: {name} shape {arr.shape} does not match {n} samples")
-    if kind != "f" and (n == 0 or (arr.min() >= 0 and arr.max() < limit)):
+    if n == 0 or (arr.min() >= 0 and arr.max() < limit):
         return arr
-    # NaN fails every comparison, so it counts as bad
-    bad = np.flatnonzero(~((arr >= 0) & (arr < limit) & (arr == np.floor(arr))))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"{where}: sample {i + 1} of {n} has {name[:-1]} {arr[i].item()!r}, "
-                         f"not an integer in [0, {bound} = {limit})")
-    return arr
+    i = int(np.flatnonzero((arr < 0) | (arr >= limit))[0])
+    raise ValueError(f"{where}: sample {i + 1} of {n} has {name[:-1]} {arr[i].item()!r}, "
+                     f"not an integer in [0, {bound} = {limit})")
 
 
 def finite_number(value) -> bool:

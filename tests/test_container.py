@@ -44,6 +44,7 @@ def test_dataset_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.tokens, ds.tokens)
     np.testing.assert_array_equal(loaded.sources, ds.sources)
     np.testing.assert_array_equal(loaded.labels, ds.labels)
+    assert loaded.sources.dtype == loaded.labels.dtype == np.int64
     np.testing.assert_array_equal(loaded.train_idx, ds.train_idx)
     np.testing.assert_array_equal(loaded.test_idx, ds.test_idx)
     assert loaded.config == ds.config
@@ -160,20 +161,32 @@ def test_dataset_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("field, value, limit", [
-    ("sources", -1, "n_sources = 2"), ("labels", 3, "n_classes = 3"),
-    ("labels", -1, "n_classes = 3"), ("labels", 1.5, "n_classes = 3"),
+@pytest.mark.parametrize("field, value, error", [
+    ("sources", -1, "sample 7 of 20 has source -1, not an integer in [0, n_sources = 2)"),
+    ("labels", 3, "sample 7 of 20 has label 3, not an integer in [0, n_classes = 3)"),
+    ("labels", -1, "sample 7 of 20 has label -1, not an integer in [0, n_classes = 3)"),
+    ("labels", 1.5, "labels have dtype float64, expected integers"),
 ], ids=["sources--1", "labels-3", "labels--1", "labels-1.5"])
-def test_dataset_save_rejects_an_id_outside_the_generator_range(tmp_path, field, value, limit):
+def test_dataset_save_rejects_an_id_outside_the_generator_range(tmp_path, field, value, error):
     ds = _dataset()
     ids = getattr(ds, field).astype(type(value))
     ids[6] = value
     setattr(ds, field, ids)
     path = tmp_path / "data.come"
-    message = f"{path}: sample 7 of 20 has {field[:-1]} {value}, not an integer in [0, {limit})"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
         save_dataset(path, ds)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dataset_load_rejects_an_id_blob_entry_that_is_not_an_integer(tmp_path):
+    ds = _dataset()
+    path = save_dataset(tmp_path / "data.come", ds)
+    labels = ds.labels.astype(float)
+    labels[6] = 1.5
+    save_checkpoint(path, {"tokens": ds.tokens, "sources": ds.sources, "labels": labels})
+    message = f"{path}: blob 'labels' has 1.5 at sample 7 of 20, not a 64-bit integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("value", [2, 2**32 - 1])
@@ -206,9 +219,9 @@ SIDECAR_CONTRADICTIONS = {
     "weights_for_other_sources": (lambda g: g.update(n_sources=3),
                                   "generator: 2 weights for 3 sources"),
     "label_past_n_classes": (lambda g: g.update(n_classes=2),
-                             "has label 2.0, not an integer in [0, n_classes = 2)"),
+                             "has label 2, not an integer in [0, n_classes = 2)"),
     "source_past_n_sources": (lambda g: g.update(n_sources=1, source_weights=[1.0]),
-                              "has source 1.0, not an integer in [0, n_sources = 1)"),
+                              "has source 1, not an integer in [0, n_sources = 1)"),
 }
 
 

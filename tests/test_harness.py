@@ -119,6 +119,22 @@ MALFORMED_BUNDLES = {
     "source-equal-to-n_sources": (
         lambda d: dataclasses.replace(d, sources=np.where(np.arange(80) == 3, 4, d.sources)),
         "sample 4 of 80 has source 4, not an integer in [0, n_sources = 4)"),
+    "repeated-test-index": (
+        lambda d: dataclasses.replace(d, test_idx=np.append(d.test_idx, d.test_idx[-1])),
+        "test_idx repeats a sample index: entries 16 and 17 of 17 are"),
+    "test-index-equal-to-N": (
+        lambda d: dataclasses.replace(d, test_idx=np.append(d.test_idx, 80)),
+        "test_idx must be a list of ints in [0, 80), but entry 17 of 17 is 80"),
+    "training-index-in-test_idx": (
+        lambda d: dataclasses.replace(d, test_idx=np.append(d.test_idx, d.train_idx[:3])),
+        "3 sample indices are in both train_idx and test_idx, the lowest"),
+    "float-train_idx": (
+        lambda d: dataclasses.replace(d, train_idx=d.train_idx.astype(float)),
+        "train_idx must be a list of ints in [0, 80), got dtype float64 and shape (64,)"),
+    "float-labels": (lambda d: dataclasses.replace(d, labels=d.labels.astype(float)),
+                     "labels have dtype float64, expected integers"),
+    "list-test_idx": (lambda d: dataclasses.replace(d, test_idx=d.test_idx.tolist()),
+                      "test_idx must be a NumPy array, got list"),
 }
 
 
@@ -134,6 +150,17 @@ def test_a_malformed_bundle_is_rejected_before_any_model_runs(small, monkeypatch
         harness.train(cfg, dataset=bundle)
     with pytest.raises(ValueError, match=re.escape(f"evaluate: {message}")):
         harness.evaluate(model, bundle, "train")
+
+
+def test_evaluate_scores_no_test_sample_twice(small):
+    cfg, dataset = small
+    model = ComeModel.build(cfg)
+    assert harness.evaluate(model, dataset, "test").n_samples == dataset.test_idx.size == 16
+    first = dataset.test_idx[0]
+    repeated = dataclasses.replace(dataset, test_idx=np.append(dataset.test_idx, first))
+    with pytest.raises(ValueError, match=re.escape(
+            f"evaluate: test_idx repeats a sample index: entries 1 and 17 of 17 are {first}")):
+        harness.evaluate(model, repeated, "test")
 
 
 @pytest.mark.parametrize("argument, value", [

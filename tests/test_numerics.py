@@ -428,21 +428,19 @@ def test_require_finite_raises_nonfinite_error():
     np.testing.assert_array_equal(require_finite("x", [1, 2]), [1.0, 2.0])
 
 
-@pytest.mark.parametrize("ids, floats, message", [
-    (np.array([0.0, 1.0, np.nan]), True,
-     "sample 3 of 3 has label nan, not an integer in [0, n_classes = 3)"),
-    (np.array([True, False, True]), True, "labels have dtype bool, expected integers"),
-    (np.array([[0, 1, 2]]), False, "labels shape (1, 3) does not match 3 samples"),
-], ids=["nan", "bool-with-floats", "2-D"])
-def test_require_ids_names_where_and_the_first_bad_sample(ids, floats, message):
+@pytest.mark.parametrize("ids, message", [
+    (np.array([0.0, 1.0, np.nan]), "labels have dtype float64, expected integers"),
+    (np.array([True, False, True]), "labels have dtype bool, expected integers"),
+    (np.array([[0, 1, 2]]), "labels shape (1, 3) does not match 3 samples"),
+    (np.array([0, 3, -1]), "sample 2 of 3 has label 3, not an integer in [0, n_classes = 3)"),
+], ids=["nan", "bool-with-floats", "2-D", "past-the-end"])
+def test_require_ids_names_where_and_the_first_bad_sample(ids, message):
     with pytest.raises(ValueError, match=re.escape(f"here: {message}")):
-        require_ids("here", "labels", ids, 3, "n_classes", 3, floats=floats)
+        require_ids("here", "labels", ids, 3, "n_classes", 3)
 
 
 def test_require_ids_passes_integral_ids_and_no_samples():
     ids = np.array([2, 0, 1], np.uint8)
     assert require_ids("here", "labels", ids, 3, "n_classes", 3) is ids
-    floats = np.array([2.0, 0.0])
-    assert require_ids("here", "labels", floats, 2, "n_classes", 3, floats=True) is floats
     empty = np.array([], np.int64)
     assert require_ids("here", "labels", empty, 0, "n_classes", 3) is empty

@@ -79,6 +79,15 @@ def test_only_the_numerics_module_words_the_id_range_rule():
     assert wording == ["numerics.py"]
 
 
+def test_only_the_datagen_module_words_the_split_rule():
+    # train/test indices are checked by datagen.check_splits alone, for the
+    # in-memory bundle and the dataset sidecar alike
+    phrases = ("repeats a sample index", "in both")
+    wording = sorted(path.name for path in PACKAGE.rglob("*.py")
+                     if any(phrase in path.read_text() for phrase in phrases))
+    assert wording == ["datagen.py"]
+
+
 def test_importing_every_module_loads_no_scipy():
     probe = (
         "import importlib, pkgutil, sys\n"
