@@ -24,6 +24,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from .container import checkpoint_digest, load_dataset
 from .datagen import DatasetBundle, check_dataset, generate
+from .losses import LossReport
 from .model import ComeModel, ForwardState
 from .numerics import AdamWState, NonFiniteError, RandomStreams, adamw_step
 
@@ -52,14 +53,19 @@ class EvalResult:
     util_cv: float
     overflow_rate: float
     n_samples: int
+    loss: LossReport  # the objective over all n_samples evaluated samples
 
 
 @dataclass
 class MetricsRecord:
+    """One log point: accuracies and routing over the evaluated batches, and
+    the loss parts of the step's training batch."""
+
     step: int
     train_acc: float
     test_acc: float
     test_samples: int  # the sample count test_acc covers
+    test_ce: float  # task cross-entropy over those test samples
     purity: float
     util_cv: float
     overflow_rate: float
@@ -68,6 +74,7 @@ class MetricsRecord:
     l_ip: float
     l_load: float
     total: float
+    tb_clamped: int  # training tokens whose own-group gate mass traceability clamped
 
     def row(self) -> list:
         return [getattr(self, name) for name in METRICS_HEADER]
@@ -146,8 +153,13 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
 
     ``split`` is "train" or "test": the dataset's training or test indices,
     in order, of which the first ``max_batches`` batches of ``batch_size``
-    are evaluated (all of them by default). Model parameters are never
-    mutated. Before the first forward, a dataset that fails
+    are evaluated (all of them by default). Each batch runs a forward only.
+    ``EvalResult.loss`` is one ``ComeModel.objective`` over every evaluated
+    sample, from the batches' class logits, labels, gates and token
+    sources: its task CE and traceability are means over those samples and
+    tokens, and its importance and load CV^2 are split-level figures, over
+    all evaluated tokens at once. Model parameters are never mutated.
+    Before the first forward, a dataset that fails
     ``datagen.check_dataset`` against ``cfg.data`` (integer ids in range,
     and splits of integer indices in [0, N), each in at most one split and
     at most once, so no sample is scored twice), any other split, an empty
@@ -179,6 +191,8 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     pair_total = 0
     overflow_total = 0
     util = np.zeros(cfg.model.n_experts, dtype=np.int64)
+    # each batch's objective inputs in ``objective``'s argument order; dense keeps no gates
+    kept = {"logits": [], "labels": [], "gates": [], "token_sources": []}
 
     n_batches = 0
     for b_i, start in enumerate(range(0, indices.size, batch_size)):
@@ -187,26 +201,32 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
         batch = dataset.take(indices[start : start + batch_size])
         rng = streams.stream("noise", EVAL_STREAM_OFFSET + b_i) if model.clusters else None
         state = model.forward(batch, cluster_rng=rng)
-        predictions, plan = state.predictions, state.plan
-        del state  # free the forward's caches before the next batch's forward
-        correct += int(np.sum(predictions == batch.labels))
+        correct += int(np.sum(state.predictions == batch.labels))
         n_batches += 1
+        kept["logits"].append(state.logits)
+        kept["labels"].append(batch.labels)
+        plan = state.plan
         if plan is not None:
-            num, den = routing_purity(plan, batch.token_sources, model.group_size)
+            kept["gates"].append(state.gates)
+            kept["token_sources"].append(batch.token_sources)
+            num, den = routing_purity(plan, kept["token_sources"][-1], model.group_size)
             purity_num += num
             purity_den += den
             util += plan.utilization()
             overflow_total += plan.n_overflow
             pair_total += plan.admitted.size
+        del state  # free the forward's caches before the next batch's forward
     n_seen = min(indices.size, n_batches * batch_size)
     mean_util = util.mean() if util.size else 0.0
     util_cv = float(util.std() / mean_util) if mean_util > 0 else 0.0
+    loss, _ = model.objective(*(np.concatenate(arrays) for arrays in kept.values() if arrays))
     return EvalResult(
         accuracy=correct / n_seen,
         purity=purity_num / purity_den if purity_den else 0.0,
         util_cv=util_cv,
         overflow_rate=overflow_total / pair_total if pair_total else 0.0,
         n_samples=n_seen,
+        loss=loss,
     )
 
 
@@ -282,11 +302,12 @@ def train(cfg: RunConfig, dataset: DatasetBundle | None = None,
         try:
             with np.errstate(over="raise", invalid="raise"):
                 rng = streams.stream("noise", step) if model.clusters else None
-                state = model.forward(batch, cluster_rng=rng)
+                state, grads = model.loss_and_grads(batch, cluster_rng=rng)
                 plan = state.plan
                 if plan is not None and np.any(plan.utilization() > plan.capacity):
                     raise RuntimeError(f"capacity bound violated at step {step}")
-                adamw_step(model.params, model.backward(state), opt)
+                adamw_step(model.params, grads, opt)
+                del grads  # not held through the log-point eval
                 if log:
                     record = _log_point(model, dataset, state, step, bs)
         except NonFiniteError as exc:
@@ -332,6 +353,7 @@ def _log_point(model, dataset, state: ForwardState, step, bs):
         train_acc=tr.accuracy,
         test_acc=te.accuracy,
         test_samples=te.n_samples,
+        test_ce=te.loss.task_ce,
         purity=te.purity,
         util_cv=te.util_cv,
         overflow_rate=te.overflow_rate,
@@ -340,6 +362,7 @@ def _log_point(model, dataset, state: ForwardState, step, bs):
         l_ip=rep.l_ip,
         l_load=rep.l_load,
         total=rep.total,
+        tb_clamped=rep.tb_clamped,
     )
 
 

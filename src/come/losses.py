@@ -8,14 +8,16 @@ task head is mean softmax cross-entropy.
 
 Each loss is a forward/backward pair, like the other layers. The forward
 returns the value plus the small arrays its gradient reads, and forms no
-gradient of the input, so an eval forward pays for the values only. The
-``*_backward`` function builds the gradient w.r.t. the gates (or logits)
-from those arrays.
+gradient of the input. The ``*_backward`` function builds the gradient
+w.r.t. the gates (or logits) from those arrays. ``ComeModel.objective``
+calls the four forwards and weights them into a ``LossReport``, for one
+training batch or, in evaluation, once over every evaluated sample; only
+a training step calls the backwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,8 +30,10 @@ GROUP_MASS_EPS = 1e-12
 
 @dataclass
 class LossReport:
-    """One training step's loss decomposition plus per-expert statistics.
-    ``total`` is the objective ``ComeModel.forward`` weighted from the parts."""
+    """The loss decomposition of one ``ComeModel.objective`` plus per-expert
+    statistics, over a training batch or an evaluated split. ``total`` is
+    the objective weighted from the parts. Two reports are equal when every
+    part and every per-expert entry is."""
 
     task_ce: float
     total: float
@@ -38,7 +42,13 @@ class LossReport:
     l_load: float = 0.0
     importance: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
     load: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
-    tb_clamped: int = 0
+    tb_clamped: int = 0  # tokens whose own-group gate mass was clamped
+
+    def __eq__(self, other):
+        if not isinstance(other, LossReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def traceability_loss(gates: Array, token_sources: Array, group_size: int):
@@ -48,8 +58,9 @@ def traceability_loss(gates: Array, token_sources: Array, group_size: int):
     g >= 1 and (m + 1) g <= n_experts.
 
     Group mass below GROUP_MASS_EPS is clamped; the clamp count is returned
-    for the warning counter. The total keeps one partial sum per source,
-    over its tokens in batch order, added in ascending source order.
+    for ``LossReport.tb_clamped``, which each log point records. The total
+    keeps one partial sum per source, over its tokens in batch order, added
+    in ascending source order.
 
     Returns (value, (owned, safe, low), clamp_count): the (n, g) owned
     columns, the clamped group masses and the clamp mask are what

@@ -15,10 +15,15 @@ The routed body (``come``):
     features = (f_structure + f_semantic) + f_routed
     gates also feed the traceability / importance / load losses.
 
-Forward forms loss values only: each loss hands back the small arrays its
-gradient reads (the class probabilities, the owned gate columns and clamped
-masses, the per-expert CV^2 gradients), and ``backward`` builds the loss
-gradients from them. An eval forward thus pays for no gradient.
+Forward forms no loss: it returns the predictions, the class logits, the
+gates, the dispatch plan and the backward's caches. ``objective`` forms the
+``LossReport`` from class logits, labels, gates and token sources, for any
+number of samples, together with the small arrays each loss gradient reads
+(the class probabilities, the owned gate columns and clamped masses, the
+per-expert CV^2 gradients), and ``backward`` builds the loss gradients from
+them. A training step runs forward -> objective -> backward
+(``loss_and_grads``); an evaluation runs forwards only and one objective
+over every sample it evaluated.
 
 A frozen prior switched off (``model.structure_expert`` or
 ``model.semantic_expert`` false) is left out of the sum. The ``dense`` body
@@ -27,10 +32,11 @@ the routed model.
 
 Backward mirrors the spine: head, body, attention. Every trainable piece
 ships an explicit backward; clustering, Top-K selection and capacity
-admission are constants of the backward pass. Backward consumes the
-forward's state: it frees each saved activation once it has read it (each
-expert's entry, then the body's cache, then attention's), so a step never
-holds a spent cache, and a second backward of the same state is refused.
+admission are constants of the backward pass. Backward refuses a state
+whose objective has not run, and consumes the forward's state: it frees
+each saved activation once it has read it (each expert's entry, then the
+body's cache, then attention's), so a step never holds a spent cache, and
+a second backward of the same state is refused.
 For finite-difference checking, ``forward`` takes a ``pinned`` reference
 forward of the same batch and reuses its cluster features and dispatch
 plan, so the perturbed evaluations differentiate the same masked function
@@ -39,14 +45,14 @@ the backward assumes.
 Finiteness is checked once, where values enter: attention rejects a batch
 with NaN or Inf tokens, and ``load_checkpoint`` a non-finite blob. Ids are
 too, by ``numerics.require_ids``: the routed body checks a batch's source
-ids before traceability indexes expert groups with them, and
-``cross_entropy`` its labels. The layers do not re-check the arrays the
-model builds from them. Instead ``forward`` runs under
-``np.errstate(over="raise", invalid="raise")``, so the first overflowing
-or invalid operation raises ``FloatingPointError``. No division by zero is
-reachable: softmax sums are >= 1, a renormalised Top-K mass is >= 1/E,
-group masses and CE probabilities are clamped, and empty k-means clusters
-are masked.
+ids, ``objective`` the token sources before traceability indexes expert
+groups with them, and ``cross_entropy`` the labels. The layers do not
+re-check the arrays the model builds from them. Instead ``forward`` and
+``objective`` run under ``np.errstate(over="raise", invalid="raise")``, so
+the first overflowing or invalid operation raises ``FloatingPointError``.
+No division by zero is reachable: softmax sums are >= 1, a renormalised
+Top-K mass is >= 1/E, group masses and CE probabilities are clamped, and
+empty k-means clusters are masked.
 """
 
 from __future__ import annotations
@@ -112,21 +118,30 @@ class RoutedCache:
 
     concat: Array  # (N, 2D) [attended | cluster feature]
     routed_in: Array  # (N, D) dimension-reduced tokens: gate and expert input
-    gates: Array  # (N, n_experts) gate softmax
-    combine: Array  # (N, n_experts) mixture weights; ``gates`` itself unless renormalizing
+    combine: Array  # (N, n_experts) mixture weights; the gates themselves unless renormalizing
     saved: list  # expert_mixture_forward's per-expert entries
     renorm_sums: Array | None  # per-token selected gate mass when renormalizing
-    tb_parts: tuple  # traceability_loss's (owned columns, clamped masses, clamp mask)
-    d_importance: Array  # (n_experts,) CV^2 gradient w.r.t. the importance vector
-    d_load: Array  # (n_experts,) CV^2 gradient w.r.t. the load vector
+
+
+@dataclass
+class LossParts:
+    """What ``backward`` reads of one ``objective``: the arrays each loss
+    gradient is built from. The routing parts are None for the dense body."""
+
+    probs: Array  # (B, C) class softmax, which the cross-entropy backward reads
+    tb_parts: tuple | None = None  # traceability_loss's (owned columns, clamped masses, mask)
+    d_importance: Array | None = None  # (n_experts,) CV^2 gradient w.r.t. the importance vector
+    d_load: Array | None = None  # (n_experts,) CV^2 gradient w.r.t. the load vector
 
 
 @dataclass
 class ForwardState:
     """One forward's outputs and the caches its backward reads.
 
-    The forward holds no loss gradient: ``probs`` and the routed body's loss
-    parts are what backward builds those gradients from.
+    The forward forms no loss: ``report`` and ``loss_parts`` stay None until
+    the objective of ``logits``, the batch's labels and, on the routed body,
+    ``gates`` and the token sources is stored in them (``loss_and_grads``
+    does), and backward refuses a state without ``loss_parts``.
     ``ComeModel.backward`` consumes the state: it sets ``body`` and
     ``att_cache`` to None and frees each once its backward has read it. The
     other fields stay, for the callers that read the losses, predictions
@@ -134,13 +149,15 @@ class ForwardState:
     """
 
     batch: TokenBatch
-    report: LossReport
     predictions: Array
+    logits: Array  # (B, C) class logits
+    gates: Array | None  # (N, n_experts) gate softmax; None for the dense body
     plan: DispatchPlan | None
     pooled: Array
-    probs: Array  # (B, C) class softmax, which the cross-entropy backward reads
     att_cache: AttentionCache
     body: object  # RoutedCache, or (flat inputs, hidden) for the dense FFN
+    report: LossReport | None = None
+    loss_parts: LossParts | None = None
 
 
 def matched_dense_hidden(cfg: RunConfig) -> int:
@@ -252,15 +269,15 @@ class ComeModel:
     @np.errstate(over="raise", invalid="raise")
     def forward(self, batch: TokenBatch, cluster_rng=None,
                 pinned: ForwardState | None = None) -> ForwardState:
-        """Loss values, predictions and the backward's caches for one batch.
+        """Predictions, class logits, gates, dispatch plan and the backward's
+        caches for one batch; no loss (see ``objective``).
 
         ``cluster_rng`` seeds k-means and is read only when ``clusters``;
         None then stands for ``np.random.default_rng(0)``.
 
-        Raises ValueError for an empty batch, for labels that are not B
-        integers in [0, n_classes) and, on the routed body, for source ids
-        that are not B integers in [0, n_sources) or a ``pinned`` state that
-        backward consumed, each id failure naming the first bad sample;
+        Raises ValueError for an empty batch and, on the routed body, for
+        source ids that are not B integers in [0, n_sources), naming the
+        first bad sample, or a ``pinned`` state that backward consumed;
         NonFiniteError for NaN or Inf tokens; and FloatingPointError at the
         first operation that overflows or is invalid.
         """
@@ -272,24 +289,18 @@ class ComeModel:
         flat = attended.reshape(b * t, d)
         if self.cfg.model.arch == "dense":
             out, hidden = ffn_forward(self.params, "dense", flat)
-            features, plan, body, aux = out.reshape(b, t, d), None, (flat, hidden), {}
+            features, gates, plan, body = out.reshape(b, t, d), None, None, (flat, hidden)
         else:
-            features, plan, body, aux = self._routed_forward(batch, flat, cluster_rng, pinned)
+            features, gates, plan, body = self._routed_forward(batch, flat, cluster_rng, pinned)
         pooled = features.mean(axis=1)
-        class_logits = pooled @ self.params["head.w"] + self.params["head.b"]
-        task, probs = cross_entropy(class_logits, batch.labels)
-        total = task
-        if aux:  # weighted as _routed_backward weights the routing-loss gradients
-            w = self.cfg.losses
-            total = task + w.tb_weight * aux["l_tb"] + w.balance_weight * (
-                aux["l_ip"] + aux["l_load"])
+        logits = pooled @ self.params["head.w"] + self.params["head.b"]
         return ForwardState(
             batch=batch,
-            report=LossReport(task_ce=task, total=total, **aux),
-            predictions=np.argmax(class_logits, axis=1),
+            predictions=np.argmax(logits, axis=1),
+            logits=logits,
+            gates=gates,
             plan=plan,
             pooled=pooled,
-            probs=probs,
             att_cache=att_cache,
             body=body,
         )
@@ -297,11 +308,11 @@ class ComeModel:
     def _routed_forward(self, batch: TokenBatch, flat: Array, cluster_rng,
                         pinned: ForwardState | None):
         """Enabled frozen priors plus the routed expert mixture over the
-        attended tokens ``flat``, and the routing-loss values on its gates. With
-        ``pinned``, its cluster features and dispatch plan are reused.
+        attended tokens ``flat``. With ``pinned``, its cluster features and
+        dispatch plan are reused.
 
-        Returns (features (B, T, D), dispatch plan, RoutedCache, the
-        routing-loss fields of the LossReport).
+        Returns (features (B, T, D), gates (N, n_experts), dispatch plan,
+        RoutedCache).
         """
         cfg = self.cfg
         require_ids("forward", "source ids", batch.sources, batch.tokens.shape[0], "n_sources",
@@ -341,16 +352,51 @@ class ComeModel:
             priors[0] += features
             features = priors[0]
 
-        l_tb, tb_parts, clamped = traceability_loss(gates, batch.token_sources, self.group_size)
+        cache = RoutedCache(concat=concat, routed_in=routed_in, combine=combine, saved=saved,
+                            renorm_sums=renorm_sums)
+        return features, gates, plan, cache
+
+    # ------------------------------------------------------------------
+    # objective
+    # ------------------------------------------------------------------
+
+    @np.errstate(over="raise", invalid="raise")
+    def objective(self, logits: Array, labels: Array, gates: Array | None = None,
+                  token_sources: Array | None = None) -> tuple:
+        """The weighted training objective over any number of samples.
+
+        ``logits`` are (B, C) class logits and ``labels`` their B classes.
+        The routed body also takes the (N, n_experts) ``gates`` of the
+        samples' N tokens and the tokens' source ids; the dense body takes
+        neither. Importance and load are CV^2 over all N tokens, so over
+        several batches' gates they are one figure for the whole set, not a
+        mean of per-batch figures.
+
+        Returns (LossReport, LossParts): ``total`` weights the parts as
+        ``_routed_backward`` weights their gradients, and the LossParts are
+        what ``backward`` reads. Raises ValueError for labels that are not
+        B integers in [0, n_classes), for routing arrays given to the dense
+        body or missing on the routed one, and for token sources that are
+        not N integers in [0, n_sources); FloatingPointError at the first
+        operation that overflows or is invalid.
+        """
+        routed = self.cfg.model.arch == "come"
+        if (gates is not None, token_sources is not None) != (routed, routed):
+            takes = "gates and token sources" if routed else "no gates or token sources"
+            raise ValueError(f"objective: the {self.cfg.model.arch} body takes {takes}")
+        task, probs = cross_entropy(logits, labels)
+        if not routed:
+            return LossReport(task_ce=task, total=task), LossParts(probs)
+        token_sources = require_ids("objective", "token sources", token_sources, gates.shape[0],
+                                    "n_sources", self.cfg.data.n_sources)
+        l_tb, tb_parts, clamped = traceability_loss(gates, token_sources, self.group_size)
         l_ip, d_importance, importance = importance_loss(gates)
         l_load, d_load, load = load_loss(gates)
-
-        cache = RoutedCache(concat=concat, routed_in=routed_in, gates=gates, combine=combine,
-                            saved=saved, renorm_sums=renorm_sums, tb_parts=tb_parts,
-                            d_importance=d_importance, d_load=d_load)
-        aux = dict(l_tb=l_tb, l_ip=l_ip, l_load=l_load, importance=importance, load=load,
-                   tb_clamped=clamped)
-        return features, plan, cache, aux
+        w = self.cfg.losses
+        total = task + w.tb_weight * l_tb + w.balance_weight * (l_ip + l_load)
+        report = LossReport(task_ce=task, total=total, l_tb=l_tb, l_ip=l_ip, l_load=l_load,
+                            importance=importance, load=load, tb_clamped=clamped)
+        return report, LossParts(probs, tb_parts, d_importance, d_load)
 
     # ------------------------------------------------------------------
     # backward
@@ -359,17 +405,21 @@ class ComeModel:
     def backward(self, state: ForwardState) -> dict:
         """Gradient of the total loss w.r.t. every trainable parameter.
 
-        Consumes ``state``'s caches (see ``ForwardState``); raises ValueError
-        for a state an earlier backward consumed.
+        Reads the state's ``loss_parts`` and consumes its caches (see
+        ``ForwardState``); raises ValueError for a state whose objective has
+        not run or that an earlier backward consumed.
         """
-        body, att_cache = state.body, state.att_cache
+        body, att_cache, parts = state.body, state.att_cache, state.loss_parts
         if att_cache is None:
             raise ValueError("backward: this ForwardState was consumed by an earlier "
                              "backward; run forward again")
+        if parts is None:
+            raise ValueError("backward: the objective of this ForwardState has not run; "
+                             "store ComeModel.objective's result in it first")
         state.body = state.att_cache = None  # consumed even if a step below raises
         b, t, d = state.batch.tokens.shape
         grads = {}
-        d_logits = cross_entropy_backward(state.probs, state.batch.labels)
+        d_logits = cross_entropy_backward(parts.probs, state.batch.labels)
         grads["head.w"] = state.pooled.T @ d_logits
         grads["head.b"] = d_logits.sum(axis=0)
         d_pooled = d_logits @ self.params["head.w"].T
@@ -378,7 +428,7 @@ class ComeModel:
             d_flat, dense_grads = ffn_backward(self.params, "dense", *body, d_out)
             grads.update(dense_grads)
         else:
-            d_flat = self._routed_backward(d_out, body, state.plan, grads)
+            d_flat = self._routed_backward(d_out, body, state, grads)
         del body  # each cache is freed as soon as its backward has read it
         grads.update(attention_backward(
             d_flat.reshape(b, t, d), att_cache, self.params, self.cfg.model.heads
@@ -389,28 +439,28 @@ class ComeModel:
                 grads[name] = np.zeros_like(p)
         return grads
 
-    def _routed_backward(self, d_out: Array, cache: RoutedCache, plan: DispatchPlan,
+    def _routed_backward(self, d_out: Array, cache: RoutedCache, state: ForwardState,
                          grads: dict) -> Array:
-        """Backward of ``_routed_forward``; fills ``grads`` and returns the
-        gradient w.r.t. the attended tokens."""
+        """Backward of ``_routed_forward`` and of the state's routing losses;
+        fills ``grads`` and returns the gradient w.r.t. the attended tokens."""
         d_in_mix, d_gates, expert_grads = expert_mixture_backward(
             d_out, cache.saved, cache.combine, self.params)
         grads.update(expert_grads)
         if cache.renorm_sums is not None:
             # combine = gates[sel] / sum(gates[sel]); push back to raw gates
-            sel = plan.selection
+            sel = state.plan.selection
             picked_d = np.take_along_axis(d_gates, sel, axis=1)
             picked_w = np.take_along_axis(cache.combine, sel, axis=1)
             inner = np.sum(picked_d * picked_w, axis=1, keepdims=True)
             d_gates = np.zeros_like(d_gates)
             np.put_along_axis(d_gates, sel, (picked_d - inner) / cache.renorm_sums, axis=1)
         w = self.cfg.losses
-        n, n_experts = cache.gates.shape
-        d_gates += w.tb_weight * traceability_backward(n_experts, *cache.tb_parts)
-        d_gates += w.balance_weight * importance_backward(cache.d_importance, n)
-        d_gates += w.balance_weight * load_backward(cache.d_load, cache.gates)
-        d_in_router, router_grads = gate_backward(d_gates, cache.routed_in, cache.gates,
-                                                  self.params)
+        gates, parts = state.gates, state.loss_parts
+        n, n_experts = gates.shape
+        d_gates += w.tb_weight * traceability_backward(n_experts, *parts.tb_parts)
+        d_gates += w.balance_weight * importance_backward(parts.d_importance, n)
+        d_gates += w.balance_weight * load_backward(parts.d_load, gates)
+        d_in_router, router_grads = gate_backward(d_gates, cache.routed_in, gates, self.params)
         grads.update(router_grads)
         d_in_mix += d_in_router
         d_flat, dr_grads = dr_backward(d_in_mix, cache.concat, self.params)
@@ -419,7 +469,10 @@ class ComeModel:
 
     def loss_and_grads(self, batch: TokenBatch, cluster_rng=None,
                        pinned: ForwardState | None = None):
+        """One training step's forward, objective and backward: (state, grads)."""
         state = self.forward(batch, cluster_rng=cluster_rng, pinned=pinned)
+        routing = (state.gates, batch.token_sources) if state.gates is not None else ()
+        state.report, state.loss_parts = self.objective(state.logits, batch.labels, *routing)
         return state, self.backward(state)
 
 

@@ -241,7 +241,7 @@ def test_frozen_forward_matches_reference(shape):
 @shapes
 def test_traceability_matches_reference(shape):
     model, state, _ = _forward(shape)
-    gates, sources = state.body.gates, state.batch.token_sources
+    gates, sources = state.gates, state.batch.token_sources
     value, parts, clamped = traceability_loss(gates, sources, model.group_size)
     d_gates = traceability_backward(gates.shape[1], *parts)
     owners = expert_group_map(model.cfg.model.n_experts, model.cfg.data.n_sources)

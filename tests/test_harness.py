@@ -10,7 +10,7 @@ import pytest
 from come import harness
 from come.config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from come.container import save_dataset
-from come.datagen import generate
+from come.datagen import DatasetBundle, generate
 from come.model import ComeModel
 from come.numerics import RandomStreams
 from come.router import DispatchPlan
@@ -227,6 +227,45 @@ def test_logged_test_accuracy_states_its_sample_count(small, tmp_path):
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0].split(",")[:4] == ["step", "train_acc", "test_acc", "test_samples"]
     assert [line.split(",")[3] for line in lines[1:]] == ["8", "8"]
+
+
+def test_logged_test_ce_is_the_held_out_objective_of_the_logged_batches(small, tmp_path):
+    cfg, dataset = small
+    result = harness.train(cfg, dataset=dataset, out_dir=tmp_path)
+    # the last step logs, so the final model is the one its log point evaluated
+    held_out = harness.evaluate(result.model, dataset, "test", batch_size=8,
+                                max_batches=cfg.training.eval_batches)
+    assert result.metrics[-1].test_ce == held_out.loss.task_ce
+    header = (tmp_path / "metrics.csv").read_text().splitlines()[0].split(",")
+    assert header[3:5] == ["test_samples", "test_ce"]
+
+
+def test_a_log_point_records_the_traceability_clamps_of_its_training_batch(
+        small, monkeypatch, tmp_path):
+    """A router bias of 60 on expert 0 leaves every other expert under 1e-12
+    of gate mass at the first step, so every token of a source other than 0,
+    which owns expert 0, has its own-group mass clamped."""
+    cfg, dataset = small
+    cfg = apply_overrides(cfg, ["training.steps=1", "training.log_every=1"])
+    assert harness.train(cfg, dataset=dataset).metrics[-1].tb_clamped == 0
+    build = ComeModel.build.__func__
+
+    def biased(cls, cfg):
+        model = build(cls, cfg)
+        model.params["router.b"][0] = 60.0
+        return model
+
+    batches = []
+    take = DatasetBundle.take
+    monkeypatch.setattr(ComeModel, "build", classmethod(biased))
+    monkeypatch.setattr(DatasetBundle, "take",
+                        lambda self, idx: batches.append(take(self, idx)) or batches[-1])
+    result = harness.train(cfg, dataset=dataset, out_dir=tmp_path)
+    clamped = int(np.sum(batches[0].token_sources != 0))  # the first take is the step's batch
+    assert 0 < clamped < batches[0].token_sources.size
+    assert [m.tb_clamped for m in result.metrics] == [clamped]
+    rows = list(csv.DictReader((tmp_path / "metrics.csv").read_text().splitlines()))
+    assert [row["tb_clamped"] for row in rows] == [str(clamped)]
 
 
 @pytest.mark.parametrize("train_fraction, empty", [(0.001, "training"), (0.999, "test")],

@@ -269,13 +269,13 @@ def test_cross_entropy_of_no_samples_passes_the_label_check():
 
 
 # ---------------------------------------------------------------------------
-# combined report: the model weights the losses once, in its forward
+# combined report: the model weights the losses once, in its objective
 # ---------------------------------------------------------------------------
 
 
 def _report(**over):
-    """The LossReport of one forward of a small model with ``over`` set and
-    a random router."""
+    """The LossReport of one forward's objective, on a small model with
+    ``over`` set and a random router."""
     cfg = config_from_dict({
         "data": {"n_sources": 2, "width": 6, "tokens_per_sample": 3, "n_classes": 3,
                  "shared_rank": 2, "source_rank": 1, "source_weights": [1.0, 1.0]},
@@ -290,7 +290,9 @@ def _report(**over):
     model = ComeModel.build(cfg)
     if "router.w" in model.params:  # the zero init gives uniform gates and zero balance losses
         model.params["router.w"] = np.random.default_rng(5).normal(size=(4, 6))
-    return model.forward(batch, cluster_rng=np.random.default_rng(4)).report
+    state = model.forward(batch, cluster_rng=np.random.default_rng(4))
+    routing = (state.gates, batch.token_sources) if state.gates is not None else ()
+    return model.objective(state.logits, batch.labels, *routing)[0]
 
 
 def test_report_total_is_stated_weighted_sum():

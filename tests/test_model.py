@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,9 @@ from come.config import RunConfig, apply_overrides, config_from_dict
 from come.container import checkpoint_digest
 from come.datagen import TokenBatch, generate
 from come.experts import EXPERT_HIDDEN_RATIO
-from come.harness import ABLATION_VARIANTS, evaluate
+from come.harness import ABLATION_VARIANTS, EVAL_STREAM_OFFSET, evaluate
 from come.model import ComeModel, component_grad_check, matched_dense_hidden
-from come.numerics import AdamWState, adamw_step
+from come.numerics import AdamWState, RandomStreams, adamw_step
 
 
 def _cfg(**over):
@@ -52,6 +53,16 @@ def _forward(model, batch, seed=1):
     return model.forward(batch, cluster_rng=np.random.default_rng(seed))
 
 
+def _routing(state):
+    """The routed body's gates and token sources for ``objective``; none for the dense body."""
+    return (state.gates, state.batch.token_sources) if state.gates is not None else ()
+
+
+def _objective(model, state):
+    """The LossReport of ``state``'s forward, from ``ComeModel.objective``."""
+    return model.objective(state.logits, state.batch.labels, *_routing(state))[0]
+
+
 def _preset(name):
     return apply_overrides(_cfg(), ABLATION_VARIANTS[name])
 
@@ -74,11 +85,11 @@ def test_forward_shapes_and_finiteness():
     model = ComeModel.build(cfg)
     batch = _batch(cfg, b=3)
     state = _forward(model, batch)
-    gates = state.body.gates
+    gates = state.gates
     assert state.pooled.shape == (3, 6)
     assert gates.shape == (9, 4)
     assert state.predictions.shape == (3,)
-    assert np.isfinite(state.report.total)
+    assert np.isfinite(_objective(model, state).total)
     np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -88,9 +99,9 @@ def test_forward_deterministic_given_rng():
     batch = _batch(cfg)
     s1 = _forward(model, batch, seed=3)
     s2 = _forward(model, batch, seed=3)
-    np.testing.assert_array_equal(s1.body.gates, s2.body.gates)
+    np.testing.assert_array_equal(s1.gates, s2.gates)
     np.testing.assert_array_equal(s1.plan.admitted, s2.plan.admitted)
-    assert s1.report.total == s2.report.total
+    assert _objective(model, s1).total == _objective(model, s2).total
 
 
 @pytest.mark.parametrize("arch", ["come", "dense"])
@@ -150,7 +161,7 @@ def test_no_dse_disables_both_shared_streams(monkeypatch):
         model = ComeModel.build(_preset(name))
         state = _forward(model, _batch(model.cfg))
         assert calls == kinds, name
-        assert np.isfinite(state.report.total)
+        assert np.isfinite(_objective(model, state).total)
         calls.clear()
 
 
@@ -190,20 +201,20 @@ def test_no_clustering_equals_fine2coarse_at_initialization(monkeypatch):
     assert len(calls) == 1
     s_abl = _forward(ablated, batch, seed=5)
     assert len(calls) == 1
-    np.testing.assert_array_equal(s_base.body.gates, s_abl.body.gates)
+    np.testing.assert_array_equal(s_base.gates, s_abl.gates)
     np.testing.assert_array_equal(s_base.pooled, s_abl.pooled)
-    assert s_base.report.total == s_abl.report.total
+    assert _objective(base, s_base).total == _objective(ablated, s_abl).total
     assert np.all(s_abl.body.concat[:, base.cfg.data.width :] == 0)
 
 
 def test_no_tb_zeroes_the_traceability_weight_but_reports_value():
     cfg = _preset("no_tb")
     model = ComeModel.build(cfg)
-    state = _forward(model, _batch(cfg))
+    rep = _objective(model, _forward(model, _batch(cfg)))
     assert model.cfg.losses.tb_weight == 0.0
-    assert state.report.l_tb >= 0.0
-    expected = state.report.task_ce + 0.1 * (state.report.l_ip + state.report.l_load)
-    assert abs(state.report.total - expected) < 1e-12
+    assert rep.l_tb >= 0.0
+    expected = rep.task_ce + 0.1 * (rep.l_ip + rep.l_load)
+    assert abs(rep.total - expected) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -257,11 +268,11 @@ def test_training_steps_reduce_loss():
     model = ComeModel.build(cfg)
     batch = _batch(cfg, seed=30, b=8)
     opt = AdamWState(lr=5e-3)
-    first = _forward(model, batch, seed=7).report.total
+    first = _objective(model, _forward(model, batch, seed=7)).total
     for step in range(60):
         _, grads = model.loss_and_grads(batch, cluster_rng=np.random.default_rng(7))
         adamw_step(model.params, grads, opt)
-    last = _forward(model, batch, seed=7).report.total
+    last = _objective(model, _forward(model, batch, seed=7)).total
     assert last < first
 
 
@@ -309,15 +320,16 @@ def test_loaded_checkpoint_is_the_trained_model_bit_for_bit(tmp_path, arch):
         assert np.array_equal(loaded.frozen[name], arr), name
         assert not loaded.frozen[name].flags.writeable
     batch = _batch(cfg, seed=60, b=4)
-    assert _forward(loaded, batch).report.total == _forward(model, batch).report.total
+    assert (_objective(loaded, _forward(loaded, batch))
+            == _objective(model, _forward(model, batch)))
 
 
 def test_dense_architecture_forward_backward():
     cfg = _cfg(**{"model.arch": "dense"})
     model = ComeModel.build(cfg)
     batch = _batch(cfg, seed=40, b=3)
-    state = model.forward(batch)
-    assert state.report.l_tb == 0.0 and state.report.total == state.report.task_ce
+    rep = _objective(model, model.forward(batch))
+    assert rep.l_tb == 0.0 and rep.total == rep.task_ce
     for component in ("attention", "dense", "classifier"):
         res = component_grad_check(model, batch, component, h=1e-5)
         assert res.max_rel_error < 1e-4, f"{component}: {res.max_rel_error}"
@@ -375,6 +387,8 @@ def test_backward_frees_more_than_its_gradients_take(arch):
     try:
         before = tracemalloc.get_traced_memory()[0]
         state = _forward(model, batch)
+        state.report, state.loss_parts = model.objective(state.logits, batch.labels,
+                                                         *_routing(state))
         started = tracemalloc.get_traced_memory()[0]
         grads = model.backward(state)
         returned = tracemalloc.get_traced_memory()[0]
@@ -408,18 +422,107 @@ def test_evaluate_holds_one_forward_state_at_a_time(arch):
     assert peaks[1] <= 1.25 * peaks[0]
 
 
+LOSSES = ("cross_entropy", "traceability_loss", "importance_loss", "load_loss")
 LOSS_BACKWARDS = ("cross_entropy_backward", "traceability_backward", "importance_backward",
                   "load_backward")
 
 
+def _bits(report):
+    """Every field of a LossReport as bytes, so equal means equal bit for bit."""
+    return [np.asarray(getattr(report, f.name)).tobytes() for f in dataclasses.fields(report)]
+
+
+def _eval_states(model, dataset, batch_size, n_batches):
+    """The forwards ``evaluate`` runs on the first ``n_batches`` train batches."""
+    streams = RandomStreams(model.cfg.seed)
+    states = []
+    for b_i in range(n_batches):
+        rng = streams.stream("noise", EVAL_STREAM_OFFSET + b_i) if model.clusters else None
+        batch = dataset.take(dataset.train_idx[b_i * batch_size:(b_i + 1) * batch_size])
+        states.append(model.forward(batch, cluster_rng=rng))
+    return states
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_forward_calls_no_loss(monkeypatch, arch):
+    model = ComeModel.build(_cfg(**{"model.arch": arch}))
+    calls = {name: _counting(monkeypatch, name) for name in LOSSES + LOSS_BACKWARDS}
+    state = _forward(model, _batch(model.cfg))
+    assert state.report is None and state.loss_parts is None
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
+
+
 def test_evaluate_forms_loss_values_and_calls_no_loss_backward(monkeypatch):
-    cfg = _cfg()
+    calls = {name: _counting(monkeypatch, name) for name in LOSSES + LOSS_BACKWARDS}
+    for arch in ("come", "dense"):
+        cfg = _cfg(**{"model.arch": arch})
+        model = ComeModel.build(cfg)
+        dataset = generate(cfg.data.generator(), cfg.data.seed)
+        for n_batches in (1, 2, 5):  # one objective, however many batches
+            for c in calls.values():
+                c.clear()
+            result = evaluate(model, dataset, "train", batch_size=4, max_batches=n_batches)
+            assert result.n_samples == 4 * n_batches
+            once = LOSSES if arch == "come" else ("cross_entropy",)
+            assert {name: len(c) for name, c in calls.items()} == {
+                name: int(name in once) for name in calls}, (arch, n_batches)
+        model.loss_and_grads(_batch(cfg), cluster_rng=np.random.default_rng(1))  # counted if called
+        once = LOSS_BACKWARDS if arch == "come" else ("cross_entropy_backward",)
+        assert {name: len(calls[name]) for name in LOSS_BACKWARDS} == {
+            name: int(name in once) for name in LOSS_BACKWARDS}, arch
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_evaluate_loss_is_the_objective_of_the_concatenated_batches(arch):
+    cfg = _cfg(**{"model.arch": arch})
     model = ComeModel.build(cfg)
     dataset = generate(cfg.data.generator(), cfg.data.seed)
-    values = _counting(monkeypatch, "cross_entropy")
-    calls = {name: _counting(monkeypatch, name) for name in LOSS_BACKWARDS}
-    evaluate(model, dataset, "test", batch_size=4, max_batches=2)
-    assert len(values) == 2
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(LOSS_BACKWARDS, 0)
-    model.loss_and_grads(_batch(cfg), cluster_rng=np.random.default_rng(1))  # counted if called
-    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(LOSS_BACKWARDS, 1)
+    result = evaluate(model, dataset, "train", batch_size=4, max_batches=5)
+    states = _eval_states(model, dataset, 4, 5)
+    columns = zip(*[(s.logits, s.batch.labels, *_routing(s)) for s in states])
+    expected, _ = model.objective(*(np.concatenate(column) for column in columns))
+    assert _bits(result.loss) == _bits(expected)
+    if arch == "come":  # the CV^2 terms are over every evaluated token at once
+        assert result.loss.importance.sum() == pytest.approx(20 * cfg.data.tokens_per_sample)
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_one_batch_evaluate_reports_what_training_forms_for_that_batch(arch):
+    cfg = _cfg(**{"model.arch": arch})
+    model = ComeModel.build(cfg)
+    dataset = generate(cfg.data.generator(), cfg.data.seed)
+    result = evaluate(model, dataset, "train", batch_size=4, max_batches=1)
+    batch = _eval_states(model, dataset, 4, 1)[0].batch
+    rng = RandomStreams(cfg.seed).stream("noise", EVAL_STREAM_OFFSET) if model.clusters else None
+    state, _ = model.loss_and_grads(batch, cluster_rng=rng)
+    assert _bits(result.loss) == _bits(state.report)
+    assert result.loss == state.report
+
+
+@pytest.mark.parametrize("arch", ["come", "dense"])
+def test_backward_refuses_a_state_whose_objective_has_not_run(arch):
+    model = ComeModel.build(_cfg(**{"model.arch": arch}))
+    state = _forward(model, _batch(model.cfg))
+    with pytest.raises(ValueError, match="objective of this ForwardState has not run"):
+        model.backward(state)
+    assert state.body is not None  # the refused state is not consumed
+    state.report, state.loss_parts = model.objective(state.logits, state.batch.labels,
+                                                     *_routing(state))
+    assert set(model.backward(state)) == set(model.params)
+
+
+def test_objective_rejects_routing_arrays_that_do_not_fit_the_body():
+    routed, dense = ComeModel.build(_cfg()), ComeModel.build(_cfg(**{"model.arch": "dense"}))
+    state = _forward(routed, _batch(routed.cfg, b=2))
+    logits, labels, sources = state.logits, state.batch.labels, state.batch.token_sources
+    with pytest.raises(ValueError, match="the come body takes gates and token sources"):
+        routed.objective(logits, labels)
+    with pytest.raises(ValueError, match="the come body takes gates and token sources"):
+        routed.objective(logits, labels, state.gates)
+    with pytest.raises(ValueError, match="the dense body takes no gates or token sources"):
+        dense.objective(logits, labels, state.gates, sources)
+    with pytest.raises(ValueError, match=r"token sources shape \(5,\) does not match 6 samples"):
+        routed.objective(logits, labels, state.gates, sources[:5])
+    with pytest.raises(ValueError, match=r"sample 2 of 6 has token source 2, not an integer in "
+                                         r"\[0, n_sources = 2\)"):
+        routed.objective(logits, labels, state.gates, np.array([0, 2, 0, 0, 1, 1]))
