@@ -66,6 +66,7 @@ class MetricsRecord:
     test_acc: float
     test_samples: int  # the sample count test_acc covers
     test_ce: float  # task cross-entropy over those test samples
+    train_ce: float  # the same over the train_acc samples: its in-sample counterpart
     purity: float
     util_cv: float
     overflow_rate: float
@@ -219,7 +220,7 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
     n_seen = min(indices.size, n_batches * batch_size)
     mean_util = util.mean() if util.size else 0.0
     util_cv = float(util.std() / mean_util) if mean_util > 0 else 0.0
-    loss, _ = model.objective(*(np.concatenate(arrays) for arrays in kept.values() if arrays))
+    loss, *_ = model.objective(*(np.concatenate(arrays) for arrays in kept.values() if arrays))
     return EvalResult(
         accuracy=correct / n_seen,
         purity=purity_num / purity_den if purity_den else 0.0,
@@ -354,6 +355,7 @@ def _log_point(model, dataset, state: ForwardState, step, bs):
         test_acc=te.accuracy,
         test_samples=te.n_samples,
         test_ce=te.loss.task_ce,
+        train_ce=tr.loss.task_ce,
         purity=te.purity,
         util_cv=te.util_cv,
         overflow_rate=te.overflow_rate,

@@ -16,14 +16,14 @@ The routed body (``come``):
     gates also feed the traceability / importance / load losses.
 
 Forward forms no loss: it returns the predictions, the class logits, the
-gates, the dispatch plan and the backward's caches. ``objective`` forms the
-``LossReport`` from class logits, labels, gates and token sources, for any
-number of samples, together with the small arrays each loss gradient reads
-(the class probabilities, the owned gate columns and clamped masses, the
-per-expert CV^2 gradients), and ``backward`` builds the loss gradients from
-them. A training step runs forward -> objective -> backward
-(``loss_and_grads``); an evaluation runs forwards only and one objective
-over every sample it evaluated.
+gates, the dispatch plan and the backward's caches. ``objective`` is the one
+place that knows the losses and their weights: from class logits, labels,
+gates and token sources, for any number of samples, it forms the
+``LossReport`` and the weighted gradients of the total w.r.t. the logits
+and the gates. ``backward`` starts from those output gradients. A training
+step runs forward -> objective -> backward (``loss_and_grads``); an
+evaluation runs forwards only and one objective over every sample it
+evaluated.
 
 A frozen prior switched off (``model.structure_expert`` or
 ``model.semantic_expert`` false) is left out of the sum. The ``dense`` body
@@ -32,11 +32,10 @@ the routed model.
 
 Backward mirrors the spine: head, body, attention. Every trainable piece
 ships an explicit backward; clustering, Top-K selection and capacity
-admission are constants of the backward pass. Backward refuses a state
-whose objective has not run, and consumes the forward's state: it frees
-each saved activation once it has read it (each expert's entry, then the
-body's cache, then attention's), so a step never holds a spent cache, and
-a second backward of the same state is refused.
+admission are constants of the backward pass. Backward consumes the
+forward's state: it frees each saved activation once it has read it (each
+expert's entry, then the body's cache, then attention's), so a step never
+holds a spent cache, and a second backward of the same state is refused.
 For finite-difference checking, ``forward`` takes a ``pinned`` reference
 forward of the same batch and reuses its cluster features and dispatch
 plan, so the perturbed evaluations differentiate the same masked function
@@ -80,17 +79,7 @@ from .experts import (
     init_ffn,
     init_frozen,
 )
-from .losses import (
-    LossReport,
-    cross_entropy,
-    cross_entropy_backward,
-    importance_backward,
-    importance_loss,
-    load_backward,
-    load_loss,
-    traceability_backward,
-    traceability_loss,
-)
+from .losses import LossReport, cross_entropy, importance_loss, load_loss, traceability_loss
 from .numerics import RandomStreams, require_ids
 from .router import (
     DispatchPlan,
@@ -124,24 +113,12 @@ class RoutedCache:
 
 
 @dataclass
-class LossParts:
-    """What ``backward`` reads of one ``objective``: the arrays each loss
-    gradient is built from. The routing parts are None for the dense body."""
-
-    probs: Array  # (B, C) class softmax, which the cross-entropy backward reads
-    tb_parts: tuple | None = None  # traceability_loss's (owned columns, clamped masses, mask)
-    d_importance: Array | None = None  # (n_experts,) CV^2 gradient w.r.t. the importance vector
-    d_load: Array | None = None  # (n_experts,) CV^2 gradient w.r.t. the load vector
-
-
-@dataclass
 class ForwardState:
     """One forward's outputs and the caches its backward reads.
 
-    The forward forms no loss: ``report`` and ``loss_parts`` stay None until
-    the objective of ``logits``, the batch's labels and, on the routed body,
-    ``gates`` and the token sources is stored in them (``loss_and_grads``
-    does), and backward refuses a state without ``loss_parts``.
+    The forward forms no loss: ``report`` stays None until
+    ``loss_and_grads`` stores the objective of ``logits``, the batch's
+    labels and, on the routed body, ``gates`` and the token sources in it.
     ``ComeModel.backward`` consumes the state: it sets ``body`` and
     ``att_cache`` to None and frees each once its backward has read it. The
     other fields stay, for the callers that read the losses, predictions
@@ -157,7 +134,6 @@ class ForwardState:
     att_cache: AttentionCache
     body: object  # RoutedCache, or (flat inputs, hidden) for the dense FFN
     report: LossReport | None = None
-    loss_parts: LossParts | None = None
 
 
 def matched_dense_hidden(cfg: RunConfig) -> int:
@@ -372,54 +348,57 @@ class ComeModel:
         several batches' gates they are one figure for the whole set, not a
         mean of per-batch figures.
 
-        Returns (LossReport, LossParts): ``total`` weights the parts as
-        ``_routed_backward`` weights their gradients, and the LossParts are
-        what ``backward`` reads. Raises ValueError for labels that are not
-        B integers in [0, n_classes), for routing arrays given to the dense
-        body or missing on the routed one, and for token sources that are
-        not N integers in [0, n_sources); FloatingPointError at the first
+        Returns (LossReport, d_logits, d_gates), with the loss weights
+        applied here only: ``d_logits`` is the (B, C) gradient of ``total``
+        w.r.t. the logits, and ``d_gates`` the tuple of its weighted
+        traceability, importance and load terms w.r.t. the gates, each
+        (N, n_experts), on the routed body and () on the dense body.
+        Raises ValueError for labels that are not B integers in
+        [0, n_classes), for routing arrays given to the dense body or
+        missing on the routed one, and for token sources that are not N
+        integers in [0, n_sources); FloatingPointError at the first
         operation that overflows or is invalid.
         """
         routed = self.cfg.model.arch == "come"
         if (gates is not None, token_sources is not None) != (routed, routed):
             takes = "gates and token sources" if routed else "no gates or token sources"
             raise ValueError(f"objective: the {self.cfg.model.arch} body takes {takes}")
-        task, probs = cross_entropy(logits, labels)
+        task, d_logits = cross_entropy(logits, labels)
         if not routed:
-            return LossReport(task_ce=task, total=task), LossParts(probs)
+            return LossReport(task_ce=task, total=task), d_logits, ()
         token_sources = require_ids("objective", "token sources", token_sources, gates.shape[0],
                                     "n_sources", self.cfg.data.n_sources)
-        l_tb, tb_parts, clamped = traceability_loss(gates, token_sources, self.group_size)
-        l_ip, d_importance, importance = importance_loss(gates)
+        # load first: its CDF temporaries, the objective's peak, then meet no other gradient
         l_load, d_load, load = load_loss(gates)
+        l_ip, d_ip, importance = importance_loss(gates)
+        l_tb, d_tb, clamped = traceability_loss(gates, token_sources, self.group_size)
         w = self.cfg.losses
         total = task + w.tb_weight * l_tb + w.balance_weight * (l_ip + l_load)
         report = LossReport(task_ce=task, total=total, l_tb=l_tb, l_ip=l_ip, l_load=l_load,
                             importance=importance, load=load, tb_clamped=clamped)
-        return report, LossParts(probs, tb_parts, d_importance, d_load)
+        d_gates = (w.tb_weight * d_tb, w.balance_weight * d_ip, w.balance_weight * d_load)
+        return report, d_logits, d_gates
 
     # ------------------------------------------------------------------
     # backward
     # ------------------------------------------------------------------
 
-    def backward(self, state: ForwardState) -> dict:
-        """Gradient of the total loss w.r.t. every trainable parameter.
+    def backward(self, state: ForwardState, d_logits: Array, d_gates: tuple = ()) -> dict:
+        """Gradient w.r.t. every trainable parameter, from the gradients of
+        the forward's outputs: ``d_logits`` (B, C) w.r.t. the class logits
+        and ``d_gates``, a sequence of (N, n_experts) terms w.r.t. the gates
+        (routed body only), as ``objective`` returns them.
 
-        Reads the state's ``loss_parts`` and consumes its caches (see
-        ``ForwardState``); raises ValueError for a state whose objective has
-        not run or that an earlier backward consumed.
+        Consumes the state's caches (see ``ForwardState``); raises
+        ValueError for a state that an earlier backward consumed.
         """
-        body, att_cache, parts = state.body, state.att_cache, state.loss_parts
+        body, att_cache = state.body, state.att_cache
         if att_cache is None:
             raise ValueError("backward: this ForwardState was consumed by an earlier "
                              "backward; run forward again")
-        if parts is None:
-            raise ValueError("backward: the objective of this ForwardState has not run; "
-                             "store ComeModel.objective's result in it first")
         state.body = state.att_cache = None  # consumed even if a step below raises
         b, t, d = state.batch.tokens.shape
         grads = {}
-        d_logits = cross_entropy_backward(parts.probs, state.batch.labels)
         grads["head.w"] = state.pooled.T @ d_logits
         grads["head.b"] = d_logits.sum(axis=0)
         d_pooled = d_logits @ self.params["head.w"].T
@@ -428,7 +407,7 @@ class ComeModel:
             d_flat, dense_grads = ffn_backward(self.params, "dense", *body, d_out)
             grads.update(dense_grads)
         else:
-            d_flat = self._routed_backward(d_out, body, state, grads)
+            d_flat = self._routed_backward(d_out, d_gates, body, state, grads)
         del body  # each cache is freed as soon as its backward has read it
         grads.update(attention_backward(
             d_flat.reshape(b, t, d), att_cache, self.params, self.cfg.model.heads
@@ -439,10 +418,12 @@ class ComeModel:
                 grads[name] = np.zeros_like(p)
         return grads
 
-    def _routed_backward(self, d_out: Array, cache: RoutedCache, state: ForwardState,
-                         grads: dict) -> Array:
-        """Backward of ``_routed_forward`` and of the state's routing losses;
-        fills ``grads`` and returns the gradient w.r.t. the attended tokens."""
+    def _routed_backward(self, d_out: Array, d_loss_gates: tuple, cache: RoutedCache,
+                         state: ForwardState, grads: dict) -> Array:
+        """Backward of ``_routed_forward``: the mixture's gate gradient plus
+        each ``d_loss_gates`` term, in order (float addition does not
+        reassociate). Fills ``grads`` and returns the gradient w.r.t. the
+        attended tokens."""
         d_in_mix, d_gates, expert_grads = expert_mixture_backward(
             d_out, cache.saved, cache.combine, self.params)
         grads.update(expert_grads)
@@ -454,13 +435,10 @@ class ComeModel:
             inner = np.sum(picked_d * picked_w, axis=1, keepdims=True)
             d_gates = np.zeros_like(d_gates)
             np.put_along_axis(d_gates, sel, (picked_d - inner) / cache.renorm_sums, axis=1)
-        w = self.cfg.losses
-        gates, parts = state.gates, state.loss_parts
-        n, n_experts = gates.shape
-        d_gates += w.tb_weight * traceability_backward(n_experts, *parts.tb_parts)
-        d_gates += w.balance_weight * importance_backward(parts.d_importance, n)
-        d_gates += w.balance_weight * load_backward(parts.d_load, gates)
-        d_in_router, router_grads = gate_backward(d_gates, cache.routed_in, gates, self.params)
+        for term in d_loss_gates:
+            d_gates += term
+        d_in_router, router_grads = gate_backward(d_gates, cache.routed_in, state.gates,
+                                                  self.params)
         grads.update(router_grads)
         d_in_mix += d_in_router
         d_flat, dr_grads = dr_backward(d_in_mix, cache.concat, self.params)
@@ -472,8 +450,8 @@ class ComeModel:
         """One training step's forward, objective and backward: (state, grads)."""
         state = self.forward(batch, cluster_rng=cluster_rng, pinned=pinned)
         routing = (state.gates, batch.token_sources) if state.gates is not None else ()
-        state.report, state.loss_parts = self.objective(state.logits, batch.labels, *routing)
-        return state, self.backward(state)
+        state.report, d_logits, d_gates = self.objective(state.logits, batch.labels, *routing)
+        return state, self.backward(state, d_logits, d_gates)
 
 
 def component_grad_check(model: ComeModel, batch: TokenBatch, component: str,

@@ -31,7 +31,7 @@ from come.attention import (
 from come.config import RunConfig, apply_overrides
 from come.datagen import TokenBatch
 from come.experts import dr_backward, ffn_backward, ffn_forward, frozen_forward
-from come.losses import GROUP_MASS_EPS, traceability_backward, traceability_loss
+from come.losses import GROUP_MASS_EPS, traceability_loss
 from come.model import ComeModel
 from come.numerics import softmax
 from come.router import build_dispatch, dispatch_capacity
@@ -242,8 +242,7 @@ def test_frozen_forward_matches_reference(shape):
 def test_traceability_matches_reference(shape):
     model, state, _ = _forward(shape)
     gates, sources = state.gates, state.batch.token_sources
-    value, parts, clamped = traceability_loss(gates, sources, model.group_size)
-    d_gates = traceability_backward(gates.shape[1], *parts)
+    value, d_gates, clamped = traceability_loss(gates, sources, model.group_size)
     owners = expert_group_map(model.cfg.model.n_experts, model.cfg.data.n_sources)
     ref_value, ref_d_gates, ref_clamped = _ref_traceability(gates, sources, owners)
     assert value == ref_value
@@ -275,8 +274,7 @@ def test_traceability_matches_reference_on_any_grouping(n_sources, per, remainde
     for i in np.flatnonzero(starved):
         group = owners[sources[i]]
         gates[i, group] = rng.choice([0.0, GROUP_MASS_EPS * rng.random() / per])
-    value, parts, clamped = traceability_loss(gates, sources, n_experts // n_sources)
-    d_gates = traceability_backward(n_experts, *parts)
+    value, d_gates, clamped = traceability_loss(gates, sources, n_experts // n_sources)
     ref_value, ref_d_gates, ref_clamped = _ref_traceability(gates, sources, owners)
     assert value == ref_value
     assert np.array_equal(d_gates, ref_d_gates)

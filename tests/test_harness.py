@@ -240,6 +240,17 @@ def test_logged_test_ce_is_the_held_out_objective_of_the_logged_batches(small, t
     assert header[3:5] == ["test_samples", "test_ce"]
 
 
+def test_logged_train_ce_is_the_in_sample_objective_of_the_logged_batches(small, tmp_path):
+    cfg, dataset = small
+    result = harness.train(cfg, dataset=dataset, out_dir=tmp_path)
+    in_sample = harness.evaluate(result.model, dataset, "train", batch_size=8,
+                                 max_batches=cfg.training.eval_batches)
+    assert result.metrics[-1].train_ce == in_sample.loss.task_ce
+    rows = list(csv.DictReader((tmp_path / "metrics.csv").read_text().splitlines()))
+    assert float(rows[-1]["train_ce"]) == in_sample.loss.task_ce  # repr round-trips the bits
+    assert harness.METRICS_HEADER.index("train_ce") == harness.METRICS_HEADER.index("test_ce") + 1
+
+
 def test_a_log_point_records_the_traceability_clamps_of_its_training_batch(
         small, monkeypatch, tmp_path):
     """A router bias of 60 on expert 0 leaves every other expert under 1e-12

@@ -7,16 +7,8 @@ import pytest
 
 from come.config import LossConfig, apply_overrides, config_from_dict
 from come.datagen import TokenBatch
-from come.losses import (
-    GROUP_MASS_EPS,
-    cross_entropy,
-    cross_entropy_backward,
-    importance_loss,
-    load_backward,
-    load_loss,
-    traceability_backward,
-    traceability_loss,
-)
+from come.losses import (GROUP_MASS_EPS, cross_entropy, importance_loss, load_loss,
+                         traceability_loss)
 from come.model import ComeModel
 from come.numerics import grad_check, normal_cdf, softmax
 
@@ -57,10 +49,10 @@ def test_traceability_singleton_groups_match_loop_oracle():
 
     def fn(flat):
         g = softmax(flat.reshape(6, 5))
-        v, parts, _ = traceability_loss(g, src, 1)
+        v, dg, _ = traceability_loss(g, src, 1)
         from come.numerics import softmax_backward
 
-        return v, softmax_backward(g, traceability_backward(5, *parts)).ravel()
+        return v, softmax_backward(g, dg).ravel()
 
     assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-6
 
@@ -68,8 +60,7 @@ def test_traceability_singleton_groups_match_loop_oracle():
 def test_traceability_clamps_zero_mass_and_counts():
     gates = np.array([[1.0, 0.0], [0.0, 1.0]])
     # source 1 owns expert 1, so the first token has zero group mass
-    val, parts, clamped = traceability_loss(gates, np.ones(2, dtype=int), 1)
-    grad = traceability_backward(2, *parts)
+    val, grad, clamped = traceability_loss(gates, np.ones(2, dtype=int), 1)
     assert clamped == 1
     assert np.isfinite(val)
     assert val >= -0.5 * math.log(GROUP_MASS_EPS) - 1e-9
@@ -168,17 +159,16 @@ def test_load_gradient_literal():
 
         def fn(flat):
             g = softmax(flat.reshape(4, 5))
-            v, d_load, _ = load_loss(g)
+            v, dg, _ = load_loss(g)
             from come.numerics import softmax_backward
 
-            return v, softmax_backward(g, load_backward(d_load, g)).ravel()
+            return v, softmax_backward(g, dg).ravel()
 
         assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-5
 
 
-# SHA-256 of load_loss's value, load_backward's d_gates and load_loss's load
-# vector, each as float64 bytes, on softmax gates of seeded normal logits
-# with 8 experts.
+# SHA-256 of load_loss's value, d_gates and load vector, each as float64
+# bytes, on softmax gates of seeded normal logits with 8 experts.
 LOAD_LOSS_DIGESTS = {
     128: (
         "06f63ef702e2fe9caa8e6f76d6b5a82a9074dd99ddc9dae9ce69a41af6727728",
@@ -196,10 +186,9 @@ LOAD_LOSS_DIGESTS = {
 @pytest.mark.parametrize("n_tokens", sorted(LOAD_LOSS_DIGESTS))
 def test_load_loss_digest_pinned(n_tokens):
     gates = softmax(np.random.default_rng(n_tokens).normal(size=(n_tokens, 8)))
-    value, d_load, load = load_loss(gates)
     digests = tuple(
         hashlib.sha256(np.asarray(part, dtype=np.float64).tobytes()).hexdigest()
-        for part in (value, load_backward(d_load, gates), load)
+        for part in load_loss(gates)
     )
     assert digests == LOAD_LOSS_DIGESTS[n_tokens]
 
@@ -241,8 +230,8 @@ def test_cross_entropy_gradient():
     labels = rng.integers(0, 3, size=4)
 
     def fn(flat):
-        v, probs = cross_entropy(flat.reshape(4, 3), labels)
-        return v, cross_entropy_backward(probs, labels).ravel()
+        v, d_logits = cross_entropy(flat.reshape(4, 3), labels)
+        return v, d_logits.ravel()
 
     assert grad_check(fn, logits0.ravel(), h=1e-5).max_rel_error < 1e-7
 

@@ -60,7 +60,12 @@ def _routing(state):
 
 def _objective(model, state):
     """The LossReport of ``state``'s forward, from ``ComeModel.objective``."""
-    return model.objective(state.logits, state.batch.labels, *_routing(state))[0]
+    return _objective_and_grads(model, state)[0]
+
+
+def _objective_and_grads(model, state):
+    """``ComeModel.objective`` of ``state``'s forward: (LossReport, d_logits, d_gates)."""
+    return model.objective(state.logits, state.batch.labels, *_routing(state))
 
 
 def _preset(name):
@@ -368,7 +373,7 @@ def test_backward_consumes_the_caches_and_keeps_the_results(arch):
     if arch == "come":
         assert state.plan.n_tokens == 9
     with pytest.raises(ValueError, match="consumed by an earlier backward"):
-        model.backward(state)
+        model.backward(state, *_objective_and_grads(model, state)[1:])
     if arch == "come":  # the dense body ignores a pinned state
         with pytest.raises(ValueError, match="pinned ForwardState was consumed"):
             model.forward(batch, pinned=state)
@@ -387,10 +392,9 @@ def test_backward_frees_more_than_its_gradients_take(arch):
     try:
         before = tracemalloc.get_traced_memory()[0]
         state = _forward(model, batch)
-        state.report, state.loss_parts = model.objective(state.logits, batch.labels,
-                                                         *_routing(state))
+        state.report, d_logits, d_gates = _objective_and_grads(model, state)
         started = tracemalloc.get_traced_memory()[0]
-        grads = model.backward(state)
+        grads = model.backward(state, d_logits, d_gates)
         returned = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -423,8 +427,6 @@ def test_evaluate_holds_one_forward_state_at_a_time(arch):
 
 
 LOSSES = ("cross_entropy", "traceability_loss", "importance_loss", "load_loss")
-LOSS_BACKWARDS = ("cross_entropy_backward", "traceability_backward", "importance_backward",
-                  "load_backward")
 
 
 def _bits(report):
@@ -446,14 +448,14 @@ def _eval_states(model, dataset, batch_size, n_batches):
 @pytest.mark.parametrize("arch", ["come", "dense"])
 def test_forward_calls_no_loss(monkeypatch, arch):
     model = ComeModel.build(_cfg(**{"model.arch": arch}))
-    calls = {name: _counting(monkeypatch, name) for name in LOSSES + LOSS_BACKWARDS}
+    calls = {name: _counting(monkeypatch, name) for name in LOSSES}
     state = _forward(model, _batch(model.cfg))
-    assert state.report is None and state.loss_parts is None
+    assert state.report is None
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 def test_evaluate_forms_loss_values_and_calls_no_loss_backward(monkeypatch):
-    calls = {name: _counting(monkeypatch, name) for name in LOSSES + LOSS_BACKWARDS}
+    calls = {name: _counting(monkeypatch, name) for name in LOSSES}
     for arch in ("come", "dense"):
         cfg = _cfg(**{"model.arch": arch})
         model = ComeModel.build(cfg)
@@ -466,10 +468,10 @@ def test_evaluate_forms_loss_values_and_calls_no_loss_backward(monkeypatch):
             once = LOSSES if arch == "come" else ("cross_entropy",)
             assert {name: len(c) for name, c in calls.items()} == {
                 name: int(name in once) for name in calls}, (arch, n_batches)
-        model.loss_and_grads(_batch(cfg), cluster_rng=np.random.default_rng(1))  # counted if called
-        once = LOSS_BACKWARDS if arch == "come" else ("cross_entropy_backward",)
-        assert {name: len(calls[name]) for name in LOSS_BACKWARDS} == {
-            name: int(name in once) for name in LOSS_BACKWARDS}, arch
+        # a training step forms each loss, and its gradient, once more
+        model.loss_and_grads(_batch(cfg), cluster_rng=np.random.default_rng(1))
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: 2 * int(name in once) for name in calls}, arch
 
 
 @pytest.mark.parametrize("arch", ["come", "dense"])
@@ -480,7 +482,7 @@ def test_evaluate_loss_is_the_objective_of_the_concatenated_batches(arch):
     result = evaluate(model, dataset, "train", batch_size=4, max_batches=5)
     states = _eval_states(model, dataset, 4, 5)
     columns = zip(*[(s.logits, s.batch.labels, *_routing(s)) for s in states])
-    expected, _ = model.objective(*(np.concatenate(column) for column in columns))
+    expected, *_ = model.objective(*(np.concatenate(column) for column in columns))
     assert _bits(result.loss) == _bits(expected)
     if arch == "come":  # the CV^2 terms are over every evaluated token at once
         assert result.loss.importance.sum() == pytest.approx(20 * cfg.data.tokens_per_sample)
@@ -497,18 +499,6 @@ def test_one_batch_evaluate_reports_what_training_forms_for_that_batch(arch):
     state, _ = model.loss_and_grads(batch, cluster_rng=rng)
     assert _bits(result.loss) == _bits(state.report)
     assert result.loss == state.report
-
-
-@pytest.mark.parametrize("arch", ["come", "dense"])
-def test_backward_refuses_a_state_whose_objective_has_not_run(arch):
-    model = ComeModel.build(_cfg(**{"model.arch": arch}))
-    state = _forward(model, _batch(model.cfg))
-    with pytest.raises(ValueError, match="objective of this ForwardState has not run"):
-        model.backward(state)
-    assert state.body is not None  # the refused state is not consumed
-    state.report, state.loss_parts = model.objective(state.logits, state.batch.labels,
-                                                     *_routing(state))
-    assert set(model.backward(state)) == set(model.params)
 
 
 def test_objective_rejects_routing_arrays_that_do_not_fit_the_body():

@@ -88,6 +88,36 @@ def test_only_the_datagen_module_words_the_split_rule():
     assert wording == ["datagen.py"]
 
 
+def _readers(tree: ast.AST, attrs: set, scope: tuple = ()) -> set:
+    """Dotted names of the classes and functions in ``tree`` whose own code
+    reads an attribute in ``attrs`` ("" for module level)."""
+    found = set()
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _readers(child, attrs, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr in attrs:
+            found.add(".".join(scope))
+        found |= _readers(child, attrs, scope)
+    return found
+
+
+def test_only_the_objective_weights_the_losses():
+    # each loss returns its own gradient and ComeModel.objective weights
+    # them, so a second copy of the weights cannot return unnoticed
+    readers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text())
+            readers |= {f"{path.stem}:{name}"
+                        for name in _readers(tree, {"tb_weight", "balance_weight"})}
+    assert readers == {"model:ComeModel.objective"}
+    losses = ast.parse((PACKAGE / "losses.py").read_text())
+    backwards = [node.name for node in ast.walk(losses)
+                 if isinstance(node, ast.FunctionDef) and node.name.endswith("_backward")]
+    assert backwards == []
+
+
 def test_importing_every_module_loads_no_scipy():
     probe = (
         "import importlib, pkgutil, sys\n"
