@@ -154,10 +154,6 @@ def generator_sidecar(bundle: DatasetBundle) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _read_sidecar(path: Path, n_samples: int) -> dict:
     """The parsed sidecar of a dataset with ``n_samples`` samples. Raises a
     ValueError naming the sidecar unless it holds every generator field and
@@ -190,11 +186,12 @@ def _read_sidecar(path: Path, n_samples: int) -> dict:
         GeneratorConfig(**generator).validate()
     except ValueError as exc:
         raise ValueError(f"{path}: generator: {exc}") from exc
-    if not _is_int(side["seed"]):
+    _, is_int = value_type("data.seed")
+    if not is_int(side["seed"]):
         raise ValueError(f"{path}: seed must be an int, got {side['seed']!r}")
     splits = {key: side[key] for key in ("train_indices", "test_indices")}
     for key, indices in splits.items():
-        if not (isinstance(indices, list) and all(map(_is_int, indices))):
+        if not (isinstance(indices, list) and all(map(is_int, indices))):
             raise ValueError(f"{path}: {key} must be a list of ints in [0, {n_samples})")
     check_splits(path, n_samples, **{key: np.asarray(idx) for key, idx in splits.items()})
     return side

@@ -128,19 +128,29 @@ def build_dataset(cfg: RunConfig) -> DatasetBundle:
     return dataset
 
 
-def routing_purity(plan, token_sources, group_size: int) -> tuple:
-    """(in-group count, counted tokens) for the highest-gate admitted expert.
+def routing_figures(token_sources, selection, admitted, group_size: int,
+                    n_experts: int) -> tuple:
+    """(purity, util_cv, overflow_rate) over any number of routed tokens,
+    from their source ids and their dispatch's (N, K) ``selection`` and
+    ``admitted`` mask.
 
-    A token is in group when its source owns that expert under
-    ``ComeModel.group_size``. Tokens whose every selection overflowed have
-    no admitted expert and are excluded from the count. Selection columns
-    are gate-sorted, so the first admitted slot is the top-1 admitted expert.
+    Purity is the share of tokens whose highest-gate admitted expert their
+    source owns under ``ComeModel.group_size``. Tokens whose every selection
+    overflowed have no admitted expert and are not counted. Selection
+    columns are gate-sorted, so the first admitted slot is the top-1
+    admitted expert. ``util_cv`` is the coefficient of variation of the
+    admitted pairs per expert, and ``overflow_rate`` the share of pairs not
+    admitted. A figure with nothing to count is 0.0.
     """
-    has_any = plan.admitted.any(axis=1)
-    first_slot = np.argmax(plan.admitted, axis=1)
-    experts = plan.selection[np.arange(plan.n_tokens), first_slot]
-    hits = experts[has_any] // group_size == token_sources[has_any]
-    return int(hits.sum()), int(has_any.sum())
+    has_any = admitted.any(axis=1)
+    experts = selection[np.arange(selection.shape[0]), np.argmax(admitted, axis=1)]
+    hits = int(np.count_nonzero(experts[has_any] // group_size == token_sources[has_any]))
+    counted = int(np.count_nonzero(has_any))
+    util = np.bincount(selection[admitted], minlength=n_experts)
+    mean_util = util.mean()
+    return (hits / counted if counted else 0.0,
+            float(util.std() / mean_util) if mean_util > 0 else 0.0,
+            int(np.count_nonzero(~admitted)) / admitted.size if admitted.size else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +164,14 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
 
     ``split`` is "train" or "test": the dataset's training or test indices,
     in order, of which the first ``max_batches`` batches of ``batch_size``
-    are evaluated (all of them by default). Each batch runs a forward only.
-    ``EvalResult.loss`` is one ``ComeModel.objective`` over every evaluated
-    sample, from the batches' class logits, labels, gates and token
-    sources: its task CE and traceability are means over those samples and
-    tokens, and its importance and load CV^2 are split-level figures, over
-    all evaluated tokens at once. Model parameters are never mutated.
+    are evaluated (all of them by default). Each batch runs a forward only
+    and keeps its class logits, labels and, on the routed body, gates,
+    token sources and dispatch selection and admitted mask. Every figure is
+    then formed once, over the concatenation of those outputs: accuracy
+    and ``n_samples`` over the evaluated samples, ``routing_figures`` over
+    their tokens, and ``EvalResult.loss`` as one ``ComeModel.objective``,
+    whose importance and load CV^2 are so split-level figures, not means of
+    per-batch ones. Model parameters are never mutated.
     Before the first forward, a dataset that fails
     ``datagen.check_dataset`` against ``cfg.data`` (integer ids in range,
     and splits of integer indices in [0, N), each in at most one split and
@@ -186,49 +198,28 @@ def evaluate(model: ComeModel, dataset: DatasetBundle, split="test",
             raise ValueError(f"evaluate: {name} must be >= 1, got {value}")
     streams = RandomStreams(cfg.seed)
 
-    correct = 0
-    purity_num = 0
-    purity_den = 0
-    pair_total = 0
-    overflow_total = 0
-    util = np.zeros(cfg.model.n_experts, dtype=np.int64)
-    # each batch's objective inputs in ``objective``'s argument order; dense keeps no gates
-    kept = {"logits": [], "labels": [], "gates": [], "token_sources": []}
-
-    n_batches = 0
-    for b_i, start in enumerate(range(0, indices.size, batch_size)):
-        if max_batches is not None and b_i >= max_batches:
-            break
+    # each batch's outputs in the order ``objective`` (the first four) and
+    # ``routing_figures`` (the last three) take them; dense keeps no routing arrays
+    names = ("logits", "labels", "gates", "token_sources", "selection", "admitted")
+    kept = {name: [] for name in names}
+    for b_i, start in enumerate(range(0, indices.size, batch_size)[:max_batches]):
         batch = dataset.take(indices[start : start + batch_size])
         rng = streams.stream("noise", EVAL_STREAM_OFFSET + b_i) if model.clusters else None
         state = model.forward(batch, cluster_rng=rng)
-        correct += int(np.sum(state.predictions == batch.labels))
-        n_batches += 1
         kept["logits"].append(state.logits)
         kept["labels"].append(batch.labels)
-        plan = state.plan
-        if plan is not None:
+        if state.plan is not None:
             kept["gates"].append(state.gates)
             kept["token_sources"].append(batch.token_sources)
-            num, den = routing_purity(plan, kept["token_sources"][-1], model.group_size)
-            purity_num += num
-            purity_den += den
-            util += plan.utilization()
-            overflow_total += plan.n_overflow
-            pair_total += plan.admitted.size
+            kept["selection"].append(state.plan.selection)
+            kept["admitted"].append(state.plan.admitted)
         del state  # free the forward's caches before the next batch's forward
-    n_seen = min(indices.size, n_batches * batch_size)
-    mean_util = util.mean() if util.size else 0.0
-    util_cv = float(util.std() / mean_util) if mean_util > 0 else 0.0
-    loss, *_ = model.objective(*(np.concatenate(arrays) for arrays in kept.values() if arrays))
-    return EvalResult(
-        accuracy=correct / n_seen,
-        purity=purity_num / purity_den if purity_den else 0.0,
-        util_cv=util_cv,
-        overflow_rate=overflow_total / pair_total if pair_total else 0.0,
-        n_samples=n_seen,
-        loss=loss,
-    )
+    logits, labels, *routing = (np.concatenate(arrays) for arrays in kept.values() if arrays)
+    loss, *_ = model.objective(logits, labels, *routing[:2])
+    figures = (routing_figures(*routing[1:], model.group_size, cfg.model.n_experts)
+               if routing else (0.0, 0.0, 0.0))
+    accuracy = int(np.count_nonzero(logits.argmax(axis=1) == labels)) / labels.size
+    return EvalResult(accuracy, *figures, n_samples=labels.size, loss=loss)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ The routed body (``come``):
     features = (f_structure + f_semantic) + f_routed
     gates also feed the traceability / importance / load losses.
 
-Forward forms no loss: it returns the predictions, the class logits, the
-gates, the dispatch plan and the backward's caches. ``objective`` is the one
+Forward forms no loss: it returns the class logits, the gates, the
+dispatch plan and the backward's caches. ``objective`` is the one
 place that knows the losses and their weights: from class logits, labels,
 gates and token sources, for any number of samples, it forms the
 ``LossReport`` and the weighted gradients of the total w.r.t. the logits
@@ -121,12 +121,11 @@ class ForwardState:
     labels and, on the routed body, ``gates`` and the token sources in it.
     ``ComeModel.backward`` consumes the state: it sets ``body`` and
     ``att_cache`` to None and frees each once its backward has read it. The
-    other fields stay, for the callers that read the losses, predictions
-    and plan after the step.
+    other fields stay, for the callers that read the losses, logits and
+    plan after the step.
     """
 
     batch: TokenBatch
-    predictions: Array
     logits: Array  # (B, C) class logits
     gates: Array | None  # (N, n_experts) gate softmax; None for the dense body
     plan: DispatchPlan | None
@@ -245,8 +244,8 @@ class ComeModel:
     @np.errstate(over="raise", invalid="raise")
     def forward(self, batch: TokenBatch, cluster_rng=None,
                 pinned: ForwardState | None = None) -> ForwardState:
-        """Predictions, class logits, gates, dispatch plan and the backward's
-        caches for one batch; no loss (see ``objective``).
+        """Class logits, gates, dispatch plan and the backward's caches for
+        one batch; no loss (see ``objective``).
 
         ``cluster_rng`` seeds k-means and is read only when ``clusters``;
         None then stands for ``np.random.default_rng(0)``.
@@ -272,7 +271,6 @@ class ComeModel:
         logits = pooled @ self.params["head.w"] + self.params["head.b"]
         return ForwardState(
             batch=batch,
-            predictions=np.argmax(logits, axis=1),
             logits=logits,
             gates=gates,
             plan=plan,
@@ -390,8 +388,12 @@ class ComeModel:
         (routed body only), as ``objective`` returns them.
 
         Consumes the state's caches (see ``ForwardState``); raises
-        ValueError for a state that an earlier backward consumed.
+        ValueError for gate gradients given to the dense body and for a
+        state that an earlier backward consumed.
         """
+        if self.cfg.model.arch == "dense" and len(d_gates):
+            raise ValueError("backward: the dense body takes no gates or token sources, "
+                             "so no gate gradients")
         body, att_cache = state.body, state.att_cache
         if att_cache is None:
             raise ValueError("backward: this ForwardState was consumed by an earlier "

@@ -134,17 +134,17 @@ def normal_cdf(x: Array) -> Array:
     if not size.max(initial=0.0) < 1.0:  # NaN fails this too
         bad = float(arr.ravel()[~(size < 1.0)][0])
         raise ValueError(f"normal_cdf: every entry must have |x| < sqrt(2), got {bad}")
-    zz = z * z
+    zz = np.multiply(z, z, out=size)  # three input-sized buffers: z, zz and p
     p = zz * _ERF_T[0]
     p += _ERF_T[1]
     for c in _ERF_T[2:]:
         p *= zz
         p += c
-    q = zz + _ERF_U[0]
+    p *= z
+    q = np.add(zz, _ERF_U[0], out=z)  # z is dead once p holds z T(z^2)
     for c in _ERF_U[1:]:
         q *= zz
         q += c
-    p *= z
     p /= q
     p *= 0.5
     p += 0.5

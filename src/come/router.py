@@ -3,10 +3,11 @@
 Gates are a per-token softmax over a linear map of the routed features.
 The dispatcher admits tokens per expert in ascending token order up to
 capacity = ceil(f * T * K / E); a (token, expert) pair it does not admit
-overflows, so overflow is the complement of the ``admitted`` mask, and an
-overflowed pair contributes zero to the mixture. Ties in Top-K selection
-break toward the lower expert index, so identical inputs always produce
-identical plans.
+overflows and contributes zero to the mixture. A plan keeps no overflow
+count: the pairs outside its ``admitted`` mask are the overflow, which
+``harness.routing_figures`` counts over any number of plans. Ties in Top-K
+selection break toward the lower expert index, so identical inputs always
+produce identical plans.
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ class DispatchPlan:
     admitted: Array  # (N, K) bool mask; the other pairs overflowed
     expert_tokens: list  # per expert: admitted token indices, ascending
     capacity: int
-
-    @property
-    def n_tokens(self) -> int:
-        return self.selection.shape[0]
-
-    @property
-    def n_overflow(self) -> int:
-        return self.admitted.size - int(np.count_nonzero(self.admitted))
 
     def utilization(self) -> Array:
         return np.array([t.size for t in self.expert_tokens], dtype=np.int64)

@@ -247,7 +247,7 @@ def test_mixture_gate_gradient_nonzero_only_on_admitted_pairs():
     # all tokens pick expert 0; capacity forces overflow on the later ones
     sel = np.zeros((6, 1), dtype=np.int64)
     plan = build_dispatch(sel, 2, capacity_factor=0.5)
-    assert plan.n_overflow > 0
+    assert np.count_nonzero(~plan.admitted) > 0
     gates = np.zeros((6, 2))
     gates[:, 0] = 1.0
     out, saved = expert_mixture_forward(bank, plan, x, gates)

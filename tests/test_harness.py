@@ -13,7 +13,6 @@ from come.container import save_dataset
 from come.datagen import DatasetBundle, generate
 from come.model import ComeModel
 from come.numerics import RandomStreams
-from come.router import DispatchPlan
 
 SMALL = [
     "data.n_samples=80",
@@ -565,19 +564,79 @@ def test_grid_of_finished_runs_lists_no_halts(small, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_routing_purity_counts_the_top_admitted_expert_of_each_token():
+def test_routing_figures_count_the_top_admitted_expert_of_each_token():
     # 10 experts over 4 sources: groups of 2, and experts 8, 9 owned by none
     selection = np.array([[1, 5], [8, 3], [4, 9], [0, 6], [7, 2], [2, 9], [6, 1]])
     admitted = np.array([[1, 1], [1, 1], [0, 1], [0, 1], [0, 0], [1, 0], [0, 1]], dtype=bool)
     sources = np.array([0, 1, 2, 3, 3, 1, 3])
-    plan = DispatchPlan(
-        selection=selection, admitted=admitted, capacity=2,
-        expert_tokens=[np.flatnonzero((selection == j) & admitted) // 2 for j in range(10)],
-    )
+    util = np.array([0, 2, 1, 1, 0, 1, 1, 0, 1, 1])  # admitted pairs per expert
+    util_cv = float(util.std() / util.mean())
     # token 0: expert 1 of source 0's group; 1: remainder expert 8; 2: its
     # in-group top pick overflowed, then remainder expert 9; 3: top pick
     # overflowed, then expert 6 of source 3's group; 4: both overflowed, not
     # counted; 5: expert 2; 6: in-group top pick overflowed, then expert 1
-    assert harness.routing_purity(plan, sources, 2) == (3, 6)
+    assert harness.routing_figures(sources, selection, admitted, 2, 10) == (3 / 6, util_cv, 6 / 14)
     # as singletons, source m owns expert m only, which no token reached
-    assert harness.routing_purity(plan, sources, 1) == (0, 6)
+    assert harness.routing_figures(sources, selection, admitted, 1, 10) == (0 / 6, util_cv, 6 / 14)
+
+
+def _per_batch_figures(model, dataset, split, batch_size, max_batches):
+    """``evaluate``'s (accuracy, purity, util_cv, overflow_rate, n_samples),
+    summed batch by batch in running counters, each batch's purity from its
+    own dispatch plan."""
+    indices = dataset.train_idx if split == "train" else dataset.test_idx
+    streams = RandomStreams(model.cfg.seed)
+    correct = purity_num = purity_den = pair_total = overflow_total = n_batches = 0
+    util = np.zeros(model.cfg.model.n_experts, dtype=np.int64)
+    for b_i, start in enumerate(range(0, indices.size, batch_size)):
+        if max_batches is not None and b_i >= max_batches:
+            break
+        batch = dataset.take(indices[start : start + batch_size])
+        offset = harness.EVAL_STREAM_OFFSET + b_i
+        rng = streams.stream("noise", offset) if model.clusters else None
+        state = model.forward(batch, cluster_rng=rng)
+        correct += int(np.sum(np.argmax(state.logits, axis=1) == batch.labels))
+        n_batches += 1
+        plan = state.plan
+        if plan is not None:
+            has_any = plan.admitted.any(axis=1)
+            first_slot = np.argmax(plan.admitted, axis=1)
+            experts = plan.selection[np.arange(plan.selection.shape[0]), first_slot]
+            hits = experts[has_any] // model.group_size == batch.token_sources[has_any]
+            purity_num += int(hits.sum())
+            purity_den += int(has_any.sum())
+            util += plan.utilization()
+            overflow_total += plan.admitted.size - int(np.count_nonzero(plan.admitted))
+            pair_total += plan.admitted.size
+    n_seen = min(indices.size, n_batches * batch_size)
+    mean_util = util.mean() if util.size else 0.0
+    return (correct / n_seen,
+            purity_num / purity_den if purity_den else 0.0,
+            float(util.std() / mean_util) if mean_util > 0 else 0.0,
+            overflow_total / pair_total if pair_total else 0.0,
+            n_seen)
+
+
+@pytest.mark.parametrize("overrides, split, batch_size, max_batches", [
+    ([], "test", None, None),
+    ([], "train", 8, 3),
+    (["router.top_k=2"], "test", 16, None),
+    (["model.arch=dense"], "test", None, None),
+], ids=["top1", "top1_train_3_batches", "top2_batch16", "dense"])
+def test_split_figures_equal_the_per_batch_sums_bit_for_bit(overrides, split, batch_size,
+                                                            max_batches):
+    cfg = apply_overrides(RunConfig(), SMALL + ["data.n_samples=400", *overrides])
+    dataset = harness.build_dataset(cfg)
+    model = harness.train(cfg, dataset=dataset).model
+    result = harness.evaluate(model, dataset, split, batch_size=batch_size,
+                              max_batches=max_batches)
+    got = (result.accuracy, result.purity, result.util_cv, result.overflow_rate,
+           result.n_samples)
+    expected = _per_batch_figures(model, dataset, split, batch_size or cfg.training.batch_size,
+                                  max_batches)
+    assert [type(v) for v in got] == [float, float, float, float, int]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+    if cfg.model.arch == "dense":
+        assert got[1:4] == (0.0, 0.0, 0.0)
+    elif cfg.router.top_k == 1:
+        assert result.overflow_rate > 0  # the default capacity factor overflows

@@ -93,7 +93,7 @@ def test_forward_shapes_and_finiteness():
     gates = state.gates
     assert state.pooled.shape == (3, 6)
     assert gates.shape == (9, 4)
-    assert state.predictions.shape == (3,)
+    assert state.logits.shape == (3, 3)
     assert np.isfinite(_objective(model, state).total)
     np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
 
@@ -368,10 +368,10 @@ def test_backward_consumes_the_caches_and_keeps_the_results(arch):
     state, _ = model.loss_and_grads(batch, cluster_rng=np.random.default_rng(1))
     assert state.body is None and state.att_cache is None
     assert np.isfinite(state.report.total)
-    assert state.predictions.shape == (3,)
+    assert state.logits.shape == (3, 3)
     assert (state.plan is None) == (arch == "dense")
     if arch == "come":
-        assert state.plan.n_tokens == 9
+        assert state.plan.selection.shape[0] == 9
     with pytest.raises(ValueError, match="consumed by an earlier backward"):
         model.backward(state, *_objective_and_grads(model, state)[1:])
     if arch == "come":  # the dense body ignores a pinned state
@@ -516,3 +516,15 @@ def test_objective_rejects_routing_arrays_that_do_not_fit_the_body():
     with pytest.raises(ValueError, match=r"sample 2 of 6 has token source 2, not an integer in "
                                          r"\[0, n_sources = 2\)"):
         routed.objective(logits, labels, state.gates, np.array([0, 2, 0, 0, 1, 1]))
+
+
+def test_dense_backward_rejects_gate_gradients_before_consuming_the_state():
+    dense = ComeModel.build(_cfg(**{"model.arch": "dense"}))
+    state = _forward(dense, _batch(dense.cfg, b=2))
+    _, d_logits, _ = _objective_and_grads(dense, state)
+    d_gates = (np.zeros((6, dense.cfg.model.n_experts)),)
+    with pytest.raises(ValueError, match="backward: the dense body takes no gates or token "
+                                         "sources, so no gate gradients"):
+        dense.backward(state, d_logits, d_gates)
+    assert state.att_cache is not None
+    assert dense.backward(state, d_logits).keys() == dense.params.keys()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -165,6 +166,21 @@ def test_normal_cdf_edge_values_raise_no_floating_point_error():
     assert out[2] == normal_cdf(np.array([0.5]))[0] and out[3] == 0.5
     assert normal_cdf(np.zeros((0, 3))).shape == (0, 3)
     assert normal_cdf(np.full((2, 3), 0.25)).shape == (2, 3)
+
+
+def test_normal_cdf_holds_three_input_sized_buffers_at_its_peak():
+    # z, z^2 (in the |z| buffer) and the result; q is built in z's buffer
+    gates = softmax(np.random.default_rng(0).normal(size=(12800, 8)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = normal_cdf(gates)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == gates.shape
+    assert peak <= 3.1 * gates.nbytes, peak / gates.nbytes
 
 
 def test_normal_pdf_is_cdf_derivative():
