@@ -564,7 +564,7 @@ def test_grid_of_finished_runs_lists_no_halts(small, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_routing_figures_count_the_top_admitted_expert_of_each_token():
+def test_routing_purity_counts_the_top_admitted_expert_of_each_token():
     # 10 experts over 4 sources: groups of 2, and experts 8, 9 owned by none
     selection = np.array([[1, 5], [8, 3], [4, 9], [0, 6], [7, 2], [2, 9], [6, 1]])
     admitted = np.array([[1, 1], [1, 1], [0, 1], [0, 1], [0, 0], [1, 0], [0, 1]], dtype=bool)
