@@ -37,9 +37,8 @@ class AttentionCache:
 
 
 def init_attention(width: int, heads: int, rng: np.random.Generator) -> dict:
-    """The ``attn.{wq,wk,wv,wo}`` (D, D) projections, drawn in that order."""
-    if width % heads != 0:
-        raise ValueError(f"width {width} not divisible by heads {heads}")
+    """The ``attn.{wq,wk,wv,wo}`` (D, D) projections, drawn in that order;
+    ``RunConfig.validate`` checks that ``model.heads`` divides ``data.width``."""
     scale = 1.0 / np.sqrt(width)
     return {f"attn.{name}": rng.normal(scale=scale, size=(width, width))
             for name in ("wq", "wk", "wv", "wo")}

@@ -232,11 +232,8 @@ def fine2coarse(points: Array, m: int = 16, k: int = 8,
     Falls back, with a warning record, to m' = token count when the batch
     is smaller than m, to m' = distinct token count when it holds fewer
     distinct tokens than m, and to k' = m' - 1 (at least 1) when k >= m'.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if not (m > k >= 1):
-        raise ValueError(f"fine2coarse: need m > k >= 1, got m={m} k={k}")
-    n = pts.shape[0]
+    m > k >= 1: ``RunConfig.validate`` bounds ``clustering.*_clusters``."""
+    n = points.shape[0]
     warnings = []
 
     def clustered(points, count, what, name):
@@ -250,7 +247,7 @@ def fine2coarse(points: Array, m: int = 16, k: int = 8,
     m_eff = min(m, n)
     if m_eff < m:
         warnings.append(f"token count {n} < m={m}; using m'={m_eff}")
-    fine = clustered(pts, m_eff, "tokens", "m")
+    fine = clustered(points, m_eff, "tokens", "m")
     m_eff, k_eff = fine.centroids.shape[0], k
     if k >= m_eff:
         k_eff = max(1, m_eff - 1)

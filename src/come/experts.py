@@ -137,12 +137,11 @@ def dr_backward(grad_out: Array, concat: Array, params: dict):
     cluster branch is a constant, so the input gradient is formed for the
     attended half only, from the first D = ``grad_out.shape[1]`` (token-branch)
     rows of ``dr.w``; returns (d_attended, grads)."""
-    g = np.asarray(grad_out, dtype=np.float64)
     grads = {
-        "dr.w": concat.T @ g,
-        "dr.b": g.sum(axis=0),
+        "dr.w": concat.T @ grad_out,
+        "dr.b": grad_out.sum(axis=0),
     }
-    return g @ params["dr.w"][: g.shape[1]].T, grads
+    return grad_out @ params["dr.w"][: grad_out.shape[1]].T, grads
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +179,12 @@ def expert_mixture_backward(grad_out: Array, saved: list, combine: Array, bank_p
     ``d_inputs`` scatter-adds. Returns (d_inputs, d_combine, parameter
     grads); d_combine is nonzero only at admitted (token, expert) entries.
     """
-    g = np.asarray(grad_out, dtype=np.float64)
-    d_inputs = np.zeros_like(g)
+    d_inputs = np.zeros_like(grad_out)
     d_combine = np.zeros_like(combine)
     grads = {}
     while saved:
         j, tok, x, h, y = saved.pop(0)
-        up = g[tok]
+        up = grad_out[tok]
         w = combine[tok, j][:, None]
         d_combine[tok, j] = np.sum(up * y, axis=1)
         d_x, expert_grads = ffn_backward(bank_params, f"expert.{j}", x, h, w * up)

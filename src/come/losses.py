@@ -51,8 +51,9 @@ class LossReport:
 def traceability_loss(gates: Array, token_sources: Array, group_size: int):
     """Mean over tokens of -log of the gate mass on each token's own expert
     group: for source m, the block [m g, (m + 1) g) of g = ``group_size``
-    experts (``ComeModel.group_size``). Every id must own a whole block:
-    g >= 1 and (m + 1) g <= n_experts.
+    experts (``ComeModel.group_size``). Every id owns a whole block, g >= 1
+    and (m + 1) g <= n_experts: ``RunConfig.validate`` bounds
+    ``data.n_sources`` by ``model.n_experts`` and ``objective`` checks ids.
 
     Group mass below GROUP_MASS_EPS is clamped; the clamp count is returned
     for ``LossReport.tb_clamped``, which each log point records. A clamped
@@ -62,8 +63,6 @@ def traceability_loss(gates: Array, token_sources: Array, group_size: int):
 
     Returns (value, d_gates, clamp_count).
     """
-    if group_size < 1:
-        raise ValueError(f"group size {group_size} < 1: the sources own no experts")
     n = gates.shape[0]
     rows = np.arange(n)[:, None]
     owned = token_sources[:, None] * group_size + np.arange(group_size)  # (n, g) columns

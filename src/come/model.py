@@ -51,7 +51,8 @@ re-check the arrays the model builds from them. Instead ``forward`` and
 the first overflowing or invalid operation raises ``FloatingPointError``.
 No division by zero is reachable: softmax sums are >= 1, a renormalised
 Top-K mass is >= 1/E, group masses and CE probabilities are clamped, and
-empty k-means clusters are masked.
+empty k-means clusters are masked. Run bounds are checked once too, by
+``RunConfig.validate``; the layers do not re-check them.
 """
 
 from __future__ import annotations

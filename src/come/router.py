@@ -36,7 +36,7 @@ def gate_backward(d_gates: Array, inputs: Array, gates: Array, params: dict):
 
     Returns (d_inputs, {router.w, router.b} grads).
     """
-    d_logits = softmax_backward(gates, np.asarray(d_gates, dtype=np.float64))
+    d_logits = softmax_backward(gates, d_gates)
     grads = {
         "router.w": d_logits.T @ inputs,
         "router.b": d_logits.sum(axis=0),
@@ -46,15 +46,12 @@ def gate_backward(d_gates: Array, inputs: Array, gates: Array, params: dict):
 
 
 def topk_select(gates: Array, k: int) -> Array:
-    """Per-token indices (N, K) of the K largest gates, largest first; ties
-    break toward the lower expert index. K = 1 takes ``argmax``, whose first
-    largest gate is the stable sort's pick, without sorting the rows."""
-    g = np.asarray(gates, dtype=np.float64)
-    if k > g.shape[1]:
-        raise ValueError(f"top_k={k} exceeds {g.shape[1]} experts")
+    """Per-token indices (N, K) of the K largest of E gates, largest first;
+    ties break toward the lower expert index (K = 1 takes ``argmax``, the
+    stable sort's pick). K <= E: ``RunConfig.validate`` bounds ``router.top_k``."""
     if k == 1:
-        return np.argmax(g, axis=1).reshape(-1, 1)
-    order = np.argsort(-g, axis=1, kind="stable")  # stable: equal gates keep index order
+        return np.argmax(gates, axis=1).reshape(-1, 1)
+    order = np.argsort(-gates, axis=1, kind="stable")  # stable: equal gates keep index order
     return order[:, :k]
 
 
@@ -71,9 +68,8 @@ class DispatchPlan:
 
 def dispatch_capacity(n_tokens: int, top_k: int, n_experts: int, capacity_factor: float) -> int:
     """ceil(f N K / E), or N when that product overflows a float: any
-    capacity >= N admits every (token, expert) pair."""
-    if capacity_factor <= 0:
-        raise ValueError("capacity factor must be > 0")
+    capacity >= N admits every (token, expert) pair. f > 0:
+    ``RunConfig.validate`` requires it of ``router.capacity_factor``."""
     capacity = capacity_factor * n_tokens * top_k / n_experts
     return n_tokens if math.isinf(capacity) else int(math.ceil(capacity))
 

@@ -42,11 +42,6 @@ def test_init_draws_the_four_projections_in_order():
         np.testing.assert_array_equal(params[name], expected)
 
 
-def test_init_rejects_indivisible_width():
-    with pytest.raises(ValueError, match="divisible"):
-        init_attention(10, 4, np.random.default_rng(0))
-
-
 def test_forward_rejects_width_mismatch():
     params = _params(width=8)
     with pytest.raises(ValueError, match="expected"):

@@ -406,11 +406,6 @@ def test_fine2coarse_falls_back_when_batch_has_fewer_distinct_tokens_than_m():
     assert model.coarse.centroids.shape == (2, 1)
 
 
-def test_fine2coarse_rejects_bad_m_k():
-    with pytest.raises(ValueError, match="m > k"):
-        fine2coarse(np.zeros((20, 3)), m=4, k=4, rng=_rng())
-
-
 # ---------------------------------------------------------------------------
 # cluster features
 # ---------------------------------------------------------------------------

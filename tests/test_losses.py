@@ -67,11 +67,6 @@ def test_traceability_clamps_zero_mass_and_counts():
     assert grad[0, 1] == 0.0  # clamped token contributes a constant
 
 
-def test_traceability_rejects_empty_group():
-    with pytest.raises(ValueError, match="group size 0 < 1: the sources own no experts"):
-        traceability_loss(_uniform_gates(2, 4), np.zeros(2, dtype=int), 0)
-
-
 # ---------------------------------------------------------------------------
 # importance
 # ---------------------------------------------------------------------------

@@ -88,6 +88,25 @@ def test_only_the_datagen_module_words_the_split_rule():
     assert wording == ["datagen.py"]
 
 
+def test_only_the_config_module_words_the_run_bounds():
+    # top-K, capacity, expert ownership, heads and cluster counts are
+    # bounded by RunConfig.validate alone; the layers take them as given
+    config_phrases = ("outside [1, {self.model.n_experts}]",
+                      '"> 0", lambda v: v > 0, "router.capacity_factor"',
+                      "traceability needs n_experts >= n_sources",
+                      "does not divide data.width",
+                      "needs fine_clusters > coarse_clusters >= 1")
+    layer_phrases = ("capacity factor must be > 0", "the sources own no experts",
+                     "not divisible by heads", "need m > k >= 1")
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    for phrase in config_phrases:
+        assert [name for name, text in sources.items() if phrase in text] == ["config.py"], phrase
+    for phrase in layer_phrases:
+        assert [name for name, text in sources.items() if phrase in text] == [], phrase
+    assert [name for name, text in sources.items()
+            if re.search(r"exceeds \{[^}]*\} experts", text)] == []
+
+
 def _readers(tree: ast.AST, attrs: set, scope: tuple = ()) -> set:
     """Dotted names of the classes and functions in ``tree`` whose own code
     reads an attribute in ``attrs`` ("" for module level)."""

@@ -101,11 +101,6 @@ def test_topk_invariant_to_per_row_constant_logit_shift():
     np.testing.assert_array_equal(idx1, idx2)
 
 
-def test_topk_rejects_k_above_expert_count():
-    with pytest.raises(ValueError):
-        topk_select(np.full((2, 3), 1 / 3), 4)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
@@ -114,8 +109,6 @@ def test_topk_rejects_k_above_expert_count():
 def test_capacity_arithmetic_examples():
     assert dispatch_capacity(64, 1, 8, 1.25) == 10
     assert dispatch_capacity(20, 1, 8, 1.25) == 4
-    with pytest.raises(ValueError):
-        dispatch_capacity(10, 1, 4, 0.0)
 
 
 def test_capacity_of_an_overflowing_product_admits_every_token():
