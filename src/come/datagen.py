@@ -25,6 +25,10 @@ maps; then, per sample, one uniform that picks the source (the one draw
 last, the train/test permutation. Tokens and labels are computed from the
 drawn values in blocks of samples, one matrix-vector product per sample,
 as a per-sample loop computes them.
+
+A ``DatasetBundle`` holds the dataset only. The task's ground truth (frames,
+basis, label maps, latents) is a function of (config, seed), rebuilt by
+replaying the "data" stream; it serves loaded and re-split bundles alike.
 """
 
 from __future__ import annotations
@@ -169,10 +173,6 @@ class DatasetBundle:
     test_idx: Array
     config: GeneratorConfig
     seed: int
-    label_shared_map: Array | None = None  # (C, shared_rank)
-    label_source_maps: Array | None = None  # (M, C, source_rank)
-    latents_shared: Array | None = None  # (N, shared_rank)
-    latents_source: Array | None = None  # (N, source_rank)
 
     @property
     def n_samples(self) -> int:
@@ -260,10 +260,6 @@ def generate(cfg: GeneratorConfig, seed: int) -> DatasetBundle:
         test_idx=test_idx,
         config=cfg,
         seed=int(seed),
-        label_shared_map=label_shared,
-        label_source_maps=label_source,
-        latents_shared=zs,
-        latents_source=us,
     )
 
 

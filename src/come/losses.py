@@ -14,7 +14,7 @@ gradients ``ComeModel.backward`` starts from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,23 +29,17 @@ GROUP_MASS_EPS = 1e-12
 class LossReport:
     """The loss decomposition of one ``ComeModel.objective`` plus per-expert
     statistics, over a training batch or an evaluated split. ``total`` is
-    the objective weighted from the parts. Two reports are equal when every
-    part and every per-expert entry is."""
+    the objective weighted from the parts. The per-expert vectors are tuples,
+    so two reports are equal when every part and every per-expert entry is."""
 
     task_ce: float
     total: float
     l_tb: float = 0.0  # the routing fields stay zero for the dense body
     l_ip: float = 0.0
     l_load: float = 0.0
-    importance: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
-    load: Array = field(default_factory=lambda: np.zeros(0))  # (n_experts,)
+    importance: tuple = ()  # n_experts floats
+    load: tuple = ()  # n_experts floats
     tb_clamped: int = 0  # tokens whose own-group gate mass was clamped
-
-    def __eq__(self, other):
-        if not isinstance(other, LossReport):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
 
 
 def traceability_loss(gates: Array, token_sources: Array, group_size: int):

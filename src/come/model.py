@@ -374,7 +374,7 @@ class ComeModel:
         w = self.cfg.losses
         total = task + w.tb_weight * l_tb + w.balance_weight * (l_ip + l_load)
         report = LossReport(task_ce=task, total=total, l_tb=l_tb, l_ip=l_ip, l_load=l_load,
-                            importance=importance, load=load, tb_clamped=clamped)
+                            importance=tuple(importance), load=tuple(load), tb_clamped=clamped)
         d_gates = (w.tb_weight * d_tb, w.balance_weight * d_ip, w.balance_weight * d_load)
         return report, d_logits, d_gates
 

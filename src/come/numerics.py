@@ -337,8 +337,6 @@ def adamw_step(params: dict, grads: dict, state: AdamWState) -> None:
 @dataclass
 class GradCheckResult:
     rel_errors: Array
-    analytic: Array
-    numeric: Array
     bad_coords: list
 
     @property
@@ -375,5 +373,5 @@ def grad_check(fn, point: Array, h: float = 1e-5) -> GradCheckResult:
         numeric[i] = d
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     rel = np.abs(analytic - numeric) / denom
-    return GradCheckResult(rel_errors=rel, analytic=analytic, numeric=numeric, bad_coords=bad)
+    return GradCheckResult(rel_errors=rel, bad_coords=bad)
 

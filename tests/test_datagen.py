@@ -65,28 +65,26 @@ def test_labels_deterministic_in_shared_latent_when_source_signal_off():
         n_samples=100,
     )
     ds = generate(cfg, seed=2)
+    truth = _per_sample_reference(cfg, 2)
     # with B_m = 0 and V_m = 0 the label is a function of z alone
-    recomputed = np.argmax(ds.latents_shared @ ds.label_shared_map.T, axis=1)
+    recomputed = np.argmax(truth["latents_shared"] @ truth["label_shared_map"].T, axis=1)
     np.testing.assert_array_equal(ds.labels, recomputed)
     # equal z implies equal label: recomputing through the same map twice
-    again = np.argmax(ds.latents_shared @ ds.label_shared_map.T, axis=1)
+    again = np.argmax(truth["latents_shared"] @ truth["label_shared_map"].T, axis=1)
     np.testing.assert_array_equal(recomputed, again)
 
 
 def test_labels_depend_on_both_latents():
-    ds = generate(_small_cfg(n_samples=500), seed=3)
-    shared_only = np.argmax(ds.latents_shared @ ds.label_shared_map.T, axis=1)
+    cfg = _small_cfg(n_samples=500)
+    ds = generate(cfg, seed=3)
+    truth = _per_sample_reference(cfg, 3)
+    v, v_source = truth["label_shared_map"], truth["label_source_maps"]
+    z, u = truth["latents_shared"], truth["latents_source"]
+    shared_only = np.argmax(z @ v.T, axis=1)
     # source latents must flip some labels, otherwise they carry no signal
     assert np.any(shared_only != ds.labels)
-    full = np.array(
-        [
-            np.argmax(
-                ds.label_shared_map @ ds.latents_shared[i]
-                + ds.label_source_maps[ds.sources[i]] @ ds.latents_source[i]
-            )
-            for i in range(ds.n_samples)
-        ]
-    )
+    full = np.array([np.argmax(v @ z[i] + v_source[ds.sources[i]] @ u[i])
+                     for i in range(ds.n_samples)])
     np.testing.assert_array_equal(full, ds.labels)
 
 
@@ -230,10 +228,11 @@ def test_generator_output_is_pinned(mode):
     assert generator_digest(mode) == GENERATOR_DIGESTS[mode]
 
 
-def _per_sample_reference(cfg: GeneratorConfig, seed: int):
-    """(tokens, sources, labels) from the per-sample loop that ``generate``
-    replaced: Generator.choice picks each source, and all arithmetic is done
-    one sample at a time."""
+def _per_sample_reference(cfg: GeneratorConfig, seed: int) -> dict:
+    """The dataset and its ground truth from the per-sample loop that
+    ``generate`` replaced: Generator.choice picks each source, and all
+    arithmetic is done one sample at a time. Returns the tokens, sources and
+    labels, the label maps, and each sample's shared and source latents."""
     rng = RandomStreams(seed).stream("data")
     bases, means = _source_frames(cfg, rng)
     shared_basis = cfg.shared_scale * _orthonormal(rng, cfg.width, cfg.shared_rank)
@@ -243,7 +242,7 @@ def _per_sample_reference(cfg: GeneratorConfig, seed: int):
     )
     weights = np.array(cfg.source_weights, dtype=np.float64)
     weights = weights / weights.sum()
-    tokens, sources, labels = [], [], []
+    tokens, sources, labels, zs, us = [], [], [], [], []
     for _ in range(cfg.n_samples):
         m = int(rng.choice(cfg.n_sources, p=weights))
         z = rng.standard_normal(cfg.shared_rank)
@@ -253,7 +252,12 @@ def _per_sample_reference(cfg: GeneratorConfig, seed: int):
         tokens.append(base + cfg.noise_scale * noise)
         sources.append(m)
         labels.append(np.argmax(label_shared @ z + label_source[m] @ u))
-    return np.array(tokens), np.array(sources), np.array(labels)
+        zs.append(z)
+        us.append(u)
+    return {"tokens": np.array(tokens), "sources": np.array(sources),
+            "labels": np.array(labels), "label_shared_map": label_shared,
+            "label_source_maps": label_source, "latents_shared": np.array(zs),
+            "latents_source": np.array(us)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -273,14 +277,13 @@ def test_generate_matches_the_per_sample_loop(
                      source_rank=ranks[1], n_samples=n_samples, source_basis_mode=mode,
                      source_weights=weights[:n_sources])
     ds = generate(cfg, seed)
-    tokens, sources, labels = _per_sample_reference(cfg, seed)
-    np.testing.assert_array_equal(ds.tokens, tokens)
-    np.testing.assert_array_equal(ds.sources, sources)
-    np.testing.assert_array_equal(ds.labels, labels)
+    reference = _per_sample_reference(cfg, seed)
+    for name in ("tokens", "sources", "labels"):
+        np.testing.assert_array_equal(getattr(ds, name), reference[name])
 
 
-BUNDLE_ARRAYS = ("tokens", "sources", "labels", "train_idx", "test_idx",
-                 "label_shared_map", "label_source_maps", "latents_shared", "latents_source")
+BUNDLE_ARRAYS = ("tokens", "sources", "labels", "train_idx", "test_idx")
+TRUTH_ARRAYS = ("label_shared_map", "label_source_maps", "latents_shared", "latents_source")
 
 # name -> (config, seed); "default" is the benchmark's dataset, and "wide"
 # crosses a 256-sample boundary at a width with larger BLAS kernels.
@@ -295,11 +298,15 @@ PINNED_CASES = {
 
 
 def bundle_digest(name: str) -> str:
-    """SHA-256 over the dtype, shape and bytes of all nine bundle arrays."""
+    """SHA-256 over the dtype, shape and bytes of the five bundle arrays,
+    then of the four ground-truth arrays, which the per-sample reference
+    replays from the same (config, seed)."""
     ds = generate(*PINNED_CASES[name])
+    truth = _per_sample_reference(*PINNED_CASES[name])
+    arrays = {**{f: getattr(ds, f) for f in BUNDLE_ARRAYS}, **{f: truth[f] for f in TRUTH_ARRAYS}}
     h = hashlib.sha256()
-    for field in BUNDLE_ARRAYS:
-        arr = np.ascontiguousarray(getattr(ds, field))
+    for field, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
         h.update(f"{field}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
     return h.hexdigest()

@@ -45,6 +45,10 @@ EXTRA = {
     "wide": ["training.batch_size=16", "router.top_k=2"],
     "renormalize": ["router.renormalize_topk=true"],
     "attention_residual": ["model.attention_residual=true"],
+    # the routed model that ROADMAP item 2 makes the default
+    "stripped": ["router.capacity_factor=8", "router.renormalize_topk=true",
+                 "model.attention_residual=true", "losses.balance_weight=0",
+                 "clustering.strategy=none", "model.n_experts=4"],
 }
 
 # name -> (params_final checkpoint digest, total per log point,
@@ -109,6 +113,12 @@ PIN = {
         [2.4712225139337423, 2.1656569594578827, 2.181184450640394],
         [0.1875, 0.1875, 0.21875],
         0.175,
+    ),
+    "stripped": (
+        "49ea9f3249ecee21e35b683a6806d994858dc1803d55098acfc3d7aaf01ede6c",
+        [2.50970859235213, 2.003055223776336, 2.2166437071748457],
+        [0.375, 0.34375, 0.34375],
+        0.4125,
     ),
 }
 

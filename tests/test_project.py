@@ -107,6 +107,37 @@ def test_only_the_config_module_words_the_run_bounds():
             if re.search(r"exceeds \{[^}]*\} experts", text)] == []
 
 
+def _unused_imports(source: str) -> list:
+    """The names that ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # no linter is a dependency, so this is the unused-import check
+    unused = {}
+    for folder in ("src/come", "tests", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            names = _unused_imports(path.read_text())
+            if names:
+                unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}
+
+
+def test_readme_lists_every_module():
+    # the README's module table names each module of the package once
+    rows = re.findall(r"^\| `(\w+\.py)` \|", (ROOT / "README.md").read_text(), re.MULTILINE)
+    assert sorted(rows) == sorted(path.name for path in PACKAGE.glob("*.py")
+                                  if path.name != "__init__.py")
+
+
 def _readers(tree: ast.AST, attrs: set, scope: tuple = ()) -> set:
     """Dotted names of the classes and functions in ``tree`` whose own code
     reads an attribute in ``attrs`` ("" for module level)."""
