@@ -225,8 +225,7 @@ def kmeans(points: Array, k: int, rng: np.random.Generator | None = None,
                      inertia_history=history, converged=converged)
 
 
-def fine2coarse(points: Array, m: int = 16, k: int = 8,
-                rng: np.random.Generator | None = None) -> ClusterModel:
+def fine2coarse(points: Array, m: int, k: int, rng: np.random.Generator) -> ClusterModel:
     """Two-phase hierarchical clustering: tokens -> m fine -> k coarse.
 
     Falls back, with a warning record, to m' = token count when the batch

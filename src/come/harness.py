@@ -3,8 +3,8 @@
 One training run is single-threaded and bit-deterministic given its seed:
 batch order, clustering seeds and evaluation subsets are all derived from
 named sub-streams of the run seed. ``run_grid`` trains a table of named
-override lists (``ABLATION_VARIANTS``, or ``sweep_runs`` for a sweep axis)
-on each seed, one run after another on one shared read-only dataset. Each
+override lists (``ABLATION_VARIANTS``, or the caller's own table) on each
+seed, one run after another on one shared read-only dataset. Each
 row is ``GRID_HEADER``: run name, seed, the run's final logged
 ``MetricsRecord`` and whether it halted. Every run's config, the run and
 seed lists (not empty, no seed twice), and that no run changes the ``data``
@@ -39,12 +39,6 @@ ABLATION_VARIANTS = {
     "no_clustering": ["clustering.strategy=none"],
     "no_tb": ["losses.tb_weight=0"],
 }
-
-SWEEP_AXES = {  # default values of each sweep_runs axis
-    "experts": [4, 8, 10],
-    "topk": [1, 2, 3, 4],
-}
-
 
 @dataclass
 class EvalResult:
@@ -394,26 +388,6 @@ GRID_HEADER = ["run", "seed", *METRICS_HEADER, "halted"]
 def _plain(value):
     """A NumPy scalar as its Python value, for overrides and JSON; else ``value``."""
     return value.item() if isinstance(value, np.generic) else value
-
-
-def sweep_runs(cfg: RunConfig, axis: str, values: list | None = None) -> dict:
-    """The run table of a sweep axis (experts, topk): ``{axis}={value}`` to
-    its overrides. ``experts`` caps ``router.top_k`` at each value. A value
-    that repeats is rejected; one that is not an int is left for config
-    validation to reject."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    runs = {}
-    for value in SWEEP_AXES[axis] if values is None else [_plain(v) for v in values]:
-        name = f"{axis}={value}"
-        if name in runs:
-            raise ValueError(f"sweep over {axis!r}: value {value!r} repeats")
-        if axis == "experts":
-            top_k = min(cfg.router.top_k, value) if type(value) is int else cfg.router.top_k
-            runs[name] = [f"model.n_experts={json.dumps(value)}", f"router.top_k={top_k}"]
-        else:
-            runs[name] = [f"router.top_k={json.dumps(value)}"]
-    return runs
 
 
 def run_grid(cfg: RunConfig, runs: dict, dataset: DatasetBundle | None = None,

@@ -41,7 +41,7 @@ from come.numerics import AdamWConfig, AdamWState
         ),
         (["training.batch_size=0"], "training.batch_size must be >= 1, got 0"),
         (["training.steps=-1"], "training.steps must be >= 0, got -1"),
-        (["router.top_k=0"], "router.top_k=0 outside [1, 8]"),
+        (["model.n_experts=8", "router.top_k=0"], "router.top_k=0 outside [1, 8]"),
         (["losses.balance_weight=-1"], "losses.balance_weight must be >= 0, got -1"),
         (["losses.tb_weight=-1"], "losses.tb_weight must be >= 0, got -1"),
         (["losses.tb_weight=NaN"], "losses.tb_weight must be >= 0, got nan"),
@@ -52,7 +52,7 @@ from come.numerics import AdamWConfig, AdamWState
         (["data.train_fraction=1"], "data: train_fraction must be in (0, 1)"),
         (["router.capacity_factor=-1"], "router.capacity_factor must be > 0, got -1"),
         (["router.capacity_factor=0"], "router.capacity_factor must be > 0, got 0"),
-        (["router.top_k=9"], "router.top_k=9 outside [1, 8]"),
+        (["model.n_experts=8", "router.top_k=9"], "router.top_k=9 outside [1, 8]"),
         (
             ["losses.tb_weight=0", "model.n_experts=2"],
             "traceability needs n_experts >= n_sources (2 < 4)",

@@ -10,7 +10,7 @@ import pytest
 from come import harness
 from come.config import ConfigError, RunConfig, apply_overrides, config_to_dict
 from come.container import save_dataset
-from come.datagen import DatasetBundle, generate
+from come.datagen import DatasetBundle, generate, leave_source_out
 from come.model import ComeModel
 from come.numerics import RandomStreams
 
@@ -20,6 +20,13 @@ SMALL = [
     "training.log_every=2",
     "training.eval_batches=1",
 ]
+
+
+# the routed configuration whose halt steps the diverging runs pin, stated so that
+# a change of config.py's defaults does not move them
+ROUTED = ["model.n_experts=8", "model.attention_residual=false", "clustering.strategy=fine2coarse",
+          "router.capacity_factor=1.25", "router.renormalize_topk=false",
+          "losses.balance_weight=0.1"]
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +42,7 @@ def small():
 
 def test_non_finite_step_halts_and_restores_initial_params():
     # k-means's point terms meet the overflow first and raise before NumPy warns
-    cfg = apply_overrides(RunConfig(), ["optimizer.lr=1e6", "training.steps=50"])
+    cfg = apply_overrides(RunConfig(), ROUTED + ["optimizer.lr=1e6", "training.steps=50"])
     result = harness.train(cfg)
     assert result.halted
     assert result.halt_reason == ("non-finite value at step 20: "
@@ -46,6 +53,21 @@ def test_non_finite_step_halts_and_restores_initial_params():
         result.final()
     digests = result.manifest["digests"]
     assert digests["params_final"] == digests["params_init"]
+
+
+def test_a_non_finite_token_halts_training_with_the_initial_params(small):
+    cfg, dataset = small
+    tokens = dataset.tokens.copy()
+    tokens[dataset.train_idx[5], 3, 7] = np.nan
+    result = harness.train(cfg, dataset=dataclasses.replace(dataset, tokens=tokens))
+    # the sample is in step 2's batch, and step 2's log point is never reached
+    assert result.halt_reason == ("non-finite value at step 2: attention tokens: "
+                                  "1 non-finite entries (shape (8, 16, 32))")
+    assert result.metrics == []
+    initial = ComeModel.build(cfg).params
+    assert list(result.model.params) == list(initial)
+    for name, value in initial.items():
+        np.testing.assert_array_equal(result.model.params[name], value)
 
 
 def test_halt_keeps_the_parameters_of_the_last_log_point():
@@ -151,6 +173,15 @@ def test_a_malformed_bundle_is_rejected_before_any_model_runs(small, monkeypatch
         harness.evaluate(model, bundle, "train")
 
 
+def test_evaluate_rejects_an_empty_split_and_scores_a_whole_one(small):
+    cfg, dataset = small
+    model = ComeModel.build(cfg)
+    _, held = leave_source_out(dataset, 0)  # evaluation-only: no training samples
+    with pytest.raises(ValueError, match="evaluate: empty split"):
+        harness.evaluate(model, held, "train")
+    assert harness.evaluate(model, held, "test").n_samples == held.n_samples == 39
+
+
 def test_evaluate_scores_no_test_sample_twice(small):
     cfg, dataset = small
     model = ComeModel.build(cfg)
@@ -198,7 +229,7 @@ def noise_indices(monkeypatch):
 
 
 @pytest.mark.parametrize("overrides, clusters", [
-    ([], True),
+    (["clustering.strategy=fine2coarse"], True),
     (["clustering.strategy=none"], False),
     (["model.arch=dense"], False),
 ], ids=["fine2coarse", "strategy-none", "dense"])
@@ -339,29 +370,12 @@ def test_training_from_a_dataset_made_by_another_generator_is_rejected(
 # grids of runs
 # ---------------------------------------------------------------------------
 
-TABLES = {
-    "ablations": lambda cfg: harness.ABLATION_VARIANTS,
-    "sweep-topk": lambda cfg: harness.sweep_runs(cfg, "topk", [2, 1]),
-    "sweep-experts": lambda cfg: harness.sweep_runs(cfg, "experts", [4, 8]),
-}
-
-
-def test_sweep_runs_names_each_value_and_caps_top_k_at_the_expert_count(small):
-    cfg, _ = small
-    assert harness.sweep_runs(cfg, "topk", [2, 1]) == {
-        "topk=2": ["router.top_k=2"], "topk=1": ["router.top_k=1"]}
-    assert harness.sweep_runs(apply_overrides(cfg, ["router.top_k=5"]), "experts", [4, 8]) == {
-        "experts=4": ["model.n_experts=4", "router.top_k=4"],
-        "experts=8": ["model.n_experts=8", "router.top_k=5"]}
-    assert list(harness.sweep_runs(cfg, "topk")) == ["topk=1", "topk=2", "topk=3", "topk=4"]
-
-
-@pytest.mark.parametrize("table, seeds", [("ablations", [3, 4]), ("sweep-topk", None),
-                                          ("sweep-experts", None)],
-                         ids=["ablations", "sweep-topk", "sweep-experts"])
-def test_grid_rows_csv_and_manifest(small, tmp_path, table, seeds):
+@pytest.mark.parametrize("runs, seeds", [
+    (harness.ABLATION_VARIANTS, [3, 4]),
+    ({"topk=2": ["router.top_k=2"], "topk=1": ["router.top_k=1"]}, None),
+], ids=["ablations", "topk"])
+def test_grid_rows_csv_and_manifest(small, tmp_path, runs, seeds):
     cfg, dataset = small
-    runs = TABLES[table](cfg)
     rows = harness.run_grid(cfg, runs, dataset=dataset, seeds=seeds, out_dir=tmp_path)
     seeds = seeds or [cfg.seed]
     assert [row[:2] for row in rows] == [[name, seed] for name in runs for seed in seeds]
@@ -387,8 +401,9 @@ def test_grid_validates_every_run_before_training_any(small, tmp_path, monkeypat
     trained = []
     monkeypatch.setattr(harness, "train", lambda run_cfg, **_: trained.append(run_cfg))
     with pytest.raises(ConfigError, match=r"n_experts >= n_sources \(2 < 4\)"):
-        harness.run_grid(cfg, harness.sweep_runs(cfg, "experts", [4, 2]), dataset=dataset,
-                         out_dir=tmp_path)
+        harness.run_grid(cfg, {"experts=4": ["model.n_experts=4"],
+                               "experts=2": ["model.n_experts=2"]},
+                         dataset=dataset, out_dir=tmp_path)
     assert trained == []
     assert list(tmp_path.iterdir()) == []
 
@@ -406,34 +421,37 @@ def trained(monkeypatch):
     return configs
 
 
-@pytest.mark.parametrize("table, seeds, error, message", [
-    (TABLES["ablations"], [], ValueError, "run_grid: seeds is empty, so no run would train"),
-    (TABLES["ablations"], np.array([], dtype=int), ValueError,
+@pytest.mark.parametrize("runs, seeds, error, message", [
+    (harness.ABLATION_VARIANTS, [], ValueError, "run_grid: seeds is empty, so no run would train"),
+    (harness.ABLATION_VARIANTS, np.array([], dtype=int), ValueError,
      "run_grid: seeds is empty, so no run would train"),
-    (lambda cfg: {"full": [], "more": ["data.n_samples=160"]}, None, ConfigError,
+    ({}, None, ValueError, "run_grid: runs is empty, so no run would train"),
+    ({"full": [], "more": ["data.n_samples=160"]}, None, ConfigError,
      "run 'more' changes data.n_samples, but every run of a grid trains on one shared dataset"),
-    (lambda cfg: {"other": ["data.seed=1", "losses.tb_weight=0"]}, None, ConfigError,
+    ({"other": ["data.seed=1", "losses.tb_weight=0"]}, None, ConfigError,
      "run 'other' changes data.seed"),
-    (lambda cfg: harness.sweep_runs(cfg, "topk", [1, 2, np.int64(1)]), None, ValueError,
-     "sweep over 'topk': value 1 repeats"),
-    (lambda cfg: {"full": [], "a": ["seed=5"]}, None, ConfigError,
+    ({"full": [], "a": ["seed=5"]}, None, ConfigError,
      "run 'a' sets seed=5, but run_grid trains it on seed 0: pass seeds to run_grid instead"),
-    (lambda cfg: {"a": ["seed=3"]}, [3, 4], ConfigError,
+    ({"a": ["seed=3"]}, [3, 4], ConfigError,
      "run 'a' sets seed=3, but run_grid trains it on seed 4"),
-    (TABLES["ablations"], np.array([3, 1, 3]), ValueError,
+    (harness.ABLATION_VARIANTS, np.array([3, 1, 3]), ValueError,
      "run_grid: a seed repeats in [3, 1, 3], so a run would train twice"),
-    (lambda cfg: {"full": [], "dense": "model.arch=dense"}, None, ConfigError,
+    ({"full": [], "dense": "model.arch=dense"}, None, ConfigError,
      "run 'dense': overrides must be a list of key=value strings, got 'model.arch=dense'"),
-], ids=["no-seeds", "empty-seed-array", "data-n-samples", "data-seed", "repeated-value",
+    ({"experts=4.7": ["model.n_experts=4.7"]}, None, ConfigError,
+     "model.n_experts must be an int, got 4.7"),
+    ({"topk=true": ["router.top_k=true"]}, None, ConfigError,
+     "router.top_k must be an int, got True"),
+], ids=["no-seeds", "empty-seed-array", "no-runs", "data-n-samples", "data-seed",
         "run-sets-a-seed", "run-sets-one-of-the-seeds", "repeated-seed",
-        "overrides-not-a-list"])
+        "overrides-not-a-list", "n-experts-4.7", "top-k-True"])
 def test_grid_rejects_a_bad_table_before_training_or_writing(small, trained, tmp_path,
-                                                             monkeypatch, table, seeds, error,
+                                                             monkeypatch, runs, seeds, error,
                                                              message):
     cfg, _ = small
     monkeypatch.setattr(harness, "build_dataset", lambda _: pytest.fail("a dataset was built"))
     with pytest.raises(error, match=re.escape(message)):
-        harness.run_grid(cfg, table(cfg), seeds=seeds, out_dir=tmp_path)
+        harness.run_grid(cfg, runs, seeds=seeds, out_dir=tmp_path)
     assert trained == []
     assert list(tmp_path.iterdir()) == []
 
@@ -459,28 +477,6 @@ def test_a_run_that_keeps_the_shared_data_and_its_seed_trains(small, trained, ru
     assert [c.seed for c in trained] == (seeds or [cfg.seed])
 
 
-@pytest.mark.parametrize("axis, value, message", [
-    ("experts", 4.7, "model.n_experts must be an int, got 4.7"),
-    ("topk", True, "router.top_k must be an int, got True"),
-], ids=["experts-4.7", "topk-True"])
-def test_sweep_rejects_a_value_that_is_not_an_int_before_training(small, trained, axis, value,
-                                                                   message):
-    cfg, dataset = small
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        harness.run_grid(cfg, harness.sweep_runs(cfg, axis, [value]), dataset=dataset)
-    assert trained == []
-
-
-def test_sweep_takes_numpy_values_as_plain_ints(small, trained, tmp_path):
-    cfg, dataset = small
-    runs = harness.sweep_runs(cfg, "topk", np.array([1, 2]))
-    rows = harness.run_grid(cfg, runs, dataset=dataset, out_dir=tmp_path)
-    assert [c.router.top_k for c in trained] == [1, 2]
-    assert [row[0] for row in rows] == ["topk=1", "topk=2"]
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["runs"] == {"topk=1": ["router.top_k=1"], "topk=2": ["router.top_k=2"]}
-
-
 @pytest.mark.parametrize("seeds", [[0, 1], [3]], ids=["two_seeds", "one_seed"])
 def test_grid_takes_a_numpy_seed_array(small, trained, tmp_path, seeds):
     cfg, dataset = small
@@ -492,33 +488,17 @@ def test_grid_takes_a_numpy_seed_array(small, trained, tmp_path, seeds):
     assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == seeds
 
 
-@pytest.mark.parametrize("axis", ["experts", "topk"])
-def test_sweep_rejects_an_empty_value_list_before_writing(small, trained, tmp_path, axis):
-    cfg, dataset = small
-    with pytest.raises(ValueError, match="run_grid: runs is empty, so no run would train"):
-        harness.run_grid(cfg, harness.sweep_runs(cfg, axis, []), dataset=dataset,
-                         out_dir=tmp_path)
-    assert trained == []
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_sweep_rejects_unknown_axis(small):
-    cfg, _ = small
-    with pytest.raises(ValueError, match="sweep axis must be one of"):
-        harness.sweep_runs(cfg, "heads")
-
-
 @pytest.fixture(scope="module")
 def diverging():
     over = ["optimizer.lr=1e6", "training.steps=50", "training.log_every=10"]
-    cfg = apply_overrides(RunConfig(), over)
+    cfg = apply_overrides(RunConfig(), ROUTED + over)
     return cfg, harness.build_dataset(cfg)
 
 
-def test_sweep_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
+def test_grid_marks_a_run_that_halted_after_a_log_point(diverging, tmp_path):
     cfg, dataset = diverging
-    runs = harness.sweep_runs(cfg, "topk", [1])
-    rows = harness.run_grid(cfg, runs, dataset=dataset, out_dir=tmp_path)
+    rows = harness.run_grid(cfg, {"topk=1": ["router.top_k=1"]}, dataset=dataset,
+                            out_dir=tmp_path)
     result = harness.train(cfg, dataset=dataset)
     assert result.halt_reason.startswith("non-finite value at step 20:")
     final = result.final()
@@ -553,7 +533,7 @@ def test_run_with_no_log_point_gets_nan_cells_instead_of_aborting_the_grid(diver
 
 def test_grid_of_finished_runs_lists_no_halts(small, tmp_path):
     cfg, dataset = small
-    rows = harness.run_grid(cfg, harness.sweep_runs(cfg, "topk", [1]), dataset=dataset,
+    rows = harness.run_grid(cfg, {"topk=1": ["router.top_k=1"]}, dataset=dataset,
                             out_dir=tmp_path)
     assert rows[0][-1] is False
     assert json.loads((tmp_path / "manifest.json").read_text())["halted"] == []
@@ -618,8 +598,8 @@ def _per_batch_figures(model, dataset, split, batch_size, max_batches):
 
 
 @pytest.mark.parametrize("overrides, split, batch_size, max_batches", [
-    ([], "test", None, None),
-    ([], "train", 8, 3),
+    (["router.capacity_factor=1.25"], "test", None, None),
+    (["router.capacity_factor=1.25"], "train", 8, 3),
     (["router.top_k=2"], "test", 16, None),
     (["model.arch=dense"], "test", None, None),
 ], ids=["top1", "top1_train_3_batches", "top2_batch16", "dense"])
@@ -639,4 +619,4 @@ def test_split_figures_equal_the_per_batch_sums_bit_for_bit(overrides, split, ba
     if cfg.model.arch == "dense":
         assert got[1:4] == (0.0, 0.0, 0.0)
     elif cfg.router.top_k == 1:
-        assert result.overflow_rate > 0  # the default capacity factor overflows
+        assert result.overflow_rate > 0  # a capacity factor of 1.25 overflows at top-1

@@ -199,7 +199,7 @@ def test_no_clustering_equals_fine2coarse_at_initialization(monkeypatch):
     # the dimension reduction starts as [I | 0], so the cluster branch is
     # inert at step 0 and the two configs produce identical forwards
     calls = _counting(monkeypatch, "fine2coarse")
-    base = ComeModel.build(_cfg())
+    base = ComeModel.build(apply_overrides(_cfg(), ["clustering.strategy=fine2coarse"]))
     ablated = ComeModel.build(_preset("no_clustering"))
     batch = _batch(base.cfg, b=3)
     s_base = _forward(base, batch, seed=5)
