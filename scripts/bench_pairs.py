@@ -15,6 +15,10 @@ counting for neither side, and its median is better than the parent's by more
 than the parent's interquartile range. Each pair also records whether
 ``params_final`` and ``test_acc`` were equal on both sides.
 
+After the last pair the verdict is printed: one line per end-to-end metric
+with each side's median and quartiles, the shift, the wins, ``within_bound``
+and ``gain_shown``, then how many pairs had equal ``params_final``.
+
 The summary of each workload is merged into ``--out`` after every pair, so
 an interrupted run keeps the pairs it finished and several invocations fill
 one file. Pairs already in ``--out`` for the workload are kept and the
@@ -103,6 +107,25 @@ def summarise(pairs: list, end_to_end: list) -> dict:
     }
 
 
+def verdict(workload: str, summary: dict) -> list:
+    """The lines printed after the last pair: one per end-to-end metric of
+    ``summary`` (as ``summarise`` returns it), then the ``params_final`` count."""
+    def stats(s):
+        return f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+
+    n = summary["pairs"]
+    lines = []
+    for name, m in summary["metrics"].items():
+        lines.append(
+            f"{workload} {name} ({m['unit']}, {m['better']} is better): "
+            f"parent {stats(m['parent_stats'])} -> candidate {stats(m['candidate_stats'])}, "
+            f"shift {m['median_shift']:+.1%}, wins {m['candidate_wins']}/{n}, "
+            f"within_bound {m['within_bound']}, gain_shown {m['gain_shown']}")
+    lines.append(f"{workload} params_final equal in {sum(summary['params_final_equal'])}/{n} "
+                 f"pairs")
+    return lines
+
+
 def parse_seeds(text: str) -> list:
     """``first-last`` (inclusive) or one seed; a range with no seeds is an
     argparse usage error, raised before any run."""
@@ -150,11 +173,12 @@ def main(argv=None) -> int:
         p50 = [pair[s]["metrics"]["step_ms.p50"] for s in ("parent", "candidate")]
         print(f"{args.workload} seed {seed}: step_ms.p50 {p50[0]:.3f} -> {p50[1]:.3f}",
               flush=True)
+        summary = summarise(pairs, spec["end_to_end"])
         out = json.loads(args.out.read_text()) if args.out.exists() else {}
         out.setdefault("workloads", {})[args.workload] = {
-            "seconds": args.seconds, "trees": trees, **summarise(pairs, spec["end_to_end"]),
-            "runs": pairs}
+            "seconds": args.seconds, "trees": trees, **summary, "runs": pairs}
         args.out.write_text(json.dumps(out, indent=1) + "\n")
+    print("\n".join(verdict(args.workload, summary)))
     return 0
 
 

@@ -5,10 +5,21 @@ affine+tanh maps, never updated), a bank of trainable FFN experts, and the
 2D->D dimension-reduction projection that fuses attended tokens with their
 cluster feature. Which bank experts a source owns is ``ComeModel.group_size``.
 
-``init_ffn``/``ffn_forward``/``ffn_backward`` define the one two-layer tanh
-FFN: every bank expert is one, under the parameter prefix ``expert.{i}``,
-and so is the dense baseline's body, under ``dense``. A bank expert's
-hidden width is ``EXPERT_HIDDEN_RATIO`` times the token width.
+``init_ffn`` defines the one two-layer tanh FFN: every bank expert is one,
+under the parameter prefix ``expert.{i}``, and so is the dense baseline's
+body, under ``dense``. A bank expert's hidden width is
+``EXPERT_HIDDEN_RATIO`` times the token width.
+
+The FFN is split at its nonlinearity, and both layers, each with its
+backward, are shared by the bank and the dense body: ``ffn_hidden`` is the
+tanh first layer and ``ffn_output`` the linear second layer. A bank expert
+runs them back to back on every token (``ffn_forward``/``ffn_backward``).
+The dense body mean-pools its hidden rows over each sample's tokens between
+the two, which the linear second layer allows, so its second layer runs on
+one row per sample. The bank experts do not pool: each token's expert
+output is weighted by its gate before the pool, so an expert could pool only
+per (expert, sample) segment, and at these sizes the segment sums cost about
+as much as the second-layer GEMM they would save.
 
 The frozen experts live outside the trainable ``params``: ``init_frozen``
 returns read-only ``frozen.{kind}.{w,b}`` arrays, which the model keeps in
@@ -73,30 +84,50 @@ def init_ffn(prefix: str, width: int, hidden: int, rng: np.random.Generator) -> 
     }
 
 
-def ffn_forward(params: dict, prefix: str, x: Array):
-    """tanh(x W1 + b1) W2 + b2 on a row block; returns (output, hidden)."""
+def ffn_hidden(params: dict, prefix: str, x: Array) -> Array:
+    """The FFN's first layer, tanh(x W1 + b1), on a row block."""
     h = x @ params[f"{prefix}.w1"]
     h += params[f"{prefix}.b1"]
-    np.tanh(h, out=h)
+    return np.tanh(h, out=h)
+
+
+def ffn_hidden_backward(params: dict, prefix: str, x: Array, h: Array, d_h: Array):
+    """Backward of ``ffn_hidden`` given its input, its output ``h`` and the
+    gradient w.r.t. ``h``; returns (d_x, {w1, b1} grads)."""
+    d_pre = h * h
+    np.subtract(1.0, d_pre, out=d_pre)  # tanh' = 1 - h^2
+    d_pre *= d_h
+    grads = {f"{prefix}.w1": x.T @ d_pre, f"{prefix}.b1": d_pre.sum(axis=0)}
+    return d_pre @ params[f"{prefix}.w1"].T, grads
+
+
+def ffn_output(params: dict, prefix: str, h: Array) -> Array:
+    """The FFN's linear second layer, h W2 + b2, on a row block."""
     y = h @ params[f"{prefix}.w2"]
     y += params[f"{prefix}.b2"]
-    return y, h
+    return y
+
+
+def ffn_output_backward(params: dict, prefix: str, h: Array, d_y: Array):
+    """Backward of ``ffn_output`` given its input and output gradient;
+    returns (d_h, {w2, b2} grads)."""
+    grads = {f"{prefix}.w2": h.T @ d_y, f"{prefix}.b2": d_y.sum(axis=0)}
+    return d_y @ params[f"{prefix}.w2"].T, grads
+
+
+def ffn_forward(params: dict, prefix: str, x: Array):
+    """tanh(x W1 + b1) W2 + b2 on a row block; returns (output, hidden)."""
+    h = ffn_hidden(params, prefix, x)
+    return ffn_output(params, prefix, h), h
 
 
 def ffn_backward(params: dict, prefix: str, x: Array, h: Array, d_y: Array):
     """Backward of ``ffn_forward`` given its input, hidden activations and
     the output gradient; returns (d_x, parameter grads)."""
-    slope = h * h  # tanh' = 1 - h^2
-    np.subtract(1.0, slope, out=slope)
-    d_pre = d_y @ params[f"{prefix}.w2"].T
-    d_pre *= slope
-    grads = {
-        f"{prefix}.w2": h.T @ d_y,
-        f"{prefix}.b2": d_y.sum(axis=0),
-        f"{prefix}.w1": x.T @ d_pre,
-        f"{prefix}.b1": d_pre.sum(axis=0),
-    }
-    return d_pre @ params[f"{prefix}.w1"].T, grads
+    d_h, grads = ffn_output_backward(params, prefix, h, d_y)
+    d_x, first = ffn_hidden_backward(params, prefix, x, h, d_h)
+    grads.update(first)
+    return d_x, grads
 
 
 def init_expert_bank(n_experts: int, width: int, hidden: int,

@@ -3,8 +3,8 @@
 Both architectures share one spine; only the body between attention and
 pooling forks on ``model.arch``. Per batch (B samples of T tokens, width D):
 
-    tokens -> attention -> body -> features                (B, T, D)
-    mean over tokens -> linear classifier -> task cross-entropy
+    tokens -> attention -> body -> pooled features          (B, D)
+    linear classifier -> task cross-entropy
 
 The routed body (``come``):
 
@@ -25,10 +25,19 @@ step runs forward -> objective -> backward (``loss_and_grads``); an
 evaluation runs forwards only and one objective over every sample it
 evaluated.
 
-A frozen prior switched off (``model.structure_expert`` or
-``model.semantic_expert`` false) is left out of the sum. The ``dense`` body
-is one tanh FFN whose hidden width matches the active parameter count of
-the routed model.
+The routed body forms per-token features (B, T, D) and pools them by the
+mean over tokens. A frozen prior switched off (``model.structure_expert``
+or ``model.semantic_expert`` false) is left out of the sum.
+
+The ``dense`` body is one tanh FFN whose hidden width matches the active
+parameter count of the routed model:
+
+    attended -> tanh first layer -> hidden (B*T, H) -> mean over tokens
+             -> linear second layer -> pooled features (B, D)
+
+Its second layer is linear, so pooling before it equals pooling its
+per-token outputs, and that layer's forward and backward GEMMs run on B
+rows, not B*T.
 
 Backward mirrors the spine: head, body, attention. Every trainable piece
 ships an explicit backward; clustering, Top-K selection and capacity
@@ -72,8 +81,10 @@ from .experts import (
     dr_forward,
     expert_mixture_backward,
     expert_mixture_forward,
-    ffn_backward,
-    ffn_forward,
+    ffn_hidden,
+    ffn_hidden_backward,
+    ffn_output,
+    ffn_output_backward,
     frozen_forward,
     init_dim_reduction,
     init_expert_bank,
@@ -130,9 +141,9 @@ class ForwardState:
     logits: Array  # (B, C) class logits
     gates: Array | None  # (N, n_experts) gate softmax; None for the dense body
     plan: DispatchPlan | None
-    pooled: Array
+    pooled: Array  # (B, D) features pooled over tokens: the classifier's input
     att_cache: AttentionCache
-    body: object  # RoutedCache, or (flat inputs, hidden) for the dense FFN
+    body: object  # RoutedCache; for the dense FFN (flat inputs, hidden, per-sample mean hidden)
     report: LossReport | None = None
 
 
@@ -264,11 +275,13 @@ class ComeModel:
         attended = batch.tokens + att_out if self.cfg.model.attention_residual else att_out
         flat = attended.reshape(b * t, d)
         if self.cfg.model.arch == "dense":
-            out, hidden = ffn_forward(self.params, "dense", flat)
-            features, gates, plan, body = out.reshape(b, t, d), None, None, (flat, hidden)
+            hidden = ffn_hidden(self.params, "dense", flat)
+            mean_h = hidden.reshape(b, t, -1).mean(axis=1)
+            pooled = ffn_output(self.params, "dense", mean_h)
+            gates, plan, body = None, None, (flat, hidden, mean_h)
         else:
             features, gates, plan, body = self._routed_forward(batch, flat, cluster_rng, pinned)
-        pooled = features.mean(axis=1)
+            pooled = features.mean(axis=1)
         logits = pooled @ self.params["head.w"] + self.params["head.b"]
         return ForwardState(
             batch=batch,
@@ -405,11 +418,10 @@ class ComeModel:
         grads["head.w"] = state.pooled.T @ d_logits
         grads["head.b"] = d_logits.sum(axis=0)
         d_pooled = d_logits @ self.params["head.w"].T
-        d_out = (np.repeat(d_pooled[:, None, :], t, axis=1) / t).reshape(b * t, d)
         if self.cfg.model.arch == "dense":
-            d_flat, dense_grads = ffn_backward(self.params, "dense", *body, d_out)
-            grads.update(dense_grads)
+            d_flat = self._dense_backward(d_pooled, t, *body, grads)
         else:
+            d_out = (np.repeat(d_pooled[:, None, :], t, axis=1) / t).reshape(b * t, d)
             d_flat = self._routed_backward(d_out, d_gates, body, state, grads)
         del body  # each cache is freed as soon as its backward has read it
         grads.update(attention_backward(
@@ -420,6 +432,19 @@ class ComeModel:
             if name not in grads:  # an expert no token reached
                 grads[name] = np.zeros_like(p)
         return grads
+
+    def _dense_backward(self, d_pooled: Array, t: int, flat: Array, hidden: Array,
+                        mean_h: Array, grads: dict) -> Array:
+        """Backward of the dense body from the pooled gradient: the second
+        layer on the B mean hidden rows, then the first on every token, each
+        token taking 1/t of its sample's hidden gradient. Fills ``grads`` and
+        returns the gradient w.r.t. the attended tokens."""
+        d_mean_h, second = ffn_output_backward(self.params, "dense", mean_h, d_pooled)
+        grads.update(second)
+        d_flat, first = ffn_hidden_backward(self.params, "dense", flat, hidden,
+                                            np.repeat(d_mean_h / t, t, axis=0))
+        grads.update(first)
+        return d_flat
 
     def _routed_backward(self, d_out: Array, d_loss_gates: tuple, cache: RoutedCache,
                          state: ForwardState, grads: dict) -> Array:

@@ -79,6 +79,49 @@ def test_summarise_counts_wins_and_checks_bounds_in_the_better_direction():
         "median": 11.5, "q1": 10.75, "q3": 12.25, "iqr": 1.5}
 
 
+def test_verdict_has_one_line_per_metric_and_counts_equal_params_final():
+    parent = {"step_ms.p50": [10.0, 11.0, 12.0, 13.0],
+              "peak_rss_mb": [100.0, 100.0, 100.0, 100.0],
+              "train_steps_per_s": [100.0, 100.0, 100.0, 100.0],
+              "eval_samples_per_s": [50.0, 50.0, 50.0, 50.0]}
+    candidate = {"step_ms.p50": [9.0, 12.0, 11.0, 12.0],
+                 "peak_rss_mb": [106.0, 106.0, 106.0, 99.0],
+                 "train_steps_per_s": [100.0, 100.0, 100.0, 100.0],
+                 "eval_samples_per_s": [60.0, 60.0, 60.0, 60.0]}
+    summary = bench_pairs.summarise(_pairs(parent, candidate, (True, False, True, True)),
+                                    END_TO_END)
+    assert bench_pairs.verdict("dense-small", summary) == [
+        "dense-small step_ms.p50 (ms, lower is better): parent 11.5 [10.75, 12.25] -> "
+        "candidate 11.5 [10.5, 12], shift +0.0%, wins 3/4, within_bound True, "
+        "gain_shown False",
+        "dense-small peak_rss_mb (MB, lower is better): parent 100 [100, 100] -> "
+        "candidate 106 [104.2, 106], shift +6.0%, wins 1/4, within_bound False, "
+        "gain_shown False",
+        "dense-small train_steps_per_s (1/s, higher is better): parent 100 [100, 100] -> "
+        "candidate 100 [100, 100], shift +0.0%, wins 0/4, within_bound True, "
+        "gain_shown False",
+        "dense-small eval_samples_per_s (1/s, higher is better): parent 50 [50, 50] -> "
+        "candidate 60 [60, 60], shift +20.0%, wins 4/4, within_bound True, "
+        "gain_shown True",
+        "dense-small params_final equal in 3/4 pairs",
+    ]
+
+
+def test_the_verdict_is_printed_after_the_last_pair(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", _fake_run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--candidate", str(ROOT),
+                             "--workload", "routed-small", "--seconds", "1", "--out", str(out),
+                             "--seeds", "1-3"]) == 0
+    summary = json.loads(out.read_text())["workloads"]["routed-small"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"routed-small seed {s}: step_ms.p50 {s + 0.5:.3f} -> {s:.3f}"
+                         for s in (1, 2, 3)]
+    assert lines[3:] == bench_pairs.verdict("routed-small", summary)
+    assert len(lines[3:]) == len(summary["metrics"]) + 1
+    assert lines[-1] == "routed-small params_final equal in 3/3 pairs"
+
+
 def test_a_workload_not_in_benchmark_json_is_rejected_before_any_run(tmp_path, capsys,
                                                                      monkeypatch):
     def run_once(*args):

@@ -215,9 +215,14 @@ def test_no_clustering_equals_fine2coarse_at_initialization(monkeypatch):
 def test_no_tb_zeroes_the_traceability_weight_but_reports_value():
     cfg = _preset("no_tb")
     model = ComeModel.build(cfg)
+    # router.w starts at zeros, where the gates are uniform and both balance
+    # losses are exactly 0; a drawn router makes the balance term count
+    router = model.params["router.w"]
+    model.params["router.w"] = np.random.default_rng(5).normal(size=router.shape)
     rep = _objective(model, _forward(model, _batch(cfg)))
     assert model.cfg.losses.tb_weight == 0.0
     assert rep.l_tb >= 0.0
+    assert rep.l_ip > 0.0 and rep.l_load > 0.0
     expected = rep.task_ce + 0.1 * (rep.l_ip + rep.l_load)
     assert abs(rep.total - expected) < 1e-12
 
@@ -338,6 +343,55 @@ def test_dense_architecture_forward_backward():
     for component in ("attention", "dense", "classifier"):
         res = component_grad_check(model, batch, component, h=1e-5)
         assert res.max_rel_error < 1e-4, f"{component}: {res.max_rel_error}"
+
+
+def _relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_pooled_dense_body_matches_the_per_token_ffn():
+    """The dense body pools its hidden rows before the linear second layer.
+    The oracle runs the FFN on every token, averages its outputs, and starts
+    its backward from d_pooled / T repeated to each token: the forward's
+    outputs and every gradient agree to 1e-12 relative."""
+    cfg = _cfg(**{"model.arch": "dense"})
+    model = ComeModel.build(cfg)
+    params, heads = model.params, cfg.model.heads
+    rng = np.random.default_rng(8)
+    for name in ("dense.b1", "dense.b2", "head.b"):  # zero at init: give each a value
+        params[name] = rng.normal(scale=0.1, size=params[name].shape)
+    batch = _batch(cfg, seed=23, b=4)
+    b, t, d = batch.tokens.shape
+    assert b > 1 and t > 1
+
+    att_out, att_cache = come.model.attention_forward(batch.tokens, params, heads)
+    flat = att_out.reshape(b * t, d)
+    h = np.tanh(flat @ params["dense.w1"] + params["dense.b1"])
+    out = h @ params["dense.w2"] + params["dense.b2"]
+    pooled = out.reshape(b, t, d).mean(axis=1)
+    logits = pooled @ params["head.w"] + params["head.b"]
+    _, d_logits, _ = model.objective(logits, batch.labels)
+    d_pooled = d_logits @ params["head.w"].T
+    d_out = (np.repeat(d_pooled[:, None, :], t, axis=1) / t).reshape(b * t, d)
+    d_pre = (d_out @ params["dense.w2"].T) * (1.0 - h * h)
+    want = {
+        "head.w": pooled.T @ d_logits,
+        "head.b": d_logits.sum(axis=0),
+        "dense.w2": h.T @ d_out,
+        "dense.b2": d_out.sum(axis=0),
+        "dense.w1": flat.T @ d_pre,
+        "dense.b1": d_pre.sum(axis=0),
+    }
+    d_att = (d_pre @ params["dense.w1"].T).reshape(b, t, d)
+    want.update(come.model.attention_backward(d_att, att_cache, params, heads))
+
+    state = model.forward(batch)
+    assert _relative_error(state.pooled, pooled) < 1e-12
+    assert _relative_error(state.logits, logits) < 1e-12
+    grads = model.backward(state, *_objective_and_grads(model, state)[1:])
+    assert sorted(grads) == sorted(want)
+    for name in want:
+        assert _relative_error(grads[name], want[name]) < 1e-12, name
 
 
 def test_matched_dense_hidden_accounting():

@@ -8,9 +8,12 @@ accuracy at every log point, and the accuracy of a full-test-split
 evaluation.
 
 All cases run in one child process with one BLAS thread, the setting the
-benchmark pins: the dense FFN's gradients differ in the last bit between one
-and two OpenBLAS threads, so the pin holds whatever thread count the test
-process itself uses. Run this file as a script to print the values it
+benchmark pins, so the pin holds whatever thread count the test process
+itself uses. With OpenBLAS 0.3.31 on a 2-CPU x86-64 host every case gives
+the same values at one and two threads; a dense body that ran its second
+layer per token did not, because its gradients differed in the last bit.
+Another BLAS or thread count may still split a GEMM differently, which the
+one-thread child rules out. Run this file as a script to print the values it
 compares, as JSON.
 
 Tolerance: none. Values are compared for exact equality, because a run is
@@ -91,8 +94,8 @@ PIN = {
         0.175,
     ),
     "dense": (
-        "34e2642bc3822ff015f5d967afd327bbc98e3b42b5f02c8642132102351e3a82",
-        [1.0531001828621576, 0.9240268419763825, 1.0174173334812557],
+        "464332eee836b3806e7fa44493dffb7d97a7a23369ce872d8f665808f2e86f46",
+        [1.0531001828621576, 0.9240268419763826, 1.0174173334812555],
         [0.25, 0.375, 0.46875],
         0.5375,
     ),
